@@ -374,7 +374,10 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--gap-tol", type=float, default=1e-3, dest="gap_tol")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; trials run in trial "
+                        "order in one thread, so it changes neither output "
+                        "nor execution")
     p.set_defaults(func=cmd_search_basic)
     return parser
 

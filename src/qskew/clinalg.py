@@ -10,6 +10,8 @@ Provided:
 * herm_eig: cyclic complex Jacobi eigensolver for Hermitian matrices
 * lu_factor / lu_solve / lu_inverse: LU with partial pivoting
 * mgs_orthonormalize: modified Gram-Schmidt with a second pass
+* cluster_runs / companion_basis: grouping of a sorted spectrum, and an
+  orthonormal basis of (u, partner(u)) pairs inside one cluster
 """
 
 import numpy as np
@@ -188,3 +190,47 @@ def mgs_orthonormalize(vectors, tol=1e-10):
             continue
         kept.append(v / nrm)
     return kept
+
+
+def cluster_runs(sorted_values, cut):
+    """Group an ascending array into runs whose neighbour gaps are <= cut.
+
+    Returns half-open (lo, hi) index pairs covering the array in order;
+    an empty array has no runs.
+    """
+    values = np.asarray(sorted_values, dtype=float)
+    if values.size == 0:
+        return []
+    edges = [0] + (np.flatnonzero(np.diff(values) > cut) + 1).tolist() + [values.size]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def companion_basis(pool, count, partner):
+    """Orthonormal (u, partner(u)) pairs drawn from the column span of pool.
+
+    Each of count steps projects the vectors chosen so far out of pool
+    (two passes), keeps the largest-residual column as u, then scrubs
+    w = partner(u) against the earlier choices and normalises it.  partner
+    must map u to a vector of the same span orthogonal to u.  Returns the
+    list of (u, w).  Raises ValueError when the pool runs out of rank.
+    """
+    chosen = []
+    pairs = []
+    for _ in range(count):
+        work = pool.copy()
+        for _ in range(2):
+            for c in chosen:
+                work -= np.outer(c, c.conj() @ work)
+        norms = np.sqrt((np.abs(work) ** 2).sum(axis=0))
+        best = int(np.argmax(norms))
+        if norms[best] <= 1e-6:
+            raise ValueError("companion extraction degenerated; "
+                             "residual pool norm %.3e" % norms[best])
+        u = work[:, best] / norms[best]
+        w = partner(u)
+        for c in chosen:
+            w -= (c.conj() @ w) * c
+        w /= float(np.sqrt((np.abs(w) ** 2).sum()))
+        chosen.extend([w, u])
+        pairs.append((u, w))
+    return pairs

@@ -11,6 +11,8 @@ keeps both sides of that equivalence independently computable.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .qmatrix import QuatMatrix
 from .quaternion import Quaternion
 
@@ -60,6 +62,11 @@ def _coerce_dq(value):
 
 EPS = DualQuaternion(Quaternion(), Quaternion(1))
 
+# component signs of the dual conjugate, (std, inf) x (w, x, y, z):
+# conjugate the standard part, negate the infinitesimal part
+_DUAL_CONJ_SIGNS = np.array([[1.0, -1.0, -1.0, -1.0],
+                             [-1.0, -1.0, -1.0, -1.0]])[:, None, None, :]
+
 
 class DualQuatMatrix:
     """Square or rectangular matrix of dual quaternions, stored as two parts."""
@@ -90,21 +97,15 @@ class DualQuatMatrix:
         return DualQuaternion(self.std.entry(i, j), self.inf.entry(i, j))
 
     def conj_transpose(self):
-        """Entrywise dual conjugate, then transpose, entry by entry."""
-        m, n = self.shape
-        rows_std = []
-        rows_inf = []
-        for i in range(n):
-            row_std = []
-            row_inf = []
-            for j in range(m):
-                e = self.entry(j, i).conjugate()
-                row_std.append(e.std)
-                row_inf.append(e.inf)
-            rows_std.append(row_std)
-            rows_inf.append(row_inf)
-        return DualQuatMatrix(QuatMatrix.from_entries(rows_std),
-                              QuatMatrix.from_entries(rows_inf))
+        """Entrywise dual conjugate, then transpose.
+
+        Works on the stacked (std, inf) component array directly, without
+        the QuatMatrix transposes and predicates, so the direct Hermitian
+        route stays independent of the split one.
+        """
+        parts = np.stack([self.std.data, self.inf.data]) * _DUAL_CONJ_SIGNS
+        std, inf = np.transpose(parts, (0, 2, 1, 3))
+        return DualQuatMatrix(std, inf)
 
     def __sub__(self, other):
         return DualQuatMatrix(self.std - other.std, self.inf - other.inf)

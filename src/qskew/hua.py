@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clinalg import ConvergenceError, herm_eig, mgs_orthonormalize
+from .clinalg import (ConvergenceError, cluster_runs, companion_basis, herm_eig,
+                      mgs_orthonormalize)
 
 
 @dataclass
@@ -44,6 +45,10 @@ class HuaForm:
         return out
 
 
+def _norm(x):
+    return float(np.sqrt((np.abs(x) ** 2).sum()))
+
+
 def _check_complex_skew(z, tol):
     z = np.asarray(z, dtype=complex)
     if z.ndim != 2 or z.shape[0] != z.shape[1]:
@@ -63,16 +68,10 @@ def positive_clusters(values, cluster_tol=1e-8):
     threshold.  Returns a list of index lists, one per cluster.
     """
     values = np.asarray(values, dtype=float)
-    lam_max = float(values.max(initial=0.0))
-    cut = cluster_tol * max(1.0, lam_max)
-    idx = [int(i) for i in np.argsort(values, kind="stable") if values[i] > cut]
-    clusters = []
-    for i in idx:
-        if clusters and values[i] - values[clusters[-1][-1]] <= cut:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    return clusters
+    cut = cluster_tol * max(1.0, float(values.max(initial=0.0)))
+    order = np.argsort(values, kind="stable")
+    idx = order[values[order] > cut]
+    return [idx[lo:hi].tolist() for lo, hi in cluster_runs(values[idx], cut)]
 
 
 def even_multiplicity_check(z, cluster_tol=1e-8):
@@ -98,59 +97,36 @@ def hua_decompose(z, tol=1e-8, cluster_tol=1e-8):
     """
     z = _check_complex_skew(z, tol)
     n = z.shape[0]
-    scale = max(1.0, float(np.sqrt((np.abs(z) ** 2).sum())))
+    scale = max(1.0, _norm(z))
     if n == 0:
         return HuaForm(np.zeros((0, 0), dtype=complex), [], 0, 0.0, 0.0)
 
     h = z @ z.conj().T
-    lam, v = herm_eig(h, tol=1e-12)
+    _, v = herm_eig(h, tol=1e-12)
 
     # measure each mode directly on Z; far sharper near the kernel than
     # sqrt of the H eigenvalue
-    sig_hat = np.array([float(np.sqrt((np.abs(z @ v[:, j].conj()) ** 2).sum()))
-                        for j in range(n)])
+    sig_hat = np.array([_norm(z @ v[:, j].conj()) for j in range(n)])
     zero_idx = [j for j in range(n) if sig_hat[j] <= tol * scale]
-    pos_idx = sorted((j for j in range(n) if sig_hat[j] > tol * scale),
-                     key=lambda j: sig_hat[j])
+    order = np.argsort(sig_hat, kind="stable")
+    pos = order[sig_hat[order] > tol * scale]
 
-    # group positive modes whose squared values sit within the gap rule
+    def partner(u):
+        zu = z @ u.conj()
+        return zu / _norm(zu)
+
+    # group positive modes whose squared values sit within the gap rule,
+    # then take one (w, u) block pair per two modes, highest cluster first
     lam = sig_hat ** 2
     cut = cluster_tol * max(1.0, float(lam.max(initial=0.0)))
-    clusters = []
-    for j in pos_idx:
-        if clusters and lam[j] - lam[clusters[-1][-1]] <= cut:
-            clusters[-1].append(j)
-        else:
-            clusters.append([j])
-
     pairs = []  # (sigma, w_vec, u_vec)
-    for cluster in sorted(clusters, key=lambda c: -sig_hat[c[0]]):
-        if len(cluster) % 2:
+    for lo, hi in reversed(cluster_runs(lam[pos], cut)):
+        if (hi - lo) % 2:
             raise ValueError(
                 "positive eigenvalue cluster of odd size %d at sigma ~ %.6g; "
-                "clustering tolerance is off" % (len(cluster), sig_hat[cluster[0]]))
-        pool = v[:, cluster].copy()
-        selected = []
-        for _ in range(len(cluster) // 2):
-            work = pool.copy()
-            for s_vec in selected:
-                work -= np.outer(s_vec, s_vec.conj() @ work)
-            for s_vec in selected:
-                work -= np.outer(s_vec, s_vec.conj() @ work)
-            norms = np.sqrt((np.abs(work) ** 2).sum(axis=0))
-            best = int(np.argmax(norms))
-            if norms[best] <= 1e-6:
-                raise ValueError("pair extraction degenerated inside a cluster")
-            u = work[:, best] / norms[best]
-            sigma = float(np.sqrt((np.abs(z @ u.conj()) ** 2).sum()))
-            w = (z @ u.conj()) / sigma
-            # w is automatically orthogonal to u; scrub rounding against
-            # the rest of the cluster
-            for s_vec in selected:
-                w -= (s_vec.conj() @ w) * s_vec
-            w /= float(np.sqrt((np.abs(w) ** 2).sum()))
-            selected.extend([w, u])
-            pairs.append((sigma, w, u))
+                "clustering tolerance is off" % (hi - lo, sig_hat[pos[lo]]))
+        for u, w in companion_basis(v[:, pos[lo:hi]], (hi - lo) // 2, partner):
+            pairs.append((_norm(z @ u.conj()), w, u))
 
     pairs.sort(key=lambda p: -p[0])
 
@@ -169,10 +145,8 @@ def hua_decompose(z, tol=1e-8, cluster_tol=1e-8):
     u_mat = np.array([r.conj() for r in rows])
     form = HuaForm(u_mat, [p[0] for p in pairs], len(kernel), 0.0, 0.0)
     sig_target = form.canonical()
-    form.residual = float(np.sqrt((np.abs(u_mat @ z @ u_mat.T - sig_target) ** 2).sum()))
-    eye = np.eye(n)
-    form.unitarity_residual = float(
-        np.sqrt((np.abs(u_mat.conj().T @ u_mat - eye) ** 2).sum()))
+    form.residual = _norm(u_mat @ z @ u_mat.T - sig_target)
+    form.unitarity_residual = _norm(u_mat.conj().T @ u_mat - np.eye(n))
 
     if form.residual > tol * scale or form.unitarity_residual > tol:
         raise ConvergenceError(

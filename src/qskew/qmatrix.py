@@ -255,12 +255,9 @@ def random_skew_symmetric(n, seed, scale=1.0):
     k = n * (n - 1) // 2
     draws = rng.uniform(-scale, scale, size=(k, 4))
     arr = np.zeros((n, n, 4))
-    t = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            arr[i, j] = draws[t]
-            arr[j, i] = -draws[t]
-            t += 1
+    upper = np.triu_indices(n, 1)  # row-major, matching the draw order
+    arr[upper] = draws
+    arr[upper[::-1]] = -draws
     return QuatMatrix(arr)
 
 

@@ -9,7 +9,6 @@ seeded random search for matrices whose W has fully distinct positive
 spectrum, plus the quaternion side of the even-multiplicity contrast.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -202,20 +201,15 @@ def basic_candidate_search(n, trials, seed, scale=1.0, gap_tol=1e-3, workers=1):
     produced by any complex skew-symmetric matrix of the same size, so
     hits are evidence (not proof) of genuinely quaternionic behaviour.
     Deterministic for fixed (n, trials, seed, scale, gap_tol): per-trial
-    streams come from trial_seed, so the worker count never changes the
-    output.
+    streams come from trial_seed and trials run in trial order in the
+    calling thread.  workers is accepted for compatibility and changes
+    neither the output nor the execution.
     """
     if n < 4:
         raise ValueError("search needs n >= 4; smaller sizes are settled")
     if trials < 0:
         raise ValueError("trials must be nonnegative")
-    indices = range(trials)
-    if workers <= 1:
-        results = [_search_one(n, seed, scale, gap_tol, t) for t in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda t: _search_one(n, seed, scale, gap_tol, t), indices))
+    results = [_search_one(n, seed, scale, gap_tol, t) for t in range(trials)]
     return [r for r in results if r is not None]
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clinalg import herm_eig, lu_inverse
+from .clinalg import cluster_runs, companion_basis, herm_eig, lu_inverse
 from .qmatrix import QuatMatrix
 
 PAIR_TOL = 1e-9
@@ -36,22 +36,6 @@ class RightSpectrum:
         return out
 
 
-def chi(a):
-    """Complex adjoint of a quaternion matrix (2m x 2n complex)."""
-    if not isinstance(a, QuatMatrix):
-        a = QuatMatrix(a)
-    return a.chi()
-
-
-def chi_inverse_map(c, tol=1e-10):
-    """Back out the quaternion matrix whose adjoint is c.
-
-    Raises ValueError when c violates the adjoint block symmetry by more
-    than tol relative to its largest entry.
-    """
-    return QuatMatrix.from_chi(c, tol=tol)
-
-
 def _antidual(v):
     """The antiunitary companion of a complex 2n-vector in adjoint coordinates.
 
@@ -61,14 +45,6 @@ def _antidual(v):
     """
     n = v.size // 2
     return np.concatenate([-v[n:].conj(), v[:n].conj()])
-
-
-def _lift_column(v):
-    """Quaternion column from a complex eigenvector of the adjoint."""
-    n = v.size // 2
-    xc = v[:n]
-    xd = -v[n:].conj()
-    return xc, xd
 
 
 def right_eigenvalues_hermitian(a, tol=1e-10):
@@ -95,41 +71,14 @@ def right_eigenvalues_hermitian(a, tol=1e-10):
             % (float(gaps.max()), pair_tol))
     values = mu[::2].copy()
 
-    # group pairs whose values collide, then pull one quaternion vector
-    # per pair out of each group
-    clusters = []
-    start = 0
-    for t in range(1, n):
-        if values[t] - values[t - 1] > pair_tol:
-            clusters.append((start, t))
-            start = t
-    clusters.append((start, n))
-
-    cols_c = np.zeros((n, n), dtype=complex)
-    cols_d = np.zeros((n, n), dtype=complex)
-    out = 0
-    for lo, hi in clusters:
-        pool = v[:, 2 * lo:2 * hi].copy()
-        chosen = []
-        for _ in range(hi - lo):
-            work = pool.copy()
-            for c in chosen:
-                for u in (c, _antidual(c)):
-                    work -= np.outer(u, u.conj() @ work)
-            norms = np.sqrt((np.abs(work) ** 2).sum(axis=0))
-            best = int(np.argmax(norms))
-            if norms[best] <= 1e-6:
-                raise ValueError("eigenspace extraction degenerated; "
-                                 "residual pool norm %.3e" % norms[best])
-            x = work[:, best] / norms[best]
-            chosen.append(x)
-        for x in chosen:
-            xc, xd = _lift_column(x)
-            cols_c[:, out] = xc
-            cols_d[:, out] = xd
-            out += 1
-
-    vectors = QuatMatrix.from_complex_pair(cols_c, cols_d)
+    # one eigenvector per pair, pulled out of each group of pairs whose
+    # values collide; column u of the adjoint lifts to x = u[:n] - conj(u[n:]) j
+    chosen = []
+    for lo, hi in cluster_runs(values, pair_tol):
+        chosen.extend(u for u, _ in companion_basis(v[:, 2 * lo:2 * hi], hi - lo,
+                                                    _antidual))
+    basis = np.array(chosen, dtype=complex).reshape(n, 2 * n).T
+    vectors = QuatMatrix.from_complex_pair(basis[:n], -basis[n:].conj())
     return RightSpectrum(values, vectors, gaps)
 
 
@@ -162,7 +111,7 @@ def quat_inverse(a, tol=1e-10):
     if not isinstance(a, QuatMatrix):
         a = QuatMatrix(a)
     a._require_square("quat_inverse")
-    return chi_inverse_map(lu_inverse(a.chi(), tol=tol), tol=1e-8)
+    return QuatMatrix.from_chi(lu_inverse(a.chi(), tol=tol), tol=1e-8)
 
 
 def is_positive_semidefinite(a, tol=1e-10):

@@ -87,11 +87,17 @@ def test_matrix_entry_and_shape():
 
 def test_matrix_conj_transpose_is_entrywise():
     rng = np.random.default_rng(71)
-    a = random_dqm(rng, 4)
-    at = a.conj_transpose()
-    for i in range(4):
-        for j in range(4):
-            assert at.entry(i, j) == a.entry(j, i).conjugate()
+    square = random_dqm(rng, 4)
+    # a rectangular input catches swapped axes that a square one hides
+    rect = DualQuatMatrix(rng.uniform(-1, 1, size=(2, 3, 4)),
+                          rng.uniform(-1, 1, size=(2, 3, 4)))
+    for a in (square, rect):
+        m, n = a.shape
+        at = a.conj_transpose()
+        assert at.shape == (n, m)
+        for i in range(n):
+            for j in range(m):
+                assert at.entry(i, j) == a.entry(j, i).conjugate()
 
 
 def test_matrix_dict_round_trip():

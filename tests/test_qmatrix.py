@@ -149,6 +149,19 @@ def test_random_skew_symmetric_structure():
     assert not z.allclose(z3, tol=1e-3)
 
 
+def test_random_skew_symmetric_draw_order():
+    # the strictly upper triangle is filled row-major from one Philox stream
+    n, seed, scale = 5, 42, 2.0
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    draws = iter(rng.uniform(-scale, scale, size=(n * (n - 1) // 2, 4)))
+    want = np.zeros((n, n, 4))
+    for i in range(n):
+        for j in range(i + 1, n):
+            want[i, j] = next(draws)
+            want[j, i] = -want[i, j]
+    assert random_skew_symmetric(n, seed, scale).data.tobytes() == want.tobytes()
+
+
 def test_predicates():
     h = QuatMatrix.from_entries([[0, J], [-J, 0]])
     # conj(-j) = j lands on the (0,1) slot under conjugate transpose,

@@ -36,30 +36,38 @@ def test_reference_3x3_spectrum():
     assert abs(np.sum(np.square(spec.values)) - 128.0) <= 1e-7
 
 
+def clustered_inputs():
+    """Hermitian matrices with a repeated right eigenvalue, so their
+    eigenvectors come out of a multi-pair cluster: W of a degenerate 3x3
+    triple (spectrum (0, s, s), s = 19) and diag(1, 1, 1, 3)."""
+    return (SkewTriple(2, 1 + I, 3 - 2 * I).matrix().gram(),
+            QuatMatrix(np.diag([1.0, 1.0, 1.0, 3.0])))
+
+
 def test_right_eigenpairs_solve_problem():
     # A x = x lambda with lambda acting on the right
     z = random_skew_symmetric(4, seed=3)
-    w = z.gram()
-    spec = right_eigenvalues_hermitian(w)
-    assert len(spec.values) == 4
-    for t, lam in enumerate(spec.values):
-        x = spec.vectors.column(t)
-        lhs = w @ x
-        rhs = x.right_mul(Quaternion(lam, 0, 0, 0))
-        assert (lhs - rhs).norm() <= 1e-9 * max(1.0, w.norm())
+    for w in (z.gram(),) + clustered_inputs():
+        spec = right_eigenvalues_hermitian(w)
+        assert len(spec.values) == w.nrows
+        for t, lam in enumerate(spec.values):
+            x = spec.vectors.column(t)
+            lhs = w @ x
+            rhs = x.right_mul(Quaternion(lam, 0, 0, 0))
+            assert (lhs - rhs).norm() <= 1e-9 * max(1.0, w.norm())
 
 
 def test_eigenvector_quaternion_orthonormality():
     z = random_skew_symmetric(5, seed=8)
-    w = z.gram()
-    spec = right_eigenvalues_hermitian(w)
-    n = len(spec.values)
-    for s in range(n):
-        for t in range(n):
-            xs, xt = spec.vectors.column(s), spec.vectors.column(t)
-            ip = xs.conj_transpose() @ xt
-            want = 1.0 if s == t else 0.0
-            assert abs(ip.entry(0, 0) - Quaternion(want, 0, 0, 0)) <= 1e-9
+    for w in (z.gram(),) + clustered_inputs():
+        spec = right_eigenvalues_hermitian(w)
+        n = len(spec.values)
+        for s in range(n):
+            for t in range(n):
+                xs, xt = spec.vectors.column(s), spec.vectors.column(t)
+                ip = xs.conj_transpose() @ xt
+                want = 1.0 if s == t else 0.0
+                assert abs(ip.entry(0, 0) - Quaternion(want, 0, 0, 0)) <= 1e-9
 
 
 def test_pairing_gaps_small():
