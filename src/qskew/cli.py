@@ -9,12 +9,14 @@ Subcommands:
 * inverse-check invertibility and skew deviation of the inverse
 
 Exit codes: 0 success, 2 input error, 3 mathematical contract violation.
-The default tolerance is 1e-10 (1e-8 for hua); QSKEW_TOL overrides it,
-and --tol overrides QSKEW_TOL.
+spectrum, hua and inverse-check take a positive finite tolerance from --tol,
+else QSKEW_TOL, else 1e-10 (1e-8 for hua); verify-paper uses fixed per-row
+bounds, and search-basic its --gap-tol.
 """
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -37,8 +39,8 @@ HUA_TOL = 1e-8
 
 def _resolve_tol(args, fallback):
     if args.tol is not None:
-        if args.tol <= 0:
-            raise MatrixFormatError("--tol must be positive")
+        if not 0 < args.tol < math.inf:
+            raise MatrixFormatError("--tol must be positive and finite")
         return args.tol
     env = os.environ.get("QSKEW_TOL")
     if env:
@@ -46,17 +48,17 @@ def _resolve_tol(args, fallback):
             value = float(env)
         except ValueError:
             raise MatrixFormatError("QSKEW_TOL is not a number: %r" % env)
-        if value <= 0:
-            raise MatrixFormatError("QSKEW_TOL must be positive")
+        if not 0 < value < math.inf:
+            raise MatrixFormatError("QSKEW_TOL must be positive and finite")
         return value
     return fallback
 
 
-def _fmt_quat(q, digits=4):
+def _fmt_quat(q):
     parts = []
     comps = zip(q.components(), ("", "i", "j", "k"))
     for value, mark in comps:
-        r = round(value, digits)
+        r = round(value, 4)
         if r == 0:
             continue
         parts.append("%+g%s" % (r, mark))
@@ -66,8 +68,8 @@ def _fmt_quat(q, digits=4):
     return text[1:] if text.startswith("+") else text
 
 
-def _fmt_values(values, digits=4):
-    return ", ".join("%g" % round(float(v), digits) for v in values)
+def _fmt_values(values):
+    return ", ".join("%g" % round(float(v), 4) for v in values)
 
 
 def _rng(seed):
@@ -178,9 +180,12 @@ def cmd_search_basic(args):
     if args.trials < 0:
         print("--trials must be nonnegative", file=sys.stderr)
         return 2
-    gap_tol = args.gap_tol
+    for flag, value in (("--scale", args.scale), ("--gap-tol", args.gap_tol)):
+        if not 0 < value < math.inf:
+            print("%s must be positive and finite" % flag, file=sys.stderr)
+            return 2
     candidates = basic_candidate_search(args.n, args.trials, args.seed,
-                                        scale=args.scale, gap_tol=gap_tol,
+                                        scale=args.scale, gap_tol=args.gap_tol,
                                         workers=args.workers)
     for cand in candidates:
         print(json.dumps(cand.to_dict(), sort_keys=True))
@@ -193,7 +198,7 @@ def cmd_search_basic(args):
     return 0
 
 
-def _row_two_by_two(tol):
+def _row_two_by_two():
     worst = 0.0
     for t in range(25):
         z = random_skew_symmetric(2, trial_seed(11, t))
@@ -204,7 +209,7 @@ def _row_two_by_two(tol):
     return worst <= 1e-10, "double value |a|^2, worst relative error %.2e" % worst
 
 
-def _row_three_by_three(tol):
+def _row_three_by_three():
     triple = SkewTriple(Quaternion(1), I + J, I + 2 * J)
     values = verify_classification(triple).computed_values
     published = (0.0635, 7.5726, 8.6789)
@@ -217,7 +222,7 @@ def _row_three_by_three(tol):
     return ok and trace_ok, detail
 
 
-def _row_degenerate(tol):
+def _row_degenerate():
     rng = _rng(23)
     worst = 0.0
     for _ in range(50):
@@ -227,7 +232,7 @@ def _row_degenerate(tol):
     return worst <= 1e-7, "50 degenerate triples, worst relative deviation %.2e" % worst
 
 
-def _row_four_by_four(tol):
+def _row_four_by_four():
     values = right_eigenvalues_hermitian(gram_product(reference_4x4())).values
     published = (131.4, 235.5, 1238.3, 1482.9)
     corrected = (141.3, 235.5, 1238.3, 1482.9)
@@ -239,7 +244,7 @@ def _row_four_by_four(tol):
     return ok and trace_ok, detail
 
 
-def _row_complex_even(tol):
+def _row_complex_even():
     rng = _rng(31)
     for _ in range(100):
         n = int(rng.integers(2, 9))
@@ -249,7 +254,7 @@ def _row_complex_even(tol):
     return True, "100 random complex skew matrices, all multiplicities even"
 
 
-def _row_hua(tol):
+def _row_hua():
     rng = _rng(37)
     worst_res = worst_uni = 0.0
     for _ in range(20):
@@ -265,7 +270,7 @@ def _row_hua(tol):
                 "worst unitarity %.2e" % (worst_res, worst_uni))
 
 
-def _row_inverse(tol):
+def _row_inverse():
     rng = _rng(41)
     worst2 = 0.0
     for t in range(20):
@@ -288,7 +293,7 @@ def _row_inverse(tol):
                   "degenerate all singular" % (worst2, floor3))
 
 
-def _row_dual(tol):
+def _row_dual():
     rng = _rng(47)
     for _ in range(100):
         n = int(rng.integers(1, 5))
@@ -307,7 +312,6 @@ def _row_dual(tol):
 
 
 def cmd_verify_paper(args):
-    tol = _resolve_tol(args, GENERAL_TOL)
     rows = [
         ("2x2 double eigenvalue", _row_two_by_two),
         ("3x3 noncommuting reference spectrum", _row_three_by_three),
@@ -320,7 +324,7 @@ def cmd_verify_paper(args):
     ]
     results = []
     for name, fn in rows:
-        ok, detail = fn(tol)
+        ok, detail = fn()
         results.append({"name": name, "pass": bool(ok), "detail": detail})
     if args.json:
         print(json.dumps({"rows": results,
@@ -352,7 +356,7 @@ def build_parser():
 
     p = sub.add_parser("verify-paper",
                        help="re-run the published reference values")
-    common(p)
+    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_verify_paper)
 
     p = sub.add_parser("hua", help="canonical pair form of a complex skew matrix")
@@ -368,7 +372,6 @@ def build_parser():
 
     p = sub.add_parser("search-basic",
                        help="search for fully distinct positive spectra")
-    common(p)
     p.add_argument("--n", type=int, default=4, help="matrix size (>= 4)")
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)

@@ -25,23 +25,30 @@ class ConvergenceError(RuntimeError):
     """Iteration budget exhausted before reaching the requested tolerance."""
 
 
+JACOBI_TOL = 1e-12
+MAX_SWEEPS = 100
+
+
 def _offdiag_norm(h):
     mask = ~np.eye(h.shape[0], dtype=bool)
     return float(np.sqrt((np.abs(h[mask]) ** 2).sum()))
 
 
-def herm_eig(h, tol=1e-12, max_sweeps=100):
+def herm_eig(h):
     """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
 
     Returns (w, v) with eigenvalues w ascending (stable order on ties) and
     unitary v whose columns are the matching eigenvectors.  Convergence is
     declared when the off-diagonal Frobenius mass drops below
-    tol * ||h||_F.  Raises ConvergenceError after max_sweeps full sweeps
-    and ValueError when the input is not Hermitian.
+    JACOBI_TOL * ||h||_F.  Raises ConvergenceError after MAX_SWEEPS full
+    sweeps, and ValueError when the input is not square, not finite or not
+    Hermitian.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("herm_eig needs a square matrix")
+    if not np.isfinite(h).all():
+        raise ValueError("herm_eig needs finite entries")
     n = h.shape[0]
     if n == 0:
         return np.zeros(0), np.zeros((0, 0), dtype=complex)
@@ -58,10 +65,10 @@ def herm_eig(h, tol=1e-12, max_sweeps=100):
         return np.zeros(n), v
     # entries below this can be skipped inside a sweep without ever
     # stranding the off-diagonal mass above the convergence target
-    skip = tol * fro / (10.0 * n * n)
+    skip = JACOBI_TOL * fro / (10.0 * n * n)
 
-    for _ in range(max_sweeps):
-        if _offdiag_norm(a) <= tol * fro:
+    for _ in range(MAX_SWEEPS):
+        if _offdiag_norm(a) <= JACOBI_TOL * fro:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -101,7 +108,7 @@ def herm_eig(h, tol=1e-12, max_sweeps=100):
     else:
         raise ConvergenceError(
             "Jacobi sweep limit %d reached (off-diagonal %.3e, target %.3e)"
-            % (max_sweeps, _offdiag_norm(a), tol * fro))
+            % (MAX_SWEEPS, _offdiag_norm(a), JACOBI_TOL * fro))
 
     w = a.diagonal().real.copy()
     order = np.argsort(w, kind="stable")
@@ -114,11 +121,14 @@ def lu_factor(a, tol=1e-10):
     Returns (lu, piv) where lu packs the unit-lower and upper factors and
     piv records the row swap applied at each elimination step.  Raises
     SingularMatrixError when the best available pivot magnitude falls to
-    tol times the Frobenius norm of the input or below.
+    tol times the Frobenius norm of the input or below, and ValueError
+    when the input is not square or not finite.
     """
     a = np.array(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("lu_factor needs a square matrix")
+    if not np.isfinite(a).all():
+        raise ValueError("lu_factor needs finite entries")
     n = a.shape[0]
     pivot_tol = tol * float(np.sqrt((np.abs(a) ** 2).sum()))
     piv = np.arange(n)

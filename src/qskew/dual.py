@@ -133,29 +133,29 @@ class DualQuatMatrix:
                    QuatMatrix.from_entries(inf_rows))
 
 
-def dq_hermitian_direct(a, tol=1e-10):
+def dq_hermitian_direct(a):
     """A* = A tested on the dual-quaternion entries themselves."""
     m, n = a.shape
     if m != n:
         raise ValueError("hermitian test needs a square matrix")
     diff = a.conj_transpose() - a
-    std_ok = diff.std.max_abs() <= tol * max(1.0, a.std.max_abs())
-    inf_ok = diff.inf.max_abs() <= tol * max(1.0, a.inf.max_abs())
+    std_ok = diff.std.max_abs() <= 1e-10 * max(1.0, a.std.max_abs())
+    inf_ok = diff.inf.max_abs() <= 1e-10 * max(1.0, a.inf.max_abs())
     return std_ok and inf_ok
 
 
-def dq_hermitian_split(a, tol=1e-10):
+def dq_hermitian_split(a):
     """The part-structure test: standard part Hermitian, infinitesimal skew."""
     m, n = a.shape
     if m != n:
         raise ValueError("hermitian test needs a square matrix")
-    return a.std.is_hermitian(tol) and a.inf.is_skew_symmetric(tol)
+    return a.std.is_hermitian() and a.inf.is_skew_symmetric()
 
 
-def is_dq_hermitian(a, tol=1e-10):
+def is_dq_hermitian(a):
     """Hermitian predicate with the two routes cross-checked against each other."""
-    direct = dq_hermitian_direct(a, tol)
-    split = dq_hermitian_split(a, tol)
+    direct = dq_hermitian_direct(a)
+    split = dq_hermitian_split(a)
     if direct != split:
         raise RuntimeError("hermitian characterization routes disagree; "
                            "direct=%r split=%r" % (direct, split))

@@ -15,6 +15,8 @@ import numpy as np
 from .clinalg import (ConvergenceError, cluster_runs, companion_basis, herm_eig,
                       mgs_orthonormalize)
 
+CLUSTER_TOL = 1e-8
+
 
 @dataclass
 class HuaForm:
@@ -60,21 +62,21 @@ def _check_complex_skew(z, tol):
     return z
 
 
-def positive_clusters(values, cluster_tol=1e-8):
+def positive_clusters(values):
     """Group the positive entries of an ascending eigenvalue array.
 
-    Entries at or below cluster_tol * max(1, largest value) count as zero.
+    Entries at or below CLUSTER_TOL * max(1, largest value) count as zero.
     Two neighbours share a cluster when their gap is at most that same
     threshold.  Returns a list of index lists, one per cluster.
     """
     values = np.asarray(values, dtype=float)
-    cut = cluster_tol * max(1.0, float(values.max(initial=0.0)))
+    cut = CLUSTER_TOL * max(1.0, float(values.max(initial=0.0)))
     order = np.argsort(values, kind="stable")
     idx = order[values[order] > cut]
     return [idx[lo:hi].tolist() for lo, hi in cluster_runs(values[idx], cut)]
 
 
-def even_multiplicity_check(z, cluster_tol=1e-8):
+def even_multiplicity_check(z):
     """Whether every positive eigenvalue of Z Z* appears an even number of times.
 
     True for every complex skew-symmetric Z; the quaternion analogue of
@@ -82,11 +84,11 @@ def even_multiplicity_check(z, cluster_tol=1e-8):
     """
     z = np.asarray(z, dtype=complex)
     h = z @ z.conj().T
-    w, _ = herm_eig(h, tol=1e-12)
-    return all(len(c) % 2 == 0 for c in positive_clusters(w, cluster_tol))
+    w, _ = herm_eig(h)
+    return all(len(c) % 2 == 0 for c in positive_clusters(w))
 
 
-def hua_decompose(z, tol=1e-8, cluster_tol=1e-8):
+def hua_decompose(z, tol=1e-8):
     """Canonical pair form of a complex skew-symmetric matrix.
 
     Returns a HuaForm with U unitary, sigmas descending and positive, and
@@ -102,7 +104,7 @@ def hua_decompose(z, tol=1e-8, cluster_tol=1e-8):
         return HuaForm(np.zeros((0, 0), dtype=complex), [], 0, 0.0, 0.0)
 
     h = z @ z.conj().T
-    _, v = herm_eig(h, tol=1e-12)
+    _, v = herm_eig(h)
 
     # measure each mode directly on Z; far sharper near the kernel than
     # sqrt of the H eigenvalue
@@ -118,7 +120,7 @@ def hua_decompose(z, tol=1e-8, cluster_tol=1e-8):
     # group positive modes whose squared values sit within the gap rule,
     # then take one (w, u) block pair per two modes, highest cluster first
     lam = sig_hat ** 2
-    cut = cluster_tol * max(1.0, float(lam.max(initial=0.0)))
+    cut = CLUSTER_TOL * max(1.0, float(lam.max(initial=0.0)))
     pairs = []  # (sigma, w_vec, u_vec)
     for lo, hi in reversed(cluster_runs(lam[pos], cut)):
         if (hi - lo) % 2:

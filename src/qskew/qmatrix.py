@@ -218,19 +218,16 @@ class QuatMatrix:
         self._require_square("is_skew_symmetric")
         return (self.transpose() + self).max_abs() <= tol * max(1.0, self.max_abs())
 
-    def is_unitary(self, tol=1e-10):
-        """A* A = I within Frobenius residual tol."""
+    def is_unitary(self):
+        """A* A = I within Frobenius residual 1e-10."""
         self._require_square("is_unitary")
         res = self.conj_transpose() @ self - QuatMatrix.eye(self.nrows)
-        return res.norm() <= tol
+        return res.norm() <= 1e-10
 
     def _require_square(self, who):
         if self.nrows != self.ncols:
             raise ValueError("%s needs a square matrix, got %dx%d"
                              % ((who,) + self.shape))
-
-    def is_real(self, tol=0.0):
-        return np.abs(self.data[:, :, 1:]).max(initial=0.0) <= tol
 
     def allclose(self, other, tol=1e-12):
         other = _coerce_matrix(other, self.shape)

@@ -127,9 +127,6 @@ class Quaternion:
     def imag_norm(self):
         return math.sqrt(self.x ** 2 + self.y ** 2 + self.z ** 2)
 
-    def is_real(self, tol=0.0):
-        return self.imag_norm() <= tol
-
     def commutes_with(self, other, tol=0.0):
         other = Quaternion.coerce(other)
         return abs(self * other - other * self) <= tol
@@ -148,15 +145,15 @@ class Quaternion:
         """The canonical class representative Re(q) + |Im(q)| i, as complex."""
         return complex(self.w, self.imag_norm())
 
-    def euler_decompose(self, unit_tol=1e-10):
+    def euler_decompose(self):
         """Write a unit quaternion as cos(theta) + omega sin(theta).
 
         Returns (omega, theta) with theta in [0, pi] and omega a unit pure
         imaginary Quaternion.  When sin(theta) vanishes the axis is
         ill-defined and omega defaults to i.  Raises ValueError when the
-        quaternion is not unit length within unit_tol.
+        quaternion is not unit length within 1e-10.
         """
-        if abs(abs(self) - 1.0) > unit_tol:
+        if abs(abs(self) - 1.0) > 1e-10:
             raise ValueError("euler_decompose needs a unit quaternion")
         s = self.imag_norm()
         # atan2 instead of acos(w): exact at the real axis and free of the

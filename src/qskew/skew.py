@@ -82,11 +82,11 @@ class BasicCandidate:
                 "min_relative_gap": float(self.min_relative_gap)}
 
 
-def classify_3x3(triple, tol=1e-10):
+def classify_3x3(triple):
     """Predict the W spectrum shape from the entries alone.
 
-    Solid (three distinct positive eigenvalues) exactly when |a| clears tol
-    and |c a^-1 b - b a^-1 c| clears tol scaled by |a^-1||b||c|; otherwise
+    Solid (three distinct positive eigenvalues) exactly when |a| clears 1e-10
+    and |c a^-1 b - b a^-1 c| clears 1e-10 * max(1, |a^-1||b||c|); otherwise
     degenerate with predicted spectrum (0, s, s).  Raises ValueError on the
     all-zero triple.
     """
@@ -97,22 +97,22 @@ def classify_3x3(triple, tol=1e-10):
         raise ValueError("classification needs a nonzero triple")
     gap = 0.0
     solid = False
-    if abs(a) > tol:
+    if abs(a) > 1e-10:
         ainv = a.inverse()
         gap = abs(c * ainv * b - b * ainv * c)
-        solid = gap > tol * max(1.0, abs(ainv) * abs(b) * abs(c))
+        solid = gap > 1e-10 * max(1.0, abs(ainv) * abs(b) * abs(c))
     if solid:
         return SpectrumReport("solid", [], [], 0.0, gap)
     s = a.norm_sq() + b.norm_sq() + c.norm_sq()
     return SpectrumReport("degenerate", [0.0, s, s], [], 0.0, gap)
 
 
-def verify_classification(triple, tol=1e-7):
+def verify_classification(triple):
     """Run the eigensolver against the classification prediction.
 
     Fills computed_values with the actual W spectrum.  For a degenerate
-    prediction, max_deviation is the largest |predicted - computed|; a
-    mismatch is visible there (and in the caller's tol), never raised.
+    prediction, max_deviation is the largest |predicted - computed|; the
+    caller judges it against its own bound, a mismatch is never raised.
     """
     if not isinstance(triple, SkewTriple):
         triple = SkewTriple(*triple)
@@ -126,9 +126,9 @@ def verify_classification(triple, tol=1e-7):
     return report
 
 
-def is_solid(z, tol=1e-10):
+def is_solid(z):
     """Whether W = Z Z* is positive definite."""
-    return is_positive_definite(gram_product(z, tol), tol)
+    return is_positive_definite(gram_product(z))
 
 
 def inverse_skew_report(z, tol=1e-10):
@@ -150,14 +150,14 @@ def inverse_skew_report(z, tol=1e-10):
     return InverseSkewReport(True, inv, deviation)
 
 
-def quaternion_even_multiplicity_check(z, cluster_tol=1e-8):
+def quaternion_even_multiplicity_check(z):
     """Whether every positive right eigenvalue of W = Z Z* has even multiplicity.
 
     Always true in the complex world; over quaternions a 3x3 solid matrix
     already breaks it.
     """
     values = right_eigenvalues_hermitian(gram_product(z)).values
-    return all(len(c) % 2 == 0 for c in positive_clusters(values, cluster_tol))
+    return all(len(c) % 2 == 0 for c in positive_clusters(values))
 
 
 def trial_seed(seed, trial):
@@ -265,16 +265,16 @@ def sample_degenerate_triple(rng):
     return SkewTriple(a, b, c)
 
 
-def sample_generic_triple(rng, tol=1e-10):
+def sample_generic_triple(rng):
     """Random triple resampled until the solidity condition holds."""
     while True:
         t = SkewTriple(Quaternion(*rng.uniform(-1, 1, 4)),
                        Quaternion(*rng.uniform(-1, 1, 4)),
                        Quaternion(*rng.uniform(-1, 1, 4)))
-        if classify_3x3(t, tol).case_label == "solid":
+        if classify_3x3(t).case_label == "solid":
             return t
 
 
-def _nonzero_uniform(rng, lo=0.1):
-    """Uniform magnitude in [lo, 1] with random sign, bounded away from zero."""
-    return float(rng.uniform(lo, 1.0) * (1 if rng.uniform() < 0.5 else -1))
+def _nonzero_uniform(rng):
+    """Uniform magnitude in [0.1, 1] with random sign, bounded away from zero."""
+    return float(rng.uniform(0.1, 1.0) * (1 if rng.uniform() < 0.5 else -1))

@@ -61,7 +61,7 @@ def right_eigenvalues_hermitian(a, tol=1e-10):
     if not a.is_hermitian(tol):
         raise ValueError("right spectrum needs a Hermitian matrix")
     n = a.nrows
-    mu, v = herm_eig(a.chi(), tol=1e-12)
+    mu, v = herm_eig(a.chi())
 
     pair_tol = PAIR_TOL * max(1.0, a.norm())
     gaps = mu[1::2] - mu[0::2]
@@ -114,17 +114,17 @@ def quat_inverse(a, tol=1e-10):
     return QuatMatrix.from_chi(lu_inverse(a.chi(), tol=tol), tol=1e-8)
 
 
-def is_positive_semidefinite(a, tol=1e-10):
-    """Min right eigenvalue >= -tol * max(1, ||A||_F)."""
+def is_positive_semidefinite(a):
+    """Min right eigenvalue >= -1e-10 * max(1, ||A||_F)."""
     if not isinstance(a, QuatMatrix):
         a = QuatMatrix(a)
-    spec = right_eigenvalues_hermitian(a, tol)
-    return float(spec.values.min()) >= -tol * max(1.0, a.norm())
+    spec = right_eigenvalues_hermitian(a)
+    return float(spec.values.min()) >= -1e-10 * max(1.0, a.norm())
 
 
-def is_positive_definite(a, tol=1e-10):
-    """Min right eigenvalue strictly above +tol * max(1, ||A||_F)."""
+def is_positive_definite(a):
+    """Min right eigenvalue strictly above +1e-10 * max(1, ||A||_F)."""
     if not isinstance(a, QuatMatrix):
         a = QuatMatrix(a)
-    spec = right_eigenvalues_hermitian(a, tol)
-    return float(spec.values.min()) > tol * max(1.0, a.norm())
+    spec = right_eigenvalues_hermitian(a)
+    return float(spec.values.min()) > 1e-10 * max(1.0, a.norm())

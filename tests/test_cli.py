@@ -113,6 +113,21 @@ def test_search_basic_deterministic(tmp_path, capsys):
 
 def test_search_basic_rejects_small_n(capsys):
     assert main(["search-basic", "--n", "3", "--trials", "5"]) == 2
+    # non-positive or non-finite scale and gap threshold are input errors
+    for flag in ("--scale", "--gap-tol"):
+        for value in ("0", "-1", "nan", "inf"):
+            assert main(["search-basic", "--trials", "5", flag, value]) == 2
+
+
+def test_unread_flags_are_rejected(capsys):
+    # verify-paper judges each row by a fixed bound and search-basic always
+    # prints JSON lines, so neither accepts --tol, and search-basic no --json
+    for argv in (["verify-paper", "--tol", "1"],
+                 ["search-basic", "--tol", "1"],
+                 ["search-basic", "--json"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_tol_flag_and_env(tmp_path, capsys, monkeypatch):
@@ -134,8 +149,16 @@ def test_tol_flag_and_env(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setenv("QSKEW_TOL", "not-a-number")
     assert main(["spectrum", ref3, "--json"]) == 2
+    # verify-paper takes no tolerance, so the variable does not concern it
+    assert main(["verify-paper"]) == 0
     monkeypatch.setenv("QSKEW_TOL", "-1")
     assert main(["spectrum", ref3, "--json"]) == 2
+    for value in ("nan", "inf"):
+        monkeypatch.setenv("QSKEW_TOL", value)
+        assert main(["spectrum", ref3, "--json"]) == 2
+    monkeypatch.delenv("QSKEW_TOL")
+    for value in ("nan", "inf"):
+        assert main(["spectrum", ref3, "--tol", value, "--json"]) == 2
 
 
 def test_verify_paper_all_rows_pass(capsys):

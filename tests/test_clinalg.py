@@ -123,6 +123,22 @@ def test_lu_inverse():
     np.testing.assert_allclose(inv @ a, np.eye(5), atol=1e-10)
 
 
+def test_herm_eig_rejects_non_finite():
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            herm_eig(np.array([[bad, 1.0], [1.0, 2.0]], dtype=complex))
+
+
+def test_lu_rejects_non_finite():
+    # a plain ValueError: NaN input says nothing about invertibility, so it
+    # must not surface as SingularMatrixError
+    a = np.array([[np.nan, 1.0], [1.0, 2.0]], dtype=complex)
+    for solve in (lu_factor, lu_inverse):
+        with pytest.raises(ValueError, match="finite") as exc:
+            solve(a)
+        assert not isinstance(exc.value, SingularMatrixError)
+
+
 def test_lu_singular_raises():
     a = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
     with pytest.raises(SingularMatrixError):

@@ -2,14 +2,29 @@
 
 numpy.linalg stays out of the package so the tests can use it as an
 independent oracle, and the package starts no threads: the search runs its
-trials in order in the calling thread.
+trials in order in the calling thread.  Every function parameter and every
+command line option is read by the code that receives it, so no knob is
+accepted and then ignored.
 """
 
+import argparse
 import ast
+import inspect
 import pathlib
+import re
+
+from qskew.cli import build_parser
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "qskew"
 BANNED = ("numpy.linalg", "concurrent.futures", "threading")
+
+# (function, parameter) pairs allowed to go unread, with the reason
+UNREAD_ALLOWED = {
+    ("__setattr__", "name"): "immutability guard: every assignment raises",
+    ("__setattr__", "value"): "immutability guard: every assignment raises",
+    ("basic_candidate_search", "workers"):
+        "accepted for compatibility; trials run in one thread",
+}
 
 
 def _dotted(node):
@@ -42,3 +57,51 @@ def test_package_avoids_linalg_and_threads():
             for name in _referenced_names(ast.parse(path.read_text()))
             if any(name == b or name.startswith(b + ".") for b in BANNED)]
     assert not hits, hits
+
+
+def _functions(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield getattr(node, "name", "<lambda>"), node
+
+
+def _parameters(fn):
+    a = fn.args
+    names = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
+    names += [x.arg for x in (a.vararg, a.kwarg) if x is not None]
+    return [n for n in names if n not in ("self", "cls")]
+
+
+def _loaded_names(fn):
+    body = fn.body if isinstance(fn.body, list) else [fn.body]
+    return {node.id for stmt in body for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_parameter_is_read():
+    unread = ["%s: %s(%s)" % (path.name, name, param)
+              for path in sorted(SRC.glob("*.py"))
+              for name, fn in _functions(ast.parse(path.read_text()))
+              for param in _parameters(fn)
+              if param not in _loaded_names(fn)
+              and (name, param) not in UNREAD_ALLOWED]
+    assert not unread, unread
+
+
+def test_every_cli_option_is_read():
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    unread = []
+    for command, sub in subparsers.choices.items():
+        source = inspect.getsource(sub.get_default("func"))
+        for action in sub._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            read = re.search(r"\bargs\.%s\b" % action.dest, source)
+            if action.dest == "tol":
+                read = read or "_resolve_tol(args" in source
+            if not read:
+                unread.append("%s %s" % (command, action.option_strings
+                                         or action.dest))
+    assert not unread, unread
