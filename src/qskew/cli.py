@@ -343,15 +343,15 @@ def build_parser():
         description="quaternion skew-symmetric matrix toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, fallback):
         p.add_argument("--tol", type=float, default=None,
-                       help="tolerance (default 1e-10, or QSKEW_TOL)")
+                       help="tolerance (default %g, or QSKEW_TOL)" % fallback)
         p.add_argument("--json", action="store_true",
                        help="machine-readable output, full precision")
 
     p = sub.add_parser("spectrum", help="right eigenvalues of W = Z Z*")
     p.add_argument("path", help="quaternion matrix JSON file")
-    common(p)
+    common(p, GENERAL_TOL)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("verify-paper",
@@ -361,13 +361,13 @@ def build_parser():
 
     p = sub.add_parser("hua", help="canonical pair form of a complex skew matrix")
     p.add_argument("path", help="complex matrix JSON file")
-    common(p)
+    common(p, HUA_TOL)
     p.set_defaults(func=cmd_hua)
 
     p = sub.add_parser("inverse-check",
                        help="inverse and its skew deviation")
     p.add_argument("path", help="quaternion matrix JSON file")
-    common(p)
+    common(p, GENERAL_TOL)
     p.set_defaults(func=cmd_inverse_check)
 
     p = sub.add_parser("search-basic",

@@ -7,7 +7,11 @@ in the test suite.
 
 Provided:
 
-* herm_eig: cyclic complex Jacobi eigensolver for Hermitian matrices
+* herm_eig: complex Jacobi eigensolver for one Hermitian matrix or a
+  stack of them, in the Brent-Luk round-robin ("parallel") ordering: each
+  round applies its disjoint rotations as array operations over the
+  stack, every slice is checked and converges on its own, and
+  vectors=False returns the eigenvalues alone
 * lu_factor / lu_solve / lu_inverse: LU with partial pivoting
 * mgs_orthonormalize: modified Gram-Schmidt with a second pass
 * cluster_runs / companion_basis: grouping of a sorted spectrum, and an
@@ -29,90 +33,152 @@ JACOBI_TOL = 1e-12
 MAX_SWEEPS = 100
 
 
-def _offdiag_norm(h):
-    mask = ~np.eye(h.shape[0], dtype=bool)
-    return float(np.sqrt((np.abs(h[mask]) ** 2).sum()))
+def _offdiag_norm(a, mask):
+    """Per-slice Frobenius norm of the entries of a stack under mask."""
+    off = a[:, mask]
+    return np.sqrt((off.real ** 2 + off.imag ** 2).sum(axis=1))
 
 
-def herm_eig(h):
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+def _ring_move(m, height):
+    """Flat gather that carries a (height, m) slice [A; V] one round along
+    the Brent-Luk ring: index 0 keeps its seat and the others move one seat
+    along 1, 2, ..., m - 1, 1.  Rows of A and columns of both move, rows of
+    V stay; m - 1 moves restore the natural order."""
+    step = np.r_[0, m - 1, 1:m - 1]
+    rows = np.r_[step, m:height]
+    return (rows[:, None] * m + step).ravel()
 
-    Returns (w, v) with eigenvalues w ascending (stable order on ties) and
-    unitary v whose columns are the matching eigenvectors.  Convergence is
-    declared when the off-diagonal Frobenius mass drops below
-    JACOBI_TOL * ||h||_F.  Raises ConvergenceError after MAX_SWEEPS full
-    sweeps, and ValueError when the input is not square, not finite or not
-    Hermitian.
+
+def _sweep(av, m, skip):
+    """One round-robin sweep over a stack av of (B, height, m), m even.
+
+    Rows [0, m) of each slice hold A; the rotations act on them from both
+    sides and on any rows below (V) from the right only.  Each of the
+    m - 1 rounds rotates the disjoint position pairs (i, m - 1 - i) and
+    then moves every index one seat along the ring, so a sweep meets each
+    pair of indices once and ends in the natural order.  Off-diagonal
+    entries of slice b at or below skip[b] are zeroed without a rotation.
+    Returns the new stack; av itself is used as scratch.
+    """
+    count, height, _ = av.shape
+    half = m // 2
+    skip = skip[:, None]
+    move = _ring_move(m, height)
+    spare = np.empty_like(av)
+    for _ in range(m - 1):
+        flat = av.reshape(count, -1)
+        alpha = flat[:, :half * (m + 1):m + 1].real             # (i, i)
+        gamma = flat[:, m * m - 1:half * (m - 1) - 1:-m - 1].real  # (q, q)
+        beta = flat[:, m - 1:half * (m - 1) + m - 1:m - 1]       # (i, q)
+        b = np.abs(beta)
+        d = gamma - alpha
+        # tan of the angle is t = k b, the small root of t^2 + (d / b) t = 1,
+        # in a form that never divides by b
+        k = np.divide(np.copysign(2.0, d), np.abs(d) + np.hypot(d, 2.0 * b),
+                      out=np.zeros(d.shape), where=b > skip)
+        c = 1.0 / np.hypot(1.0, k * b)
+        s = (c * k) * beta
+        # row j pairs with row m - 1 - j, so the coefficients run mirrored
+        cc = np.concatenate([c, c[:, ::-1]], axis=1)
+        ss = np.concatenate([-s, s[:, ::-1].conj()], axis=1)
+        # rows p, q of J^* A: c a_p - s a_q and conj(s) a_p + c a_q
+        a, swapped = av[:, :m], spare[:, :m]
+        np.multiply(a[:, ::-1], ss[:, :, None], out=swapped)
+        np.multiply(a, cc[:, :, None], out=a)
+        a += swapped
+        # then columns p, q of (J^* A) J and of V J
+        np.multiply(av[:, :, ::-1], ss.conj()[:, None, :], out=spare)
+        np.multiply(av, cc[:, None, :], out=av)
+        av += spare
+        flat[:, m - 1:m * (m - 1) + 1:m - 1] = 0.0             # (i, q), (q, i)
+        flat.imag[:, :m * m:m + 1] = 0.0
+        flat.take(move, axis=1, out=spare.reshape(count, -1))
+        av, spare = spare, av
+    return av
+
+
+def herm_eig(h, vectors=True):
+    """Eigendecomposition of Hermitian matrices by round-robin Jacobi.
+
+    h is one (m, m) matrix or a (B, m, m) stack; a single matrix is solved
+    as a stack of one.  Returns (w, v) with eigenvalues w ascending (stable
+    order on ties) and unitary v whose columns are the matching
+    eigenvectors, shaped (m,) and (m, m), or (B, m) and (B, m, m) for a
+    stack.  With vectors=False the rotations are not accumulated and only
+    w is returned; it is bitwise the w computed with vectors.
+
+    Each sweep follows the Brent-Luk round-robin ("parallel") ordering:
+    m - 1 rounds of m/2 disjoint rotations, applied as array operations
+    over the stack (odd m gets a decoupled zero row and column).  Every
+    slice is checked and solved on its own: ValueError when the input is
+    not square or not finite, or names the first slice that is not
+    Hermitian; each slice converges when its off-diagonal Frobenius mass
+    drops below JACOBI_TOL * ||h_b||_F and then stops rotating, so no
+    slice's arithmetic depends on the others.  Raises ConvergenceError
+    when a slice is still above its target after MAX_SWEEPS sweeps.
     """
     h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("herm_eig needs a square matrix")
+    single = h.ndim == 2
+    if single:
+        h = h[None]
+    if h.ndim != 3 or h.shape[1] != h.shape[2]:
+        raise ValueError("herm_eig needs a square matrix or a stack of them")
     if not np.isfinite(h).all():
         raise ValueError("herm_eig needs finite entries")
-    n = h.shape[0]
-    if n == 0:
-        return np.zeros(0), np.zeros((0, 0), dtype=complex)
-    scale = max(1.0, float(np.abs(h).max()))
-    if np.abs(h - h.conj().T).max() > 1e-10 * scale:
-        raise ValueError("matrix is not Hermitian")
-    a = (h + h.conj().T) / 2.0
-    v = np.eye(n, dtype=complex)
-    if n == 1:
-        return a.real.diagonal().copy(), v
-
-    fro = float(np.sqrt((np.abs(a) ** 2).sum()))
-    if fro == 0.0:
-        return np.zeros(n), v
-    # entries below this can be skipped inside a sweep without ever
-    # stranding the off-diagonal mass above the convergence target
-    skip = JACOBI_TOL * fro / (10.0 * n * n)
-
-    for _ in range(MAX_SWEEPS):
-        if _offdiag_norm(a) <= JACOBI_TOL * fro:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                beta = a[p, q]
-                b = abs(beta)
-                if b <= skip:
-                    continue
-                alpha = a[p, p].real
-                gamma = a[q, q].real
-                tau = (gamma - alpha) / (2.0 * b)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = (t * c) * (beta / b)
-
-                # rows p, q of J^* A
-                row_p = c * a[p, :] - s * a[q, :]
-                row_q = np.conj(s) * a[p, :] + c * a[q, :]
-                a[p, :] = row_p
-                a[q, :] = row_q
-                # columns p, q of (J^* A) J
-                col_p = c * a[:, p] - np.conj(s) * a[:, q]
-                col_q = s * a[:, p] + c * a[:, q]
-                a[:, p] = col_p
-                a[:, q] = col_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-
-                vcol_p = c * v[:, p] - np.conj(s) * v[:, q]
-                vcol_q = s * v[:, p] + c * v[:, q]
-                v[:, p] = vcol_p
-                v[:, q] = vcol_q
+    count, m = h.shape[:2]
+    hh = h.conj().swapaxes(1, 2)
+    scale = np.maximum(1.0, np.abs(h).max(axis=(1, 2), initial=0.0))
+    bad = np.flatnonzero(np.abs(h - hh).max(axis=(1, 2), initial=0.0) > 1e-10 * scale)
+    if bad.size:
+        raise ValueError("matrix is not Hermitian"
+                         + ("" if single else " (slice %d)" % bad[0]))
+    if count and m:
+        w, v = _jacobi((h + hh) / 2.0, vectors)
     else:
+        w, v = np.zeros((count, m)), np.zeros((count, m, m), dtype=complex)
+    out = (w, v) if vectors else (w,)
+    if single:
+        out = tuple(x[0] for x in out)
+    return out if vectors else out[0]
+
+
+def _jacobi(a, vectors):
+    """Ascending eigenvalues (B, m) and, if vectors, eigenvectors (B, m, m)
+    of a nonempty stack of exactly Hermitian matrices."""
+    count, m = a.shape[:2]
+    n = m + m % 2
+    height = 2 * n if vectors else n
+    av = np.zeros((count, height, n), dtype=complex)
+    av[:, :m, :m] = a
+    if vectors:
+        av[:, n:] = np.eye(n)
+    fro = np.sqrt((np.abs(a) ** 2).reshape(count, -1).sum(axis=1))
+    target = JACOBI_TOL * fro
+    # pair entries at or below this are zeroed without a rotation; a whole
+    # sweep of that moves the matrix by far less than the target
+    skip = target / (10.0 * m * m)
+    mask = ~np.eye(n, dtype=bool)
+    for _ in range(MAX_SWEEPS):
+        live = np.flatnonzero(_offdiag_norm(av[:, :n], mask) > target)
+        if live.size == 0:
+            break
+        if live.size == count:
+            av = _sweep(av, n, skip)
+        else:
+            av[live] = _sweep(av[live], n, skip[live])
+    else:
+        off = _offdiag_norm(av[:, :n], mask)
+        worst = int(np.argmax(off - target))
         raise ConvergenceError(
             "Jacobi sweep limit %d reached (off-diagonal %.3e, target %.3e)"
-            % (MAX_SWEEPS, _offdiag_norm(a), JACOBI_TOL * fro))
-
-    w = a.diagonal().real.copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+            % (MAX_SWEEPS, off[worst], target[worst]))
+    # a padding index sits last and stays decoupled
+    w = av[:, :m, :m].diagonal(axis1=1, axis2=2).real
+    order = np.argsort(w, axis=1, kind="stable")
+    w = np.take_along_axis(w, order, axis=1)
+    if not vectors:
+        return w, None
+    return w, np.take_along_axis(av[:, n:n + m, :m], order[:, None, :], axis=2)
 
 
 def lu_factor(a, tol=1e-10):

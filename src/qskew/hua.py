@@ -84,8 +84,8 @@ def even_multiplicity_check(z):
     """
     z = np.asarray(z, dtype=complex)
     h = z @ z.conj().T
-    w, _ = herm_eig(h)
-    return all(len(c) % 2 == 0 for c in positive_clusters(w))
+    return all(len(c) % 2 == 0
+               for c in positive_clusters(herm_eig(h, vectors=False)))
 
 
 def hua_decompose(z, tol=1e-8):

@@ -20,6 +20,9 @@ from .quaternion import Quaternion
 from .spectra import (gram_product, is_positive_definite, quat_inverse,
                       right_eigenvalues_hermitian)
 
+# trials whose spectra basic_candidate_search solves in one eigensolver call
+SEARCH_BLOCK = 64
+
 
 @dataclass
 class SkewTriple:
@@ -177,9 +180,7 @@ def trial_seed(seed, trial):
     return z
 
 
-def _search_one(n, seed, scale, gap_tol, trial):
-    z = random_skew_symmetric(n, trial_seed(seed, trial), scale)
-    values = right_eigenvalues_hermitian(gram_product(z)).values
+def _candidate(trial, z, values, gap_tol):
     lam_max = float(values.max())
     if lam_max <= 0.0:
         return None
@@ -201,16 +202,26 @@ def basic_candidate_search(n, trials, seed, scale=1.0, gap_tol=1e-3, workers=1):
     produced by any complex skew-symmetric matrix of the same size, so
     hits are evidence (not proof) of genuinely quaternionic behaviour.
     Deterministic for fixed (n, trials, seed, scale, gap_tol): per-trial
-    streams come from trial_seed and trials run in trial order in the
-    calling thread.  workers is accepted for compatibility and changes
-    neither the output nor the execution.
+    streams come from trial_seed, and the W of SEARCH_BLOCK consecutive
+    trials are solved in one eigensolver call whose slices do not affect
+    each other, so the hits do not depend on the block size.  Everything
+    runs in the calling thread.  workers is accepted for compatibility and
+    changes neither the output nor the execution.
     """
     if n < 4:
         raise ValueError("search needs n >= 4; smaller sizes are settled")
     if trials < 0:
         raise ValueError("trials must be nonnegative")
-    results = [_search_one(n, seed, scale, gap_tol, t) for t in range(trials)]
-    return [r for r in results if r is not None]
+    hits = []
+    for first in range(0, trials, SEARCH_BLOCK):
+        block = range(first, min(first + SEARCH_BLOCK, trials))
+        zs = [random_skew_symmetric(n, trial_seed(seed, t), scale) for t in block]
+        spectra = right_eigenvalues_hermitian([gram_product(z) for z in zs])
+        for trial, z, spec in zip(block, zs, spectra):
+            hit = _candidate(trial, z, spec.values, gap_tol)
+            if hit is not None:
+                hits.append(hit)
+    return hits
 
 
 def reference_4x4():

@@ -22,7 +22,9 @@ class RightSpectrum:
     """Ascending real right eigenvalues with a quaternion eigenbasis.
 
     pairing_gaps holds the spread inside each doubled pair of the complex
-    spectrum; values near machine precision confirm the doubling.
+    spectrum; values near machine precision confirm the doubling.  vectors
+    is None for spectra computed values-only (a list input to
+    right_eigenvalues_hermitian).
     """
     values: np.ndarray
     vectors: QuatMatrix
@@ -47,6 +49,26 @@ def _antidual(v):
     return np.concatenate([-v[n:].conj(), v[:n].conj()])
 
 
+def _hermitian(a, tol):
+    if not isinstance(a, QuatMatrix):
+        a = QuatMatrix(a)
+    if not a.is_hermitian(tol):
+        raise ValueError("right spectrum needs a Hermitian matrix")
+    return a
+
+
+def _paired(mu, a):
+    """Every second value of the ascending complex spectrum mu of chi(a),
+    the gaps inside its pairs, and the pairing tolerance they must meet."""
+    pair_tol = PAIR_TOL * max(1.0, a.norm())
+    gaps = mu[1::2] - mu[0::2]
+    if gaps.size and float(gaps.max()) > pair_tol:
+        raise ValueError(
+            "complex spectrum does not pair: worst gap %.3e exceeds %.3e"
+            % (float(gaps.max()), pair_tol))
+    return mu[::2].copy(), gaps, pair_tol
+
+
 def right_eigenvalues_hermitian(a, tol=1e-10):
     """Right spectrum of a Hermitian quaternion matrix.
 
@@ -55,21 +77,23 @@ def right_eigenvalues_hermitian(a, tol=1e-10):
     pairing gaps of the doubled complex spectrum.  Raises ValueError on
     non-Hermitian input or when the complex spectrum fails to pair within
     1e-9 * max(1, ||A||_F).
+
+    a may also be a list of same-size Hermitian matrices.  Their adjoints
+    are then solved together in one values-only herm_eig call, each matrix
+    is checked as above, and the result is a list of RightSpectrum with
+    vectors None, in input order.
     """
-    if not isinstance(a, QuatMatrix):
-        a = QuatMatrix(a)
-    if not a.is_hermitian(tol):
-        raise ValueError("right spectrum needs a Hermitian matrix")
+    if isinstance(a, list):
+        mats = [_hermitian(x, tol) for x in a]
+        if not mats:
+            return []
+        mus = herm_eig(np.stack([x.chi() for x in mats]), vectors=False)
+        return [RightSpectrum(values, None, gaps)
+                for values, gaps, _ in map(_paired, mus, mats)]
+    a = _hermitian(a, tol)
     n = a.nrows
     mu, v = herm_eig(a.chi())
-
-    pair_tol = PAIR_TOL * max(1.0, a.norm())
-    gaps = mu[1::2] - mu[0::2]
-    if gaps.size and float(gaps.max()) > pair_tol:
-        raise ValueError(
-            "complex spectrum does not pair: worst gap %.3e exceeds %.3e"
-            % (float(gaps.max()), pair_tol))
-    values = mu[::2].copy()
+    values, gaps, pair_tol = _paired(mu, a)
 
     # one eigenvector per pair, pulled out of each group of pairs whose
     # values collide; column u of the adjoint lifts to x = u[:n] - conj(u[n:]) j

@@ -176,3 +176,22 @@ def test_parser_help_lists_subcommands():
     text = parser.format_help()
     for name in ("spectrum", "verify-paper", "hua", "search-basic", "inverse-check"):
         assert name in text
+
+
+def test_tol_help_names_each_default(capsys):
+    # hua defaults to HUA_TOL, the other file commands to GENERAL_TOL
+    for command, default in (("hua", "1e-08"), ("spectrum", "1e-10"),
+                             ("inverse-check", "1e-10")):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "tolerance (default %s, or QSKEW_TOL)" % default in text
+
+
+def test_search_basic_zero_trials_prints_only_summary(capsys):
+    assert main(["search-basic", "--trials", "0"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["trials"] == 0
+    assert json.loads(lines[0])["hits"] == 0

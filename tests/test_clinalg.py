@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qskew.clinalg
 from qskew import (
     ConvergenceError,
     SingularMatrixError,
@@ -93,6 +94,70 @@ def test_herm_eig_property(n, seed):
     assert np.all(np.diff(vals) >= -1e-12 * scale)
     np.testing.assert_allclose(h @ vecs, vecs @ np.diag(vals), atol=1e-9 * scale)
     np.testing.assert_allclose(np.sum(vals), np.trace(h).real, atol=1e-9 * scale)
+
+
+def random_hermitian_stack(rng, count, n):
+    m = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
+    return (m + np.conj(np.swapaxes(m, 1, 2))) / 2
+
+
+def test_herm_eig_stack_matches_slices_bitwise():
+    rng = np.random.default_rng(14)
+    for n in (1, 2, 5, 8, 16):
+        stack = random_hermitian_stack(rng, 6, n)
+        # one slice converged from the start: it must not disturb the rest
+        stack[2] = np.diag(np.arange(n, dtype=float))
+        w, v = herm_eig(stack)
+        assert w.shape == (6, n) and v.shape == (6, n, n)
+        for b in range(6):
+            wb, vb = herm_eig(stack[b])
+            np.testing.assert_array_equal(w[b], wb)
+            np.testing.assert_array_equal(v[b], vb)
+        np.testing.assert_array_equal(herm_eig(stack, vectors=False), w)
+        np.testing.assert_array_equal(herm_eig(stack[0], vectors=False), w[0])
+
+
+@given(st.integers(min_value=0, max_value=5), st.integers(min_value=1, max_value=9),
+       st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=30, deadline=None)
+def test_herm_eig_stack_property(count, n, seed):
+    rng = np.random.default_rng(seed)
+    stack = random_hermitian_stack(rng, count, n) * rng.choice([1e-3, 1.0, 1e3])
+    w, v = herm_eig(stack)
+    assert w.shape == (count, n) and v.shape == (count, n, n)
+    for b in range(count):
+        scale = max(1.0, float(np.abs(stack[b]).max()))
+        np.testing.assert_allclose(w[b], np.linalg.eigvalsh(stack[b]),
+                                   atol=1e-10 * scale)
+        np.testing.assert_allclose(stack[b] @ v[b], v[b] * w[b], atol=1e-9 * scale)
+        np.testing.assert_allclose(v[b].conj().T @ v[b], np.eye(n), atol=1e-12)
+
+
+def test_herm_eig_stack_rejects_any_bad_slice():
+    rng = np.random.default_rng(15)
+    for where in (0, 2, 3):
+        stack = random_hermitian_stack(rng, 4, 3)
+        stack[where, 0, 1] += 1.0
+        with pytest.raises(ValueError, match="not Hermitian"):
+            herm_eig(stack)
+        for bad in (np.inf, np.nan):
+            stack = random_hermitian_stack(rng, 4, 3)
+            stack[where, 1, 1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                herm_eig(stack, vectors=False)
+    with pytest.raises(ValueError):
+        herm_eig(np.zeros((2, 3, 4), dtype=complex))
+    with pytest.raises(ValueError):
+        herm_eig(np.zeros((1, 2, 2, 2), dtype=complex))
+
+
+def test_herm_eig_sweep_limit(monkeypatch):
+    h = random_hermitian(np.random.default_rng(16), 8)
+    monkeypatch.setattr(qskew.clinalg, "MAX_SWEEPS", 1)
+    with pytest.raises(ConvergenceError, match="sweep limit 1"):
+        herm_eig(h)
+    with pytest.raises(ConvergenceError):
+        herm_eig(np.stack([np.diag([1.0, 2.0] * 4), h]), vectors=False)
 
 
 def test_lu_solve_matches_reference():

@@ -1,8 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+import qskew.skew
+import qskew.spectra
 from qskew import (
     I,
     J,
@@ -206,3 +209,50 @@ def test_search_candidates_are_genuine():
 def test_search_rejects_small_n():
     with pytest.raises(ValueError):
         basic_candidate_search(3, trials=5, seed=0)
+
+
+def test_search_hits_do_not_depend_on_block_size(monkeypatch):
+    default = [json.dumps(x.to_dict(), sort_keys=True)
+               for x in basic_candidate_search(4, 60, 11)]
+    # 60 trials in blocks of 7 cross eight block boundaries
+    monkeypatch.setattr(qskew.skew, "SEARCH_BLOCK", 7)
+    small = [json.dumps(x.to_dict(), sort_keys=True)
+             for x in basic_candidate_search(4, 60, 11)]
+    assert default and small == default
+
+
+def test_search_solves_a_block_per_eigensolver_call(monkeypatch):
+    calls = []
+    solve = qskew.spectra.herm_eig
+
+    def counting(h, vectors=True):
+        calls.append(len(h))
+        return solve(h, vectors)
+
+    monkeypatch.setattr(qskew.spectra, "herm_eig", counting)
+    block = qskew.skew.SEARCH_BLOCK
+    for trials in (0, 1, block, 2 * block + 1):
+        calls.clear()
+        basic_candidate_search(4, trials, 3)
+        assert len(calls) == math.ceil(trials / block)
+        assert sum(calls) == trials
+    monkeypatch.setattr(qskew.skew, "SEARCH_BLOCK", 7)
+    calls.clear()
+    basic_candidate_search(4, 60, 11)
+    assert calls == [7] * 8 + [4]
+
+
+def test_right_spectra_of_a_list_match_one_by_one():
+    ws = [gram_product(random_skew_symmetric(4, trial_seed(5, t)))
+          for t in range(6)]
+    listed = right_eigenvalues_hermitian(ws)
+    assert len(listed) == 6
+    for w, spec in zip(ws, listed):
+        alone = right_eigenvalues_hermitian(w)
+        assert spec.vectors is None
+        np.testing.assert_array_equal(spec.values, alone.values)
+        np.testing.assert_array_equal(spec.pairing_gaps, alone.pairing_gaps)
+    assert right_eigenvalues_hermitian([]) == []
+    # the pairing and Hermitian checks still apply to each matrix
+    with pytest.raises(ValueError, match="Hermitian"):
+        right_eigenvalues_hermitian(ws[:2] + [random_skew_symmetric(4, 1)])
