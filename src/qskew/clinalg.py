@@ -127,19 +127,23 @@ def herm_eig(h, vectors=True):
         raise ValueError("herm_eig needs finite entries")
     count, m = h.shape[:2]
     hh = h.conj().swapaxes(1, 2)
-    scale = np.maximum(1.0, np.abs(h).max(axis=(1, 2), initial=0.0))
+    peak = np.abs(h).max(axis=(1, 2), initial=0.0)
+    scale = np.maximum(1.0, peak)
     bad = np.flatnonzero(np.abs(h - hh).max(axis=(1, 2), initial=0.0) > 1e-10 * scale)
     if bad.size:
         raise ValueError("matrix is not Hermitian"
                          + ("" if single else " (slice %d)" % bad[0]))
     if count and m:
-        w, v = _jacobi((h + hh) / 2.0, vectors)
+        # solved scaled by 2^-e, exactly, so no norm in _jacobi under- or overflows
+        e = np.frexp(peak)[1]
+        a = np.ldexp(((h + hh) / 2.0).view(float), -e[:, None, None]).view(complex)
+        w, v = _jacobi(a, vectors)
+        w = np.ldexp(w, e[:, None])
     else:
         w, v = np.zeros((count, m)), np.zeros((count, m, m), dtype=complex)
-    out = (w, v) if vectors else (w,)
     if single:
-        out = tuple(x[0] for x in out)
-    return out if vectors else out[0]
+        w, v = w[0], (v[0] if vectors else None)
+    return (w, v) if vectors else w
 
 
 def _jacobi(a, vectors):

@@ -224,20 +224,18 @@ def basic_candidate_search(n, trials, seed, scale=1.0, gap_tol=1e-3, workers=1):
     return hits
 
 
-def reference_4x4():
-    """Hard-coded 4x4 integer skew-symmetric matrix with fully distinct spectrum.
+# integer components (1, i, j, k) of reference_4x4, each skew-symmetric, so
+# any combination of them is exactly skew-symmetric in floating point
+_REFERENCE_4X4_PARTS = np.array([
+    [[0, 1, 3, -25], [-1, 0, -13, -10], [-3, 13, 0, 10], [25, 10, -10, 0]],
+    [[0, 3, 1, 7], [-3, 0, 1, -6], [-1, -1, 0, 13], [-7, 6, -13, 0]],
+    [[0, 4, -1, -3], [-4, 0, 1, 0], [1, -1, 0, 3], [3, 0, -3, 0]],
+    [[0, -1, 0, 9], [1, 0, -12, -3], [0, 12, 0, 3], [-9, 3, -3, 0]]], dtype=float)
 
-    Component matrices are integer and individually skew-symmetric, so the
-    combination is exactly skew-symmetric in floating point.
-    """
-    z1 = [[0, 1, 3, -25], [-1, 0, -13, -10], [-3, 13, 0, 10], [25, 10, -10, 0]]
-    z2 = [[0, 3, 1, 7], [-3, 0, 1, -6], [-1, -1, 0, 13], [-7, 6, -13, 0]]
-    z3 = [[0, 4, -1, -3], [-4, 0, 1, 0], [1, -1, 0, 3], [3, 0, -3, 0]]
-    z4 = [[0, -1, 0, 9], [1, 0, -12, -3], [0, 12, 0, 3], [-9, 3, -3, 0]]
-    return QuatMatrix.from_parts(np.array(z1, dtype=float),
-                                 np.array(z2, dtype=float),
-                                 np.array(z3, dtype=float),
-                                 np.array(z4, dtype=float))
+
+def reference_4x4():
+    """Hard-coded 4x4 integer skew-symmetric matrix with fully distinct spectrum."""
+    return QuatMatrix.from_parts(*_REFERENCE_4X4_PARTS)
 
 
 def reference_4x4_variant():
@@ -247,13 +245,8 @@ def reference_4x4_variant():
     be compared numerically; the spectrum of reference_4x4 is the one that
     reproduces the published values.
     """
-    z1 = [[0, 1, 3, -25], [-1, 0, -13, -10], [-3, 13, 0, 10], [25, 10, -10, 0]]
-    z2 = [[0, 3, 1, 7], [-3, 0, 1, -6], [-1, -1, 0, 13], [-7, 6, -13, 0]]
-    z3 = [[0, 4, -1, -3], [-4, 0, 1, 0], [1, -1, 0, 3], [3, 0, -3, 0]]
-    return QuatMatrix.from_parts(np.array(z1, dtype=float),
-                                 np.array(z2, dtype=float),
-                                 np.array(z3, dtype=float),
-                                 np.array(z3, dtype=float))
+    z1, z2, z3, _ = _REFERENCE_4X4_PARTS
+    return QuatMatrix.from_parts(z1, z2, z3, z3)
 
 
 def sample_degenerate_triple(rng):

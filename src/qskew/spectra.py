@@ -4,7 +4,8 @@ The embedding chi sends an n x n quaternion matrix to a 2n x 2n complex
 matrix multiplicatively, so Hermitian quaternion eigenproblems reduce to
 complex ones.  Each real right eigenvalue of the quaternion matrix shows
 up twice in the complex spectrum; the pairing is checked, every second
-value is kept, and eigenvectors are mapped back to quaternion columns.
+value is kept, and only right_eigenpairs_hermitian also maps eigenvectors
+back to quaternion columns.
 """
 
 from dataclasses import dataclass, field
@@ -14,26 +15,26 @@ import numpy as np
 from .clinalg import cluster_runs, companion_basis, herm_eig, lu_inverse
 from .qmatrix import QuatMatrix
 
-PAIR_TOL = 1e-9
-
 
 @dataclass
 class RightSpectrum:
-    """Ascending real right eigenvalues with a quaternion eigenbasis.
+    """Ascending real right eigenvalues, with a quaternion eigenbasis or None.
 
     pairing_gaps holds the spread inside each doubled pair of the complex
     spectrum; values near machine precision confirm the doubling.  vectors
-    is None for spectra computed values-only (a list input to
-    right_eigenvalues_hermitian).
+    is a unitary QuatMatrix of right eigenvectors from
+    right_eigenpairs_hermitian, and None from right_eigenvalues_hermitian.
     """
     values: np.ndarray
-    vectors: QuatMatrix
+    vectors: QuatMatrix | None
     pairing_gaps: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def to_dict(self, include_vectors=False):
         out = {"values": [float(v) for v in self.values],
                "pairing_gaps": [float(g) for g in self.pairing_gaps]}
         if include_vectors:
+            if self.vectors is None:
+                raise ValueError("no eigenvectors: use right_eigenpairs_hermitian")
             out["vectors"] = self.vectors.data.tolist()
         return out
 
@@ -60,7 +61,7 @@ def _hermitian(a, tol):
 def _paired(mu, a):
     """Every second value of the ascending complex spectrum mu of chi(a),
     the gaps inside its pairs, and the pairing tolerance they must meet."""
-    pair_tol = PAIR_TOL * max(1.0, a.norm())
+    pair_tol = 1e-9 * max(1.0, a.norm())
     gaps = mu[1::2] - mu[0::2]
     if gaps.size and float(gaps.max()) > pair_tol:
         raise ValueError(
@@ -70,27 +71,26 @@ def _paired(mu, a):
 
 
 def right_eigenvalues_hermitian(a, tol=1e-10):
-    """Right spectrum of a Hermitian quaternion matrix.
+    """Values-only right spectrum of Hermitian quaternion matrices.
 
-    Returns a RightSpectrum: n ascending real eigenvalues, a unitary
-    QuatMatrix of right eigenvectors (A x = x lambda per column), and the
-    pairing gaps of the doubled complex spectrum.  Raises ValueError on
-    non-Hermitian input or when the complex spectrum fails to pair within
-    1e-9 * max(1, ||A||_F).
-
-    a may also be a list of same-size Hermitian matrices.  Their adjoints
-    are then solved together in one values-only herm_eig call, each matrix
-    is checked as above, and the result is a list of RightSpectrum with
-    vectors None, in input order.
+    Returns a RightSpectrum (n ascending eigenvalues, pairing gaps, vectors
+    None), or for a list of same-size matrices a list of them, in order,
+    from one herm_eig call.  Raises ValueError on input not Hermitian within
+    tol or a complex spectrum not paired within 1e-9 * max(1, ||A||_F).
     """
-    if isinstance(a, list):
-        mats = [_hermitian(x, tol) for x in a]
-        if not mats:
-            return []
-        mus = herm_eig(np.stack([x.chi() for x in mats]), vectors=False)
-        return [RightSpectrum(values, None, gaps)
-                for values, gaps, _ in map(_paired, mus, mats)]
-    a = _hermitian(a, tol)
+    mats = [_hermitian(x, tol) for x in (a if isinstance(a, list) else [a])]
+    if not mats:
+        return []
+    mus = herm_eig(np.stack([x.chi() for x in mats]), vectors=False)
+    spectra = [RightSpectrum(values, None, gaps)
+               for values, gaps, _ in map(_paired, mus, mats)]
+    return spectra if isinstance(a, list) else spectra[0]
+
+
+def right_eigenpairs_hermitian(a):
+    """right_eigenvalues_hermitian(a) plus a unitary QuatMatrix of right
+    eigenvectors (A x = x lambda per column); same values, bitwise."""
+    a = _hermitian(a, 1e-10)
     n = a.nrows
     mu, v = herm_eig(a.chi())
     values, gaps, pair_tol = _paired(mu, a)
@@ -138,17 +138,20 @@ def quat_inverse(a, tol=1e-10):
     return QuatMatrix.from_chi(lu_inverse(a.chi(), tol=tol), tol=1e-8)
 
 
+def _lowest_and_floor(a):
+    """Min right eigenvalue of A and the floor 1e-10 * max(1, ||A||_F)."""
+    a = a if isinstance(a, QuatMatrix) else QuatMatrix(a)
+    return (float(right_eigenvalues_hermitian(a).values.min()),
+            1e-10 * max(1.0, a.norm()))
+
+
 def is_positive_semidefinite(a):
     """Min right eigenvalue >= -1e-10 * max(1, ||A||_F)."""
-    if not isinstance(a, QuatMatrix):
-        a = QuatMatrix(a)
-    spec = right_eigenvalues_hermitian(a)
-    return float(spec.values.min()) >= -1e-10 * max(1.0, a.norm())
+    lowest, floor = _lowest_and_floor(a)
+    return lowest >= -floor
 
 
 def is_positive_definite(a):
     """Min right eigenvalue strictly above +1e-10 * max(1, ||A||_F)."""
-    if not isinstance(a, QuatMatrix):
-        a = QuatMatrix(a)
-    spec = right_eigenvalues_hermitian(a)
-    return float(spec.values.min()) > 1e-10 * max(1.0, a.norm())
+    lowest, floor = _lowest_and_floor(a)
+    return lowest > floor

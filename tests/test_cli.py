@@ -1,9 +1,12 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from qskew import QuatMatrix, SkewTriple, I, J, save_matrix
+import qskew.hua
+import qskew.spectra
+from qskew import QuatMatrix, SkewTriple, I, J, random_skew_symmetric, save_matrix
 from qskew.cli import build_parser, main
 
 
@@ -195,3 +198,28 @@ def test_search_basic_zero_trials_prints_only_summary(capsys):
     assert len(lines) == 1
     assert json.loads(lines[0])["trials"] == 0
     assert json.loads(lines[0])["hits"] == 0
+
+
+def test_only_hua_decompose_asks_for_eigenvectors(tmp_path, monkeypatch, capsys):
+    # every herm_eig call that accumulates eigenvectors, by calling function
+    calls = []
+
+    def spy_on(module):
+        solve = module.herm_eig
+
+        def spy(h, vectors=True):
+            if vectors:
+                calls.append(sys._getframe(1).f_code.co_name)
+            return solve(h, vectors)
+        monkeypatch.setattr(module, "herm_eig", spy)
+
+    spy_on(qskew.spectra)
+    spy_on(qskew.hua)
+    for n in (3, 16):
+        path = tmp_path / ("z%d.json" % n)
+        save_matrix(path, random_skew_symmetric(n, n))
+        assert main(["spectrum", "--json", str(path)]) == 0
+    assert calls == []
+    assert main(["verify-paper", "--json"]) == 0
+    assert calls == ["hua_decompose"] * 20
+    capsys.readouterr()

@@ -117,6 +117,26 @@ def test_herm_eig_stack_matches_slices_bitwise():
         np.testing.assert_array_equal(herm_eig(stack[0], vectors=False), w[0])
 
 
+def test_herm_eig_tiny_and_huge_entries():
+    # the Frobenius norm of c * swap underflows to 0 (c = 1e-170, 1e-200) or
+    # overflows (c = 1e200) unless each slice is first scaled by a power of two
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    normal = np.array([[2.0, 1 - 1j], [1 + 1j, 3.0]])
+    w0, v0 = herm_eig(normal)
+    for c in (1e-170, 1e-200, 1e200):
+        np.testing.assert_allclose(herm_eig(swap * c, vectors=False), [-c, c], rtol=1e-14)
+        w, v = herm_eig(np.stack([normal, swap * c]))
+        np.testing.assert_allclose(w[1], [-c, c], rtol=1e-14)
+        resid = (swap * c) @ v[1] - v[1] * w[1]
+        assert np.abs(resid).max() <= 1e-14 * c
+        np.testing.assert_allclose(v[1].conj().T @ v[1], np.eye(2), atol=1e-14)
+        # the normal slice is bitwise its own single call
+        np.testing.assert_array_equal(w[0], w0)
+        np.testing.assert_array_equal(v[0], v0)
+        np.testing.assert_array_equal(herm_eig(np.stack([normal, swap * c]),
+                                               vectors=False)[0], w0)
+
+
 @given(st.integers(min_value=0, max_value=5), st.integers(min_value=1, max_value=9),
        st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=30, deadline=None)

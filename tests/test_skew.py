@@ -20,6 +20,7 @@ from qskew import (
     is_solid,
     quaternion_even_multiplicity_check,
     random_skew_symmetric,
+    right_eigenpairs_hermitian,
     right_eigenvalues_hermitian,
     sample_degenerate_triple,
     sample_generic_triple,
@@ -252,6 +253,11 @@ def test_right_spectra_of_a_list_match_one_by_one():
         assert spec.vectors is None
         np.testing.assert_array_equal(spec.values, alone.values)
         np.testing.assert_array_equal(spec.pairing_gaps, alone.pairing_gaps)
+        # list and single input share one path; the eigenpairs route solves
+        # with vectors on its own, and its values must agree bitwise
+        pairs = right_eigenpairs_hermitian(w)
+        np.testing.assert_array_equal(spec.values, pairs.values)
+        np.testing.assert_array_equal(spec.pairing_gaps, pairs.pairing_gaps)
     assert right_eigenvalues_hermitian([]) == []
     # the pairing and Hermitian checks still apply to each matrix
     with pytest.raises(ValueError, match="Hermitian"):

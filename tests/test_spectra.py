@@ -14,6 +14,7 @@ from qskew import (
     is_positive_semidefinite,
     quat_inverse,
     random_skew_symmetric,
+    right_eigenpairs_hermitian,
     right_eigenvalues_hermitian,
 )
 
@@ -48,7 +49,7 @@ def test_right_eigenpairs_solve_problem():
     # A x = x lambda with lambda acting on the right
     z = random_skew_symmetric(4, seed=3)
     for w in (z.gram(),) + clustered_inputs():
-        spec = right_eigenvalues_hermitian(w)
+        spec = right_eigenpairs_hermitian(w)
         assert len(spec.values) == w.nrows
         for t, lam in enumerate(spec.values):
             x = spec.vectors.column(t)
@@ -60,7 +61,7 @@ def test_right_eigenpairs_solve_problem():
 def test_eigenvector_quaternion_orthonormality():
     z = random_skew_symmetric(5, seed=8)
     for w in (z.gram(),) + clustered_inputs():
-        spec = right_eigenvalues_hermitian(w)
+        spec = right_eigenpairs_hermitian(w)
         n = len(spec.values)
         for s in range(n):
             for t in range(n):
@@ -138,9 +139,20 @@ def test_two_by_two_double_eigenvalue():
 
 def test_spectrum_to_dict():
     z = random_skew_symmetric(2, seed=2)
-    spec = right_eigenvalues_hermitian(z.gram())
+    spec = right_eigenpairs_hermitian(z.gram())
     d = spec.to_dict()
     assert set(d) == {"values", "pairing_gaps"}
     d2 = spec.to_dict(include_vectors=True)
     assert "vectors" in d2
     assert len(d2["vectors"]) == 2
+
+
+def test_spectrum_without_vectors_names_the_eigenpairs_route():
+    w = random_skew_symmetric(3, seed=4).gram()
+    single = right_eigenvalues_hermitian(w)
+    listed, = right_eigenvalues_hermitian([w])
+    for spec in (single, listed):
+        assert spec.vectors is None
+        assert set(spec.to_dict()) == {"values", "pairing_gaps"}
+        with pytest.raises(ValueError, match="right_eigenpairs_hermitian"):
+            spec.to_dict(include_vectors=True)
