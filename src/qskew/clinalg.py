@@ -7,11 +7,14 @@ in the test suite.
 
 Provided:
 
-* herm_eig: complex Jacobi eigensolver for one Hermitian matrix or a
-  stack of them, in the Brent-Luk round-robin ("parallel") ordering: each
-  round applies its disjoint rotations as array operations over the
-  stack, every slice is checked and converges on its own, and
-  vectors=False returns the eigenvalues alone
+* herm_eig: eigensolver for one Hermitian matrix or a stack of them.
+  Eigenvectors, and eigenvalues of matrices smaller than TRIDIAG_MIN,
+  come from complex Jacobi in the Brent-Luk round-robin ("parallel")
+  ordering, each round's disjoint rotations applied as array operations
+  over the stack.  Larger values-only solves reduce each slice to real
+  tridiagonal form by Householder reflections and bisect all eigenvalues
+  at once on Sturm counts.  Either way every slice is checked and
+  converges on its own
 * lu_factor / lu_solve / lu_inverse: LU with partial pivoting
 * mgs_orthonormalize: modified Gram-Schmidt with a second pass
 * cluster_runs / companion_basis: grouping of a sorted spectrum, and an
@@ -31,6 +34,11 @@ class ConvergenceError(RuntimeError):
 
 JACOBI_TOL = 1e-12
 MAX_SWEEPS = 100
+# values-only solves of this size and up go through a tridiagonal reduction
+# and Sturm bisection instead of Jacobi
+TRIDIAG_MIN = 32
+# the stopping rule closes every interval within 53 halvings
+MAX_BISECTIONS = 100
 
 
 def _offdiag_norm(a, mask):
@@ -98,24 +106,34 @@ def _sweep(av, m, skip):
 
 
 def herm_eig(h, vectors=True):
-    """Eigendecomposition of Hermitian matrices by round-robin Jacobi.
+    """Eigendecomposition of Hermitian matrices.
 
     h is one (m, m) matrix or a (B, m, m) stack; a single matrix is solved
     as a stack of one.  Returns (w, v) with eigenvalues w ascending (stable
     order on ties) and unitary v whose columns are the matching
     eigenvectors, shaped (m,) and (m, m), or (B, m) and (B, m, m) for a
-    stack.  With vectors=False the rotations are not accumulated and only
-    w is returned; it is bitwise the w computed with vectors.
+    stack.  With vectors=False only w is returned.
 
-    Each sweep follows the Brent-Luk round-robin ("parallel") ordering:
-    m - 1 rounds of m/2 disjoint rotations, applied as array operations
-    over the stack (odd m gets a decoupled zero row and column).  Every
-    slice is checked and solved on its own: ValueError when the input is
-    not square or not finite, or names the first slice that is not
-    Hermitian; each slice converges when its off-diagonal Frobenius mass
-    drops below JACOBI_TOL * ||h_b||_F and then stops rotating, so no
-    slice's arithmetic depends on the others.  Raises ConvergenceError
-    when a slice is still above its target after MAX_SWEEPS sweeps.
+    Every slice is checked first: ValueError when the input is not square
+    or not finite, or names the first slice whose largest |h - h^*| entry
+    exceeds 1e-10 times its largest |h| entry.  Each slice is then solved
+    scaled by a power of two, on its own, so a slice of a stack gives
+    bitwise the result of a single call.
+
+    With vectors, or for m < TRIDIAG_MIN, the solver is round-robin Jacobi:
+    each sweep follows the Brent-Luk ("parallel") ordering, m - 1 rounds
+    of m/2 disjoint rotations applied as array operations over the stack
+    (odd m gets a decoupled zero row and column).  A slice converges when
+    its off-diagonal Frobenius mass drops below JACOBI_TOL * ||h_b||_F and
+    then stops rotating; ConvergenceError when a slice is still above its
+    target after MAX_SWEEPS sweeps.  Here the values-only w is bitwise the
+    w computed with vectors.
+
+    Values-only solves with m >= TRIDIAG_MIN reduce each slice to a real
+    tridiagonal matrix by Householder reflections and bisect its
+    eigenvalues on Sturm counts (_bisect, which raises ConvergenceError
+    after MAX_BISECTIONS halvings).  This w agrees with the w computed
+    with vectors to roundoff, not bitwise.
     """
     h = np.asarray(h, dtype=complex)
     single = h.ndim == 2
@@ -128,16 +146,18 @@ def herm_eig(h, vectors=True):
     count, m = h.shape[:2]
     hh = h.conj().swapaxes(1, 2)
     peak = np.abs(h).max(axis=(1, 2), initial=0.0)
-    scale = np.maximum(1.0, peak)
-    bad = np.flatnonzero(np.abs(h - hh).max(axis=(1, 2), initial=0.0) > 1e-10 * scale)
+    bad = np.flatnonzero(np.abs(h - hh).max(axis=(1, 2), initial=0.0) > 1e-10 * peak)
     if bad.size:
         raise ValueError("matrix is not Hermitian"
                          + ("" if single else " (slice %d)" % bad[0]))
     if count and m:
-        # solved scaled by 2^-e, exactly, so no norm in _jacobi under- or overflows
+        # solved scaled by 2^-e, exactly, so no norm in a solver under- or overflows
         e = np.frexp(peak)[1]
         a = np.ldexp(((h + hh) / 2.0).view(float), -e[:, None, None]).view(complex)
-        w, v = _jacobi(a, vectors)
+        if vectors or m < TRIDIAG_MIN:
+            w, v = _jacobi(a, vectors)
+        else:
+            w = _bisect(*_tridiagonal(a))
         w = np.ldexp(w, e[:, None])
     else:
         w, v = np.zeros((count, m)), np.zeros((count, m, m), dtype=complex)
@@ -183,6 +203,93 @@ def _jacobi(a, vectors):
     if not vectors:
         return w, None
     return w, np.take_along_axis(av[:, n:n + m, :m], order[:, None, :], axis=2)
+
+
+def _tridiagonal(a):
+    """Diagonal d (B, m) and squared off-diagonal magnitudes e2 (B, m - 1)
+    of a real symmetric tridiagonal matrix unitarily similar to each slice
+    of a stack of exactly Hermitian matrices with entries of size about 1.
+
+    Step k reflects column k below the diagonal onto its first entry by
+    the Householder reflection I - tau v v^*, applied to the trailing block
+    from both sides as one rank-2 update.  Only |e_k|^2 = ||column||^2 is
+    kept, so the phases of the off-diagonal never need to be formed.  A
+    column whose squared norm underflows is left as it is: its entries are
+    below 1e-154 and change no eigenvalue at double precision.
+    """
+    a = a.copy()
+    count, m = a.shape[:2]
+    e2 = np.empty((count, m - 1))
+    for k in range(m - 1):
+        x = a[:, k + 1:, k]
+        e2[:, k] = (x.real ** 2 + x.imag ** 2).sum(axis=1)
+        if k == m - 2:
+            break
+        live = e2[:, k] >= np.finfo(float).tiny
+        v = np.divide(x, np.sqrt(e2[:, k])[:, None], out=np.zeros_like(x),
+                      where=live[:, None])
+        # v = x / ||x|| + e^{i arg x_0} e_1, the sum with no cancellation
+        lead = np.abs(v[:, 0])
+        v[:, 0] += np.divide(v[:, 0], lead, out=live.astype(complex), where=lead > 0)
+        tau = np.divide(2.0, (v.real ** 2 + v.imag ** 2).sum(axis=1),
+                        out=np.zeros(count), where=live)
+        # H A H = A - v w^* - w v^* with p = tau A v, w = p - (tau/2)(v^* p) v
+        trail = a[:, k + 1:, k + 1:]
+        p = tau[:, None] * (trail @ v[:, :, None])[:, :, 0]
+        w = p - (0.5 * tau * (v.conj() * p).sum(axis=1).real)[:, None] * v
+        trail -= v[:, :, None] * w.conj()[:, None, :]
+        trail -= w[:, :, None] * v.conj()[:, None, :]
+    return a.diagonal(axis1=1, axis2=2).real.copy(), e2
+
+
+def _sturm_below(shift_gap, e2):
+    """Per column, how many eigenvalues of a symmetric tridiagonal lie
+    below its shift x: the negative pivots q_i = (d_i - x) - e2_{i-1} / q_{i-1}
+    of T - x I, given shift_gap (m, L) = d_i - x and e2 (m - 1, L) >= the
+    smallest normal float.  A zero pivot makes the next one infinite with
+    the sign that keeps the count right, so no 0/0 can arise."""
+    q = shift_gap.copy()
+    rows = list(q)
+    with np.errstate(divide="ignore", over="ignore"):
+        for prev, row, e in zip(rows, rows[1:], e2):
+            row -= e / prev
+    return np.signbit(q).sum(axis=0)
+
+
+def _bisect(d, e2):
+    """Ascending eigenvalues (B, m) of symmetric tridiagonals by bisection.
+
+    Eigenvalue j of slice b is bracketed by its Gershgorin bound g_b, then
+    halved on Sturm counts of all live (slice, index) intervals at once
+    until its width is at most 2 eps max(|lo|, |hi|) + eps g_b; a finished
+    interval stops moving, so no slice's result depends on the others.
+    Raises ConvergenceError if an interval is still open after
+    MAX_BISECTIONS halvings.
+    """
+    count, m = d.shape
+    eps = np.finfo(float).eps
+    e = np.sqrt(e2)
+    radius = np.zeros((count, m))
+    radius[:, 1:] += e
+    radius[:, :-1] += e
+    bound = np.repeat((np.abs(d) + radius).max(axis=1), m)
+    e2 = np.maximum(e2, np.finfo(float).tiny)
+    slices = np.repeat(np.arange(count), m)
+    index = np.tile(np.arange(m), count)
+    lo, hi = -bound, bound.copy()
+    for _ in range(MAX_BISECTIONS):
+        live = np.flatnonzero(hi - lo > 2.0 * eps * np.maximum(np.abs(lo), np.abs(hi))
+                              + eps * bound)
+        if live.size == 0:
+            break
+        mid = 0.5 * (lo[live] + hi[live])
+        rows = slices[live]
+        below = _sturm_below(d.T[:, rows] - mid, e2.T[:, rows]) > index[live]
+        hi[live] = np.where(below, mid, hi[live])
+        lo[live] = np.where(below, lo[live], mid)
+    else:
+        raise ConvergenceError("bisection limit %d reached" % MAX_BISECTIONS)
+    return np.sort((0.5 * (lo + hi)).reshape(count, m), axis=1)
 
 
 def lu_factor(a, tol=1e-10):

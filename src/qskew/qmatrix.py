@@ -200,8 +200,11 @@ class QuatMatrix:
     # -- metrics and predicates ----------------------------------------------------------
 
     def norm(self):
-        """Frobenius norm over all quaternion components."""
-        return float(np.sqrt((self.data ** 2).sum()))
+        """Frobenius norm over all quaternion components.  It is summed
+        scaled by a power of two, exactly, so it neither under- nor
+        overflows, and equals the plain sum wherever that does neither."""
+        e = np.frexp(np.abs(self.data).max(initial=0.0))[1]
+        return float(np.ldexp(np.sqrt((np.ldexp(self.data, -e) ** 2).sum()), e))
 
     def max_abs(self):
         """Largest entry magnitude |a_ij|."""

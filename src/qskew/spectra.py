@@ -61,7 +61,7 @@ def _hermitian(a, tol):
 def _paired(mu, a):
     """Every second value of the ascending complex spectrum mu of chi(a),
     the gaps inside its pairs, and the pairing tolerance they must meet."""
-    pair_tol = 1e-9 * max(1.0, a.norm())
+    pair_tol = 1e-9 * a.norm()
     gaps = mu[1::2] - mu[0::2]
     if gaps.size and float(gaps.max()) > pair_tol:
         raise ValueError(
@@ -76,7 +76,7 @@ def right_eigenvalues_hermitian(a, tol=1e-10):
     Returns a RightSpectrum (n ascending eigenvalues, pairing gaps, vectors
     None), or for a list of same-size matrices a list of them, in order,
     from one herm_eig call.  Raises ValueError on input not Hermitian within
-    tol or a complex spectrum not paired within 1e-9 * max(1, ||A||_F).
+    tol or a complex spectrum not paired within 1e-9 * ||A||_F.
     """
     mats = [_hermitian(x, tol) for x in (a if isinstance(a, list) else [a])]
     if not mats:
@@ -139,19 +139,20 @@ def quat_inverse(a, tol=1e-10):
 
 
 def _lowest_and_floor(a):
-    """Min right eigenvalue of A and the floor 1e-10 * max(1, ||A||_F)."""
+    """Min right eigenvalue of A and the floor 1e-10 * ||A||_F.  The floor
+    of the zero matrix is 0, so it is semidefinite and not definite."""
     a = a if isinstance(a, QuatMatrix) else QuatMatrix(a)
     return (float(right_eigenvalues_hermitian(a).values.min()),
-            1e-10 * max(1.0, a.norm()))
+            1e-10 * a.norm())
 
 
 def is_positive_semidefinite(a):
-    """Min right eigenvalue >= -1e-10 * max(1, ||A||_F)."""
+    """Min right eigenvalue >= -1e-10 * ||A||_F."""
     lowest, floor = _lowest_and_floor(a)
     return lowest >= -floor
 
 
 def is_positive_definite(a):
-    """Min right eigenvalue strictly above +1e-10 * max(1, ||A||_F)."""
+    """Min right eigenvalue strictly above +1e-10 * ||A||_F."""
     lowest, floor = _lowest_and_floor(a)
     return lowest > floor

@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+import qskew.clinalg
 import qskew.hua
 import qskew.spectra
 from qskew import QuatMatrix, SkewTriple, I, J, random_skew_symmetric, save_matrix
@@ -222,4 +223,25 @@ def test_only_hua_decompose_asks_for_eigenvectors(tmp_path, monkeypatch, capsys)
     assert calls == []
     assert main(["verify-paper", "--json"]) == 0
     assert calls == ["hua_decompose"] * 20
+    capsys.readouterr()
+
+
+def test_large_spectra_skip_jacobi(tmp_path, monkeypatch, capsys):
+    # values-only solves from 2n = TRIDIAG_MIN up go through the tridiagonal
+    # route; the small stacks of search-basic stay on Jacobi
+    sizes = []
+    solve = qskew.clinalg._jacobi
+
+    def spy(a, vectors):
+        sizes.append(a.shape[-1])
+        return solve(a, vectors)
+    monkeypatch.setattr(qskew.clinalg, "_jacobi", spy)
+    for n in (16, 64):
+        path = tmp_path / ("z%d.json" % n)
+        save_matrix(path, random_skew_symmetric(n, n))
+        assert main(["spectrum", "--json", str(path)]) == 0
+    assert sizes == []
+    for n in (4, 8):
+        assert main(["search-basic", "--n", str(n), "--trials", "3"]) == 0
+    assert sizes == [8, 16]
     capsys.readouterr()

@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 import qskew.clinalg
 from qskew import (
     ConvergenceError,
+    QuatMatrix,
     SingularMatrixError,
+    gram_product,
     herm_eig,
     lu_factor,
     lu_inverse,
@@ -76,6 +78,19 @@ def test_herm_eig_rejects_non_hermitian():
         herm_eig(np.array([[0.0, 1.0], [2.0, 0.0]], dtype=complex))
     with pytest.raises(ValueError):
         herm_eig(np.zeros((2, 3), dtype=complex))
+    # the check is relative to the slice's largest entry, so a clearly
+    # non-Hermitian matrix is rejected at any scale
+    lopsided = np.array([[0.0, 1.0], [3.0, 0.0]], dtype=complex)
+    for c in (1e-12, 1e-170):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            herm_eig(c * lopsided, vectors=False)
+        with pytest.raises(ValueError, match="not Hermitian \\(slice 1\\)"):
+            herm_eig(np.stack([np.eye(2), c * lopsided]), vectors=False)
+    # and before the values-only route is chosen
+    wide = random_hermitian(np.random.default_rng(17), qskew.clinalg.TRIDIAG_MIN)
+    wide[0, 5] += 1.0
+    with pytest.raises(ValueError, match="not Hermitian"):
+        herm_eig(wide, vectors=False)
 
 
 def test_herm_eig_zero_matrix():
@@ -289,3 +304,76 @@ def test_mgs_property(dim, count, seed):
             coeff = basis.conj().T @ v
             resid = v - basis @ coeff
             assert np.linalg.norm(resid) <= 1e-7 * max(1.0, np.linalg.norm(v))
+
+
+@given(st.integers(min_value=0, max_value=3),
+       st.integers(min_value=qskew.clinalg.TRIDIAG_MIN, max_value=80),
+       st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=20, deadline=None)
+def test_herm_eig_tridiagonal_property(count, n, seed):
+    rng = np.random.default_rng(seed)
+    stack = random_hermitian_stack(rng, count, n) * rng.choice([1e-3, 1.0, 1e3])
+    w = herm_eig(stack, vectors=False)
+    assert w.shape == (count, n)
+    for b in range(count):
+        ref = np.linalg.eigvalsh(stack[b])
+        assert np.all(np.diff(w[b]) >= 0)
+        np.testing.assert_allclose(w[b], ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+
+
+def test_herm_eig_tridiagonal_stack_matches_slices_bitwise():
+    rng = np.random.default_rng(18)
+    for n in (qskew.clinalg.TRIDIAG_MIN, 128):
+        stack = random_hermitian_stack(rng, 3, n)
+        # one slice whose intervals close at other halvings than the rest
+        stack[1] = np.diag(np.arange(n, dtype=float))
+        w = herm_eig(stack, vectors=False)
+        for b in range(3):
+            np.testing.assert_array_equal(w[b], herm_eig(stack[b], vectors=False))
+
+
+def test_herm_eig_tridiagonal_structured_inputs():
+    n = 40
+
+    def check(h, values):
+        w = herm_eig(h, vectors=False)
+        np.testing.assert_allclose(w, np.sort(values), rtol=0,
+                                   atol=1e-14 * max(np.abs(values).max(), 1e-300))
+
+    # e = 0 exactly, and the first midpoints land on eigenvalues
+    ints = np.repeat([-2.0, 0.0, 1.0, 3.0], n // 4)
+    check(np.diag(ints[::-1]).astype(complex), ints)
+    check(np.zeros((n, n), dtype=complex), np.zeros(n))
+    for c in (1.0, -3.0, 2.5e-7):
+        check(c * np.eye(n, dtype=complex), np.full(n, c))
+    # a complex skew Z of odd order: chi(Z Z*) has an exact zero pair
+    rng = np.random.default_rng(19)
+    y = rng.normal(size=(33, 33)) + 1j * rng.normal(size=(33, 33))
+    z = QuatMatrix.from_complex_pair(y - y.T, np.zeros((33, 33)))
+    h = gram_product(z).chi()
+    w = herm_eig(h, vectors=False)
+    ref = np.linalg.eigvalsh(h)
+    np.testing.assert_allclose(w, ref, rtol=0, atol=1e-13 * ref.max())
+    assert np.abs(w[:2]).max() <= 1e-13 * ref.max()
+    # tiny and huge entries: solved scaled by a power of two
+    h = random_hermitian(rng, n)
+    ref = np.linalg.eigvalsh(h)
+    for c in (1e-170, 1e200):
+        np.testing.assert_allclose(herm_eig(c * h, vectors=False), c * ref, rtol=0,
+                                   atol=1e-13 * c * np.abs(ref).max())
+
+
+def test_herm_eig_bisection_limit(monkeypatch):
+    h = random_hermitian(np.random.default_rng(20), qskew.clinalg.TRIDIAG_MIN)
+    monkeypatch.setattr(qskew.clinalg, "MAX_BISECTIONS", 10)
+    with pytest.raises(ConvergenceError, match="bisection limit 10"):
+        herm_eig(h, vectors=False)
+    # the vectors route and smaller sizes stay on Jacobi
+    herm_eig(h)
+    herm_eig(h[:-1, :-1], vectors=False)
+    # the absolute term of the stopping rule closes an interval around a zero
+    # eigenvalue as fast as any other: 53 halvings from the Gershgorin bound
+    monkeypatch.setattr(qskew.clinalg, "MAX_BISECTIONS", 54)
+    y = np.random.default_rng(21).normal(size=(33, 33))
+    for zero_inside in (h, (y - y.T) @ (y - y.T).T, np.diag([0.0, 1.0] * 20)):
+        herm_eig(zero_inside, vectors=False)

@@ -98,6 +98,14 @@ def test_is_solid():
     assert not is_solid(SkewTriple(0, I, I).matrix())
 
 
+def test_is_solid_does_not_depend_on_scale():
+    z = random_skew_symmetric(3, 5)
+    degenerate = SkewTriple(0, I, I).matrix()
+    for c in (1e-8, 1e-4, 1.0, 1e8):
+        assert is_solid(c * z)
+        assert not is_solid(c * degenerate)
+
+
 def test_inverse_2x2_stays_skew():
     rng = np.random.default_rng(50)
     a = Quaternion(*rng.uniform(-1, 1, size=4))

@@ -126,6 +126,19 @@ def test_definiteness_checks():
     assert not is_positive_definite(sing)
 
 
+def test_right_spectrum_of_tiny_and_huge_matrices():
+    # the pairing and definiteness floors are relative to ||A||_F, so that
+    # norm must neither underflow (1e-170 and below) nor overflow
+    w = gram_product(random_skew_symmetric(4, seed=3))
+    base = right_eigenvalues_hermitian(w).values
+    for c in (1e-170, 1e-200, 1e150):
+        a = w.scale(c)
+        np.testing.assert_allclose(a.norm(), c * w.norm(), rtol=1e-15)
+        np.testing.assert_allclose(right_eigenvalues_hermitian(a).values, c * base,
+                                   rtol=1e-12)
+        assert is_positive_definite(a)
+
+
 def test_two_by_two_double_eigenvalue():
     # skew with a single quaternion above the diagonal: spectrum (|a|^2, |a|^2)
     for seed in range(5):
