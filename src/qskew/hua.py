@@ -14,6 +14,7 @@ import numpy as np
 
 from .clinalg import (ConvergenceError, cluster_runs, companion_basis, herm_eig,
                       mgs_orthonormalize)
+from .qmatrix import QuatMatrix
 
 CLUSTER_TOL = 1e-8
 
@@ -55,22 +56,24 @@ def _check_complex_skew(z, tol):
     z = np.asarray(z, dtype=complex)
     if z.ndim != 2 or z.shape[0] != z.shape[1]:
         raise ValueError("need a square matrix, got shape %r" % (z.shape,))
-    scale = max(1.0, float(np.abs(z).max(initial=0.0)))
-    dev = float(np.abs(z + z.T).max(initial=0.0))
-    if dev > tol * scale:
-        raise ValueError("matrix is not skew-symmetric: max |Z + Z^T| = %.3e" % dev)
+    if not QuatMatrix.from_complex_pair(z, np.zeros_like(z)).is_skew_symmetric(tol):
+        raise ValueError("matrix is not skew-symmetric within tolerance")
     return z
+
+
+def _cluster_cut(values):
+    return CLUSTER_TOL * float(values.max(initial=0.0))
 
 
 def positive_clusters(values):
     """Group the positive entries of an ascending eigenvalue array.
 
-    Entries at or below CLUSTER_TOL * max(1, largest value) count as zero.
+    Entries at or below CLUSTER_TOL times the largest value count as zero.
     Two neighbours share a cluster when their gap is at most that same
     threshold.  Returns a list of index lists, one per cluster.
     """
     values = np.asarray(values, dtype=float)
-    cut = CLUSTER_TOL * max(1.0, float(values.max(initial=0.0)))
+    cut = _cluster_cut(values)
     order = np.argsort(values, kind="stable")
     idx = order[values[order] > cut]
     return [idx[lo:hi].tolist() for lo, hi in cluster_runs(values[idx], cut)]
@@ -95,11 +98,12 @@ def hua_decompose(z, tol=1e-8):
     the kernel gathered in a trailing zero block.  Raises ValueError for
     non-skew input or when a positive eigenvalue cluster has odd size
     (a clustering-tolerance failure), and ConvergenceError when the final
-    residuals exceed their contracts.
+    residuals exceed their contracts.  The kernel cut and the residual
+    limit are tol * ||Z||_F, the cluster gap CLUSTER_TOL * sigma_max^2.
     """
     z = _check_complex_skew(z, tol)
     n = z.shape[0]
-    scale = max(1.0, _norm(z))
+    scale = _norm(z)
     if n == 0:
         return HuaForm(np.zeros((0, 0), dtype=complex), [], 0, 0.0, 0.0)
 
@@ -120,9 +124,8 @@ def hua_decompose(z, tol=1e-8):
     # group positive modes whose squared values sit within the gap rule,
     # then take one (w, u) block pair per two modes, highest cluster first
     lam = sig_hat ** 2
-    cut = CLUSTER_TOL * max(1.0, float(lam.max(initial=0.0)))
     pairs = []  # (sigma, w_vec, u_vec)
-    for lo, hi in reversed(cluster_runs(lam[pos], cut)):
+    for lo, hi in reversed(cluster_runs(lam[pos], _cluster_cut(lam))):
         if (hi - lo) % 2:
             raise ValueError(
                 "positive eigenvalue cluster of odd size %d at sigma ~ %.6g; "

@@ -32,6 +32,8 @@ class QuatMatrix:
             raise ValueError("expected an (m, n, 4) array, got shape %r"
                              % (arr.shape,))
         arr = np.ascontiguousarray(arr)
+        if not np.isfinite(arr).all():
+            raise ValueError("matrix has non-finite (NaN or Inf) entries")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
@@ -185,13 +187,13 @@ class QuatMatrix:
 
     @classmethod
     def from_chi(cls, c, tol=1e-10):
-        """Invert chi.  Raises ValueError when c lacks the adjoint symmetry."""
+        """Invert chi; ValueError when c is off the symmetry by > tol*max|c|."""
         c = np.asarray(c, dtype=complex)
         if c.ndim != 2 or c.shape[0] % 2 or c.shape[1] % 2:
             raise ValueError("adjoint matrix must have even dimensions")
         m, n = c.shape[0] // 2, c.shape[1] // 2
         ac, ad = c[:m, :n], c[:m, n:]
-        scale = max(1.0, float(np.abs(c).max(initial=0.0)))
+        scale = float(np.abs(c).max(initial=0.0))
         if (np.abs(c[m:, :n] + ad.conj()).max(initial=0.0) > tol * scale
                 or np.abs(c[m:, n:] - ac.conj()).max(initial=0.0) > tol * scale):
             raise ValueError("matrix does not have the adjoint block symmetry")
@@ -207,19 +209,20 @@ class QuatMatrix:
         return float(np.ldexp(np.sqrt((np.ldexp(self.data, -e) ** 2).sum()), e))
 
     def max_abs(self):
-        """Largest entry magnitude |a_ij|."""
-        if self.data.size == 0:
-            return 0.0
-        return float(np.sqrt((self.data ** 2).sum(axis=2)).max())
+        """Largest entry magnitude |a_ij|, by hypot, so it does not overflow."""
+        d = self.data
+        return float(np.hypot(np.hypot(d[..., 0], d[..., 1]),
+                              np.hypot(d[..., 2], d[..., 3])).max(initial=0.0))
 
     def is_hermitian(self, tol=1e-10):
+        """A* = A within tol * max|a_ij|; the zero matrix passes."""
         self._require_square("is_hermitian")
-        return (self - self.conj_transpose()).max_abs() <= tol * max(1.0, self.max_abs())
+        return (self - self.conj_transpose()).max_abs() <= tol * self.max_abs()
 
     def is_skew_symmetric(self, tol=1e-10):
-        """Z^T = -Z under the plain transpose."""
+        """Z^T = -Z under the plain transpose, within tol * max|z_ij|."""
         self._require_square("is_skew_symmetric")
-        return (self.transpose() + self).max_abs() <= tol * max(1.0, self.max_abs())
+        return (self.transpose() + self).max_abs() <= tol * self.max_abs()
 
     def is_unitary(self):
         """A* A = I within Frobenius residual 1e-10."""
@@ -233,8 +236,9 @@ class QuatMatrix:
                              % ((who,) + self.shape))
 
     def allclose(self, other, tol=1e-12):
+        """max|a_ij - b_ij| within tol times the larger of the two max_abs."""
         other = _coerce_matrix(other, self.shape)
-        scale = max(1.0, self.max_abs(), other.max_abs())
+        scale = max(self.max_abs(), other.max_abs())
         return (self - other).max_abs() <= tol * scale
 
 

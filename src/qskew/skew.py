@@ -88,22 +88,23 @@ class BasicCandidate:
 def classify_3x3(triple):
     """Predict the W spectrum shape from the entries alone.
 
-    Solid (three distinct positive eigenvalues) exactly when |a| clears 1e-10
-    and |c a^-1 b - b a^-1 c| clears 1e-10 * max(1, |a^-1||b||c|); otherwise
-    degenerate with predicted spectrum (0, s, s).  Raises ValueError on the
-    all-zero triple.
+    Solid (three distinct positive eigenvalues) exactly when |a| clears
+    1e-10 * max(|a|, |b|, |c|) and |c a^-1 b - b a^-1 c| clears
+    1e-10 * |a^-1||b||c|, both scale-free; otherwise degenerate with
+    predicted spectrum (0, s, s).  Raises ValueError on the all-zero triple.
     """
     if not isinstance(triple, SkewTriple):
         triple = SkewTriple(*triple)
     a, b, c = triple.a, triple.b, triple.c
-    if abs(a) == 0.0 and abs(b) == 0.0 and abs(c) == 0.0:
+    largest = max(abs(a), abs(b), abs(c))
+    if largest == 0.0:
         raise ValueError("classification needs a nonzero triple")
     gap = 0.0
     solid = False
-    if abs(a) > 1e-10:
+    if abs(a) > 1e-10 * largest:
         ainv = a.inverse()
         gap = abs(c * ainv * b - b * ainv * c)
-        solid = gap > 1e-10 * max(1.0, abs(ainv) * abs(b) * abs(c))
+        solid = gap > 1e-10 * abs(ainv) * abs(b) * abs(c)
     if solid:
         return SpectrumReport("solid", [], [], 0.0, gap)
     s = a.norm_sq() + b.norm_sq() + c.norm_sq()

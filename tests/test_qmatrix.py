@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qskew import I, J, K, ONE, Quaternion, QuatMatrix, random_skew_symmetric
+from qskew import (I, J, K, ONE, Quaternion, QuatMatrix, gram_product,
+                   random_skew_symmetric)
 
 
 def rand_qm(rng, m, n):
@@ -176,6 +179,35 @@ def test_predicates():
 
     with pytest.raises(ValueError):
         QuatMatrix.zeros(2, 3).is_hermitian()
+
+
+def test_non_finite_entries_rejected():
+    # NaN and Inf fail at construction with a message that names them,
+    # not later as a misleading structure error
+    for bad in (np.nan, np.inf, -np.inf):
+        arr = np.zeros((2, 2, 4))
+        arr[0, 1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            QuatMatrix(arr)
+        with pytest.raises(ValueError, match="non-finite"):
+            QuatMatrix(arr[:, :, 2])
+    with pytest.raises(ValueError, match="non-finite"):
+        gram_product(np.full((2, 2, 4), np.nan))
+
+
+def test_predicates_of_huge_entries():
+    # max_abs goes through hypot, so entries above 1e154 neither overflow
+    # it nor make the predicates accept anything
+    a = QuatMatrix(np.random.default_rng(8).uniform(-1, 1, size=(3, 3, 4)))
+    h = a + a.conj_transpose()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in (1.0, 1e170):
+            assert not a.scale(c).is_hermitian()
+            assert not a.scale(c).is_skew_symmetric()
+            assert h.scale(c).is_hermitian()
+        assert a.scale(1e170).max_abs() == pytest.approx(1e170 * a.max_abs(), rel=1e-15)
+        assert a.scale(1e300).max_abs() < np.inf
 
 
 def test_eye_and_zeros():

@@ -4,7 +4,8 @@ numpy.linalg stays out of the package so the tests can use it as an
 independent oracle, and the package starts no threads: the search runs its
 trials in order in the calling thread.  Every function parameter and every
 command line option is read by the code that receives it, so no knob is
-accepted and then ignored.
+accepted and then ignored.  Tolerances are relative to the input's
+magnitude, so no max(1, ...) floor turns one into an absolute bound.
 """
 
 import argparse
@@ -105,3 +106,13 @@ def test_every_cli_option_is_read():
                 unread.append("%s %s" % (command, action.option_strings
                                          or action.dest))
     assert not unread, unread
+
+
+def test_no_absolute_tolerance_floors():
+    floors = ["%s:%d" % (path.name, node.lineno)
+              for path in sorted(SRC.glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Call) and _dotted(node.func) == "max"
+              and any(isinstance(arg, ast.Constant) and type(arg.value) in (int, float)
+                      and arg.value == 1 for arg in node.args)]
+    assert not floors, floors
