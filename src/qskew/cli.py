@@ -181,13 +181,13 @@ def cmd_search_basic(args):
     if args.trials < 0:
         print("--trials must be nonnegative", file=sys.stderr)
         return 2
-    for flag, value in (("--scale", args.scale), ("--gap-tol", args.gap_tol)):
+    for flag, value in (("--scale", args.scale), ("--gap-tol", args.gap_tol),
+                        ("--workers", args.workers)):
         if not 0 < value < math.inf:
             print("%s must be positive and finite" % flag, file=sys.stderr)
             return 2
     candidates = basic_candidate_search(args.n, args.trials, args.seed,
-                                        scale=args.scale, gap_tol=args.gap_tol,
-                                        workers=args.workers)
+                                        scale=args.scale, gap_tol=args.gap_tol)
     for cand in candidates:
         print(json.dumps(cand.to_dict(), sort_keys=True))
     summary = {"trials": args.trials, "hits": len(candidates),

@@ -57,7 +57,7 @@ def _ring_move(m, height):
     return (rows[:, None] * m + step).ravel()
 
 
-def _sweep(av, m, skip):
+def _sweep(av, m, skip, move):
     """One round-robin sweep over a stack av of (B, height, m), m even.
 
     Rows [0, m) of each slice hold A; the rotations act on them from both
@@ -66,12 +66,12 @@ def _sweep(av, m, skip):
     then moves every index one seat along the ring, so a sweep meets each
     pair of indices once and ends in the natural order.  Off-diagonal
     entries of slice b at or below skip[b] are zeroed without a rotation.
-    Returns the new stack; av itself is used as scratch.
+    move is _ring_move(m, height).  Returns the new stack; av itself is
+    used as scratch.
     """
-    count, height, _ = av.shape
+    count = av.shape[0]
     half = m // 2
     skip = skip[:, None]
-    move = _ring_move(m, height)
     spare = np.empty_like(av)
     for _ in range(m - 1):
         flat = av.reshape(count, -1)
@@ -182,14 +182,15 @@ def _jacobi(a, vectors):
     # sweep of that moves the matrix by far less than the target
     skip = target / (10.0 * m * m)
     mask = ~np.eye(n, dtype=bool)
+    move = _ring_move(n, height)
     for _ in range(MAX_SWEEPS):
         live = np.flatnonzero(_offdiag_norm(av[:, :n], mask) > target)
         if live.size == 0:
             break
         if live.size == count:
-            av = _sweep(av, n, skip)
+            av = _sweep(av, n, skip, move)
         else:
-            av[live] = _sweep(av[live], n, skip[live])
+            av[live] = _sweep(av[live], n, skip[live], move)
     else:
         off = _offdiag_norm(av[:, :n], mask)
         worst = int(np.argmax(off - target))

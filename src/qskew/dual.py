@@ -108,14 +108,11 @@ class DualQuatMatrix:
         return DualQuatMatrix(self.std - other.std, self.inf - other.inf)
 
     def to_dict(self):
+        """Row-major entries, each [std (w, x, y, z), inf (w, x, y, z)]."""
         m, n = self.shape
-        entries = []
-        for i in range(m):
-            for j in range(n):
-                e = self.entry(i, j)
-                entries.append([list(e.std.components()),
-                                list(e.inf.components())])
-        return {"rows": m, "cols": n, "entries_dq": entries}
+        parts = np.stack([self.std.data, self.inf.data], axis=2)
+        return {"rows": m, "cols": n,
+                "entries_dq": parts.reshape(m * n, 2, 4).tolist()}
 
     @classmethod
     def from_dict(cls, data):
@@ -124,10 +121,8 @@ class DualQuatMatrix:
         if len(entries) != m * n:
             raise ValueError("expected %d dual entries, got %d"
                              % (m * n, len(entries)))
-        std_rows = [[entries[i * n + j][0] for j in range(n)] for i in range(m)]
-        inf_rows = [[entries[i * n + j][1] for j in range(n)] for i in range(m)]
-        return cls(QuatMatrix.from_entries(std_rows),
-                   QuatMatrix.from_entries(inf_rows))
+        parts = np.array(entries, dtype=float).reshape(m, n, 2, 4)
+        return cls(parts[:, :, 0], parts[:, :, 1])
 
 
 def dq_hermitian_direct(a):

@@ -43,8 +43,7 @@ class HuaForm:
                "residual": float(self.residual),
                "unitarity_residual": float(self.unitarity_residual)}
         if include_u:
-            out["u"] = [[[float(v.real), float(v.imag)] for v in row]
-                        for row in self.u]
+            out["u"] = np.stack([self.u.real, self.u.imag], axis=-1).tolist()
         return out
 
 

@@ -10,7 +10,6 @@ the offending entry index in the message.
 """
 
 import json
-import math
 
 import numpy as np
 
@@ -56,7 +55,6 @@ def matrix_from_dict(data):
         raise MatrixFormatError(
             "expected %d %s, got %d" % (m * n, key, len(entries)
                                         if isinstance(entries, list) else -1))
-    flat = np.zeros((m * n, width))
     for idx, entry in enumerate(entries):
         if not isinstance(entry, list) or len(entry) != width:
             raise MatrixFormatError(
@@ -65,10 +63,11 @@ def matrix_from_dict(data):
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise MatrixFormatError(
                     "entry %d: component %d is not a number" % (idx, pos))
-            if not math.isfinite(value):
-                raise MatrixFormatError(
-                    "entry %d: component %d is not finite" % (idx, pos))
-            flat[idx, pos] = float(value)
+    flat = np.array(entries, dtype=float)
+    bad = np.argwhere(~np.isfinite(flat))
+    if bad.size:
+        raise MatrixFormatError(
+            "entry %d: component %d is not finite" % tuple(bad[0]))
     if has_q:
         return QuatMatrix(flat.reshape(m, n, 4))
     return (flat[:, 0] + 1j * flat[:, 1]).reshape(m, n)
@@ -76,17 +75,15 @@ def matrix_from_dict(data):
 
 def quat_matrix_to_dict(a):
     m, n = a.shape
-    return {"rows": m, "cols": n,
-            "entries": [[float(v) for v in a.data[i, j]]
-                        for i in range(m) for j in range(n)]}
+    return {"rows": m, "cols": n, "entries": a.data.reshape(m * n, 4).tolist()}
 
 
 def complex_matrix_to_dict(z):
     z = np.asarray(z, dtype=complex)
     m, n = z.shape
     return {"rows": m, "cols": n,
-            "entries_c": [[float(z[i, j].real), float(z[i, j].imag)]
-                          for i in range(m) for j in range(n)]}
+            "entries_c": np.stack([z.real, z.imag], axis=-1)
+                           .reshape(m * n, 2).tolist()}
 
 
 def save_matrix(path, value):

@@ -11,27 +11,30 @@ play deliberately:
 
 Keeping the multiply independent from the adjoint lets tests cross-check
 one against the other.
+
+The constructor alone copies (in C order, so the caller's array is never
+frozen) and checks for NaN/Inf; operations and predicates then work on
+the whole read-only (m, n, 4) array.
 """
 
 import numpy as np
 
 from .quaternion import Quaternion
 
+# component signs of the quaternion conjugate w - x i - y j - z k
+_CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
+
 
 class QuatMatrix:
     __slots__ = ("data",)
 
     def __init__(self, data):
-        arr = np.asarray(data, dtype=float)
-        if arr.ndim == 2:
-            # real matrix promoted to quaternion
-            full = np.zeros(arr.shape + (4,))
-            full[:, :, 0] = arr
-            arr = full
+        arr = np.array(data, dtype=float, order="C")
+        if arr.ndim == 2:  # real matrix promoted to quaternion
+            arr = np.pad(arr[:, :, None], [(0, 0), (0, 0), (0, 3)])
         if arr.ndim != 3 or arr.shape[2] != 4:
             raise ValueError("expected an (m, n, 4) array, got shape %r"
                              % (arr.shape,))
-        arr = np.ascontiguousarray(arr)
         if not np.isfinite(arr).all():
             raise ValueError("matrix has non-finite (NaN or Inf) entries")
         arr.setflags(write=False)
@@ -134,15 +137,11 @@ class QuatMatrix:
 
     def left_mul(self, q):
         """q * A with a quaternion scalar q applied entrywise on the left."""
-        q = Quaternion.coerce(q)
-        qa = tuple(np.array([[c]]) for c in q.components())
-        return _hamilton_matmul(qa, self.parts(), broadcast=True)
+        return _scalar_matrix(q, self.nrows) @ self
 
     def right_mul(self, q):
         """A * q with a quaternion scalar q applied entrywise on the right."""
-        q = Quaternion.coerce(q)
-        qa = tuple(np.array([[c]]) for c in q.components())
-        return _hamilton_matmul(self.parts(), qa, broadcast=True)
+        return self @ _scalar_matrix(q, self.ncols)
 
     def __mul__(self, s):
         return self.scale(s)
@@ -153,17 +152,15 @@ class QuatMatrix:
 
     def transpose(self):
         """Plain transpose, no conjugation.  Note (AB)^T != B^T A^T in general."""
-        return QuatMatrix(np.transpose(self.data, (1, 0, 2)))
+        return QuatMatrix(self.data.swapaxes(0, 1))
 
     def conj(self):
         """Entrywise quaternion conjugate."""
-        arr = np.array(self.data)
-        arr[:, :, 1:] *= -1.0
-        return QuatMatrix(arr)
+        return QuatMatrix(self.data * _CONJ_SIGNS)
 
     def conj_transpose(self):
         """The * operation: conjugate transpose.  (AB)* = B* A* always holds."""
-        return self.conj().transpose()
+        return QuatMatrix(self.data.swapaxes(0, 1) * _CONJ_SIGNS)
 
     # -- products --------------------------------------------------------------------
 
@@ -210,19 +207,20 @@ class QuatMatrix:
 
     def max_abs(self):
         """Largest entry magnitude |a_ij|, by hypot, so it does not overflow."""
-        d = self.data
-        return float(np.hypot(np.hypot(d[..., 0], d[..., 1]),
-                              np.hypot(d[..., 2], d[..., 3])).max(initial=0.0))
+        return _max_abs(self.data)
 
     def is_hermitian(self, tol=1e-10):
         """A* = A within tol * max|a_ij|; the zero matrix passes."""
         self._require_square("is_hermitian")
-        return (self - self.conj_transpose()).max_abs() <= tol * self.max_abs()
+        d = self.data
+        gap = _max_abs(d - d.swapaxes(0, 1) * _CONJ_SIGNS)
+        return gap <= tol * self.max_abs()
 
     def is_skew_symmetric(self, tol=1e-10):
         """Z^T = -Z under the plain transpose, within tol * max|z_ij|."""
         self._require_square("is_skew_symmetric")
-        return (self.transpose() + self).max_abs() <= tol * self.max_abs()
+        d = self.data
+        return _max_abs(d.swapaxes(0, 1) + d) <= tol * self.max_abs()
 
     def is_unitary(self):
         """A* A = I within Frobenius residual 1e-10."""
@@ -239,7 +237,7 @@ class QuatMatrix:
         """max|a_ij - b_ij| within tol times the larger of the two max_abs."""
         other = _coerce_matrix(other, self.shape)
         scale = max(self.max_abs(), other.max_abs())
-        return (self - other).max_abs() <= tol * scale
+        return _max_abs(self.data - other.data) <= tol * scale
 
 
 def random_skew_symmetric(n, seed, scale=1.0):
@@ -273,16 +271,23 @@ def _coerce_matrix(value, shape):
     return value
 
 
-def _hamilton_matmul(parts_a, parts_b, broadcast=False):
+def _max_abs(d):
+    """Largest entry magnitude of an (m, n, 4) array, by hypot."""
+    return float(np.hypot(np.hypot(d[..., 0], d[..., 1]),
+                          np.hypot(d[..., 2], d[..., 3])).max(initial=0.0))
+
+
+def _scalar_matrix(q, n):
+    """q I: the quaternion scalar q on the diagonal of an n x n matrix."""
+    return QuatMatrix(np.eye(n)[:, :, None] * Quaternion.coerce(q).components())
+
+
+def _hamilton_matmul(parts_a, parts_b):
     """Multiply via the sixteen real products of the component matrices."""
     w1, x1, y1, z1 = parts_a
     w2, x2, y2, z2 = parts_b
-    if broadcast:
-        mul = lambda p, q: p * q
-    else:
-        mul = lambda p, q: p @ q
-    w = mul(w1, w2) - mul(x1, x2) - mul(y1, y2) - mul(z1, z2)
-    x = mul(w1, x2) + mul(x1, w2) + mul(y1, z2) - mul(z1, y2)
-    y = mul(w1, y2) - mul(x1, z2) + mul(y1, w2) + mul(z1, x2)
-    z = mul(w1, z2) + mul(x1, y2) - mul(y1, x2) + mul(z1, w2)
+    w = w1 @ w2 - x1 @ x2 - y1 @ y2 - z1 @ z2
+    x = w1 @ x2 + x1 @ w2 + y1 @ z2 - z1 @ y2
+    y = w1 @ y2 - x1 @ z2 + y1 @ w2 + z1 @ x2
+    z = w1 @ z2 + x1 @ y2 - y1 @ x2 + z1 @ w2
     return QuatMatrix(np.stack([w, x, y, z], axis=-1))

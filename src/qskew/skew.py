@@ -195,7 +195,7 @@ def _candidate(trial, z, values, gap_tol):
                           float(gaps.min() / lam_max))
 
 
-def basic_candidate_search(n, trials, seed, scale=1.0, gap_tol=1e-3, workers=1):
+def basic_candidate_search(n, trials, seed, scale=1.0, gap_tol=1e-3):
     """Scan seeded random skew matrices for fully distinct positive W spectra.
 
     A hit means all n right eigenvalues of W are positive and every
@@ -206,8 +206,7 @@ def basic_candidate_search(n, trials, seed, scale=1.0, gap_tol=1e-3, workers=1):
     streams come from trial_seed, and the W of SEARCH_BLOCK consecutive
     trials are solved in one eigensolver call whose slices do not affect
     each other, so the hits do not depend on the block size.  Everything
-    runs in the calling thread.  workers is accepted for compatibility and
-    changes neither the output nor the execution.
+    runs in the calling thread.
     """
     if n < 4:
         raise ValueError("search needs n >= 4; smaller sizes are settled")

@@ -121,6 +121,8 @@ def test_search_basic_rejects_small_n(capsys):
     for flag in ("--scale", "--gap-tol"):
         for value in ("0", "-1", "nan", "inf"):
             assert main(["search-basic", "--trials", "5", flag, value]) == 2
+    for value in ("0", "-1"):
+        assert main(["search-basic", "--trials", "5", "--workers", value]) == 2
 
 
 def test_unread_flags_are_rejected(capsys):

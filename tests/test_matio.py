@@ -57,6 +57,11 @@ def test_dict_shapes():
     ({"rows": 1, "cols": 1, "entries": [[0, 0, 0, True]]}, "number"),
     ({"rows": 1, "cols": 1, "entries": [[0, 0, 0, float("nan")]]}, "finite"),
     ({"rows": 1, "cols": 1, "entries_c": [[1, 2, 3]]}, "entry 0"),
+    ({"rows": 2, "cols": 2,
+      "entries": [[0] * 4] * 3 + [[0, 0, float("inf"), 0]]},
+     "entry 3: component 2 is not finite"),
+    ({"rows": 2, "cols": 2, "entries": [[0] * 4] * 2 + [[0, "1", 0, 0], [0] * 4]},
+     "entry 2: component 1 is not a number"),
 ])
 def test_rejects_malformed(data, msg):
     with pytest.raises(MatrixFormatError, match=msg):

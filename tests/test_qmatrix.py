@@ -28,6 +28,15 @@ def test_blocks_immutable():
         a.data[0, 0, 0] = 5.0
 
 
+def test_construction_copies_the_input():
+    # the caller's array stays writable and later writes do not reach m
+    a = np.zeros((2, 2, 4))
+    m = QuatMatrix(a)
+    a[0, 0, 0] = 1.0
+    assert m.max_abs() == 0.0
+    assert QuatMatrix(a).entry(0, 0) == ONE
+
+
 def test_from_parts_round_trip():
     rng = np.random.default_rng(0)
     parts = [rng.normal(size=(3, 2)) for _ in range(4)]

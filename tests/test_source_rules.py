@@ -23,8 +23,6 @@ BANNED = ("numpy.linalg", "concurrent.futures", "threading")
 UNREAD_ALLOWED = {
     ("__setattr__", "name"): "immutability guard: every assignment raises",
     ("__setattr__", "value"): "immutability guard: every assignment raises",
-    ("basic_candidate_search", "workers"):
-        "accepted for compatibility; trials run in one thread",
 }
 
 
