@@ -78,15 +78,11 @@ def _rng(seed):
 
 
 def cmd_spectrum(args):
-    mat = load_matrix(args.path)
-    if not isinstance(mat, QuatMatrix):
-        mat = QuatMatrix.from_complex_pair(mat, np.zeros_like(mat))
+    mat = QuatMatrix.coerce(load_matrix(args.path))
     tol = _resolve_tol(args, GENERAL_TOL)
     if mat.nrows != mat.ncols:
         raise MatrixFormatError("spectrum needs a square matrix, got %dx%d"
                                 % mat.shape)
-    if not mat.is_skew_symmetric(tol):
-        raise ValueError("matrix is not skew-symmetric within tolerance")
     w = gram_product(mat, tol)
     spec = right_eigenvalues_hermitian(w, tol)
     solid = float(spec.values.min()) > tol * w.norm()
@@ -153,9 +149,7 @@ def cmd_hua(args):
 
 
 def cmd_inverse_check(args):
-    mat = load_matrix(args.path)
-    if not isinstance(mat, QuatMatrix):
-        mat = QuatMatrix.from_complex_pair(mat, np.zeros_like(mat))
+    mat = QuatMatrix.coerce(load_matrix(args.path))
     tol = _resolve_tol(args, GENERAL_TOL)
     report = inverse_skew_report(mat, tol)
     if args.json:

@@ -15,11 +15,14 @@ Provided:
   tridiagonal form by Householder reflections and bisect all eigenvalues
   at once on Sturm counts.  Either way every slice is checked and
   converges on its own
+* frobenius_norm: Frobenius norm that neither under- nor overflows
 * lu_factor / lu_solve / lu_inverse: LU with partial pivoting
 * mgs_orthonormalize: modified Gram-Schmidt with a second pass
 * cluster_runs / companion_basis: grouping of a sorted spectrum, and an
   orthonormal basis of (u, partner(u)) pairs inside one cluster
 """
+
+import math
 
 import numpy as np
 
@@ -39,6 +42,17 @@ MAX_SWEEPS = 100
 TRIDIAG_MIN = 32
 # the stopping rule closes every interval within 53 halvings
 MAX_BISECTIONS = 100
+
+
+def frobenius_norm(a):
+    """Frobenius norm of a real or complex array that neither under- nor
+    overflows.  It is the plain sum when the largest magnitude lies in
+    (2^-480, 2^480), and otherwise a sum scaled exactly by a power of two."""
+    mag = np.abs(a)
+    e = math.frexp(mag.max(initial=0.0))[1]
+    if -480 < e < 480:  # the largest square is normal and the sum finite
+        return math.sqrt((mag ** 2).sum())
+    return float(np.ldexp(np.sqrt((np.ldexp(mag, -e) ** 2).sum()), e))
 
 
 def _offdiag_norm(a, mask):
@@ -308,7 +322,7 @@ def lu_factor(a, tol=1e-10):
     if not np.isfinite(a).all():
         raise ValueError("lu_factor needs finite entries")
     n = a.shape[0]
-    pivot_tol = tol * float(np.sqrt((np.abs(a) ** 2).sum()))
+    pivot_tol = tol * frobenius_norm(a)
     piv = np.arange(n)
     for k in range(n):
         r = k + int(np.argmax(np.abs(a[k:, k])))

@@ -71,12 +71,8 @@ class DualQuatMatrix:
     __slots__ = ("std", "inf")
 
     def __init__(self, std, inf=None):
-        if not isinstance(std, QuatMatrix):
-            std = QuatMatrix(std)
-        if inf is None:
-            inf = QuatMatrix.zeros(*std.shape)
-        elif not isinstance(inf, QuatMatrix):
-            inf = QuatMatrix(inf)
+        std = QuatMatrix.coerce(std)
+        inf = QuatMatrix.zeros(*std.shape) if inf is None else QuatMatrix.coerce(inf)
         if std.shape != inf.shape:
             raise ValueError("part shapes disagree: %r vs %r"
                              % (std.shape, inf.shape))

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clinalg import (ConvergenceError, cluster_runs, companion_basis, herm_eig,
-                      mgs_orthonormalize)
+from .clinalg import (ConvergenceError, cluster_runs, companion_basis,
+                      frobenius_norm, herm_eig, mgs_orthonormalize)
 from .qmatrix import QuatMatrix
 
 CLUSTER_TOL = 1e-8
@@ -45,19 +45,6 @@ class HuaForm:
         if include_u:
             out["u"] = np.stack([self.u.real, self.u.imag], axis=-1).tolist()
         return out
-
-
-def _norm(x):
-    return float(np.sqrt((np.abs(x) ** 2).sum()))
-
-
-def _check_complex_skew(z, tol):
-    z = np.asarray(z, dtype=complex)
-    if z.ndim != 2 or z.shape[0] != z.shape[1]:
-        raise ValueError("need a square matrix, got shape %r" % (z.shape,))
-    if not QuatMatrix.from_complex_pair(z, np.zeros_like(z)).is_skew_symmetric(tol):
-        raise ValueError("matrix is not skew-symmetric within tolerance")
-    return z
 
 
 def _cluster_cut(values):
@@ -100,9 +87,11 @@ def hua_decompose(z, tol=1e-8):
     residuals exceed their contracts.  The kernel cut and the residual
     limit are tol * ||Z||_F, the cluster gap CLUSTER_TOL * sigma_max^2.
     """
-    z = _check_complex_skew(z, tol)
+    z = np.asarray(z, dtype=complex)
+    if not QuatMatrix(z).is_skew_symmetric(tol):
+        raise ValueError("matrix is not skew-symmetric within tolerance")
     n = z.shape[0]
-    scale = _norm(z)
+    scale = frobenius_norm(z)
     if n == 0:
         return HuaForm(np.zeros((0, 0), dtype=complex), [], 0, 0.0, 0.0)
 
@@ -111,14 +100,14 @@ def hua_decompose(z, tol=1e-8):
 
     # measure each mode directly on Z; far sharper near the kernel than
     # sqrt of the H eigenvalue
-    sig_hat = np.array([_norm(z @ v[:, j].conj()) for j in range(n)])
+    sig_hat = np.array([frobenius_norm(z @ v[:, j].conj()) for j in range(n)])
     zero_idx = [j for j in range(n) if sig_hat[j] <= tol * scale]
     order = np.argsort(sig_hat, kind="stable")
     pos = order[sig_hat[order] > tol * scale]
 
     def partner(u):
         zu = z @ u.conj()
-        return zu / _norm(zu)
+        return zu / frobenius_norm(zu)
 
     # group positive modes whose squared values sit within the gap rule,
     # then take one (w, u) block pair per two modes, highest cluster first
@@ -130,7 +119,7 @@ def hua_decompose(z, tol=1e-8):
                 "positive eigenvalue cluster of odd size %d at sigma ~ %.6g; "
                 "clustering tolerance is off" % (hi - lo, sig_hat[pos[lo]]))
         for u, w in companion_basis(v[:, pos[lo:hi]], (hi - lo) // 2, partner):
-            pairs.append((_norm(z @ u.conj()), w, u))
+            pairs.append((frobenius_norm(z @ u.conj()), w, u))
 
     pairs.sort(key=lambda p: -p[0])
 
@@ -149,8 +138,8 @@ def hua_decompose(z, tol=1e-8):
     u_mat = np.array([r.conj() for r in rows])
     form = HuaForm(u_mat, [p[0] for p in pairs], len(kernel), 0.0, 0.0)
     sig_target = form.canonical()
-    form.residual = _norm(u_mat @ z @ u_mat.T - sig_target)
-    form.unitarity_residual = _norm(u_mat.conj().T @ u_mat - np.eye(n))
+    form.residual = frobenius_norm(u_mat @ z @ u_mat.T - sig_target)
+    form.unitarity_residual = frobenius_norm(u_mat.conj().T @ u_mat - np.eye(n))
 
     if form.residual > tol * scale or form.unitarity_residual > tol:
         raise ConvergenceError(

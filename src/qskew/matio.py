@@ -10,6 +10,7 @@ the offending entry index in the message.
 """
 
 import json
+import sys
 
 import numpy as np
 
@@ -63,7 +64,13 @@ def matrix_from_dict(data):
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise MatrixFormatError(
                     "entry %d: component %d is not a number" % (idx, pos))
-    flat = np.array(entries, dtype=float)
+    try:
+        flat = np.array(entries, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        big = next((idx, pos) for idx, entry in enumerate(entries)
+                   for pos, value in enumerate(entry) if abs(value) > sys.float_info.max)
+        raise MatrixFormatError(
+            "entry %d: component %d is beyond the float range" % big) from None
     bad = np.argwhere(~np.isfinite(flat))
     if bad.size:
         raise MatrixFormatError(

@@ -12,13 +12,14 @@ play deliberately:
 Keeping the multiply independent from the adjoint lets tests cross-check
 one against the other.
 
-The constructor alone copies (in C order, so the caller's array is never
-frozen) and checks for NaN/Inf; operations and predicates then work on
-the whole read-only (m, n, 4) array.
+The constructor alone embeds a 2-D real or complex A as A + 0 j, copies
+(in C order, so the caller's array is never frozen) and checks for NaN/Inf;
+operations and predicates then work on the whole read-only (m, n, 4) array.
 """
 
 import numpy as np
 
+from .clinalg import frobenius_norm
 from .quaternion import Quaternion
 
 # component signs of the quaternion conjugate w - x i - y j - z k
@@ -29,9 +30,14 @@ class QuatMatrix:
     __slots__ = ("data",)
 
     def __init__(self, data):
-        arr = np.array(data, dtype=float, order="C")
-        if arr.ndim == 2:  # real matrix promoted to quaternion
-            arr = np.pad(arr[:, :, None], [(0, 0), (0, 0), (0, 3)])
+        arr = np.asarray(data)
+        if arr.ndim == 2:  # real or complex A embedded as A + 0 j
+            zero = np.zeros(arr.shape)
+            arr = np.stack([arr.real, arr.imag, zero, zero], axis=-1)
+        elif arr.dtype.kind == "c":
+            raise ValueError("a complex array must be an (m, n) matrix, got "
+                             "shape %r" % (arr.shape,))
+        arr = np.array(arr, dtype=float, order="C")
         if arr.ndim != 3 or arr.shape[2] != 4:
             raise ValueError("expected an (m, n, 4) array, got shape %r"
                              % (arr.shape,))
@@ -46,12 +52,14 @@ class QuatMatrix:
     # -- constructors ----------------------------------------------------------
 
     @classmethod
+    def coerce(cls, value):
+        """Return a QuatMatrix unchanged; build anything else by the constructor."""
+        return value if isinstance(value, cls) else cls(value)
+
+    @classmethod
     def from_entries(cls, rows):
         """Build from nested lists of Quaternion / scalar / 4-sequences."""
-        qrows = []
-        for row in rows:
-            qrows.append([Quaternion.coerce(v).components() for v in row])
-        return cls(np.array(qrows, dtype=float))
+        return cls([[Quaternion.coerce(v).components() for v in row] for row in rows])
 
     @classmethod
     def from_parts(cls, a0, a1=None, a2=None, a3=None):
@@ -59,8 +67,6 @@ class QuatMatrix:
         parts = [a0]
         for p in (a1, a2, a3):
             parts.append(np.zeros_like(a0) if p is None else np.asarray(p, dtype=float))
-        if not all(p.shape == a0.shape for p in parts):
-            raise ValueError("component shapes disagree")
         return cls(np.stack(parts, axis=-1))
 
     @classmethod
@@ -199,11 +205,9 @@ class QuatMatrix:
     # -- metrics and predicates ----------------------------------------------------------
 
     def norm(self):
-        """Frobenius norm over all quaternion components.  It is summed
-        scaled by a power of two, exactly, so it neither under- nor
-        overflows, and equals the plain sum wherever that does neither."""
-        e = np.frexp(np.abs(self.data).max(initial=0.0))[1]
-        return float(np.ldexp(np.sqrt((np.ldexp(self.data, -e) ** 2).sum()), e))
+        """Frobenius norm over all quaternion components, by frobenius_norm,
+        so it neither under- nor overflows."""
+        return frobenius_norm(self.data)
 
     def max_abs(self):
         """Largest entry magnitude |a_ij|, by hypot, so it does not overflow."""
@@ -264,8 +268,7 @@ def random_skew_symmetric(n, seed, scale=1.0):
 
 
 def _coerce_matrix(value, shape):
-    if not isinstance(value, QuatMatrix):
-        value = QuatMatrix(value)
+    value = QuatMatrix.coerce(value)
     if shape is not None and value.shape != shape:
         raise ValueError("shape mismatch: %r vs %r" % (value.shape, shape))
     return value

@@ -142,8 +142,7 @@ def inverse_skew_report(z, tol=1e-10):
     invertible 2x2 but is materially positive for every invertible 3x3;
     singular input is reported through invertible = False, not raised.
     """
-    if not isinstance(z, QuatMatrix):
-        z = QuatMatrix(z)
+    z = QuatMatrix.coerce(z)
     if not z.is_skew_symmetric(tol):
         raise ValueError("inverse_skew_report needs a skew-symmetric matrix")
     try:

@@ -51,8 +51,7 @@ def _antidual(v):
 
 
 def _hermitian(a, tol):
-    if not isinstance(a, QuatMatrix):
-        a = QuatMatrix(a)
+    a = QuatMatrix.coerce(a)
     if not a.is_hermitian(tol):
         raise ValueError("right spectrum needs a Hermitian matrix")
     return a
@@ -113,8 +112,7 @@ def gram_product(z, tol=1e-10):
     entrywise; for a skew-symmetric Z they are the same matrix.  The
     result is Hermitian positive semidefinite.
     """
-    if not isinstance(z, QuatMatrix):
-        z = QuatMatrix(z)
+    z = QuatMatrix.coerce(z)
     if not z.is_skew_symmetric(tol):
         raise ValueError("gram_product needs a skew-symmetric matrix")
     w = z @ z.conj_transpose()
@@ -132,8 +130,7 @@ def quat_inverse(a, tol=1e-10):
     not invertible, and ValueError if the inverse loses the adjoint block
     structure beyond tolerance.
     """
-    if not isinstance(a, QuatMatrix):
-        a = QuatMatrix(a)
+    a = QuatMatrix.coerce(a)
     a._require_square("quat_inverse")
     return QuatMatrix.from_chi(lu_inverse(a.chi(), tol=tol), tol=1e-8)
 
@@ -141,7 +138,7 @@ def quat_inverse(a, tol=1e-10):
 def _lowest_and_floor(a):
     """Min right eigenvalue of A and the floor 1e-10 * ||A||_F.  The floor
     of the zero matrix is 0, so it is semidefinite and not definite."""
-    a = a if isinstance(a, QuatMatrix) else QuatMatrix(a)
+    a = QuatMatrix.coerce(a)
     return (float(right_eigenvalues_hermitian(a).values.min()),
             1e-10 * a.norm())
 

@@ -20,6 +20,7 @@ from qskew import (
     lu_solve,
     mgs_orthonormalize,
 )
+from qskew.clinalg import frobenius_norm
 
 
 def random_hermitian(rng, n, scale=1.0):
@@ -245,6 +246,34 @@ def test_lu_singular_raises():
         lu_factor(a)
     with pytest.raises(SingularMatrixError):
         lu_inverse(np.zeros((3, 3), dtype=complex))
+
+
+def test_frobenius_norm_matches_the_plain_sum():
+    # bitwise the unscaled sum wherever that neither under- nor overflows,
+    # on both sides of the 2^480 (about 3e144) scaling cut
+    rng = np.random.default_rng(5)
+    for _ in range(400):
+        shape = tuple(rng.integers(1, 7, size=2))
+        x = rng.normal(size=shape) * 10.0 ** rng.uniform(-150, 150)
+        z = x + 1j * rng.normal(size=shape) * 10.0 ** rng.uniform(-150, 150)
+        for a in (x, z):
+            assert frobenius_norm(a) == float(np.sqrt((np.abs(a) ** 2).sum()))
+    assert frobenius_norm(np.zeros((0, 3))) == 0.0
+    assert frobenius_norm(np.zeros((2, 2), dtype=complex)) == 0.0
+
+
+def test_frobenius_norm_neither_under_nor_overflows():
+    a = np.array([[3.0, 4j], [0.0, 0.0]])
+    for c in (1e-200, 1e200, 1e300):
+        assert frobenius_norm(c * a) == pytest.approx(5.0 * c, rel=1e-15)
+
+
+def test_lu_threshold_does_not_overflow():
+    # the pivot threshold is tol * ||A||_F, which must stay finite
+    for c in (1e-200, 1e200):
+        lu, piv = lu_factor(c * np.eye(3, dtype=complex))
+        np.testing.assert_array_equal(np.diag(lu), [c] * 3)
+        np.testing.assert_allclose(lu_inverse(c * np.eye(3)), np.eye(3) / c, rtol=1e-15)
 
 
 def test_lu_pivoting_stability():

@@ -62,6 +62,8 @@ def test_dict_shapes():
      "entry 3: component 2 is not finite"),
     ({"rows": 2, "cols": 2, "entries": [[0] * 4] * 2 + [[0, "1", 0, 0], [0] * 4]},
      "entry 2: component 1 is not a number"),
+    ({"rows": 1, "cols": 2, "entries": [[0] * 4, [0, 0, -10 ** 400, 0]]},
+     "entry 1: component 2 is beyond the float range"),
 ])
 def test_rejects_malformed(data, msg):
     with pytest.raises(MatrixFormatError, match=msg):

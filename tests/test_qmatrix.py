@@ -37,6 +37,33 @@ def test_construction_copies_the_input():
     assert QuatMatrix(a).entry(0, 0) == ONE
 
 
+def test_complex_matrix_is_embedded():
+    # a complex Z becomes Z + 0 j, bitwise what from_complex_pair(Z, 0) builds
+    rng = np.random.default_rng(12)
+    z = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+    z[0, 0] = complex(-0.0, -0.0)
+    expect = QuatMatrix.from_complex_pair(z, np.zeros_like(z)).data
+    for value in (z, z.tolist()):
+        got = QuatMatrix(value).data
+        assert got.tobytes() == expect.tobytes()
+    assert QuatMatrix.coerce(z).data.tobytes() == expect.tobytes()
+    assert QuatMatrix([[1, 1j], [-1j, 1]]).entry(0, 1) == I
+
+
+def test_complex_quaternion_array_rejected():
+    # no other complex shape has an embedding; it must not lose its
+    # imaginary parts quietly
+    for bad in (np.zeros((2, 2, 4), dtype=complex), np.ones(3, dtype=complex)):
+        with pytest.raises(ValueError, match="complex"):
+            QuatMatrix(bad)
+
+
+def test_coerce_returns_a_matrix_unchanged():
+    a = QuatMatrix.eye(2)
+    assert QuatMatrix.coerce(a) is a
+    assert QuatMatrix.coerce(np.eye(2)).allclose(a, tol=0.0)
+
+
 def test_from_parts_round_trip():
     rng = np.random.default_rng(0)
     parts = [rng.normal(size=(3, 2)) for _ in range(4)]

@@ -119,6 +119,18 @@ def test_inverse_check_verdict(c, seed):
     assert inverse_verdict(solid.scale(c)).endswith("no")
 
 
+def test_inverse_check_verdict_at_extreme_scales():
+    # the LU pivot threshold is tol * ||Z||_F, summed without under- or
+    # overflow, so neither 1e-160 nor 1e160 (entries squared out of the
+    # float range) changes the verdict
+    rng = np.random.Generator(np.random.Philox(key=3))
+    two = random_skew_symmetric(2, 3)
+    solid = sample_generic_triple(rng).matrix()
+    for c in (1e-160, 1e160):
+        assert inverse_verdict(two.scale(c)) == "inverse stays skew-symmetric: yes"
+        assert inverse_verdict(solid.scale(c)) == "inverse stays skew-symmetric: no"
+
+
 # -- inputs far from unit scale that an absolute floor misjudges ---------------
 
 def test_spectrum_of_small_solid_matrix(tmp_path):

@@ -137,6 +137,21 @@ def test_inverse_rejects_non_skew():
         inverse_skew_report(QuatMatrix.eye(2))
 
 
+def test_complex_skew_input_matches_its_promotion():
+    # a complex Z is the quaternion matrix Z + 0 j, so every entry point
+    # gives the same answer for both
+    rng = np.random.default_rng(21)
+    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    for z in (np.array([[0, 2j], [-2j, 0]]), m - m.T):
+        q = QuatMatrix.from_complex_pair(z, np.zeros_like(z))
+        assert gram_product(z).data.tobytes() == gram_product(q).data.tobytes()
+        assert inverse_skew_report(z).to_dict() == inverse_skew_report(q).to_dict()
+        assert is_solid(z) and is_solid(q)
+        assert quaternion_even_multiplicity_check(z)
+        assert quaternion_even_multiplicity_check(q)
+    assert inverse_skew_report(np.array([[0, 2j], [-2j, 0]])).invertible
+
+
 def test_reference_4x4_spectrum():
     z = reference_4x4()
     assert z.is_skew_symmetric()

@@ -139,6 +139,14 @@ def test_right_spectrum_of_tiny_and_huge_matrices():
         assert is_positive_definite(a)
 
 
+def test_complex_hermitian_input_keeps_its_imaginary_parts():
+    # [[1, i], [-i, 1]] has eigenvalues 0 and 2; its real part, I, has 1, 1
+    a = np.array([[1, 1j], [-1j, 1]])
+    np.testing.assert_allclose(right_eigenvalues_hermitian(a).values, [0.0, 2.0],
+                               atol=1e-14)
+    assert not is_positive_definite(a)
+
+
 def test_two_by_two_double_eigenvalue():
     # skew with a single quaternion above the diagonal: spectrum (|a|^2, |a|^2)
     for seed in range(5):
