@@ -77,12 +77,17 @@ def _rng(seed):
     return np.random.Generator(np.random.Philox(key=seed))
 
 
+def _require_square(mat, command):
+    """A non-square matrix file is an input error, not a contract violation."""
+    if mat.nrows != mat.ncols:
+        raise MatrixFormatError("%s needs a square matrix, got %dx%d"
+                                % ((command,) + mat.shape))
+
+
 def cmd_spectrum(args):
     mat = QuatMatrix.coerce(load_matrix(args.path))
     tol = _resolve_tol(args, GENERAL_TOL)
-    if mat.nrows != mat.ncols:
-        raise MatrixFormatError("spectrum needs a square matrix, got %dx%d"
-                                % mat.shape)
+    _require_square(mat, "spectrum")
     w = gram_product(mat, tol)
     spec = right_eigenvalues_hermitian(w, tol)
     solid = float(spec.values.min()) > tol * w.norm()
@@ -151,6 +156,7 @@ def cmd_hua(args):
 def cmd_inverse_check(args):
     mat = QuatMatrix.coerce(load_matrix(args.path))
     tol = _resolve_tol(args, GENERAL_TOL)
+    _require_square(mat, "inverse-check")
     report = inverse_skew_report(mat, tol)
     if args.json:
         print(json.dumps(report.to_dict(), sort_keys=True))

@@ -15,14 +15,13 @@ Provided:
   tridiagonal form by Householder reflections and bisect all eigenvalues
   at once on Sturm counts.  Either way every slice is checked and
   converges on its own
-* frobenius_norm: Frobenius norm that neither under- nor overflows
+* frobenius_norm: Frobenius norm, of an array or per slice, that neither
+  under- nor overflows
 * lu_factor / lu_solve / lu_inverse: LU with partial pivoting
 * mgs_orthonormalize: modified Gram-Schmidt with a second pass
 * cluster_runs / companion_basis: grouping of a sorted spectrum, and an
   orthonormal basis of (u, partner(u)) pairs inside one cluster
 """
-
-import math
 
 import numpy as np
 
@@ -44,15 +43,23 @@ TRIDIAG_MIN = 32
 MAX_BISECTIONS = 100
 
 
-def frobenius_norm(a):
-    """Frobenius norm of a real or complex array that neither under- nor
-    overflows.  It is the plain sum when the largest magnitude lies in
-    (2^-480, 2^480), and otherwise a sum scaled exactly by a power of two."""
+def frobenius_norm(a, axis=None):
+    """Frobenius norm of a real or complex array, as a float, or with axis
+    the array of norms of its slices over those axes; neither under- nor
+    overflows.  Each is the plain sum when the largest magnitude lies in
+    [2^-480, 2^479), and otherwise a sum scaled exactly by a power of two."""
     mag = np.abs(a)
-    e = math.frexp(mag.max(initial=0.0))[1]
-    if -480 < e < 480:  # the largest square is normal and the sum finite
-        return math.sqrt((mag ** 2).sum())
-    return float(np.ldexp(np.sqrt((np.ldexp(mag, -e) ** 2).sum()), e))
+    top = mag.max(axis=axis, keepdims=True, initial=0.0)
+    tops = top.ravel().tolist()
+    # every slice's largest square is normal and its sum finite
+    if 2.0 ** -480 <= min(tops, default=1.0) and max(tops, default=1.0) < 2.0 ** 479:
+        norm = np.sqrt((mag ** 2).sum(axis=axis))
+    else:
+        e = np.frexp(top)[1]
+        e[np.abs(e) < 480] = 0  # 2^0 leaves the slices above as they are
+        norm = np.ldexp(np.sqrt((np.ldexp(mag, -e) ** 2).sum(axis=axis)),
+                        np.squeeze(e, axis))
+    return float(norm) if axis is None else norm
 
 
 def _offdiag_norm(a, mask):

@@ -1,8 +1,10 @@
 """Quaternion matrices over numpy.
 
 A QuatMatrix holds an (m, n, 4) float64 array; the last axis carries the
-(w, x, y, z) components of each entry.  Two representations are kept in
-play deliberately:
+(w, x, y, z) components of each entry.  It may also hold a stack of
+same-size matrices, a (..., m, n, 4) array; a single matrix is the stack
+with no leading axes, so one code path serves both.  Two representations
+are kept in play deliberately:
 
 * component form A0 + A1 i + A2 j + A3 k, used for the Hamilton-product
   matrix multiply (16 real matmuls), and
@@ -14,7 +16,10 @@ one against the other.
 
 The constructor alone embeds a 2-D real or complex A as A + 0 j, copies
 (in C order, so the caller's array is never frozen) and checks for NaN/Inf;
-operations and predicates then work on the whole read-only (m, n, 4) array.
+operations and predicates then work on the whole read-only array.  On a
+stack they act slice by slice, broadcasting as numpy does, and give
+bitwise the per-slice results: metrics and predicates return one value per
+slice (an array), and a Python float or bool for a single matrix.
 """
 
 import numpy as np
@@ -38,9 +43,9 @@ class QuatMatrix:
             raise ValueError("a complex array must be an (m, n) matrix, got "
                              "shape %r" % (arr.shape,))
         arr = np.array(arr, dtype=float, order="C")
-        if arr.ndim != 3 or arr.shape[2] != 4:
-            raise ValueError("expected an (m, n, 4) array, got shape %r"
-                             % (arr.shape,))
+        if arr.ndim < 3 or arr.shape[-1] != 4:
+            raise ValueError("expected an (m, n, 4) array or a stack of them, "
+                             "got shape %r" % (arr.shape,))
         if not np.isfinite(arr).all():
             raise ValueError("matrix has non-finite (NaN or Inf) entries")
         arr.setflags(write=False)
@@ -91,17 +96,19 @@ class QuatMatrix:
 
     @property
     def shape(self):
-        return self.data.shape[:2]
+        """(m, n), the shape of each matrix of a stack."""
+        return self.data.shape[-3:-1]
 
     @property
     def nrows(self):
-        return self.data.shape[0]
+        return self.data.shape[-3]
 
     @property
     def ncols(self):
-        return self.data.shape[1]
+        return self.data.shape[-2]
 
     def entry(self, i, j):
+        """Entry (i, j) of a single matrix."""
         return Quaternion(*self.data[i, j])
 
     def __getitem__(self, key):
@@ -110,19 +117,19 @@ class QuatMatrix:
 
     def column(self, j):
         """Column j as an (m, 1) QuatMatrix."""
-        return QuatMatrix(self.data[:, j:j + 1, :])
+        return QuatMatrix(self.data[..., j:j + 1, :])
 
     def parts(self):
-        """The four real component matrices (copies)."""
-        return tuple(np.array(self.data[:, :, c]) for c in range(4))
+        """The four real component matrices (C-contiguous copies)."""
+        return tuple(np.array(self.data[..., c]) for c in range(4))
 
     def complex_pair(self):
-        """(A_c, A_d) with A = A_c + A_d j, both complex (m, n)."""
+        """(A_c, A_d) with A = A_c + A_d j, both complex (..., m, n)."""
         a0, a1, a2, a3 = self.parts()
         return a0 + 1j * a1, a2 + 1j * a3
 
     def __repr__(self):
-        return "QuatMatrix(shape=%dx%d)" % self.shape
+        return "QuatMatrix(shape=%s)" % "x".join(map(str, self.data.shape[:-1]))
 
     # -- linear structure ---------------------------------------------------------
 
@@ -158,7 +165,7 @@ class QuatMatrix:
 
     def transpose(self):
         """Plain transpose, no conjugation.  Note (AB)^T != B^T A^T in general."""
-        return QuatMatrix(self.data.swapaxes(0, 1))
+        return QuatMatrix(self.data.swapaxes(-3, -2))
 
     def conj(self):
         """Entrywise quaternion conjugate."""
@@ -166,7 +173,7 @@ class QuatMatrix:
 
     def conj_transpose(self):
         """The * operation: conjugate transpose.  (AB)* = B* A* always holds."""
-        return QuatMatrix(self.data.swapaxes(0, 1) * _CONJ_SIGNS)
+        return QuatMatrix(_conj_transpose(self.data))
 
     # -- products --------------------------------------------------------------------
 
@@ -184,9 +191,16 @@ class QuatMatrix:
     # -- adjoint ----------------------------------------------------------------------
 
     def chi(self):
-        """Complex adjoint: [[A_c, A_d], [-conj(A_d), conj(A_c)]]."""
+        """Complex adjoint [[A_c, A_d], [-conj(A_d), conj(A_c)]], built
+        by slice assignment, (..., 2m, 2n)."""
         ac, ad = self.complex_pair()
-        return np.block([[ac, ad], [-ad.conj(), ac.conj()]])
+        m, n = self.shape
+        out = np.empty(ac.shape[:-2] + (2 * m, 2 * n), dtype=complex)
+        out[..., :m, :n] = ac
+        out[..., :m, n:] = ad
+        out[..., m:, :n] = -ad.conj()
+        out[..., m:, n:] = ac.conj()
+        return out
 
     @classmethod
     def from_chi(cls, c, tol=1e-10):
@@ -207,24 +221,23 @@ class QuatMatrix:
     def norm(self):
         """Frobenius norm over all quaternion components, by frobenius_norm,
         so it neither under- nor overflows."""
-        return frobenius_norm(self.data)
+        return _per_slice(frobenius_norm(self.data, axis=(-3, -2, -1)))
 
     def max_abs(self):
         """Largest entry magnitude |a_ij|, by hypot, so it does not overflow."""
-        return _max_abs(self.data)
+        return _per_slice(_max_abs(self.data))
 
     def is_hermitian(self, tol=1e-10):
         """A* = A within tol * max|a_ij|; the zero matrix passes."""
         self._require_square("is_hermitian")
         d = self.data
-        gap = _max_abs(d - d.swapaxes(0, 1) * _CONJ_SIGNS)
-        return gap <= tol * self.max_abs()
+        return _per_slice(_max_abs(d - _conj_transpose(d)) <= tol * _max_abs(d))
 
     def is_skew_symmetric(self, tol=1e-10):
         """Z^T = -Z under the plain transpose, within tol * max|z_ij|."""
         self._require_square("is_skew_symmetric")
         d = self.data
-        return _max_abs(d.swapaxes(0, 1) + d) <= tol * self.max_abs()
+        return _per_slice(_max_abs(d.swapaxes(-3, -2) + d) <= tol * _max_abs(d))
 
     def is_unitary(self):
         """A* A = I within Frobenius residual 1e-10."""
@@ -237,11 +250,16 @@ class QuatMatrix:
             raise ValueError("%s needs a square matrix, got %dx%d"
                              % ((who,) + self.shape))
 
+    def _require_single(self, who):
+        if self.data.ndim != 3:
+            raise ValueError("%s takes one matrix, not a stack of shape %r"
+                             % (who, self.data.shape[:-3]))
+
     def allclose(self, other, tol=1e-12):
         """max|a_ij - b_ij| within tol times the larger of the two max_abs."""
         other = _coerce_matrix(other, self.shape)
-        scale = max(self.max_abs(), other.max_abs())
-        return _max_abs(self.data - other.data) <= tol * scale
+        scale = np.maximum(_max_abs(self.data), _max_abs(other.data))
+        return _per_slice(_max_abs(self.data - other.data) <= tol * scale)
 
 
 def random_skew_symmetric(n, seed, scale=1.0):
@@ -251,20 +269,26 @@ def random_skew_symmetric(n, seed, scale=1.0):
     components per entry, uniform on [-scale, scale]; the lower triangle is
     the negated transpose and the diagonal is zero.  The stream comes from
     numpy's counter-based Philox generator keyed by the seed, so the same
-    (n, seed, scale) always yields the same matrix, on any platform.
+    (n, seed, scale) always yields the same matrix, on any platform.  A
+    sequence of B seeds gives a (B, n, n, 4) stack whose slice b is
+    bitwise the matrix of seed[b].
     """
     if n < 2:
         raise ValueError("need n >= 2, got %d" % n)
     if scale <= 0:
         raise ValueError("scale must be positive")
-    rng = np.random.Generator(np.random.Philox(key=int(seed) & (2 ** 64 - 1)))
+    stacked = np.ndim(seed) > 0
+    seeds = list(seed) if stacked else [seed]
     k = n * (n - 1) // 2
-    draws = rng.uniform(-scale, scale, size=(k, 4))
-    arr = np.zeros((n, n, 4))
-    upper = np.triu_indices(n, 1)  # row-major, matching the draw order
-    arr[upper] = draws
-    arr[upper[::-1]] = -draws
-    return QuatMatrix(arr)
+    draws = np.empty((len(seeds), k, 4))
+    for b, s in enumerate(seeds):
+        rng = np.random.Generator(np.random.Philox(key=int(s) & (2 ** 64 - 1)))
+        draws[b] = rng.uniform(-scale, scale, size=(k, 4))
+    arr = np.zeros((len(seeds), n, n, 4))
+    upper, lower = np.triu_indices(n, 1)  # row-major, matching the draw order
+    arr[:, upper, lower] = draws
+    arr[:, lower, upper] = -draws
+    return QuatMatrix(arr if stacked else arr[0])
 
 
 def _coerce_matrix(value, shape):
@@ -274,10 +298,22 @@ def _coerce_matrix(value, shape):
     return value
 
 
+def _per_slice(x):
+    """A per-slice result as given for a stack, as a Python scalar for a
+    single matrix."""
+    return x if x.ndim else x.item()
+
+
 def _max_abs(d):
-    """Largest entry magnitude of an (m, n, 4) array, by hypot."""
-    return float(np.hypot(np.hypot(d[..., 0], d[..., 1]),
-                          np.hypot(d[..., 2], d[..., 3])).max(initial=0.0))
+    """Largest entry magnitude of each matrix of a (..., m, n, 4) array,
+    by hypot."""
+    return np.hypot(np.hypot(d[..., 0], d[..., 1]),
+                    np.hypot(d[..., 2], d[..., 3])).max(axis=(-2, -1), initial=0.0)
+
+
+def _conj_transpose(d):
+    """A* of each matrix of a (..., m, n, 4) array."""
+    return d.swapaxes(-3, -2) * _CONJ_SIGNS
 
 
 def _scalar_matrix(q, n):
@@ -286,7 +322,9 @@ def _scalar_matrix(q, n):
 
 
 def _hamilton_matmul(parts_a, parts_b):
-    """Multiply via the sixteen real products of the component matrices."""
+    """Multiply via the sixteen real products of the component matrices,
+    each C-contiguous, so a stack takes per slice the BLAS route of a single
+    matrix and gives bitwise its product."""
     w1, x1, y1, z1 = parts_a
     w2, x2, y2, z2 = parts_b
     w = w1 @ w2 - x1 @ x2 - y1 @ y2 - z1 @ z2

@@ -20,7 +20,7 @@ from .quaternion import Quaternion
 from .spectra import (gram_product, is_positive_definite, quat_inverse,
                       right_eigenvalues_hermitian)
 
-# trials whose spectra basic_candidate_search solves in one eigensolver call
+# trials that basic_candidate_search samples, checks and solves as one stack
 SEARCH_BLOCK = 64
 
 
@@ -143,6 +143,7 @@ def inverse_skew_report(z, tol=1e-10):
     singular input is reported through invertible = False, not raised.
     """
     z = QuatMatrix.coerce(z)
+    z._require_single("inverse_skew_report")
     if not z.is_skew_symmetric(tol):
         raise ValueError("inverse_skew_report needs a skew-symmetric matrix")
     try:
@@ -159,6 +160,8 @@ def quaternion_even_multiplicity_check(z):
     Always true in the complex world; over quaternions a 3x3 solid matrix
     already breaks it.
     """
+    z = QuatMatrix.coerce(z)
+    z._require_single("quaternion_even_multiplicity_check")
     values = right_eigenvalues_hermitian(gram_product(z)).values
     return all(len(c) % 2 == 0 for c in positive_clusters(values))
 
@@ -180,18 +183,15 @@ def trial_seed(seed, trial):
     return z
 
 
-def _candidate(trial, z, values, gap_tol):
-    lam_max = float(values.max())
-    if lam_max <= 0.0:
-        return None
+def _candidate(values, gap_tol):
+    """For each row of ascending spectra (B, n): whether it is a hit, every
+    value positive and every consecutive gap above gap_tol * its largest
+    value, and its largest value and smallest gap."""
+    lam_max = values.max(axis=-1)
     floor = gap_tol * lam_max
-    if float(values.min()) <= floor:
-        return None
-    gaps = np.diff(values)
-    if float(gaps.min()) <= floor:
-        return None
-    return BasicCandidate(trial, z, [float(v) for v in values],
-                          float(gaps.min() / lam_max))
+    gap = np.diff(values, axis=-1).min(axis=-1)
+    hit = (lam_max > 0.0) & (values.min(axis=-1) > floor) & (gap > floor)
+    return hit, lam_max, gap
 
 
 def basic_candidate_search(n, trials, seed, scale=1.0, gap_tol=1e-3):
@@ -202,10 +202,12 @@ def basic_candidate_search(n, trials, seed, scale=1.0, gap_tol=1e-3):
     produced by any complex skew-symmetric matrix of the same size, so
     hits are evidence (not proof) of genuinely quaternionic behaviour.
     Deterministic for fixed (n, trials, seed, scale, gap_tol): per-trial
-    streams come from trial_seed, and the W of SEARCH_BLOCK consecutive
-    trials are solved in one eigensolver call whose slices do not affect
-    each other, so the hits do not depend on the block size.  Everything
-    runs in the calling thread.
+    streams come from trial_seed.  SEARCH_BLOCK consecutive trials are
+    drawn into one (B, n, n, 4) stack, which goes once through
+    gram_product, chi, the eigensolver and the hit test; every step works
+    slice by slice, so the hits do not depend on the block size, and only
+    a hit gets a QuatMatrix of its own.  Everything runs in the calling
+    thread.
     """
     if n < 4:
         raise ValueError("search needs n >= 4; smaller sizes are settled")
@@ -214,12 +216,13 @@ def basic_candidate_search(n, trials, seed, scale=1.0, gap_tol=1e-3):
     hits = []
     for first in range(0, trials, SEARCH_BLOCK):
         block = range(first, min(first + SEARCH_BLOCK, trials))
-        zs = [random_skew_symmetric(n, trial_seed(seed, t), scale) for t in block]
-        spectra = right_eigenvalues_hermitian([gram_product(z) for z in zs])
-        for trial, z, spec in zip(block, zs, spectra):
-            hit = _candidate(trial, z, spec.values, gap_tol)
-            if hit is not None:
-                hits.append(hit)
+        zs = random_skew_symmetric(n, [trial_seed(seed, t) for t in block], scale)
+        values = right_eigenvalues_hermitian(gram_product(zs)).values
+        hit, lam_max, gap = _candidate(values, gap_tol)
+        for b in np.flatnonzero(hit):
+            hits.append(BasicCandidate(block[b], QuatMatrix(zs.data[b]),
+                                       [float(v) for v in values[b]],
+                                       float(gap[b] / lam_max[b])))
     return hits
 
 

@@ -6,6 +6,11 @@ complex ones.  Each real right eigenvalue of the quaternion matrix shows
 up twice in the complex spectrum; the pairing is checked, every second
 value is kept, and only right_eigenpairs_hermitian also maps eigenvectors
 back to quaternion columns.
+
+gram_product and right_eigenvalues_hermitian take a QuatMatrix stack
+(..., n, n, 4) as well as one matrix and give bitwise the per-slice
+results; each check still judges every slice on its own, and an error
+names the first slice that fails it.
 """
 
 from dataclasses import dataclass, field
@@ -20,6 +25,7 @@ from .qmatrix import QuatMatrix
 class RightSpectrum:
     """Ascending real right eigenvalues, with a quaternion eigenbasis or None.
 
+    values and pairing_gaps are (n,), or (..., n) for a stack.
     pairing_gaps holds the spread inside each doubled pair of the complex
     spectrum; values near machine precision confirm the doubling.  vectors
     is a unitary QuatMatrix of right eigenvectors from
@@ -50,46 +56,69 @@ def _antidual(v):
     return np.concatenate([-v[n:].conj(), v[:n].conj()])
 
 
+def _require(ok, message, *values):
+    """Raise ValueError(message % values) unless the verdict ok holds for
+    every slice; each of values is taken at the first failing slice, and
+    for a stack the message names that slice."""
+    ok = np.asarray(ok)
+    if ok.all():
+        return
+    where = tuple(int(i) for i in np.argwhere(~ok)[0])
+    text = message % tuple(np.asarray(v)[where] for v in values)
+    if where:
+        text += " (slice %s)" % ", ".join(map(str, where))
+    raise ValueError(text)
+
+
 def _hermitian(a, tol):
     a = QuatMatrix.coerce(a)
-    if not a.is_hermitian(tol):
-        raise ValueError("right spectrum needs a Hermitian matrix")
+    _require(a.is_hermitian(tol), "right spectrum needs a Hermitian matrix")
     return a
 
 
 def _paired(mu, a):
-    """Every second value of the ascending complex spectrum mu of chi(a),
-    the gaps inside its pairs, and the pairing tolerance they must meet."""
+    """Every second value of the ascending complex spectra mu of chi(a),
+    the gaps inside their pairs, and the pairing tolerance they must meet."""
     pair_tol = 1e-9 * a.norm()
-    gaps = mu[1::2] - mu[0::2]
-    if gaps.size and float(gaps.max()) > pair_tol:
-        raise ValueError(
-            "complex spectrum does not pair: worst gap %.3e exceeds %.3e"
-            % (float(gaps.max()), pair_tol))
-    return mu[::2].copy(), gaps, pair_tol
+    gaps = mu[..., 1::2] - mu[..., 0::2]
+    worst = gaps.max(axis=-1, initial=0.0)
+    _require(worst <= pair_tol,
+             "complex spectrum does not pair: worst gap %.3e exceeds %.3e",
+             worst, pair_tol)
+    return mu[..., ::2].copy(), gaps, pair_tol
 
 
 def right_eigenvalues_hermitian(a, tol=1e-10):
     """Values-only right spectrum of Hermitian quaternion matrices.
 
-    Returns a RightSpectrum (n ascending eigenvalues, pairing gaps, vectors
-    None), or for a list of same-size matrices a list of them, in order,
-    from one herm_eig call.  Raises ValueError on input not Hermitian within
-    tol or a complex spectrum not paired within 1e-9 * ||A||_F.
+    Returns a RightSpectrum (ascending eigenvalues, pairing gaps, vectors
+    None) for one matrix or a QuatMatrix stack, whose slices all go to one
+    herm_eig call.  A list of QuatMatrix objects of one size is solved as a
+    stack and gives a list of RightSpectrum, in order; any other list is
+    one matrix in nested lists.  Raises ValueError on input not Hermitian
+    within tol or a complex spectrum not paired within 1e-9 * ||A||_F.
     """
-    mats = [_hermitian(x, tol) for x in (a if isinstance(a, list) else [a])]
-    if not mats:
-        return []
-    mus = herm_eig(np.stack([x.chi() for x in mats]), vectors=False)
-    spectra = [RightSpectrum(values, None, gaps)
-               for values, gaps, _ in map(_paired, mus, mats)]
-    return spectra if isinstance(a, list) else spectra[0]
+    if isinstance(a, list) and all(isinstance(x, QuatMatrix) for x in a):
+        if not a:
+            return []
+        stack = QuatMatrix(np.stack([x.data for x in a]))
+        spec = right_eigenvalues_hermitian(stack, tol)
+        return [RightSpectrum(values, None, gaps)
+                for values, gaps in zip(spec.values, spec.pairing_gaps)]
+    a = _hermitian(a, tol)
+    c = a.chi()  # herm_eig takes one matrix or a stack with one leading axis
+    mu = herm_eig(c.reshape((-1,) + c.shape[-2:]) if c.ndim > 3 else c,
+                  vectors=False)
+    values, gaps, _ = _paired(mu.reshape(c.shape[:-1]), a)
+    return RightSpectrum(values, None, gaps)
 
 
 def right_eigenpairs_hermitian(a):
     """right_eigenvalues_hermitian(a) plus a unitary QuatMatrix of right
-    eigenvectors (A x = x lambda per column); same values, bitwise."""
+    eigenvectors (A x = x lambda per column); same values, bitwise.  Takes
+    one matrix, not a stack."""
     a = _hermitian(a, 1e-10)
+    a._require_single("right_eigenpairs_hermitian")
     n = a.nrows
     mu, v = herm_eig(a.chi())
     values, gaps, pair_tol = _paired(mu, a)
@@ -106,20 +135,20 @@ def right_eigenpairs_hermitian(a):
 
 
 def gram_product(z, tol=1e-10):
-    """W = Z Z* for a skew-symmetric quaternion Z.
+    """W = Z Z* for a skew-symmetric quaternion Z, or for each slice of a
+    QuatMatrix stack.
 
     Also forms -Z conj(Z) independently and insists the two agree
     entrywise; for a skew-symmetric Z they are the same matrix.  The
     result is Hermitian positive semidefinite.
     """
     z = QuatMatrix.coerce(z)
-    if not z.is_skew_symmetric(tol):
-        raise ValueError("gram_product needs a skew-symmetric matrix")
+    _require(z.is_skew_symmetric(tol),
+             "gram_product needs a skew-symmetric matrix")
     w = z @ z.conj_transpose()
     w_alt = -(z @ z.conj())
-    if not w.allclose(w_alt, tol):
-        raise ValueError("Z Z* and -Z conj(Z) disagree beyond tolerance; "
-                         "input is too far from skew-symmetric")
+    _require(w.allclose(w_alt, tol), "Z Z* and -Z conj(Z) disagree beyond "
+             "tolerance; input is too far from skew-symmetric")
     return w
 
 
@@ -131,6 +160,7 @@ def quat_inverse(a, tol=1e-10):
     structure beyond tolerance.
     """
     a = QuatMatrix.coerce(a)
+    a._require_single("quat_inverse")
     a._require_square("quat_inverse")
     return QuatMatrix.from_chi(lu_inverse(a.chi(), tol=tol), tol=1e-8)
 
@@ -139,6 +169,7 @@ def _lowest_and_floor(a):
     """Min right eigenvalue of A and the floor 1e-10 * ||A||_F.  The floor
     of the zero matrix is 0, so it is semidefinite and not definite."""
     a = QuatMatrix.coerce(a)
+    a._require_single("a definiteness test")
     return (float(right_eigenvalues_hermitian(a).values.min()),
             1e-10 * a.norm())
 

@@ -99,6 +99,16 @@ def test_inverse_check(tmp_path, capsys):
     assert data["skew_deviation"] > 0
 
 
+def test_non_square_file_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    save_matrix(path, QuatMatrix(np.ones((1, 2, 4))))
+    for command in ("spectrum", "inverse-check"):
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("input error: %s needs a square matrix, got 1x2\n"
+                       % command)
+
+
 def test_search_basic_deterministic(tmp_path, capsys):
     args = ["search-basic", "--n", "4", "--trials", "15", "--seed", "3"]
     assert main(args) == 0

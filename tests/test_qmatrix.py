@@ -265,3 +265,60 @@ def test_skew_gram_hermitian_property(n, seed):
     assert w.is_hermitian(tol=1e-12)
     wc = w.chi()
     np.testing.assert_allclose(wc, wc.conj().T, atol=1e-12)
+
+
+CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def mixed_stack(rng, count, n):
+    """count random n x n slices, each generic, Hermitian or skew-symmetric
+    and scaled by its own 10^[-6, 6]."""
+    a = rng.uniform(-1, 1, size=(count, n, n, 4))
+    a *= 10.0 ** rng.uniform(-6, 6, size=(count, 1, 1, 1))
+    flip = a.swapaxes(1, 2)
+    kind = rng.integers(0, 3, size=count)[:, None, None, None]
+    return np.where(kind == 1, a + flip * CONJ_SIGNS, np.where(kind == 2, a - flip, a))
+
+
+@given(st.integers(min_value=0, max_value=5), st.integers(min_value=1, max_value=6),
+       st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_stacked_operations_match_each_slice(count, n, k, seed):
+    # a (B, ...) stack gives bitwise, slice by slice, what each of its
+    # matrices gives alone; metrics and verdicts come one per slice
+    rng = np.random.default_rng(seed)
+    a = QuatMatrix(mixed_stack(rng, count, n))
+    b = QuatMatrix(rng.uniform(-1, 1, size=(count, n, k, 4)))
+    arrays = {"product": lambda x, y: (x @ y).data,
+              "conj_transpose": lambda x, y: x.conj_transpose().data,
+              "transpose": lambda x, y: x.transpose().data,
+              "conj": lambda x, y: x.conj().data,
+              "gram": lambda x, y: x.gram().data,
+              "chi": lambda x, y: y.chi()}
+    scalars = {"is_hermitian": lambda x, y: x.is_hermitian(),
+               "is_skew_symmetric": lambda x, y: x.is_skew_symmetric(),
+               "is_unitary": lambda x, y: x.is_unitary(),
+               "allclose": lambda x, y: x.allclose(x.conj_transpose()),
+               "norm": lambda x, y: x.norm(),
+               "max_abs": lambda x, y: x.max_abs()}
+    stacked = {name: f(a, b) for name, f in {**arrays, **scalars}.items()}
+    assert stacked["chi"].shape == (count, 2 * n, 2 * k)
+    for name in scalars:
+        assert stacked[name].shape == (count,)
+    for i in range(count):
+        x, y = QuatMatrix(a.data[i]), QuatMatrix(b.data[i])
+        for name, f in arrays.items():
+            assert stacked[name][i].tobytes() == f(x, y).tobytes(), name
+        for name, f in scalars.items():
+            alone = f(x, y)
+            assert type(alone) is (float if name in ("norm", "max_abs") else bool), name
+            assert stacked[name][i] == alone, name
+
+
+def test_random_skew_symmetric_stacks_its_seeds():
+    seeds = [3, 2**64 - 1, 7]
+    stack = random_skew_symmetric(4, seeds, scale=0.5)
+    assert stack.data.shape == (3, 4, 4, 4)
+    for slice_, seed in zip(stack.data, seeds):
+        assert slice_.tobytes() == random_skew_symmetric(4, seed, 0.5).data.tobytes()
+    assert random_skew_symmetric(4, []).data.shape == (0, 4, 4, 4)

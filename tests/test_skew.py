@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 
@@ -266,8 +267,9 @@ def test_search_solves_a_block_per_eigensolver_call(monkeypatch):
 
 
 def test_search_builds_few_matrices_per_trial(monkeypatch):
-    # sampling, gram_product and the Hermitian check of W build at most 7
-    # QuatMatrix objects per trial; predicates work on the arrays
+    # per block: one stack from sampling and five in gram_product
+    # (Z*, Z Z*, conj(Z), Z conj(Z) and its negation); the Hermitian check
+    # and chi work on the stack of W; then one matrix per hit
     calls = []
     init = QuatMatrix.__init__
 
@@ -276,8 +278,62 @@ def test_search_builds_few_matrices_per_trial(monkeypatch):
         init(self, data)
 
     monkeypatch.setattr(QuatMatrix, "__init__", counting)
-    basic_candidate_search(4, 64, 5)
-    assert 0 < len(calls) <= 7 * 64
+    block = qskew.skew.SEARCH_BLOCK
+    hits = basic_candidate_search(4, 2 * block + 2, 5)
+    assert hits
+    assert len(calls) <= len(hits) + 6 * 3
+
+
+def test_search_samples_and_solves_a_block_per_call(monkeypatch):
+    counts = collections.Counter()
+
+    def spy(owner, name):
+        real = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    names = ("random_skew_symmetric", "gram_product", "chi")
+    spy(qskew.skew, names[0])
+    spy(qskew.skew, names[1])
+    spy(QuatMatrix, names[2])
+    block = qskew.skew.SEARCH_BLOCK
+    for trials in (0, 1, block, 2 * block + 1):
+        counts.clear()
+        basic_candidate_search(4, trials, 3)
+        assert [counts[name] for name in names] == [math.ceil(trials / block)] * 3
+
+
+def test_search_hits_match_a_numpy_oracle():
+    # each trial redrawn from its own Philox stream, W = Z Z* formed in the
+    # pair form Z = Z_c + Z_d j, where (Z*)_c = Z_c^H and (Z*)_d = -Z_d^T,
+    # and its right spectrum taken from eigvalsh of the adjoint chi(W)
+    n, trials, seed, gap_tol = 4, 200, 0, 1e-3
+    found = {hit.trial: hit for hit in basic_candidate_search(n, trials, seed)}
+    upper = np.triu_indices(n, 1)
+    expect, near = {}, set()
+    for t in range(trials):
+        rng = np.random.Generator(np.random.Philox(key=trial_seed(seed, t)))
+        z = np.zeros((n, n, 4))
+        z[upper] = rng.uniform(-1.0, 1.0, (len(upper[0]), 4))
+        z[upper[::-1]] = -z[upper]
+        zc, zd = z[..., 0] + 1j * z[..., 1], z[..., 2] + 1j * z[..., 3]
+        wc = zc @ zc.conj().T + zd @ zd.conj().T
+        wd = zd @ zc.T - zc @ zd.T
+        values = np.linalg.eigvalsh(np.block([[wc, wd], [-wd.conj(), wc.conj()]]))[::2]
+        margins = np.array([values[0], np.diff(values).min()]) / values[-1] - gap_tol
+        if np.abs(margins).min() <= 1e-9:
+            near.add(t)
+        elif (margins > 0).all():
+            expect[t] = values
+    assert len(expect) > trials // 2
+    assert set(found) - near == set(expect)
+    for t, values in expect.items():
+        np.testing.assert_allclose(found[t].eigenvalues, values, rtol=0.0,
+                                   atol=1e-12 * values[-1])
 
 
 def test_right_spectra_of_a_list_match_one_by_one():
@@ -299,3 +355,15 @@ def test_right_spectra_of_a_list_match_one_by_one():
     # the pairing and Hermitian checks still apply to each matrix
     with pytest.raises(ValueError, match="Hermitian"):
         right_eigenvalues_hermitian(ws[:2] + [random_skew_symmetric(4, 1)])
+
+
+def test_single_matrix_routes_reject_a_stack():
+    # these read one spectrum or one inverse; a stack would mix its slices
+    z = random_skew_symmetric(4, [1, 2])
+    w = gram_product(z)
+    for route, arg in ((right_eigenpairs_hermitian, w), (qskew.spectra.quat_inverse, z),
+                       (qskew.spectra.is_positive_definite, w),
+                       (qskew.spectra.is_positive_semidefinite, w), (is_solid, z),
+                       (inverse_skew_report, z), (quaternion_even_multiplicity_check, z)):
+        with pytest.raises(ValueError, match=r"one matrix, not a stack of shape \(2,\)"):
+            route(arg)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qskew import (
     I,
@@ -177,3 +178,69 @@ def test_spectrum_without_vectors_names_the_eigenpairs_route():
         assert set(spec.to_dict()) == {"values", "pairing_gaps"}
         with pytest.raises(ValueError, match="right_eigenpairs_hermitian"):
             spec.to_dict(include_vectors=True)
+
+
+def test_nested_list_matrix_is_one_matrix():
+    # only a list of QuatMatrix objects is a list of matrices
+    for rows, want in (([[1, 1j], [-1j, 1]], [0.0, 2.0]), ([[2, 0], [0, 3]], [2.0, 3.0])):
+        spec = right_eigenvalues_hermitian(rows)
+        assert isinstance(spec, RightSpectrum)
+        np.testing.assert_allclose(spec.values, want, atol=1e-14)
+
+
+def skew_stack(rng, count, n):
+    """count random n x n skew slices, each scaled by its own 10^[-6, 6],
+    so no slice's tolerance may leak into another's."""
+    a = rng.uniform(-1, 1, size=(count, n, n, 4))
+    a *= 10.0 ** rng.uniform(-6, 6, size=(count, 1, 1, 1))
+    return QuatMatrix(a - a.swapaxes(1, 2))
+
+
+@given(st.integers(min_value=0, max_value=5), st.integers(min_value=1, max_value=6),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_stacked_gram_and_spectra_match_each_slice(count, n, seed):
+    z = skew_stack(np.random.default_rng(seed), count, n)
+    w = gram_product(z)
+    spec = right_eigenvalues_hermitian(w)
+    assert w.data.shape == (count, n, n, 4)
+    assert spec.values.shape == spec.pairing_gaps.shape == (count, n)
+    for i in range(count):
+        alone = gram_product(QuatMatrix(z.data[i]))
+        assert w.data[i].tobytes() == alone.data.tobytes()
+        one = right_eigenvalues_hermitian(alone)
+        assert spec.values[i].tobytes() == one.values.tobytes()
+        assert spec.pairing_gaps[i].tobytes() == one.pairing_gaps.tobytes()
+
+
+def nearly_skew_4x4(eps):
+    """Skew-symmetric up to eps on the trailing 3x3 block, where the two
+    Gram routes differ by 6 eps against max|W| of about 5."""
+    z = np.zeros((4, 4, 4))
+    z[0, 1:, 0], z[1:, 0, 0] = 1.0, -1.0
+    z[1, 2, 0], z[2, 1, 0] = 2.0, -2.0
+    z[1:, 1:, 0] += eps
+    return z
+
+
+def test_stack_errors_name_the_failing_slice():
+    z = skew_stack(np.random.default_rng(3), 4, 4).data
+    bad = z.copy()
+    bad[2, 0, 1, 0] += 1.0
+    with pytest.raises(ValueError, match=r"skew-symmetric matrix \(slice 2\)$"):
+        gram_product(bad)
+    # within tol = 1e-3 of skew (2 eps against max|z| = 2), yet its routes
+    # disagree by more than tol * max|W|
+    tol = 1e-3
+    near = nearly_skew_4x4(0.98 * tol)
+    assert QuatMatrix(near).is_skew_symmetric(tol)
+    with pytest.raises(ValueError, match=r"disagree beyond tolerance; .*skew-symmetric$"):
+        gram_product(near, tol)
+    mixed = z.copy()
+    mixed[1] = near
+    with pytest.raises(ValueError, match=r"disagree .*\(slice 1\)$"):
+        gram_product(mixed, tol)
+    w = gram_product(z).data.copy()
+    w[3, 0, 1, 1] += 1.0
+    with pytest.raises(ValueError, match=r"Hermitian matrix \(slice 3\)$"):
+        right_eigenvalues_hermitian(w)
