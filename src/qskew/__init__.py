@@ -9,8 +9,8 @@ dual quaternion matrices.
 
 from .clinalg import (ConvergenceError, SingularMatrixError, herm_eig,
                       lu_factor, lu_inverse, lu_solve, mgs_orthonormalize)
-from .dual import (EPS, DualQuaternion, DualQuatMatrix, dq_hermitian_direct,
-                   dq_hermitian_split, is_dq_hermitian)
+from .dual import (DualQuatMatrix, dq_hermitian_direct, dq_hermitian_split,
+                   is_dq_hermitian)
 from .hua import HuaForm, even_multiplicity_check, hua_decompose, positive_clusters
 from .matio import (MatrixFormatError, complex_matrix_to_dict, load_matrix,
                     matrix_from_dict, quat_matrix_to_dict, save_matrix)

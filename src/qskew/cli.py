@@ -144,7 +144,7 @@ def cmd_hua(args):
     tol = _resolve_tol(args, HUA_TOL)
     form = hua_decompose(mat, tol=tol)
     if args.json:
-        print(json.dumps(form.to_dict(include_u=True), sort_keys=True))
+        print(json.dumps(form.to_dict(), sort_keys=True))
         return 0
     print("sigmas: %s" % (_fmt_values(form.sigmas) if form.sigmas else "(none)"))
     print("zero block dimension: %d" % form.zero_dim)

@@ -229,8 +229,9 @@ def _jacobi(a, vectors):
 
 def _tridiagonal(a):
     """Diagonal d (B, m) and squared off-diagonal magnitudes e2 (B, m - 1)
-    of a real symmetric tridiagonal matrix unitarily similar to each slice
-    of a stack of exactly Hermitian matrices with entries of size about 1.
+    of a real symmetric tridiagonal matrix T = Q* A Q, Q unitary, for each
+    slice A of a stack of exactly Hermitian matrices with entries of size
+    about 1.
 
     Step k reflects column k below the diagonal onto its first entry by
     the Householder reflection I - tau v v^*, applied to the trailing block

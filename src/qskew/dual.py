@@ -1,4 +1,4 @@
-"""Dual quaternions and the Hermitian characterization of their matrices.
+"""Dual quaternion matrices and their Hermitian characterization.
 
 A dual quaternion is q_st + q_I * eps with quaternion parts and eps^2 = 0.
 The conjugate used here keeps the printed convention of the source
@@ -9,55 +9,10 @@ Hermitian and its infinitesimal part is skew-symmetric, and the module
 keeps both sides of that equivalence independently computable.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .qmatrix import QuatMatrix
-from .quaternion import Quaternion
 
-
-@dataclass(frozen=True)
-class DualQuaternion:
-    std: Quaternion = Quaternion()
-    inf: Quaternion = Quaternion()
-
-    def __post_init__(self):
-        object.__setattr__(self, "std", Quaternion.coerce(self.std))
-        object.__setattr__(self, "inf", Quaternion.coerce(self.inf))
-
-    def __add__(self, other):
-        other = _coerce_dq(other)
-        return DualQuaternion(self.std + other.std, self.inf + other.inf)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return DualQuaternion(-self.std, -self.inf)
-
-    def __sub__(self, other):
-        return self + (-_coerce_dq(other))
-
-    def __mul__(self, other):
-        other = _coerce_dq(other)
-        return DualQuaternion(self.std * other.std,
-                              self.std * other.inf + self.inf * other.std)
-
-    def __rmul__(self, other):
-        return _coerce_dq(other) * self
-
-    def conjugate(self):
-        """Conjugate per the printed convention: (conj q_st) - q_I eps."""
-        return DualQuaternion(self.std.conjugate(), -self.inf)
-
-
-def _coerce_dq(value):
-    if isinstance(value, DualQuaternion):
-        return value
-    return DualQuaternion(Quaternion.coerce(value))
-
-
-EPS = DualQuaternion(Quaternion(), Quaternion(1))
 
 # component signs of the dual conjugate, (std, inf) x (w, x, y, z):
 # conjugate the standard part, negate the infinitesimal part
@@ -86,9 +41,6 @@ class DualQuatMatrix:
     def shape(self):
         return self.std.shape
 
-    def entry(self, i, j):
-        return DualQuaternion(self.std.entry(i, j), self.inf.entry(i, j))
-
     def conj_transpose(self):
         """Entrywise dual conjugate, then transpose.
 
@@ -102,23 +54,6 @@ class DualQuatMatrix:
 
     def __sub__(self, other):
         return DualQuatMatrix(self.std - other.std, self.inf - other.inf)
-
-    def to_dict(self):
-        """Row-major entries, each [std (w, x, y, z), inf (w, x, y, z)]."""
-        m, n = self.shape
-        parts = np.stack([self.std.data, self.inf.data], axis=2)
-        return {"rows": m, "cols": n,
-                "entries_dq": parts.reshape(m * n, 2, 4).tolist()}
-
-    @classmethod
-    def from_dict(cls, data):
-        m, n = int(data["rows"]), int(data["cols"])
-        entries = data["entries_dq"]
-        if len(entries) != m * n:
-            raise ValueError("expected %d dual entries, got %d"
-                             % (m * n, len(entries)))
-        parts = np.array(entries, dtype=float).reshape(m, n, 2, 4)
-        return cls(parts[:, :, 0], parts[:, :, 1])
 
 
 def dq_hermitian_direct(a):

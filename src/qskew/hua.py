@@ -37,14 +37,12 @@ class HuaForm:
             s[2 * t + 1, 2 * t] = -sig
         return s
 
-    def to_dict(self, include_u=True):
-        out = {"sigmas": [float(s) for s in self.sigmas],
-               "zero_dim": int(self.zero_dim),
-               "residual": float(self.residual),
-               "unitarity_residual": float(self.unitarity_residual)}
-        if include_u:
-            out["u"] = np.stack([self.u.real, self.u.imag], axis=-1).tolist()
-        return out
+    def to_dict(self):
+        return {"sigmas": [float(s) for s in self.sigmas],
+                "zero_dim": int(self.zero_dim),
+                "residual": float(self.residual),
+                "unitarity_residual": float(self.unitarity_residual),
+                "u": np.stack([self.u.real, self.u.imag], axis=-1).tolist()}
 
 
 def _cluster_cut(values):

@@ -281,8 +281,15 @@ def random_skew_symmetric(n, seed, scale=1.0):
     seeds = list(seed) if stacked else [seed]
     k = n * (n - 1) // 2
     draws = np.empty((len(seeds), k, 4))
+    # one generator per call, rekeyed per seed: each Philox construction
+    # also draws an unused SeedSequence from the OS entropy pool
+    bits = np.random.Philox(key=0)
+    rng = np.random.Generator(bits)
+    fresh = bits.state
     for b, s in enumerate(seeds):
-        rng = np.random.Generator(np.random.Philox(key=int(s) & (2 ** 64 - 1)))
+        fresh["state"] = {"counter": np.zeros(4, np.uint64),
+                          "key": np.array([int(s) & (2 ** 64 - 1), 0], np.uint64)}
+        bits.state = fresh
         draws[b] = rng.uniform(-scale, scale, size=(k, 4))
     arr = np.zeros((len(seeds), n, n, 4))
     upper, lower = np.triu_indices(n, 1)  # row-major, matching the draw order

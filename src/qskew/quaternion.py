@@ -12,8 +12,7 @@ import numbers
 class Quaternion:
     """Immutable quaternion with Hamilton-product arithmetic.
 
-    Supports +, -, *, /, scalar mixing, conjugation, inversion, and the
-    similarity-class helpers ``standardize`` and ``euler_decompose``.
+    Supports +, -, *, /, scalar mixing, conjugation and inversion.
     """
 
     __slots__ = ("w", "x", "y", "z")
@@ -119,49 +118,6 @@ class Quaternion:
 
     def real(self):
         return self.w
-
-    def imag(self):
-        """The purely imaginary part as a Quaternion."""
-        return Quaternion(0.0, self.x, self.y, self.z)
-
-    def imag_norm(self):
-        return math.sqrt(self.x ** 2 + self.y ** 2 + self.z ** 2)
-
-    def commutes_with(self, other, tol=0.0):
-        other = Quaternion.coerce(other)
-        return abs(self * other - other * self) <= tol
-
-    def similar(self, other, tol=1e-10):
-        """Whether two quaternions lie in the same similarity class.
-
-        Two quaternions are similar exactly when their real parts agree
-        and their magnitudes agree, compared here within absolute tol.
-        """
-        other = Quaternion.coerce(other)
-        return (abs(self.w - other.w) <= tol
-                and abs(abs(self) - abs(other)) <= tol)
-
-    def standardize(self):
-        """The canonical class representative Re(q) + |Im(q)| i, as complex."""
-        return complex(self.w, self.imag_norm())
-
-    def euler_decompose(self):
-        """Write a unit quaternion as cos(theta) + omega sin(theta).
-
-        Returns (omega, theta) with theta in [0, pi] and omega a unit pure
-        imaginary Quaternion.  When sin(theta) vanishes the axis is
-        ill-defined and omega defaults to i.  Raises ValueError when the
-        quaternion is not unit length within 1e-10.
-        """
-        if abs(abs(self) - 1.0) > 1e-10:
-            raise ValueError("euler_decompose needs a unit quaternion")
-        s = self.imag_norm()
-        # atan2 instead of acos(w): exact at the real axis and free of the
-        # sqrt(eps) error blowup when w is within rounding of +-1
-        theta = math.atan2(s, self.w)
-        if s == 0.0:
-            return Quaternion(0.0, 1.0, 0.0, 0.0), theta
-        return Quaternion(0.0, self.x / s, self.y / s, self.z / s), theta
 
 
 ZERO = Quaternion(0, 0, 0, 0)

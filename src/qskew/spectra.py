@@ -35,14 +35,11 @@ class RightSpectrum:
     vectors: QuatMatrix | None
     pairing_gaps: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
-    def to_dict(self, include_vectors=False):
-        out = {"values": [float(v) for v in self.values],
-               "pairing_gaps": [float(g) for g in self.pairing_gaps]}
-        if include_vectors:
-            if self.vectors is None:
-                raise ValueError("no eigenvectors: use right_eigenpairs_hermitian")
-            out["vectors"] = self.vectors.data.tolist()
-        return out
+    def to_dict(self):
+        """values and pairing_gaps as (nested) lists of floats; vectors stay
+        on the object."""
+        return {"values": self.values.tolist(),
+                "pairing_gaps": self.pairing_gaps.tolist()}
 
 
 def _antidual(v):
@@ -93,18 +90,9 @@ def right_eigenvalues_hermitian(a, tol=1e-10):
 
     Returns a RightSpectrum (ascending eigenvalues, pairing gaps, vectors
     None) for one matrix or a QuatMatrix stack, whose slices all go to one
-    herm_eig call.  A list of QuatMatrix objects of one size is solved as a
-    stack and gives a list of RightSpectrum, in order; any other list is
-    one matrix in nested lists.  Raises ValueError on input not Hermitian
-    within tol or a complex spectrum not paired within 1e-9 * ||A||_F.
+    herm_eig call.  Raises ValueError on input not Hermitian within tol or
+    a complex spectrum not paired within 1e-9 * ||A||_F.
     """
-    if isinstance(a, list) and all(isinstance(x, QuatMatrix) for x in a):
-        if not a:
-            return []
-        stack = QuatMatrix(np.stack([x.data for x in a]))
-        spec = right_eigenvalues_hermitian(stack, tol)
-        return [RightSpectrum(values, None, gaps)
-                for values, gaps in zip(spec.values, spec.pairing_gaps)]
     a = _hermitian(a, tol)
     c = a.chi()  # herm_eig takes one matrix or a stack with one leading axis
     mu = herm_eig(c.reshape((-1,) + c.shape[-2:]) if c.ndim > 3 else c,

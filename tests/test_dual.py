@@ -3,23 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qskew import (
-    EPS,
     DualQuatMatrix,
-    DualQuaternion,
     I,
-    J,
-    K,
     Quaternion,
     QuatMatrix,
     dq_hermitian_direct,
     dq_hermitian_split,
     is_dq_hermitian,
-    random_skew_symmetric,
 )
-
-finite = st.floats(min_value=-100, max_value=100, allow_nan=False)
-quats = st.builds(Quaternion, finite, finite, finite, finite)
-dquats = st.builds(DualQuaternion, quats, quats)
 
 
 def random_dqm(rng, n):
@@ -36,53 +27,10 @@ def hermitian_dqm(rng, n):
     return DualQuatMatrix(std, inf)
 
 
-def test_eps_squares_to_zero():
-    assert EPS * EPS == DualQuaternion(0, 0)
-    p = DualQuaternion(I, J)
-    q = DualQuaternion(K, 1)
-    prod = p * q
-    assert prod.std == I * K
-    assert prod.inf == I * Quaternion(1, 0, 0, 0) + J * K
-
-
-def test_dual_arithmetic():
-    p = DualQuaternion(1, I)
-    q = DualQuaternion(J, 2)
-    assert p + q == DualQuaternion(1 + J, I + 2)
-    assert p - q == DualQuaternion(1 - J, I - 2)
-    # scalar-quaternion coercion on either side
-    assert p * 2 == DualQuaternion(2, 2 * I)
-    assert 2 * p == DualQuaternion(2, 2 * I)
-
-
-def test_dual_conjugate_convention():
-    # the infinitesimal part is negated whole, not quaternion-conjugated;
-    # this is the sign convention that makes A* = A equivalent to
-    # (std Hermitian, inf skew-symmetric) at the matrix level
-    q = DualQuaternion(Quaternion(1, 2, 3, 4), Quaternion(5, 6, 7, 8))
-    c = q.conjugate()
-    assert c.std == Quaternion(1, -2, -3, -4)
-    assert c.inf == Quaternion(-5, -6, -7, -8)
-    # conjugate is an involution under this sign convention
-    assert c.conjugate() == q
-
-
-@given(dquats, dquats)
-@settings(max_examples=50)
-def test_dual_conjugate_additive_involution(p, q):
-    s = (p + q).conjugate()
-    assert s == p.conjugate() + q.conjugate()
-    assert p.conjugate().conjugate() == p
-
-
 def test_matrix_entry_and_shape():
     rng = np.random.default_rng(70)
     a = random_dqm(rng, 3)
     assert a.shape == (3, 3)
-    e = a.entry(1, 2)
-    assert isinstance(e, DualQuaternion)
-    assert e.std == a.std.entry(1, 2)
-    assert e.inf == a.inf.entry(1, 2)
 
 
 def test_matrix_conj_transpose_is_entrywise():
@@ -97,15 +45,11 @@ def test_matrix_conj_transpose_is_entrywise():
         assert at.shape == (n, m)
         for i in range(n):
             for j in range(m):
-                assert at.entry(i, j) == a.entry(j, i).conjugate()
-
-
-def test_matrix_dict_round_trip():
-    rng = np.random.default_rng(72)
-    a = random_dqm(rng, 2)
-    b = DualQuatMatrix.from_dict(a.to_dict())
-    assert b.std.allclose(a.std, tol=0.0)
-    assert b.inf.allclose(a.inf, tol=0.0)
+                # the standard part is conjugated, the infinitesimal part
+                # negated whole: the printed convention that makes A* = A
+                # mean std Hermitian and inf skew-symmetric
+                assert at.std.entry(i, j) == a.std.entry(j, i).conjugate()
+                assert at.inf.entry(i, j) == -a.inf.entry(j, i)
 
 
 def test_hermitian_crafted_cases():

@@ -3,8 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qskew import (
-    ConvergenceError,
-    HuaForm,
     even_multiplicity_check,
     hua_decompose,
     positive_clusters,
@@ -89,8 +87,8 @@ def test_residual_fields_populated():
     form = hua_decompose(z)
     assert form.residual <= 1e-8 * max(1.0, np.linalg.norm(z))
     assert form.unitarity_residual <= 1e-10
-    d = form.to_dict(include_u=False)
-    assert set(d) == {"sigmas", "zero_dim", "residual", "unitarity_residual"}
+    d = form.to_dict()
+    assert set(d) == {"sigmas", "zero_dim", "residual", "unitarity_residual", "u"}
 
 
 def test_sigma_squared_matches_gram_spectrum():

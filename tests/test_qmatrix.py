@@ -322,3 +322,24 @@ def test_random_skew_symmetric_stacks_its_seeds():
     for slice_, seed in zip(stack.data, seeds):
         assert slice_.tobytes() == random_skew_symmetric(4, seed, 0.5).data.tobytes()
     assert random_skew_symmetric(4, []).data.shape == (0, 4, 4, 4)
+
+
+def test_random_skew_symmetric_builds_one_philox_per_call(monkeypatch):
+    # each Philox construction also draws an unused SeedSequence from the
+    # OS entropy pool, so a block rekeys one generator per seed
+    real = np.random.Philox
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", spy)
+    seeds = list(range(2**64 - 64, 2**64))
+    stack = random_skew_symmetric(3, seeds, scale=2.0)
+    assert len(built) == 1
+    monkeypatch.undo()
+    upper, lower = np.triu_indices(3, 1)
+    for slice_, seed in zip(stack.data, seeds):
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        assert slice_[upper, lower].tobytes() == rng.uniform(-2.0, 2.0, (3, 4)).tobytes()

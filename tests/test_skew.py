@@ -82,7 +82,7 @@ def test_commuting_parts_alone_do_not_force_degeneracy():
     # b and c commute here, yet a = j makes the matrix solid; the degeneracy
     # criterion genuinely involves a
     t = SkewTriple(J, I, 1 + I)
-    assert t.b.commutes_with(t.c, tol=1e-12)
+    assert abs(t.b * t.c - t.c * t.b) <= 1e-12
     assert classify_3x3(t).case_label == "solid"
     w = gram_product(t.matrix())
     vals = right_eigenvalues_hermitian(w).values
@@ -339,22 +339,22 @@ def test_search_hits_match_a_numpy_oracle():
 def test_right_spectra_of_a_list_match_one_by_one():
     ws = [gram_product(random_skew_symmetric(4, trial_seed(5, t)))
           for t in range(6)]
-    listed = right_eigenvalues_hermitian(ws)
-    assert len(listed) == 6
-    for w, spec in zip(ws, listed):
+    stacked = right_eigenvalues_hermitian(QuatMatrix(np.stack([w.data for w in ws])))
+    assert stacked.vectors is None
+    assert stacked.values.shape == stacked.pairing_gaps.shape == (6, 4)
+    for w, values, gaps in zip(ws, stacked.values, stacked.pairing_gaps):
         alone = right_eigenvalues_hermitian(w)
-        assert spec.vectors is None
-        np.testing.assert_array_equal(spec.values, alone.values)
-        np.testing.assert_array_equal(spec.pairing_gaps, alone.pairing_gaps)
-        # list and single input share one path; the eigenpairs route solves
+        np.testing.assert_array_equal(values, alone.values)
+        np.testing.assert_array_equal(gaps, alone.pairing_gaps)
+        # stack and single input share one path; the eigenpairs route solves
         # with vectors on its own, and its values must agree bitwise
         pairs = right_eigenpairs_hermitian(w)
-        np.testing.assert_array_equal(spec.values, pairs.values)
-        np.testing.assert_array_equal(spec.pairing_gaps, pairs.pairing_gaps)
-    assert right_eigenvalues_hermitian([]) == []
-    # the pairing and Hermitian checks still apply to each matrix
-    with pytest.raises(ValueError, match="Hermitian"):
-        right_eigenvalues_hermitian(ws[:2] + [random_skew_symmetric(4, 1)])
+        np.testing.assert_array_equal(values, pairs.values)
+        np.testing.assert_array_equal(gaps, pairs.pairing_gaps)
+    # the pairing and Hermitian checks still apply to each slice
+    bad = np.stack([w.data for w in ws[:2]] + [random_skew_symmetric(4, 1).data])
+    with pytest.raises(ValueError, match=r"Hermitian matrix \(slice 2\)$"):
+        right_eigenvalues_hermitian(bad)
 
 
 def test_single_matrix_routes_reject_a_stack():

@@ -4,12 +4,15 @@ numpy.linalg stays out of the package so the tests can use it as an
 independent oracle, and the package starts no threads: the search runs its
 trials in order in the calling thread.  Every function parameter and every
 command line option is read by the code that receives it, so no knob is
-accepted and then ignored.  Tolerances are relative to the input's
-magnitude, so no max(1, ...) floor turns one into an absolute bound.
+accepted and then ignored.  Every name the package defines is read by the
+package itself, or listed as library surface with the reason it stays.
+Tolerances are relative to the input's magnitude, so no max(1, ...) floor
+turns one into an absolute bound.
 """
 
 import argparse
 import ast
+import collections
 import inspect
 import pathlib
 import re
@@ -23,6 +26,26 @@ BANNED = ("numpy.linalg", "concurrent.futures", "threading")
 UNREAD_ALLOWED = {
     ("__setattr__", "name"): "immutability guard: every assignment raises",
     ("__setattr__", "value"): "immutability guard: every assignment raises",
+}
+
+# names defined in the package that no package code reads, with the reason
+# each stays in the library
+LIBRARY_ONLY = {
+    "K": "basis unit exported beside I and J",
+    "ONE": "unit quaternion exported for callers",
+    "ZERO": "zero quaternion exported for callers",
+    "column": "one column of a matrix, for callers taking eigenvectors apart",
+    "gram": "Z Z* without the skew check of gram_product",
+    "is_unitary": "checks the eigenbasis of right_eigenpairs_hermitian",
+    "left_mul": "shows that left and right scalar products differ",
+    "right_mul": "shows that left and right scalar products differ",
+    "is_dq_hermitian": "the two dual Hermitian routes cross-checked (paper row 8)",
+    "is_positive_semidefinite": "the semidefinite half of the Gram claim",
+    "is_solid": "the 3x3 solid case as a predicate on Z",
+    "quaternion_even_multiplicity_check": "the quaternion side of the even multiplicity contrast",
+    "reference_4x4_variant": "the second reading of the published 4x4 example",
+    "right_eigenpairs_hermitian": "right eigenvectors with their values",
+    "save_matrix": "writes the JSON schema that load_matrix reads",
 }
 
 
@@ -114,3 +137,41 @@ def test_no_absolute_tolerance_floors():
               and any(isinstance(arg, ast.Constant) and type(arg.value) in (int, float)
                       and arg.value == 1 for arg in node.args)]
     assert not floors, floors
+
+
+def _definitions(tree):
+    """Module-level functions, classes and constants, and class methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((n.id, node) for t in targets for n in ast.walk(t)
+                        if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                yield from ((item.name, item) for item in node.body
+                            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+
+def _name_uses(node):
+    """How often each name is read or taken as an attribute inside node."""
+    return collections.Counter(
+        n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        or isinstance(n, ast.Attribute))
+
+
+def test_every_defined_name_is_used():
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    uses = sum((_name_uses(tree) for tree in trees.values()), collections.Counter())
+    # a definition's uses of its own name (recursion) do not count
+    unused = ["%s: %s" % (module, name)
+              for module, tree in trees.items()
+              for name, node in _definitions(tree)
+              if not (name.startswith("__") and name.endswith("__"))
+              and uses[name] <= _name_uses(node)[name]
+              and name not in LIBRARY_ONLY]
+    assert not unused, unused
+    stale = [name for name in LIBRARY_ONLY if uses[name]]
+    assert not stale, stale

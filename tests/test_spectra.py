@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from qskew import (
     I,
     J,
-    K,
     QuatMatrix,
     Quaternion,
     RightSpectrum,
@@ -164,28 +163,30 @@ def test_spectrum_to_dict():
     spec = right_eigenpairs_hermitian(z.gram())
     d = spec.to_dict()
     assert set(d) == {"values", "pairing_gaps"}
-    d2 = spec.to_dict(include_vectors=True)
-    assert "vectors" in d2
-    assert len(d2["vectors"]) == 2
+    assert d == {"values": [float(v) for v in spec.values],
+                 "pairing_gaps": [float(g) for g in spec.pairing_gaps]}
+    assert all(type(v) is float for v in d["values"] + d["pairing_gaps"])
 
 
-def test_spectrum_without_vectors_names_the_eigenpairs_route():
-    w = random_skew_symmetric(3, seed=4).gram()
-    single = right_eigenvalues_hermitian(w)
-    listed, = right_eigenvalues_hermitian([w])
-    for spec in (single, listed):
-        assert spec.vectors is None
-        assert set(spec.to_dict()) == {"values", "pairing_gaps"}
-        with pytest.raises(ValueError, match="right_eigenpairs_hermitian"):
-            spec.to_dict(include_vectors=True)
+def test_stacked_spectrum_to_dict():
+    stacked = right_eigenvalues_hermitian(gram_product(random_skew_symmetric(4, [1, 2, 3])))
+    d = stacked.to_dict()
+    assert len(d["values"]) == len(d["pairing_gaps"]) == 3
+    for i, seed in enumerate([1, 2, 3]):
+        alone = right_eigenvalues_hermitian(gram_product(random_skew_symmetric(4, seed)))
+        assert d["values"][i] == alone.to_dict()["values"]
+        assert d["pairing_gaps"][i] == alone.to_dict()["pairing_gaps"]
 
 
 def test_nested_list_matrix_is_one_matrix():
-    # only a list of QuatMatrix objects is a list of matrices
+    # a list is one matrix in nested lists; a stack is one QuatMatrix
     for rows, want in (([[1, 1j], [-1j, 1]], [0.0, 2.0]), ([[2, 0], [0, 3]], [2.0, 3.0])):
         spec = right_eigenvalues_hermitian(rows)
         assert isinstance(spec, RightSpectrum)
         np.testing.assert_allclose(spec.values, want, atol=1e-14)
+    ws = [random_skew_symmetric(3, seed).gram() for seed in (1, 2)]
+    with pytest.raises(ValueError):
+        right_eigenvalues_hermitian(ws)
 
 
 def skew_stack(rng, count, n):
