@@ -8,7 +8,7 @@ dual quaternion matrices.
 """
 
 from .clinalg import (ConvergenceError, SingularMatrixError, herm_eig,
-                      lu_factor, lu_inverse, lu_solve, mgs_orthonormalize)
+                      lu_inverse, mgs_orthonormalize)
 from .dual import (DualQuatMatrix, dq_hermitian_direct, dq_hermitian_split,
                    is_dq_hermitian)
 from .hua import HuaForm, even_multiplicity_check, hua_decompose, positive_clusters

@@ -29,8 +29,8 @@ from .hua import even_multiplicity_check, hua_decompose
 from .matio import MatrixFormatError, load_matrix, quat_matrix_to_dict
 from .qmatrix import QuatMatrix, random_skew_symmetric
 from .quaternion import Quaternion, I, J
-from .skew import (SkewTriple, basic_candidate_search, inverse_skew_report,
-                   reference_4x4, sample_degenerate_triple,
+from .skew import (SkewTriple, basic_candidate_search, classify_3x3,
+                   inverse_skew_report, reference_4x4, sample_degenerate_triple,
                    sample_generic_triple, trial_seed, verify_classification)
 from .spectra import gram_product, right_eigenvalues_hermitian
 
@@ -96,7 +96,7 @@ def cmd_spectrum(args):
     if mat.nrows == 3:
         triple = SkewTriple(mat.entry(0, 1), mat.entry(1, 2), mat.entry(0, 2))
         if any(abs(q) > 0 for q in (triple.a, triple.b, triple.c)):
-            report = verify_classification(triple)
+            report = classify_3x3(triple).compare(spec.values)
             agrees = (report.case_label == "solid") == solid
             classification = (report, agrees)
 

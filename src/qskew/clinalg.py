@@ -17,7 +17,7 @@ Provided:
   converges on its own
 * frobenius_norm: Frobenius norm, of an array or per slice, that neither
   under- nor overflows
-* lu_factor / lu_solve / lu_inverse: LU with partial pivoting
+* lu_inverse: the inverse by one LU factorization with partial pivoting
 * mgs_orthonormalize: modified Gram-Schmidt with a second pass
 * cluster_runs / companion_basis: grouping of a sorted spectrum, and an
   orthonormal basis of (u, partner(u)) pairs inside one cluster
@@ -315,23 +315,23 @@ def _bisect(d, e2):
     return np.sort((0.5 * (lo + hi)).reshape(count, m), axis=1)
 
 
-def lu_factor(a, tol=1e-10):
-    """LU factorization with partial pivoting, Doolittle style.
+def lu_inverse(a, tol=1e-10):
+    """Inverse of a square matrix by LU factorization with partial pivoting.
 
-    Returns (lu, piv) where lu packs the unit-lower and upper factors and
-    piv records the row swap applied at each elimination step.  Raises
-    SingularMatrixError when the best available pivot magnitude falls to
-    tol times the Frobenius norm of the input or below, and ValueError
+    Elimination factors A in place and swaps the rows of an identity as it
+    swaps those of A; substitution then turns that identity into A^-1.
+    Raises SingularMatrixError when the best available pivot magnitude falls
+    to tol times the Frobenius norm of the input or below, and ValueError
     when the input is not square or not finite.
     """
     a = np.array(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("lu_factor needs a square matrix")
+        raise ValueError("lu_inverse needs a square matrix")
     if not np.isfinite(a).all():
-        raise ValueError("lu_factor needs finite entries")
+        raise ValueError("lu_inverse needs finite entries")
     n = a.shape[0]
     pivot_tol = tol * frobenius_norm(a)
-    piv = np.arange(n)
+    x = np.eye(n, dtype=complex)
     for k in range(n):
         r = k + int(np.argmax(np.abs(a[k:, k])))
         if abs(a[r, k]) <= pivot_tol:
@@ -340,41 +340,15 @@ def lu_factor(a, tol=1e-10):
                 % (k, abs(a[r, k]), pivot_tol))
         if r != k:
             a[[k, r], :] = a[[r, k], :]
-            piv[k] = r
+            x[[k, r], :] = x[[r, k], :]
         a[k + 1:, k] /= a[k, k]
         a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k], a[k, k + 1:])
-    return a, piv
-
-
-def lu_solve(lu, piv, b):
-    """Solve A x = b given lu_factor output.  b may hold multiple columns."""
-    lu = np.asarray(lu, dtype=complex)
-    n = lu.shape[0]
-    x = np.array(b, dtype=complex)
-    one_d = x.ndim == 1
-    if one_d:
-        x = x[:, None]
-    if x.shape[0] != n:
-        raise ValueError("right-hand side has %d rows, expected %d" % (x.shape[0], n))
-    for k in range(n):
-        r = piv[k]
-        if r != k:
-            x[[k, r], :] = x[[r, k], :]
-    # forward: L y = P b
     for k in range(1, n):
-        x[k, :] -= lu[k, :k] @ x[:k, :]
-    # back: U x = y
+        x[k, :] -= a[k, :k] @ x[:k, :]
     for k in range(n - 1, -1, -1):
-        x[k, :] -= lu[k, k + 1:] @ x[k + 1:, :]
-        x[k, :] /= lu[k, k]
-    return x[:, 0] if one_d else x
-
-
-def lu_inverse(a, tol=1e-10):
-    """Matrix inverse through the pivoted LU factorization."""
-    a = np.asarray(a, dtype=complex)
-    lu, piv = lu_factor(a, tol=tol)
-    return lu_solve(lu, piv, np.eye(a.shape[0], dtype=complex))
+        x[k, :] -= a[k, k + 1:] @ x[k + 1:, :]
+        x[k, :] /= a[k, k]
+    return x
 
 
 def mgs_orthonormalize(vectors, tol=1e-10):

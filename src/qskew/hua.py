@@ -45,6 +45,15 @@ class HuaForm:
                 "u": np.stack([self.u.real, self.u.imag], axis=-1).tolist()}
 
 
+def _unit_scaled(z):
+    """(Z 2^-e, e), exact, with e = 0 unless the largest |z_ij| lies outside
+    [2^-241, 2^240), so that Z Z* and the squared sigmas stay in range."""
+    e = int(np.frexp(np.abs(z).max(initial=0.0))[1])
+    if abs(e) <= 240:
+        return z, 0
+    return np.ldexp(z.real, -e) + 1j * np.ldexp(z.imag, -e), e
+
+
 def _cluster_cut(values):
     return CLUSTER_TOL * float(values.max(initial=0.0))
 
@@ -69,7 +78,7 @@ def even_multiplicity_check(z):
     True for every complex skew-symmetric Z; the quaternion analogue of
     this statement fails, which is the whole point of keeping it testable.
     """
-    z = np.asarray(z, dtype=complex)
+    z = _unit_scaled(np.asarray(z, dtype=complex))[0]
     h = z @ z.conj().T
     return all(len(c) % 2 == 0
                for c in positive_clusters(herm_eig(h, vectors=False)))
@@ -84,14 +93,17 @@ def hua_decompose(z, tol=1e-8):
     (a clustering-tolerance failure), and ConvergenceError when the final
     residuals exceed their contracts.  The kernel cut and the residual
     limit are tol * ||Z||_F, the cluster gap CLUSTER_TOL * sigma_max^2.
+    Z far from unit scale is decomposed as Z 2^-e, with the same U, and
+    the sigmas and residual are scaled back by 2^e.
     """
     z = np.asarray(z, dtype=complex)
     if not QuatMatrix(z).is_skew_symmetric(tol):
         raise ValueError("matrix is not skew-symmetric within tolerance")
     n = z.shape[0]
-    scale = frobenius_norm(z)
     if n == 0:
         return HuaForm(np.zeros((0, 0), dtype=complex), [], 0, 0.0, 0.0)
+    z, e = _unit_scaled(z)
+    scale = frobenius_norm(z)
 
     h = z @ z.conj().T
     _, v = herm_eig(h)
@@ -115,7 +127,8 @@ def hua_decompose(z, tol=1e-8):
         if (hi - lo) % 2:
             raise ValueError(
                 "positive eigenvalue cluster of odd size %d at sigma ~ %.6g; "
-                "clustering tolerance is off" % (hi - lo, sig_hat[pos[lo]]))
+                "clustering tolerance is off"
+                % (hi - lo, np.ldexp(sig_hat[pos[lo]], e)))
         for u, w in companion_basis(v[:, pos[lo:hi]], (hi - lo) // 2, partner):
             pairs.append((frobenius_norm(z @ u.conj()), w, u))
 
@@ -135,13 +148,15 @@ def hua_decompose(z, tol=1e-8):
 
     u_mat = np.array([r.conj() for r in rows])
     form = HuaForm(u_mat, [p[0] for p in pairs], len(kernel), 0.0, 0.0)
-    sig_target = form.canonical()
-    form.residual = frobenius_norm(u_mat @ z @ u_mat.T - sig_target)
+    form.residual = frobenius_norm(u_mat @ z @ u_mat.T - form.canonical())
     form.unitarity_residual = frobenius_norm(u_mat.conj().T @ u_mat - np.eye(n))
 
     if form.residual > tol * scale or form.unitarity_residual > tol:
         raise ConvergenceError(
             "canonical form residuals out of contract: "
             "reconstruction %.3e (limit %.3e), unitarity %.3e (limit %.3e)"
-            % (form.residual, tol * scale, form.unitarity_residual, tol))
+            % (np.ldexp(form.residual, e), np.ldexp(tol * scale, e),
+               form.unitarity_residual, tol))
+    form.sigmas = [float(np.ldexp(s, e)) for s in form.sigmas]
+    form.residual = float(np.ldexp(form.residual, e))
     return form

@@ -56,6 +56,16 @@ class SpectrumReport:
                 "max_deviation": float(self.max_deviation),
                 "condition_lhs_rhs_gap": float(self.condition_lhs_rhs_gap)}
 
+    def compare(self, computed):
+        """Fill computed_values with the W spectrum computed and, for a
+        degenerate prediction, max_deviation with the largest
+        |predicted - computed|, never raising on a mismatch; returns self."""
+        self.computed_values = [float(v) for v in computed]
+        if self.case_label == "degenerate":
+            self.max_deviation = float(
+                np.abs(np.sort(self.predicted_values) - np.sort(computed)).max())
+        return self
+
 
 @dataclass
 class InverseSkewReport:
@@ -91,11 +101,21 @@ def classify_3x3(triple):
     Solid (three distinct positive eigenvalues) exactly when |a| clears
     1e-10 * max(|a|, |b|, |c|) and |c a^-1 b - b a^-1 c| clears
     1e-10 * |a^-1||b||c|, both scale-free; otherwise degenerate with
-    predicted spectrum (0, s, s).  Raises ValueError on the all-zero triple.
+    predicted spectrum (0, s, s).  A triple whose largest component lies
+    outside [2^-241, 2^240) is classified scaled exactly by 2^-e, so that no
+    norm under- or overflows, and the gap and s are scaled back by 2^e and
+    2^2e.  Raises ValueError on the all-zero triple.
     """
     if not isinstance(triple, SkewTriple):
         triple = SkewTriple(*triple)
     a, b, c = triple.a, triple.b, triple.c
+    parts = np.array([a.components(), b.components(), c.components()])
+    e = int(np.frexp(np.abs(parts).max())[1])
+    if abs(e) > 240:
+        report = classify_3x3(SkewTriple(*np.ldexp(parts, -e)))
+        report.condition_lhs_rhs_gap = float(np.ldexp(report.condition_lhs_rhs_gap, e))
+        report.predicted_values = np.ldexp(report.predicted_values, 2 * e).tolist()
+        return report
     largest = max(abs(a), abs(b), abs(c))
     if largest == 0.0:
         raise ValueError("classification needs a nonzero triple")
@@ -112,22 +132,12 @@ def classify_3x3(triple):
 
 
 def verify_classification(triple):
-    """Run the eigensolver against the classification prediction.
-
-    Fills computed_values with the actual W spectrum.  For a degenerate
-    prediction, max_deviation is the largest |predicted - computed|; the
-    caller judges it against its own bound, a mismatch is never raised.
-    """
+    """classify_3x3(triple), compared with the W spectrum the eigensolver
+    gives for the matrix of triple."""
     if not isinstance(triple, SkewTriple):
         triple = SkewTriple(*triple)
-    report = classify_3x3(triple)
     w = gram_product(triple.matrix())
-    computed = right_eigenvalues_hermitian(w).values
-    report.computed_values = [float(v) for v in computed]
-    if report.case_label == "degenerate":
-        report.max_deviation = float(
-            np.abs(np.sort(report.predicted_values) - np.sort(computed)).max())
-    return report
+    return classify_3x3(triple).compare(right_eigenvalues_hermitian(w).values)
 
 
 def is_solid(z):

@@ -46,6 +46,7 @@ def test_spectrum_json(tmp_path, capsys):
         atol=1e-9,
     )
     assert data["classification"]["case_label"] == "solid"
+    assert data["classification"]["computed_values"] == data["spectrum"]["values"]
     assert data["classification_agrees"] is True
 
 

@@ -3,9 +3,10 @@
 The paper's contrasts (odd multiplicities of W = Z Z*, an inverse that
 leaves the skew class) are the same for c Z as for Z, and every tolerance
 in the package is relative to the magnitude of the input it judges.  The
-properties below scale by c = 10^e with e in [-12, 12]; the pinned cases
-are small and large inputs whose verdict an absolute max(1, ...) floor
-would flip.
+properties below scale by c = 10^e with e in [-12, 12], and the sigmas of
+the canonical pair form with e in [-300, 300]; the pinned cases are small
+and large inputs whose verdict an absolute max(1, ...) floor would flip,
+or whose squared entries leave the float range.
 """
 
 import contextlib
@@ -15,6 +16,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qskew import (DualQuatMatrix, QuatMatrix, Quaternion, SkewTriple,
@@ -26,6 +28,7 @@ from qskew import (DualQuatMatrix, QuatMatrix, Quaternion, SkewTriple,
 from qskew.cli import main
 
 SCALES = st.floats(min_value=-12, max_value=12).map(lambda e: 10.0 ** e)
+WIDE_SCALES = st.floats(min_value=-300, max_value=300).map(lambda e: 10.0 ** e)
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 
@@ -109,6 +112,21 @@ def test_spectra_and_sigmas_scale(c, seed):
     np.testing.assert_allclose(scaled / c, base, rtol=0, atol=1e-12 * base.max())
 
 
+@given(WIDE_SCALES, SEEDS)
+@settings(max_examples=30, deadline=None)
+def test_sigmas_scale_across_the_float_range(c, seed):
+    # Z Z* under- or overflows beyond about 1e+-154 unless Z is scaled first
+    rng = np.random.default_rng(seed)
+    z = complex_skew(rng, int(rng.integers(2, 7)))
+    base = np.array(hua_decompose(z).sigmas)
+    form = hua_decompose(c * z)
+    scaled = np.array(form.sigmas)
+    assert scaled.shape == base.shape
+    np.testing.assert_allclose(scaled / c, base, rtol=0, atol=1e-12 * base.max())
+    assert form.residual <= 1e-8 * c * np.sqrt(np.vdot(z, z).real)
+    assert even_multiplicity_check(c * z)
+
+
 @given(SCALES, SEEDS)
 @settings(max_examples=15, deadline=None)
 def test_inverse_check_verdict(c, seed):
@@ -134,12 +152,14 @@ def test_inverse_check_verdict_at_extreme_scales():
 # -- inputs far from unit scale that an absolute floor misjudges ---------------
 
 def test_spectrum_of_small_solid_matrix(tmp_path):
+    # at 1e-160 the entries' squares are subnormal and 1 / |a|^2 overflows
     path = str(tmp_path / "z.json")
-    save_matrix(path, random_skew_symmetric(3, 5).scale(1e-8))
-    out = json.loads(run_cli(["spectrum", path, "--json"]))
-    assert out["solid"] is True
-    assert out["classification"]["case_label"] == "solid"
-    assert out["classification_agrees"] is True
+    for c in (1e-8, 1e-160):
+        save_matrix(path, random_skew_symmetric(3, 5).scale(c))
+        out = json.loads(run_cli(["spectrum", path, "--json"]))
+        assert out["solid"] is True
+        assert out["classification"]["case_label"] == "solid"
+        assert out["classification_agrees"] is True
 
 
 def test_small_quaternion_matrix_breaks_even_multiplicity():
@@ -156,6 +176,33 @@ def test_inverse_of_large_solid_3x3_leaves_the_skew_class():
 def test_small_reference_triple_is_solid():
     triple = SkewTriple(Quaternion(1), I + J, I + 2 * J)
     assert classify_3x3(scaled_triple(triple, 1e-12)).case_label == "solid"
+
+
+def test_classification_beyond_the_float_square_range():
+    # squares of the components, or of those of a^-1, under- or overflow
+    rng = np.random.Generator(np.random.Philox(key=7))
+    for triple, label in ((sample_generic_triple(rng), "solid"),
+                          (sample_degenerate_triple(rng), "degenerate")):
+        base = classify_3x3(triple)
+        assert base.case_label == label
+        for c in (1e-300, 1e-160, 1e150):
+            report = classify_3x3(scaled_triple(triple, c))
+            assert report.case_label == label
+            if label == "solid":
+                assert report.condition_lhs_rhs_gap == pytest.approx(
+                    c * base.condition_lhs_rhs_gap, rel=1e-12)
+            elif c > 1:  # below 1, c^2 s is subnormal or zero
+                assert report.predicted_values[1] == pytest.approx(
+                    c * c * base.predicted_values[1], rel=1e-12)
+
+
+def test_hua_cli_beyond_the_float_square_range(tmp_path):
+    z = complex_skew(np.random.default_rng(4), 5)
+    base = np.array(hua_decompose(z).sigmas)
+    path = str(tmp_path / "z.json")
+    save_matrix(path, 1e170 * z)
+    out = json.loads(run_cli(["hua", path, "--json"]))
+    np.testing.assert_allclose(np.array(out["sigmas"]) / 1e170, base, rtol=1e-12)
 
 
 def test_hua_of_small_matrix_keeps_its_sigma():

@@ -5,7 +5,9 @@ independent oracle, and the package starts no threads: the search runs its
 trials in order in the calling thread.  Every function parameter and every
 command line option is read by the code that receives it, so no knob is
 accepted and then ignored.  Every name the package defines is read by the
-package itself, or listed as library surface with the reason it stays.
+package itself (a method only where it is called, not where an attribute of
+the same name is read), or listed as library surface with the reason it
+stays.
 Tolerances are relative to the input's magnitude, so no max(1, ...) floor
 turns one into an absolute bound.
 """
@@ -34,6 +36,7 @@ LIBRARY_ONLY = {
     "K": "basis unit exported beside I and J",
     "ONE": "unit quaternion exported for callers",
     "ZERO": "zero quaternion exported for callers",
+    "real": "real part of a scalar quaternion, for callers",
     "column": "one column of a matrix, for callers taking eigenvectors apart",
     "gram": "Z Z* without the skew check of gram_product",
     "is_unitary": "checks the eigenbasis of right_eigenpairs_hermitian",
@@ -153,24 +156,38 @@ def _definitions(tree):
                             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)))
 
 
-def _name_uses(node):
-    """How often each name is read or taken as an attribute inside node."""
+def _plain_methods(trees):
+    """Names of the methods defined in a class without @property."""
+    return {item.name for tree in trees for node in tree.body
+            if isinstance(node, ast.ClassDef) for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and "property" not in map(_dotted, item.decorator_list)}
+
+
+def _name_uses(node, methods):
+    """How often each name is read or taken as an attribute inside node;
+    an attribute named after one of methods counts only where it is called,
+    so numpy's .real does not count as a use of a method real()."""
+    called = {id(n.func) for n in ast.walk(node) if isinstance(n, ast.Call)}
     return collections.Counter(
         n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
-        or isinstance(n, ast.Attribute))
+        or isinstance(n, ast.Attribute) and (n.attr not in methods
+                                             or id(n) in called))
 
 
 def test_every_defined_name_is_used():
     trees = {path.name: ast.parse(path.read_text())
              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
-    uses = sum((_name_uses(tree) for tree in trees.values()), collections.Counter())
+    methods = _plain_methods(trees.values())
+    uses = sum((_name_uses(tree, methods) for tree in trees.values()),
+               collections.Counter())
     # a definition's uses of its own name (recursion) do not count
     unused = ["%s: %s" % (module, name)
               for module, tree in trees.items()
               for name, node in _definitions(tree)
               if not (name.startswith("__") and name.endswith("__"))
-              and uses[name] <= _name_uses(node)[name]
+              and uses[name] <= _name_uses(node, methods)[name]
               and name not in LIBRARY_ONLY]
     assert not unused, unused
     stale = [name for name in LIBRARY_ONLY if uses[name]]
