@@ -46,12 +46,15 @@ class HuaForm:
 
 
 def _unit_scaled(z):
-    """(Z 2^-e, e), exact, with e = 0 unless the largest |z_ij| lies outside
-    [2^-241, 2^240), so that Z Z* and the squared sigmas stay in range."""
-    e = int(np.frexp(np.abs(z).max(initial=0.0))[1])
-    if abs(e) <= 240:
-        return z, 0
-    return np.ldexp(z.real, -e) + 1j * np.ldexp(z.imag, -e), e
+    """(Z 2^-e, e) for a complex matrix, or per slice of a (B, n, n) stack
+    with e of shape (B,), exact, with e = 0 unless the largest |z_ij| lies
+    outside [2^-241, 2^240), so that Z Z* and the squared sigmas stay in
+    range.  Z itself is returned when every e is 0."""
+    e = np.frexp(np.abs(z).max(axis=(-2, -1), initial=0.0, keepdims=True))[1]
+    e[np.abs(e) <= 240] = 0
+    if e.any():
+        z = np.ldexp(z.real, -e) + 1j * np.ldexp(z.imag, -e)
+    return z, e[..., 0, 0]
 
 
 def _cluster_cut(values):
@@ -77,11 +80,16 @@ def even_multiplicity_check(z):
 
     True for every complex skew-symmetric Z; the quaternion analogue of
     this statement fails, which is the whole point of keeping it testable.
+    z is one complex (n, n) matrix, giving a bool, or a (B, n, n) stack,
+    giving a bool array of one verdict per slice: each slice is scaled by
+    its own power of two, and all of Z Z* goes to one values-only
+    herm_eig call, so a slice's verdict is that of a single call.
     """
     z = _unit_scaled(np.asarray(z, dtype=complex))[0]
-    h = z @ z.conj().T
-    return all(len(c) % 2 == 0
-               for c in positive_clusters(herm_eig(h, vectors=False)))
+    values = herm_eig(z @ z.conj().swapaxes(-2, -1), vectors=False)
+    even = [all(len(c) % 2 == 0 for c in positive_clusters(v))
+            for v in np.atleast_2d(values)]
+    return even[0] if values.ndim == 1 else np.array(even, dtype=bool)
 
 
 def hua_decompose(z, tol=1e-8):

@@ -102,22 +102,56 @@ class Quaternion:
         return Quaternion(self.w, -self.x, -self.y, -self.z)
 
     def norm_sq(self):
-        return self.w ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2
+        """w^2 + x^2 + y^2 + z^2, inf once a square overflows (where float
+        ** raises OverflowError).  The squares stay ** rather than x * x:
+        libm pow is off by one ulp from the product on about 0.1% of
+        doubles, and every in-range result is kept bitwise."""
+        try:
+            return self.w ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2
+        except OverflowError:
+            return math.inf
+
+    def _unit_scaled(self):
+        """(q 2^-e, e), exact, with e the binary exponent of the largest
+        component (0 for the zero quaternion)."""
+        e = math.frexp(max(map(abs, self.components())))[1]
+        return Quaternion(*(math.ldexp(c, -e) for c in self.components())), e
 
     def __abs__(self):
-        return math.sqrt(self.norm_sq())
+        """|q| from norm_sq while that lies in [2^-968, inf), else from q
+        scaled exactly by a power of two, so it is exact across the float
+        range (inf only where |q| itself overflows)."""
+        n2 = self.norm_sq()
+        if 2.0 ** -968 <= n2 < math.inf:
+            return math.sqrt(n2)
+        unit, e = self._unit_scaled()
+        return _times_pow2(math.sqrt(unit.norm_sq()), e)
 
     def inverse(self):
+        """conj(q) / |q|^2, scaled exactly by a power of two where |q|^2
+        leaves [2^-968, inf); ZeroDivisionError for the zero quaternion."""
         n2 = self.norm_sq()
-        if n2 == 0.0:
+        if 2.0 ** -968 <= n2 < math.inf:
+            c = self.conjugate()
+            return Quaternion(c.w / n2, c.x / n2, c.y / n2, c.z / n2)
+        unit, e = self._unit_scaled()
+        if unit.norm_sq() == 0.0:
             raise ZeroDivisionError("zero quaternion has no inverse")
-        c = self.conjugate()
-        return Quaternion(c.w / n2, c.x / n2, c.y / n2, c.z / n2)
+        return Quaternion(*(_times_pow2(c, -e) for c in unit.inverse().components()))
 
     # -- structure -------------------------------------------------------------
 
     def real(self):
         return self.w
+
+
+def _times_pow2(x, e):
+    """x 2^e, exact unless it leaves the float range; inf where
+    math.ldexp would raise OverflowError, as a float product gives."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 ZERO = Quaternion(0, 0, 0, 0)

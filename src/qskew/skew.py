@@ -131,13 +131,38 @@ def classify_3x3(triple):
     return SpectrumReport("degenerate", [0.0, s, s], [], 0.0, gap)
 
 
-def verify_classification(triple):
-    """classify_3x3(triple), compared with the W spectrum the eigensolver
-    gives for the matrix of triple."""
-    if not isinstance(triple, SkewTriple):
-        triple = SkewTriple(*triple)
-    w = gram_product(triple.matrix())
-    return classify_3x3(triple).compare(right_eigenvalues_hermitian(w).values)
+def _is_one_triple(value):
+    """Whether value is one triple rather than a sequence of them: a
+    SkewTriple, or three entries none of which is itself a triple (an
+    entry is a number, a Quaternion or four components)."""
+    return isinstance(value, SkewTriple) or len(value) == 3 and not any(
+        isinstance(t, SkewTriple) or hasattr(t, "__len__") and len(t) == 3
+        for t in value)
+
+
+def verify_classification(triples):
+    """classify_3x3 of each triple, compared with the W spectrum the
+    eigensolver gives for its matrix.
+
+    triples is one triple (a SkewTriple or its entries a, b, c), giving one
+    SpectrumReport, or a sequence of them, giving a list.  The matrices
+    are laid out as one (B, 3, 3, 4) stack that goes once through
+    gram_product and right_eigenvalues_hermitian, bitwise per slice, so
+    each report is that of its own call.
+    """
+    one = _is_one_triple(triples)
+    triples = [t if isinstance(t, SkewTriple) else SkewTriple(*t)
+               for t in ([triples] if one else triples)]
+    entries = np.array([[t.a.components(), t.b.components(), t.c.components()]
+                        for t in triples]).reshape(-1, 3, 4)
+    z = np.zeros((len(triples), 3, 3, 4))
+    for k, (i, j) in enumerate(((0, 1), (1, 2), (0, 2))):
+        z[:, i, j] = entries[:, k]
+        z[:, j, i] = -entries[:, k]
+    w = gram_product(QuatMatrix(z[0] if one else z))
+    values = right_eigenvalues_hermitian(w).values.reshape(-1, 3)
+    reports = [classify_3x3(t).compare(v) for t, v in zip(triples, values)]
+    return reports[0] if one else reports
 
 
 def is_solid(z):

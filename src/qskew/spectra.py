@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clinalg import cluster_runs, companion_basis, herm_eig, lu_inverse
+from .clinalg import (cluster_runs, companion_basis, frobenius_norm, herm_eig,
+                      lu_inverse)
 from .qmatrix import QuatMatrix
 
 
@@ -128,11 +129,19 @@ def gram_product(z, tol=1e-10):
 
     Also forms -Z conj(Z) independently and insists the two agree
     entrywise; for a skew-symmetric Z they are the same matrix.  The
-    result is Hermitian positive semidefinite.
+    result is Hermitian positive semidefinite.  Raises ValueError, before
+    any product, when a row norm of Z reaches 2^511: the diagonal of W
+    holds the squared row norms, and by Cauchy-Schwarz no partial sum of
+    an entry of either product exceeds the largest of them, so below that
+    nothing overflows.
     """
     z = QuatMatrix.coerce(z)
     _require(z.is_skew_symmetric(tol),
              "gram_product needs a skew-symmetric matrix")
+    rows = frobenius_norm(z.data, axis=(-2, -1)).max(axis=-1, initial=0.0)
+    _require(rows < 2.0 ** 511, "W = Z Z* is not representable: Z has a row "
+             "of norm %.3e, and W holds its square (row norms must stay below "
+             "2^511 = 6.7e153)", rows)
     w = z @ z.conj_transpose()
     w_alt = -(z @ z.conj())
     _require(w.allclose(w_alt, tol), "Z Z* and -Z conj(Z) disagree beyond "

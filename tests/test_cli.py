@@ -7,7 +7,10 @@ import pytest
 import qskew.clinalg
 import qskew.hua
 import qskew.spectra
-from qskew import QuatMatrix, SkewTriple, I, J, random_skew_symmetric, save_matrix
+from qskew import (QuatMatrix, SkewTriple, I, J, even_multiplicity_check,
+                   gram_product, random_skew_symmetric,
+                   right_eigenvalues_hermitian, sample_degenerate_triple,
+                   save_matrix, trial_seed, verify_classification)
 from qskew.cli import build_parser, main
 
 
@@ -258,3 +261,90 @@ def test_large_spectra_skip_jacobi(tmp_path, monkeypatch, capsys):
         assert main(["search-basic", "--n", str(n), "--trials", "3"]) == 0
     assert sizes == [8, 16]
     capsys.readouterr()
+
+
+def test_verify_paper_solves_rows_in_stacks(monkeypatch, capsys):
+    # one values-only call per row and matrix size (2x2, 3x3 reference,
+    # 3x3 degenerate, 4x4, and seven sizes of complex skew matrices), and
+    # the 20 eigenvector solves of the canonical pair form row
+    calls = []
+
+    def spy_on(module):
+        solve = module.herm_eig
+
+        def spy(h, vectors=True):
+            calls.append((vectors, sys._getframe(1).f_code.co_name))
+            return solve(h, vectors)
+        monkeypatch.setattr(module, "herm_eig", spy)
+
+    spy_on(qskew.spectra)
+    spy_on(qskew.hua)
+    assert main(["verify-paper", "--json"]) == 0
+    assert [caller for vectors, caller in calls if vectors] == ["hua_decompose"] * 20
+    assert len([c for c in calls if not c[0]]) <= 11
+    capsys.readouterr()
+
+
+def test_verify_paper_stacked_rows_match_single_calls(capsys):
+    # the three stacked rows recomputed one matrix per call, as they were
+    # before stacking, give the same detail strings
+    worst = 0.0
+    for t in range(25):
+        z = random_skew_symmetric(2, trial_seed(11, t))
+        values = right_eigenvalues_hermitian(gram_product(z)).values
+        expect = z.entry(0, 1).norm_sq()
+        worst = max(worst, float(np.abs(values - expect).max()) / expect)
+    two_by_two = "double value |a|^2, worst relative error %.2e" % worst
+
+    rng = np.random.Generator(np.random.Philox(key=23))
+    worst = 0.0
+    for _ in range(50):
+        report = verify_classification(sample_degenerate_triple(rng))
+        worst = max(worst, report.max_deviation / max(report.predicted_values))
+    degenerate = "50 degenerate triples, worst relative deviation %.2e" % worst
+
+    rng = np.random.Generator(np.random.Philox(key=31))
+    even = []
+    for _ in range(100):
+        n = int(rng.integers(2, 9))
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        even.append(even_multiplicity_check(m - m.T))
+    assert all(even)
+
+    assert main(["verify-paper", "--json"]) == 0
+    rows = {r["name"]: r["detail"]
+            for r in json.loads(capsys.readouterr().out)["rows"]}
+    assert rows["2x2 double eigenvalue"] == two_by_two
+    assert rows["3x3 degenerate spectrum formula"] == degenerate
+    assert rows["complex even multiplicity"] == (
+        "100 random complex skew matrices, all multiplicities even")
+
+
+@pytest.mark.parametrize("c", [1e-200, 1e-300])
+def test_spectrum_classifies_tiny_triples(tmp_path, capsys, c):
+    # the triple's squared norms underflow, its components do not
+    path = tmp_path / "tiny.json"
+    save_matrix(path, SkewTriple(1, I + J, I + 2 * J).matrix().scale(c))
+    assert main(["spectrum", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "3x3 classification: solid\n" in out
+    assert "skipped" not in out
+    assert main(["spectrum", "--json", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)["classification"]
+    assert report["case_label"] == "solid"
+    # |c a^-1 b - b a^-1 c| = 2 for the unit triple, and scales with c
+    assert report["condition_lhs_rhs_gap"] == pytest.approx(2 * c, rel=1e-14)
+
+
+def test_spectrum_refuses_unrepresentable_gram(tmp_path, capsys):
+    # Z Z* overflows; a RuntimeWarning from numpy would fail this test
+    path = tmp_path / "huge.json"
+    save_matrix(path, SkewTriple(1, I + J, I + 2 * J).matrix().scale(1e160))
+    for flags in ([], ["--json"]):
+        assert main(["spectrum", str(path)] + flags) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(
+            "math contract violation: W = Z Z* is not representable")

@@ -131,3 +131,20 @@ def test_hua_property(n, seed):
     z = random_complex_skew(rng, n, scale=float(rng.choice([0.01, 1.0, 100.0])))
     form = hua_decompose(z)
     check_form(z, form, tol=1e-8)
+
+
+@given(st.integers(min_value=0, max_value=5), st.integers(min_value=1, max_value=8),
+       st.lists(st.floats(min_value=-300, max_value=300), min_size=5, max_size=5),
+       st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=60, deadline=None)
+def test_stacked_even_multiplicity_matches_single_calls(count, n, exponents, seed):
+    # each slice at its own scale in [1e-300, 1e300]; a general (not skew)
+    # slice usually has odd clusters, so both verdicts occur
+    rng = np.random.default_rng(seed)
+    slices = []
+    for b in range(count):
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        slices.append(10.0 ** exponents[b] * (m - m.T if rng.uniform() < 0.6 else m))
+    verdicts = even_multiplicity_check(np.array(slices).reshape(count, n, n))
+    assert verdicts.dtype == bool and verdicts.shape == (count,)
+    assert verdicts.tolist() == [even_multiplicity_check(z) for z in slices]

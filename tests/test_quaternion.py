@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -101,3 +102,38 @@ def test_conjugation_by_unit_preserves_real_and_norm(q):
 def test_repr_round_trip():
     q = Quaternion(1.5, -2.0, 0.0, 3.25)
     assert eval(repr(q), {"Quaternion": Quaternion}) == q
+
+
+def test_norm_and_inverse_across_the_float_range():
+    # squares of these components leave the float range
+    assert Quaternion(1e200).norm_sq() == math.inf
+    for c in (1e200, -1e200, 1e-200, 1e300, 1e-300):
+        q = Quaternion(0, 0, c, 0)
+        assert abs(q) == abs(c)
+        inv = q.inverse().components()
+        assert inv[:2] + inv[3:] == (0, 0, 0)
+        assert math.isclose(inv[2], -1 / c, rel_tol=1e-15)
+    assert abs(Quaternion(1e200)) == 1e200
+    assert Quaternion(1e200).inverse() == Quaternion(1e-200)
+    q = Quaternion(3e200, 0, -4e200, 0)
+    assert math.isclose(abs(q), 5e200, rel_tol=1e-15)
+    assert is_close(q * q.inverse(), ONE, 1e-15)
+    assert abs(Quaternion(1.5e308, 1.5e308)) == math.inf
+    with pytest.raises(ZeroDivisionError):
+        Quaternion(0.0, -0.0, 0.0, -0.0).inverse()
+
+
+def test_in_range_norm_and_inverse_unchanged():
+    # where |q|^2 is a normal float the results are bitwise those of the
+    # plain formulas
+    rng = np.random.default_rng(7)
+    comps = rng.uniform(-1, 1, (20000, 4)) * 10.0 ** rng.uniform(-140, 140, (20000, 1))
+    comps[rng.uniform(size=comps.shape) < 0.2] = 0.0
+    for w, x, y, z in comps.tolist():
+        n2 = w ** 2 + x ** 2 + y ** 2 + z ** 2
+        if n2 == 0.0:
+            continue
+        q = Quaternion(w, x, y, z)
+        assert q.norm_sq() == n2
+        assert abs(q) == math.sqrt(n2)
+        assert q.inverse().components() == (w / n2, -x / n2, -y / n2, -z / n2)

@@ -1,9 +1,11 @@
 import collections
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qskew.skew
 import qskew.spectra
@@ -367,3 +369,19 @@ def test_single_matrix_routes_reject_a_stack():
                        (inverse_skew_report, z), (quaternion_even_multiplicity_check, z)):
         with pytest.raises(ValueError, match=r"one matrix, not a stack of shape \(2,\)"):
             route(arg)
+
+
+@given(st.lists(st.booleans(), max_size=8), st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=40, deadline=None)
+def test_verify_classification_list_matches_single_calls(solid, seed):
+    rng = np.random.default_rng(seed)
+    triples = [sample_generic_triple(rng) if s else sample_degenerate_triple(rng)
+               for s in solid]
+    # a triple may also be given as its entries (a, b, c)
+    given_as = [t if k % 2 else (t.a, t.b, t.c) for k, t in enumerate(triples)]
+    reports = verify_classification(given_as)
+    assert isinstance(reports, list) and len(reports) == len(triples)
+    for report, entries, triple in zip(reports, given_as, triples):
+        for single in (verify_classification(triple), verify_classification(entries)):
+            for f in dataclasses.fields(single):
+                assert getattr(report, f.name) == getattr(single, f.name), f.name

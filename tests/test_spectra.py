@@ -245,3 +245,17 @@ def test_stack_errors_name_the_failing_slice():
     w[3, 0, 1, 1] += 1.0
     with pytest.raises(ValueError, match=r"Hermitian matrix \(slice 3\)$"):
         right_eigenvalues_hermitian(w)
+
+
+def test_gram_product_rejects_unrepresentable_w():
+    # a row norm of Z at or beyond 2^511 ~ 6.7e153 is refused before any
+    # product is formed, so numpy never warns about an overflow
+    z = ref3_matrix()  # row norms sqrt(3), sqrt(3) and sqrt(7)
+    big = z.scale(1e160)
+    with pytest.raises(ValueError, match=r"^W = Z Z\* is not representable"):
+        gram_product(big)
+    with pytest.raises(ValueError, match=r"\(slice 1\)$"):
+        gram_product(QuatMatrix(np.stack([z.data, big.data])))
+    for c in (1.0, 1e-300, 2.0 ** 511 / np.sqrt(7) / 2):
+        zc = z.scale(c)
+        assert gram_product(zc).data.tobytes() == (zc @ zc.conj_transpose()).data.tobytes()
