@@ -88,9 +88,18 @@ def cmd_spectrum(args):
     mat = QuatMatrix.coerce(load_matrix(args.path))
     tol = _resolve_tol(args, GENERAL_TOL)
     _require_square(mat, "spectrum")
-    w = gram_product(mat, tol)
+    # below 2^-241 the entries of W = Z Z* underflow: W, its spectrum and
+    # the solid verdict come from Z 2^-e, exactly, and W and the spectrum
+    # are scaled back by 2^2e, correctly rounded
+    e = int(np.frexp(np.abs(mat.data).max(initial=0.0))[1])
+    e = e if e < -240 else 0
+    w = gram_product(QuatMatrix(np.ldexp(mat.data, -e)), tol)
     spec = right_eigenvalues_hermitian(w, tol)
     solid = float(spec.values.min()) > tol * w.norm()
+    if e:
+        w = QuatMatrix(np.ldexp(w.data, 2 * e))
+        spec.values, spec.pairing_gaps = (np.ldexp(spec.values, 2 * e),
+                                          np.ldexp(spec.pairing_gaps, 2 * e))
 
     classification = None
     if mat.nrows == 3:

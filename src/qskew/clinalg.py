@@ -8,13 +8,12 @@ in the test suite.
 Provided:
 
 * herm_eig: eigensolver for one Hermitian matrix or a stack of them.
-  Eigenvectors, and eigenvalues of matrices smaller than TRIDIAG_MIN,
-  come from complex Jacobi in the Brent-Luk round-robin ("parallel")
-  ordering, each round's disjoint rotations applied as array operations
-  over the stack.  Larger values-only solves reduce each slice to real
-  tridiagonal form by Householder reflections and bisect all eigenvalues
-  at once on Sturm counts.  Either way every slice is checked and
-  converges on its own
+  Householder reflections reduce each slice to real tridiagonal form;
+  its eigenvalues are cut out on a dyadic grid by Sturm counts and its
+  eigenvectors, when asked for, come from inverse iteration on the
+  tridiagonal, mapped back through the stored reflections.  Every step
+  works on all slices at once, and every slice is checked and converges
+  on its own
 * frobenius_norm: Frobenius norm, of an array or per slice, that neither
   under- nor overflows
 * lu_inverse: the inverse by one LU factorization with partial pivoting
@@ -34,13 +33,13 @@ class ConvergenceError(RuntimeError):
     """Iteration budget exhausted before reaching the requested tolerance."""
 
 
-JACOBI_TOL = 1e-12
-MAX_SWEEPS = 100
-# values-only solves of this size and up go through a tridiagonal reduction
-# and Sturm bisection instead of Jacobi
-TRIDIAG_MIN = 32
-# the stopping rule closes every interval within 53 halvings
+# the dyadic grid closes every interval in 53 halvings
 MAX_BISECTIONS = 100
+# eigenvalues with neighbour gaps of at most this times the scale of T share
+# a cluster, whose eigenvectors are orthogonalised together (LAPACK zstein)
+CLUSTER_GAP = 1e-3
+# inverse iteration gives up after this many solves per eigenvector
+MAX_PASSES = 5
 
 
 def frobenius_norm(a, axis=None):
@@ -62,78 +61,14 @@ def frobenius_norm(a, axis=None):
     return float(norm) if axis is None else norm
 
 
-def _offdiag_norm(a, mask):
-    """Per-slice Frobenius norm of the entries of a stack under mask."""
-    off = a[:, mask]
-    return np.sqrt((off.real ** 2 + off.imag ** 2).sum(axis=1))
-
-
-def _ring_move(m, height):
-    """Flat gather that carries a (height, m) slice [A; V] one round along
-    the Brent-Luk ring: index 0 keeps its seat and the others move one seat
-    along 1, 2, ..., m - 1, 1.  Rows of A and columns of both move, rows of
-    V stay; m - 1 moves restore the natural order."""
-    step = np.r_[0, m - 1, 1:m - 1]
-    rows = np.r_[step, m:height]
-    return (rows[:, None] * m + step).ravel()
-
-
-def _sweep(av, m, skip, move):
-    """One round-robin sweep over a stack av of (B, height, m), m even.
-
-    Rows [0, m) of each slice hold A; the rotations act on them from both
-    sides and on any rows below (V) from the right only.  Each of the
-    m - 1 rounds rotates the disjoint position pairs (i, m - 1 - i) and
-    then moves every index one seat along the ring, so a sweep meets each
-    pair of indices once and ends in the natural order.  Off-diagonal
-    entries of slice b at or below skip[b] are zeroed without a rotation.
-    move is _ring_move(m, height).  Returns the new stack; av itself is
-    used as scratch.
-    """
-    count = av.shape[0]
-    half = m // 2
-    skip = skip[:, None]
-    spare = np.empty_like(av)
-    for _ in range(m - 1):
-        flat = av.reshape(count, -1)
-        alpha = flat[:, :half * (m + 1):m + 1].real             # (i, i)
-        gamma = flat[:, m * m - 1:half * (m - 1) - 1:-m - 1].real  # (q, q)
-        beta = flat[:, m - 1:half * (m - 1) + m - 1:m - 1]       # (i, q)
-        b = np.abs(beta)
-        d = gamma - alpha
-        # tan of the angle is t = k b, the small root of t^2 + (d / b) t = 1,
-        # in a form that never divides by b
-        k = np.divide(np.copysign(2.0, d), np.abs(d) + np.hypot(d, 2.0 * b),
-                      out=np.zeros(d.shape), where=b > skip)
-        c = 1.0 / np.hypot(1.0, k * b)
-        s = (c * k) * beta
-        # row j pairs with row m - 1 - j, so the coefficients run mirrored
-        cc = np.concatenate([c, c[:, ::-1]], axis=1)
-        ss = np.concatenate([-s, s[:, ::-1].conj()], axis=1)
-        # rows p, q of J^* A: c a_p - s a_q and conj(s) a_p + c a_q
-        a, swapped = av[:, :m], spare[:, :m]
-        np.multiply(a[:, ::-1], ss[:, :, None], out=swapped)
-        np.multiply(a, cc[:, :, None], out=a)
-        a += swapped
-        # then columns p, q of (J^* A) J and of V J
-        np.multiply(av[:, :, ::-1], ss.conj()[:, None, :], out=spare)
-        np.multiply(av, cc[:, None, :], out=av)
-        av += spare
-        flat[:, m - 1:m * (m - 1) + 1:m - 1] = 0.0             # (i, q), (q, i)
-        flat.imag[:, :m * m:m + 1] = 0.0
-        flat.take(move, axis=1, out=spare.reshape(count, -1))
-        av, spare = spare, av
-    return av
-
-
 def herm_eig(h, vectors=True):
     """Eigendecomposition of Hermitian matrices.
 
     h is one (m, m) matrix or a (B, m, m) stack; a single matrix is solved
-    as a stack of one.  Returns (w, v) with eigenvalues w ascending (stable
-    order on ties) and unitary v whose columns are the matching
-    eigenvectors, shaped (m,) and (m, m), or (B, m) and (B, m, m) for a
-    stack.  With vectors=False only w is returned.
+    as a stack of one.  Returns (w, v) with eigenvalues w ascending and
+    unitary v whose columns are the matching eigenvectors, shaped (m,) and
+    (m, m), or (B, m) and (B, m, m) for a stack.  With vectors=False only
+    w is returned, bitwise the w computed with vectors.
 
     Every slice is checked first: ValueError when the input is not square
     or not finite, or names the first slice whose largest |h - h^*| entry
@@ -141,20 +76,14 @@ def herm_eig(h, vectors=True):
     scaled by a power of two, on its own, so a slice of a stack gives
     bitwise the result of a single call.
 
-    With vectors, or for m < TRIDIAG_MIN, the solver is round-robin Jacobi:
-    each sweep follows the Brent-Luk ("parallel") ordering, m - 1 rounds
-    of m/2 disjoint rotations applied as array operations over the stack
-    (odd m gets a decoupled zero row and column).  A slice converges when
-    its off-diagonal Frobenius mass drops below JACOBI_TOL * ||h_b||_F and
-    then stops rotating; ConvergenceError when a slice is still above its
-    target after MAX_SWEEPS sweeps.  Here the values-only w is bitwise the
-    w computed with vectors.
-
-    Values-only solves with m >= TRIDIAG_MIN reduce each slice to a real
-    tridiagonal matrix by Householder reflections and bisect its
-    eigenvalues on Sturm counts (_bisect, which raises ConvergenceError
-    after MAX_BISECTIONS halvings).  This w agrees with the w computed
-    with vectors to roundoff, not bitwise.
+    Householder reflections reduce each slice A to a real tridiagonal
+    T = D* Q* A Q D (_tridiagonal).  A slice whose T has no nonzero
+    off-diagonal entry takes its sorted diagonal as eigenvalues and unit
+    vectors as eigenvectors, so the zero matrix gives v = I exactly.  The
+    others bisect every eigenvalue on Sturm counts of T (_bisect) and, with
+    vectors, run inverse iteration on T (_inverse_iteration), whose
+    eigenvectors Q D maps back.  Both raise ConvergenceError when they
+    reach their iteration limit.
     """
     h = np.asarray(h, dtype=complex)
     single = h.ndim == 2
@@ -171,89 +100,69 @@ def herm_eig(h, vectors=True):
     if bad.size:
         raise ValueError("matrix is not Hermitian"
                          + ("" if single else " (slice %d)" % bad[0]))
-    if count and m:
-        # solved scaled by 2^-e, exactly, so no norm in a solver under- or overflows
-        e = np.frexp(peak)[1]
-        a = np.ldexp(((h + hh) / 2.0).view(float), -e[:, None, None]).view(complex)
-        if vectors or m < TRIDIAG_MIN:
-            w, v = _jacobi(a, vectors)
-        else:
-            w = _bisect(*_tridiagonal(a))
-        w = np.ldexp(w, e[:, None])
-    else:
-        w, v = np.zeros((count, m)), np.zeros((count, m, m), dtype=complex)
-    if single:
-        w, v = w[0], (v[0] if vectors else None)
-    return (w, v) if vectors else w
-
-
-def _jacobi(a, vectors):
-    """Ascending eigenvalues (B, m) and, if vectors, eigenvectors (B, m, m)
-    of a nonempty stack of exactly Hermitian matrices."""
-    count, m = a.shape[:2]
-    n = m + m % 2
-    height = 2 * n if vectors else n
-    av = np.zeros((count, height, n), dtype=complex)
-    av[:, :m, :m] = a
-    if vectors:
-        av[:, n:] = np.eye(n)
-    fro = np.sqrt((np.abs(a) ** 2).reshape(count, -1).sum(axis=1))
-    target = JACOBI_TOL * fro
-    # pair entries at or below this are zeroed without a rotation; a whole
-    # sweep of that moves the matrix by far less than the target
-    skip = target / (10.0 * m * m)
-    mask = ~np.eye(n, dtype=bool)
-    move = _ring_move(n, height)
-    for _ in range(MAX_SWEEPS):
-        live = np.flatnonzero(_offdiag_norm(av[:, :n], mask) > target)
-        if live.size == 0:
-            break
-        if live.size == count:
-            av = _sweep(av, n, skip, move)
-        else:
-            av[live] = _sweep(av[live], n, skip[live], move)
-    else:
-        off = _offdiag_norm(av[:, :n], mask)
-        worst = int(np.argmax(off - target))
-        raise ConvergenceError(
-            "Jacobi sweep limit %d reached (off-diagonal %.3e, target %.3e)"
-            % (MAX_SWEEPS, off[worst], target[worst]))
-    # a padding index sits last and stays decoupled
-    w = av[:, :m, :m].diagonal(axis1=1, axis2=2).real
-    order = np.argsort(w, axis=1, kind="stable")
-    w = np.take_along_axis(w, order, axis=1)
+    # solved scaled by 2^-e, exactly, so no norm in a solver under- or overflows
+    e = np.frexp(peak)[1]
+    a = np.ldexp(((h + hh) / 2.0).view(float), -e[:, None, None]).view(complex)
+    d, e2, delta, steps = _tridiagonal(a)
+    # a slice whose T is diagonal keeps its sorted diagonal and unit vectors
+    order = np.argsort(d, axis=1, kind="stable")
+    w = np.take_along_axis(d, order, axis=1)
+    y = (np.arange(m)[:, None] == order[:, None, :]).astype(float)
+    rows = np.flatnonzero((e2 > 0).any(axis=1))
+    if rows.size:
+        # an off-diagonal entry below 2^-256 moves no eigenvalue of a matrix
+        # of unit size; above it no pivot is 0 and no Sturm quotient subnormal
+        d, e2 = d[rows], np.maximum(e2[rows], 2.0 ** -512)
+        off = np.sqrt(e2)
+        radius = np.abs(d)
+        radius[:, 1:] += off
+        radius[:, :-1] += off
+        # the power of two above each Gershgorin bound
+        top = np.ldexp(1.0, np.frexp(radius.max(axis=1))[1])
+        w[rows] = _bisect(d, e2, top)
+        if vectors:
+            y[rows] = _inverse_iteration(d, off, w[rows], top)
+    w = np.ldexp(w, e[:, None])
     if not vectors:
-        return w, None
-    return w, np.take_along_axis(av[:, n:n + m, :m], order[:, None, :], axis=2)
+        return w[0] if single else w
+    v = delta[:, :, None] * y
+    for k, (u, tau) in reversed(list(enumerate(steps))):
+        z = v[:, k + 1:]
+        z -= (tau[:, None] * u)[:, :, None] * (u.conj()[:, None, :] @ z)
+    return (w[0], v[0]) if single else (w, v)
 
 
 def _tridiagonal(a):
-    """Diagonal d (B, m) and squared off-diagonal magnitudes e2 (B, m - 1)
-    of a real symmetric tridiagonal matrix T = Q* A Q, Q unitary, for each
-    slice A of a stack of exactly Hermitian matrices with entries of size
-    about 1.
+    """Real symmetric tridiagonal form T = D* Q* A Q D of each slice A of a
+    stack of exactly Hermitian matrices with entries of size about 1.
 
-    Step k reflects column k below the diagonal onto its first entry by
-    the Householder reflection I - tau v v^*, applied to the trailing block
-    from both sides as one rank-2 update.  Only |e_k|^2 = ||column||^2 is
-    kept, so the phases of the off-diagonal never need to be formed.  A
+    Returns the diagonal d (B, m) and squared off-diagonal magnitudes e2
+    (B, m - 1) of T, the diagonal (B, m) of the unitary diagonal D, and
+    the reflections (v, tau) whose product, I - tau v v^* for step k acting
+    on rows k + 1 on, is Q.  Step k reflects column k below the diagonal
+    onto -e^{i arg x_0} ||x|| e_1, applied to the trailing block from both
+    sides as one rank-2 update, and D turns that entry into ||x||.  A
     column whose squared norm underflows is left as it is: its entries are
     below 1e-154 and change no eigenvalue at double precision.
     """
     a = a.copy()
     count, m = a.shape[:2]
-    e2 = np.empty((count, m - 1))
+    e2 = np.zeros((count, m))[:, 1:]
+    delta = np.ones((count, m), dtype=complex)
+    steps = []
     for k in range(m - 1):
         x = a[:, k + 1:, k]
         e2[:, k] = (x.real ** 2 + x.imag ** 2).sum(axis=1)
+        unit = np.exp(1j * np.angle(x[:, 0]))
+        # the last column, and one too small to square, are not reflected
+        live = (e2[:, k] >= np.finfo(float).tiny) & (k < m - 2)
+        delta[:, k + 1] = delta[:, k] * np.where(live, -unit, unit)
         if k == m - 2:
             break
-        live = e2[:, k] >= np.finfo(float).tiny
         v = np.divide(x, np.sqrt(e2[:, k])[:, None], out=np.zeros_like(x),
                       where=live[:, None])
         # v = x / ||x|| + e^{i arg x_0} e_1, the sum with no cancellation
-        lead = np.abs(v[:, 0])
-        v[:, 0] += np.divide(v[:, 0], lead, out=live.astype(complex), where=lead > 0)
+        v[:, 0] += unit
         tau = np.divide(2.0, (v.real ** 2 + v.imag ** 2).sum(axis=1),
                         out=np.zeros(count), where=live)
         # H A H = A - v w^* - w v^* with p = tau A v, w = p - (tau/2)(v^* p) v
@@ -262,57 +171,138 @@ def _tridiagonal(a):
         w = p - (0.5 * tau * (v.conj() * p).sum(axis=1).real)[:, None] * v
         trail -= v[:, :, None] * w.conj()[:, None, :]
         trail -= w[:, :, None] * v.conj()[:, None, :]
-    return a.diagonal(axis1=1, axis2=2).real.copy(), e2
+        steps.append((v, tau))
+    return a.diagonal(axis1=1, axis2=2).real.copy(), e2, delta, steps
 
 
-def _sturm_below(shift_gap, e2):
-    """Per column, how many eigenvalues of a symmetric tridiagonal lie
-    below its shift x: the negative pivots q_i = (d_i - x) - e2_{i-1} / q_{i-1}
-    of T - x I, given shift_gap (m, L) = d_i - x and e2 (m - 1, L) >= the
-    smallest normal float.  A zero pivot makes the next one infinite with
-    the sign that keeps the count right, so no 0/0 can arise."""
-    q = shift_gap.copy()
-    rows = list(q)
-    with np.errstate(divide="ignore", over="ignore"):
-        for prev, row, e in zip(rows, rows[1:], e2):
-            row -= e / prev
-    return np.signbit(q).sum(axis=0)
+def _bisect(d, e2, top):
+    """Ascending eigenvalues (B, m) of symmetric tridiagonals by bisection
+    on a dyadic grid.
 
-
-def _bisect(d, e2):
-    """Ascending eigenvalues (B, m) of symmetric tridiagonals by bisection.
-
-    Eigenvalue j of slice b is bracketed by its Gershgorin bound g_b, then
-    halved on Sturm counts of all live (slice, index) intervals at once
-    until its width is at most 2 eps max(|lo|, |hi|) + eps g_b; a finished
-    interval stops moving, so no slice's result depends on the others.
-    Raises ConvergenceError if an interval is still open after
-    MAX_BISECTIONS halvings.
+    Eigenvalue j of slice b starts in [-t_b, t_b], with t_b = top[b] a
+    power of two at or above its Gershgorin bound, and ends as the midpoint
+    of its part of width eps t_b, 53 halvings down.  Each round cuts every
+    interval into 2^s equal parts at exact points and keeps the one that
+    the Sturm counts at the cuts pick: the negative pivots
+    q_i = (d_i - x) - e2_{i-1} / q_{i-1} of T - x I number the eigenvalues
+    below x, and each pivot rounds monotonically in x, so the counts never
+    fall as x rises (a zero pivot makes the next one infinite with the
+    sign that keeps the count right).  The grid is fixed, so an interval
+    takes the same path for any s: many cuts per interval when there are
+    few intervals, one when there are many.  Raises ConvergenceError if
+    the intervals are still open after MAX_BISECTIONS halvings.
     """
     count, m = d.shape
-    eps = np.finfo(float).eps
-    e = np.sqrt(e2)
-    radius = np.zeros((count, m))
-    radius[:, 1:] += e
-    radius[:, :-1] += e
-    bound = np.repeat((np.abs(d) + radius).max(axis=1), m)
-    e2 = np.maximum(e2, np.finfo(float).tiny)
-    slices = np.repeat(np.arange(count), m)
     index = np.tile(np.arange(m), count)
-    lo, hi = -bound, bound.copy()
-    for _ in range(MAX_BISECTIONS):
-        live = np.flatnonzero(hi - lo > 2.0 * eps * np.maximum(np.abs(lo), np.abs(hi))
-                              + eps * bound)
-        if live.size == 0:
-            break
-        mid = 0.5 * (lo[live] + hi[live])
-        rows = slices[live]
-        below = _sturm_below(d.T[:, rows] - mid, e2.T[:, rows]) > index[live]
-        hi[live] = np.where(below, mid, hi[live])
-        lo[live] = np.where(below, lo[live], mid)
-    else:
-        raise ConvergenceError("bisection limit %d reached" % MAX_BISECTIONS)
-    return np.sort((0.5 * (lo + hi)).reshape(count, m), axis=1)
+    lo = -np.repeat(top, m)
+    level, parts, span = 0, 0, -2.0 * lo
+    # levels per round: the most whose 2^s - 1 cuts per interval keep a round
+    # within 512 cuts, where a Sturm count stops costing about its overhead
+    most = (512 // index.size + 1).bit_length() - 1 or 1
+    with np.errstate(divide="ignore", over="ignore"):
+        while level < 53:
+            if level == MAX_BISECTIONS:
+                raise ConvergenceError("bisection limit %d reached" % MAX_BISECTIONS)
+            s = min(most, min(53, MAX_BISECTIONS) - level)
+            if parts != (1 << s) - 1:
+                parts = (1 << s) - 1
+                diag = np.repeat(d.T, m * parts, axis=1)
+                e2s = np.repeat(e2.T, m * parts, axis=1)
+            level += s
+            step = np.ldexp(span, -level)
+            q = diag - (lo[:, None] + step[:, None] * np.arange(1, parts + 1)).ravel()
+            rows = list(q)
+            for prev, row, e in zip(rows, rows[1:], e2s):
+                row -= e / prev
+            # the cuts at or below eigenvalue j
+            counts = np.add.reduce(np.signbit(q), axis=0, dtype=np.intp)
+            lo = lo + (counts.reshape(-1, parts) <= index[:, None]).sum(axis=1) * step
+    return np.sort((lo + np.ldexp(span, -54)).reshape(count, m), axis=1)
+
+
+def _inverse_iteration(d, e, w, top):
+    """Eigenvectors (B, m, m) of symmetric tridiagonals with diagonal d,
+    off-diagonal e > 0 and ascending eigenvalues w, by inverse iteration
+    on every (slice, eigenvalue) column at once.
+
+    Eigenvalues with neighbour gaps of at most CLUSTER_GAP t_b (t_b =
+    top[b]) form a cluster.  Column j factors T - s_j I once by
+    elimination with partial pivoting (LAPACK dlagtf), where s_j is w_j
+    moved up to 10 eps t_b above s_{j-1} when closer to it inside a
+    cluster, and a pivot below eps t_b counts as eps t_b.  The first pass
+    solves U x = b for a fixed b, later passes the whole system, and after
+    each pass the columns are normalised and orthogonalised against the
+    earlier members of their cluster by classical Gram-Schmidt, twice
+    (LAPACK zstein; Dhillon, BIT 38, 1998).  From the second pass on, a
+    column stops once ||T y - w_j y|| is at most 4 m^1.5 eps t_b, about
+    what zstein accepts, and the earlier members of its cluster have
+    stopped.  Raises ConvergenceError if a column still moves after
+    MAX_PASSES.
+    """
+    count, m = d.shape
+    n = count * m
+    # the rank of column b m + j in its cluster, and for each rank its
+    # columns with those of their earlier members
+    new = np.ones((count, m), dtype=bool)
+    new[:, 1:] = np.diff(w, axis=1) > CLUSTER_GAP * top[:, None]
+    rank = np.arange(n) - np.maximum.accumulate(np.where(new.ravel(), np.arange(n), 0))
+    groups = [(cols, cols[:, None] - np.arange(r, 0, -1))
+              for r in range(1, rank.max() + 1) for cols in [np.flatnonzero(rank == r)]]
+    tiny = np.repeat(np.finfo(float).eps * top, m)
+    s = w.ravel().copy()
+    for cols, _ in groups:
+        s[cols] = np.maximum(s[cols], s[cols - 1] + 10.0 * tiny[cols])
+    shift = (d.repeat(m, axis=0) - s[:, None]).T
+    off = np.repeat(e, m, axis=0).T
+    # row k of what is left to eliminate is (head, over, 0) in columns k,
+    # k + 1, k + 2; the factors are lists of rows
+    head, over = shift[0], off[0]
+    piv, sup, sup2, mult, swap = [], [], [], [], []
+    for k in range(m - 1):
+        swap.append(off[k] > np.abs(head))
+        piv.append(np.where(swap[k], off[k], head))
+        mult.append(np.where(swap[k], head, off[k]) / piv[k])
+        sup.append(np.where(swap[k], shift[k + 1], over))
+        head = np.where(swap[k], over, shift[k + 1]) - mult[k] * sup[k]
+        if k < m - 2:
+            sup2.append(off[k + 1] * swap[k])
+            over = np.where(swap[k], -mult[k] * off[k + 1], off[k + 1])
+    piv = np.array(piv + [head])
+    inv = 1.0 / np.where(np.abs(piv) < tiny, np.copysign(tiny, piv), piv)
+
+    bound = 4 * m * np.sqrt(m) * tiny
+    done, y = np.zeros(n, dtype=bool), np.zeros((n, m))
+    rows = list(np.tile(np.random.default_rng(0).uniform(-1.0, 1.0, (m, m)), count))
+    for sweep in range(MAX_PASSES):
+        for k in range(m - 1 if sweep else 0):
+            top_row = np.where(swap[k], rows[k + 1], rows[k])
+            rows[k + 1] = np.where(swap[k], rows[k], rows[k + 1]) - mult[k] * top_row
+            rows[k] = top_row
+        rows[-1] = rows[-1] * inv[-1]
+        rows[-2] = (rows[-2] - sup[-1] * rows[-1]) * inv[-2]
+        for k in range(m - 3, -1, -1):
+            rows[k] = (rows[k] - sup[k] * rows[k + 1] - sup2[k] * rows[k + 2]) * inv[k]
+        # one vector per row, so every sum below runs along a contiguous row
+        x = np.stack(rows, axis=1)
+        y = np.where(done[:, None], y, x / np.sqrt((x ** 2).sum(axis=1))[:, None])
+        for cols, earlier in groups:
+            cols, earlier = cols[~done[cols]], y[earlier[~done[cols]]]
+            u = y[cols]
+            for _ in range(2):
+                u -= ((earlier * u[:, None, :]).sum(axis=2)[:, :, None]
+                      * earlier).sum(axis=1)
+            y[cols] = u / np.sqrt((u ** 2).sum(axis=1))[:, None]
+        if sweep:
+            res = (d.repeat(m, axis=0) - w.reshape(n, 1)) * y
+            res[:, 1:] += off.T * y[:, :-1]
+            res[:, :-1] += off.T * y[:, 1:]
+            done = np.sqrt((res ** 2).sum(axis=1)) <= bound
+            for cols, _ in groups:
+                done[cols] &= done[cols - 1]
+            if done.all():
+                return y.reshape(count, m, m).transpose(0, 2, 1)
+        rows = list(y.T)
+    raise ConvergenceError("inverse iteration limit %d reached" % MAX_PASSES)
 
 
 def lu_inverse(a, tol=1e-10):

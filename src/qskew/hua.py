@@ -118,8 +118,8 @@ def hua_decompose(z, tol=1e-8):
 
     # measure each mode directly on Z; far sharper near the kernel than
     # sqrt of the H eigenvalue
-    sig_hat = np.array([frobenius_norm(z @ v[:, j].conj()) for j in range(n)])
-    zero_idx = [j for j in range(n) if sig_hat[j] <= tol * scale]
+    sig_hat = frobenius_norm(z @ v.conj(), axis=0)
+    zero_idx = np.flatnonzero(sig_hat <= tol * scale)
     order = np.argsort(sig_hat, kind="stable")
     pos = order[sig_hat[order] > tol * scale]
 

@@ -242,25 +242,38 @@ def test_only_hua_decompose_asks_for_eigenvectors(tmp_path, monkeypatch, capsys)
     capsys.readouterr()
 
 
-def test_large_spectra_skip_jacobi(tmp_path, monkeypatch, capsys):
-    # values-only solves from 2n = TRIDIAG_MIN up go through the tridiagonal
-    # route; the small stacks of search-basic stay on Jacobi
-    sizes = []
-    solve = qskew.clinalg._jacobi
+def test_every_eigen_solve_goes_through_tridiagonal(tmp_path, monkeypatch, capsys):
+    # one eigen path: every herm_eig call, with vectors or without, reduces
+    # its whole stack to tridiagonal form, at every size
+    solves, reduced = [], []
+    reduce = qskew.clinalg._tridiagonal
 
-    def spy(a, vectors):
-        sizes.append(a.shape[-1])
-        return solve(a, vectors)
-    monkeypatch.setattr(qskew.clinalg, "_jacobi", spy)
-    for n in (16, 64):
+    def spy_reduce(a):
+        reduced.append(a.shape)
+        return reduce(a)
+    monkeypatch.setattr(qskew.clinalg, "_tridiagonal", spy_reduce)
+
+    def spy_on(module):
+        solve = module.herm_eig
+
+        def spy(h, vectors=True):
+            solves.append(((1,) * (3 - np.ndim(h)) + np.shape(h), vectors))
+            return solve(h, vectors)
+        monkeypatch.setattr(module, "herm_eig", spy)
+
+    spy_on(qskew.spectra)
+    spy_on(qskew.hua)
+    for n in (3, 4, 8, 16, 64):
         path = tmp_path / ("z%d.json" % n)
         save_matrix(path, random_skew_symmetric(n, n))
         assert main(["spectrum", "--json", str(path)]) == 0
-    assert sizes == []
+        assert main(["hua", "--json", write_complex_skew(tmp_path, n, n)]) == 0
     for n in (4, 8):
         assert main(["search-basic", "--n", str(n), "--trials", "3"]) == 0
-    assert sizes == [8, 16]
     capsys.readouterr()
+    assert [s for s, _ in solves] == reduced
+    assert {shape[-1] for shape, vectors in solves if vectors} == {3, 4, 8, 16, 64}
+    assert {shape[-1] for shape, vectors in solves if not vectors} == {6, 8, 16, 32, 128}
 
 
 def test_verify_paper_solves_rows_in_stacks(monkeypatch, capsys):
@@ -334,6 +347,25 @@ def test_spectrum_classifies_tiny_triples(tmp_path, capsys, c):
     assert report["case_label"] == "solid"
     # |c a^-1 b - b a^-1 c| = 2 for the unit triple, and scales with c
     assert report["condition_lhs_rhs_gap"] == pytest.approx(2 * c, rel=1e-14)
+
+
+@pytest.mark.parametrize("c", [1e-160, 1e-200, 1e-300])
+def test_spectrum_of_tiny_triples_agrees_with_classification(tmp_path, capsys, c):
+    # W = Z Z* underflows: the spectrum and the solid verdict come from Z
+    # scaled by a power of two, and W and the values are scaled back
+    path = tmp_path / "tiny.json"
+    z = SkewTriple(1, I + J, I + 2 * J).matrix()
+    save_matrix(path, z.scale(c))
+    assert main(["spectrum", "--json", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["solid"] is True and out["classification_agrees"] is True
+    unit = right_eigenvalues_hermitian(gram_product(z)).values
+    np.testing.assert_allclose(out["spectrum"]["values"], unit * c * c,
+                               rtol=1e-12, atol=np.ldexp(1.0, -1072))
+    assert main(["spectrum", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "solid (W positive definite): yes\n" in out
+    assert "classification agrees with spectrum: yes\n" in out
 
 
 def test_spectrum_refuses_unrepresentable_gram(tmp_path, capsys):

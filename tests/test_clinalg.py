@@ -17,6 +17,8 @@ from qskew import (
     herm_eig,
     lu_inverse,
     mgs_orthonormalize,
+    random_skew_symmetric,
+    sample_degenerate_triple,
 )
 from qskew.clinalg import frobenius_norm
 
@@ -86,7 +88,7 @@ def test_herm_eig_rejects_non_hermitian():
         with pytest.raises(ValueError, match="not Hermitian \\(slice 1\\)"):
             herm_eig(np.stack([np.eye(2), c * lopsided]), vectors=False)
     # and before the values-only route is chosen
-    wide = random_hermitian(np.random.default_rng(17), qskew.clinalg.TRIDIAG_MIN)
+    wide = random_hermitian(np.random.default_rng(17), 32)
     wide[0, 5] += 1.0
     with pytest.raises(ValueError, match="not Hermitian"):
         herm_eig(wide, vectors=False)
@@ -185,13 +187,17 @@ def test_herm_eig_stack_rejects_any_bad_slice():
         herm_eig(np.zeros((1, 2, 2, 2), dtype=complex))
 
 
-def test_herm_eig_sweep_limit(monkeypatch):
+def test_herm_eig_inverse_iteration_limit(monkeypatch):
+    # a first pass alone never accepts an eigenvector; values and diagonal
+    # slices need no pass at all
+    monkeypatch.setattr(qskew.clinalg, "MAX_PASSES", 1)
     h = random_hermitian(np.random.default_rng(16), 8)
-    monkeypatch.setattr(qskew.clinalg, "MAX_SWEEPS", 1)
-    with pytest.raises(ConvergenceError, match="sweep limit 1"):
+    with pytest.raises(ConvergenceError, match="inverse iteration limit 1"):
         herm_eig(h)
-    with pytest.raises(ConvergenceError):
-        herm_eig(np.stack([np.diag([1.0, 2.0] * 4), h]), vectors=False)
+    with pytest.raises(ConvergenceError, match="inverse iteration limit 1"):
+        herm_eig(np.stack([np.diag([1.0, 2.0] * 4), h]))
+    herm_eig(h, vectors=False)
+    np.testing.assert_array_equal(herm_eig(np.diag([3.0, 1.0]))[1], [[0, 1], [1, 0]])
 
 
 def test_lu_inverse_matches_reference():
@@ -318,7 +324,7 @@ def test_mgs_property(dim, count, seed):
 
 
 @given(st.integers(min_value=0, max_value=3),
-       st.integers(min_value=qskew.clinalg.TRIDIAG_MIN, max_value=80),
+       st.integers(min_value=1, max_value=80),
        st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=20, deadline=None)
 def test_herm_eig_tridiagonal_property(count, n, seed):
@@ -334,7 +340,7 @@ def test_herm_eig_tridiagonal_property(count, n, seed):
 
 def test_herm_eig_tridiagonal_stack_matches_slices_bitwise():
     rng = np.random.default_rng(18)
-    for n in (qskew.clinalg.TRIDIAG_MIN, 128):
+    for n in (32, 128):
         stack = random_hermitian_stack(rng, 3, n)
         # one slice whose intervals close at other halvings than the rest
         stack[1] = np.diag(np.arange(n, dtype=float))
@@ -375,16 +381,73 @@ def test_herm_eig_tridiagonal_structured_inputs():
 
 
 def test_herm_eig_bisection_limit(monkeypatch):
-    h = random_hermitian(np.random.default_rng(20), qskew.clinalg.TRIDIAG_MIN)
+    h = random_hermitian(np.random.default_rng(20), 32)
     monkeypatch.setattr(qskew.clinalg, "MAX_BISECTIONS", 10)
     with pytest.raises(ConvergenceError, match="bisection limit 10"):
         herm_eig(h, vectors=False)
-    # the vectors route and smaller sizes stay on Jacobi
-    herm_eig(h)
-    herm_eig(h[:-1, :-1], vectors=False)
+    # solves with vectors and small solves bisect the same way
+    with pytest.raises(ConvergenceError, match="bisection limit 10"):
+        herm_eig(h)
+    with pytest.raises(ConvergenceError, match="bisection limit 10"):
+        herm_eig(h[:5, :5], vectors=False)
     # the absolute term of the stopping rule closes an interval around a zero
     # eigenvalue as fast as any other: 53 halvings from the Gershgorin bound
     monkeypatch.setattr(qskew.clinalg, "MAX_BISECTIONS", 54)
     y = np.random.default_rng(21).normal(size=(33, 33))
     for zero_inside in (h, (y - y.T) @ (y - y.T).T, np.diag([0.0, 1.0] * 20)):
         herm_eig(zero_inside, vectors=False)
+
+
+def structured_hermitian(kind, m, rng):
+    """A Hermitian matrix of about m rows whose spectrum clusters the way
+    the package's inputs do."""
+    if kind == "chi":  # chi(W): every eigenvalue exactly doubled
+        n = max(2, m // 2)
+        return gram_product(random_skew_symmetric(n, int(rng.integers(2 ** 32)))).chi()
+    if kind == "zz":  # Z Z* of a complex skew Z: positive eigenvalues even
+        y = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        return (y - y.T) @ (y - y.T).conj().T
+    if kind == "degenerate":  # chi(W) of the (0, s, s) class
+        return gram_product(sample_degenerate_triple(rng).matrix()).chi()
+    q = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    if kind == "diag2225":
+        return q @ np.diag([2.0, 2.0, 2.0, 5.0]) @ q.conj().T
+    return random_hermitian(rng, m)
+
+
+@given(st.sampled_from(["chi", "zz", "degenerate", "diag2225", "random"]),
+       st.integers(min_value=1, max_value=80), st.integers(min_value=1, max_value=64),
+       st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=40, deadline=None)
+def test_herm_eig_vectors_of_clustered_spectra(kind, m, count, seed):
+    # eigenpairs against numpy's eigh, and each slice of a stack bitwise its
+    # single call, whatever the rest of the stack holds
+    rng = np.random.default_rng(seed)
+    h = structured_hermitian(kind, m, rng)
+    m = h.shape[0]
+    others = [random_hermitian(rng, m, 10.0 ** rng.uniform(-6, 6)),
+              np.zeros((m, m)), np.diag(rng.normal(size=m)), 1e-9 * h]
+    stack = np.stack([h] + [others[i] for i in rng.integers(0, 4, count - 1)])
+    w, v = herm_eig(stack)
+    np.testing.assert_array_equal(herm_eig(stack, vectors=False), w)
+    for b in {0, count - 1, int(rng.integers(count))}:
+        wb, vb = herm_eig(stack[b])
+        np.testing.assert_array_equal(w[b], wb)
+        np.testing.assert_array_equal(v[b], vb)
+        np.testing.assert_array_equal(herm_eig(stack[b], vectors=False), wb)
+    ref = np.linalg.eigvalsh(h)
+    scale = np.abs(ref).max()
+    np.testing.assert_allclose(w[0], ref, rtol=0, atol=1e-13 * scale)
+    assert np.abs(h @ v[0] - v[0] * w[0]).max() <= 1e-13 * scale
+    assert np.abs(v[0].conj().T @ v[0] - np.eye(m)).max() <= 1e-11
+
+
+def test_herm_eig_one_by_one_and_empty_stacks():
+    for h in ([[5.0]], np.full((3, 1, 1), -2.0)):
+        w, v = herm_eig(h)
+        np.testing.assert_array_equal(w, np.real(h)[..., 0])
+        np.testing.assert_array_equal(v, np.ones_like(h))
+    for shape in ((0, 3, 3), (2, 0, 0), (0, 0)):
+        w, v = herm_eig(np.zeros(shape))
+        assert w.shape == shape[:-1] and v.shape == shape
+        assert herm_eig(np.zeros(shape), vectors=False).shape == shape[:-1]
