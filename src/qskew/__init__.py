@@ -24,6 +24,6 @@ from .skew import (BasicCandidate, InverseSkewReport, SkewTriple,
                    sample_generic_triple, trial_seed, verify_classification)
 from .spectra import (RightSpectrum, gram_product, is_positive_definite,
                       is_positive_semidefinite, quat_inverse,
-                      right_eigenpairs_hermitian, right_eigenvalues_hermitian)
+                      right_eigenvalues_hermitian)
 
 __version__ = "0.1.0"

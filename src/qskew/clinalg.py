@@ -7,19 +7,19 @@ in the test suite.
 
 Provided:
 
-* herm_eig: eigensolver for one Hermitian matrix or a stack of them.
-  Householder reflections reduce each slice to real tridiagonal form;
-  its eigenvalues are cut out on a dyadic grid by Sturm counts and its
-  eigenvectors, when asked for, come from inverse iteration on the
-  tridiagonal, mapped back through the stored reflections.  Every step
-  works on all slices at once, and every slice is checked and converges
-  on its own
+* herm_eig: eigenvalues of one Hermitian matrix or a stack of them.
+  Householder reflections reduce each slice to real tridiagonal form,
+  whose eigenvalues are cut out on a dyadic grid by Sturm counts.  Every
+  step works on all slices at once, and every slice is checked and
+  converges on its own
+* _tridiagonal_eig: that tridiagonal solve, with eigenvectors by inverse
+  iteration when asked for; hua_decompose solves with it the tridiagonal
+  that _skew_tridiagonal, a skew Householder congruence, makes of Z
 * frobenius_norm: Frobenius norm, of an array or per slice, that neither
   under- nor overflows
 * lu_inverse: the inverse by one LU factorization with partial pivoting
-* mgs_orthonormalize: modified Gram-Schmidt with a second pass
-* cluster_runs / companion_basis: grouping of a sorted spectrum, and an
-  orthonormal basis of (u, partner(u)) pairs inside one cluster
+* mgs_orthonormalize: Gram-Schmidt, run twice
+* cluster_runs: grouping of a sorted spectrum
 """
 
 import numpy as np
@@ -61,29 +61,20 @@ def frobenius_norm(a, axis=None):
     return float(norm) if axis is None else norm
 
 
-def herm_eig(h, vectors=True):
-    """Eigendecomposition of Hermitian matrices.
+def herm_eig(h):
+    """Eigenvalues of Hermitian matrices.
 
     h is one (m, m) matrix or a (B, m, m) stack; a single matrix is solved
-    as a stack of one.  Returns (w, v) with eigenvalues w ascending and
-    unitary v whose columns are the matching eigenvectors, shaped (m,) and
-    (m, m), or (B, m) and (B, m, m) for a stack.  With vectors=False only
-    w is returned, bitwise the w computed with vectors.
+    as a stack of one.  Returns the eigenvalues w ascending, shaped (m,),
+    or (B, m) for a stack.
 
     Every slice is checked first: ValueError when the input is not square
     or not finite, or names the first slice whose largest |h - h^*| entry
     exceeds 1e-10 times its largest |h| entry.  Each slice is then solved
     scaled by a power of two, on its own, so a slice of a stack gives
-    bitwise the result of a single call.
-
-    Householder reflections reduce each slice A to a real tridiagonal
-    T = D* Q* A Q D (_tridiagonal).  A slice whose T has no nonzero
-    off-diagonal entry takes its sorted diagonal as eigenvalues and unit
-    vectors as eigenvectors, so the zero matrix gives v = I exactly.  The
-    others bisect every eigenvalue on Sturm counts of T (_bisect) and, with
-    vectors, run inverse iteration on T (_inverse_iteration), whose
-    eigenvectors Q D maps back.  Both raise ConvergenceError when they
-    reach their iteration limit.
+    bitwise the result of a single call.  Householder reflections reduce
+    each slice to a real tridiagonal T (_tridiagonal), whose eigenvalues
+    _tridiagonal_eig cuts out.
     """
     h = np.asarray(h, dtype=complex)
     single = h.ndim == 2
@@ -93,7 +84,6 @@ def herm_eig(h, vectors=True):
         raise ValueError("herm_eig needs a square matrix or a stack of them")
     if not np.isfinite(h).all():
         raise ValueError("herm_eig needs finite entries")
-    count, m = h.shape[:2]
     hh = h.conj().swapaxes(1, 2)
     peak = np.abs(h).max(axis=(1, 2), initial=0.0)
     bad = np.flatnonzero(np.abs(h - hh).max(axis=(1, 2), initial=0.0) > 1e-10 * peak)
@@ -103,11 +93,27 @@ def herm_eig(h, vectors=True):
     # solved scaled by 2^-e, exactly, so no norm in a solver under- or overflows
     e = np.frexp(peak)[1]
     a = np.ldexp(((h + hh) / 2.0).view(float), -e[:, None, None]).view(complex)
-    d, e2, delta, steps = _tridiagonal(a)
-    # a slice whose T is diagonal keeps its sorted diagonal and unit vectors
+    w = np.ldexp(_tridiagonal_eig(*_tridiagonal(a)), e[:, None])
+    return w[0] if single else w
+
+
+def _tridiagonal_eig(d, e2, vectors=False):
+    """Eigenvalues w (B, m), ascending, of the real symmetric tridiagonal
+    matrices T with diagonal d (B, m) and squared off-diagonal e2
+    (B, m - 1), entries of size about 1; with vectors, (w, y) where the
+    columns of y (B, m, m) are the matching orthonormal eigenvectors.
+
+    A slice with no nonzero off-diagonal entry takes its sorted diagonal as
+    eigenvalues and unit vectors as eigenvectors, so the zero matrix gives
+    w = 0 and y = I exactly.  The others bisect every eigenvalue on Sturm
+    counts (_bisect) and, with vectors, run inverse iteration
+    (_inverse_iteration); both raise ConvergenceError at their iteration
+    limit.  w is bitwise the same with and without vectors.
+    """
+    m = d.shape[1]
     order = np.argsort(d, axis=1, kind="stable")
     w = np.take_along_axis(d, order, axis=1)
-    y = (np.arange(m)[:, None] == order[:, None, :]).astype(float)
+    y = (np.arange(m)[:, None] == order[:, None, :]).astype(float) if vectors else None
     rows = np.flatnonzero((e2 > 0).any(axis=1))
     if rows.size:
         # an off-diagonal entry below 2^-256 moves no eigenvalue of a matrix
@@ -122,57 +128,86 @@ def herm_eig(h, vectors=True):
         w[rows] = _bisect(d, e2, top)
         if vectors:
             y[rows] = _inverse_iteration(d, off, w[rows], top)
-    w = np.ldexp(w, e[:, None])
-    if not vectors:
-        return w[0] if single else w
-    v = delta[:, :, None] * y
-    for k, (u, tau) in reversed(list(enumerate(steps))):
-        z = v[:, k + 1:]
-        z -= (tau[:, None] * u)[:, :, None] * (u.conj()[:, None, :] @ z)
-    return (w[0], v[0]) if single else (w, v)
+    return (w, y) if vectors else w
+
+
+def _reflector(x, norm2):
+    """(v, tau) of the reflections I - tau v v^* that map each row x of a
+    (B, k) stack onto -e^{i arg x_0} ||x|| e_1, given norm2 = ||x||^2.  A
+    row whose squared norm underflows gets tau = 0, the identity: its
+    entries are below 1e-154."""
+    live = norm2 >= np.finfo(float).tiny
+    v = np.divide(x, np.sqrt(norm2)[:, None], out=np.zeros_like(x),
+                  where=live[:, None])
+    # v = x / ||x|| + e^{i arg x_0} e_1, the sum with no cancellation
+    v[:, 0] += np.exp(1j * np.angle(x[:, 0]))
+    tau = np.divide(2.0, (v.real ** 2 + v.imag ** 2).sum(axis=1),
+                    out=np.zeros(len(x)), where=live)
+    return v, tau
 
 
 def _tridiagonal(a):
     """Real symmetric tridiagonal form T = D* Q* A Q D of each slice A of a
-    stack of exactly Hermitian matrices with entries of size about 1.
+    stack of exactly Hermitian matrices with entries of size about 1, with
+    Q a product of reflections and D a unitary diagonal.
 
     Returns the diagonal d (B, m) and squared off-diagonal magnitudes e2
-    (B, m - 1) of T, the diagonal (B, m) of the unitary diagonal D, and
-    the reflections (v, tau) whose product, I - tau v v^* for step k acting
-    on rows k + 1 on, is Q.  Step k reflects column k below the diagonal
-    onto -e^{i arg x_0} ||x|| e_1, applied to the trailing block from both
-    sides as one rank-2 update, and D turns that entry into ||x||.  A
-    column whose squared norm underflows is left as it is: its entries are
-    below 1e-154 and change no eigenvalue at double precision.
+    (B, m - 1) of T.  Step k reflects column k below the diagonal
+    (_reflector), applied to the trailing block from both sides as one
+    rank-2 update; a column too small to square is left as it is and
+    changes no eigenvalue at double precision.
     """
     a = a.copy()
-    count, m = a.shape[:2]
-    e2 = np.zeros((count, m))[:, 1:]
-    delta = np.ones((count, m), dtype=complex)
-    steps = []
+    m = a.shape[1]
+    e2 = np.zeros(a.shape[:2])[:, 1:]
     for k in range(m - 1):
         x = a[:, k + 1:, k]
         e2[:, k] = (x.real ** 2 + x.imag ** 2).sum(axis=1)
-        unit = np.exp(1j * np.angle(x[:, 0]))
-        # the last column, and one too small to square, are not reflected
-        live = (e2[:, k] >= np.finfo(float).tiny) & (k < m - 2)
-        delta[:, k + 1] = delta[:, k] * np.where(live, -unit, unit)
         if k == m - 2:
             break
-        v = np.divide(x, np.sqrt(e2[:, k])[:, None], out=np.zeros_like(x),
-                      where=live[:, None])
-        # v = x / ||x|| + e^{i arg x_0} e_1, the sum with no cancellation
-        v[:, 0] += unit
-        tau = np.divide(2.0, (v.real ** 2 + v.imag ** 2).sum(axis=1),
-                        out=np.zeros(count), where=live)
+        v, tau = _reflector(x, e2[:, k])
         # H A H = A - v w^* - w v^* with p = tau A v, w = p - (tau/2)(v^* p) v
         trail = a[:, k + 1:, k + 1:]
         p = tau[:, None] * (trail @ v[:, :, None])[:, :, 0]
         w = p - (0.5 * tau * (v.conj() * p).sum(axis=1).real)[:, None] * v
         trail -= v[:, :, None] * w.conj()[:, None, :]
         trail -= w[:, :, None] * v.conj()[:, None, :]
-        steps.append((v, tau))
-    return a.diagonal(axis1=1, axis2=2).real.copy(), e2, delta, steps
+    return a.diagonal(axis1=1, axis2=2).real.copy(), e2
+
+
+def _skew_tridiagonal(a):
+    """Real skew tridiagonal form T = U A U^T of one exactly skew-symmetric
+    complex matrix A with entries of size about 1, U unitary (Ward & Gray,
+    ACM TOMS 4, 1978; Wimmer, ACM TOMS 38, 2012).
+
+    Returns the squared superdiagonal e2 (m - 1,) of T, whose superdiagonal
+    is sqrt(e2), and U = D Q.  Step k of Q reflects column k below the
+    subdiagonal (_reflector) and applies H A H^T, which keeps A skew, as
+    the rank-2 update A += v w^T - w v^T with w = tau A conj(v) (the term
+    in v^* A conj(v) = 0 drops out).  The unitary diagonal D makes the
+    superdiagonal real and nonnegative.  A column too small to square is
+    left as it is.
+    """
+    a = a.copy()
+    m = len(a)
+    e2 = np.zeros(m)[1:]
+    q = np.eye(m, dtype=complex)
+    diag = np.ones(m, dtype=complex)
+    for k in range(m - 1):
+        x = a[k + 1:, k]
+        e2[k] = (x.real ** 2 + x.imag ** 2).sum()
+        unit = np.exp(1j * np.angle(x[0]))
+        if k < m - 2:
+            v, tau = _reflector(x[None], e2[k:k + 1])
+            v, tau = v[0], tau[0]
+            trail = a[k + 1:, k + 1:]
+            w = tau * (trail @ v.conj())
+            trail += v[:, None] * w - w[:, None] * v
+            q[k + 1:] -= (tau * v)[:, None] * (v.conj() @ q[k + 1:])
+        # T_{k, k + 1} is e^{i arg x_0} ||x|| once column k is reflected, else -x_0
+        phase = unit if k < m - 2 and tau else -unit
+        diag[k + 1] = (diag[k] * phase).conj()
+    return e2, diag[:, None] * q
 
 
 def _bisect(d, e2, top):
@@ -342,28 +377,28 @@ def lu_inverse(a, tol=1e-10):
 
 
 def mgs_orthonormalize(vectors, tol=1e-10):
-    """Orthonormalize a list of complex vectors by modified Gram-Schmidt.
+    """Orthonormalize a list of complex vectors in order by Gram-Schmidt.
 
-    A second projection pass cleans up the rounding left by the first.
-    Vectors whose residual after projection has norm at or below tol are
-    dropped, so the returned list can be shorter than the input.
+    Each vector is projected against all the vectors kept so far in one
+    product, and a second such pass cleans up the rounding left by the
+    first (classical Gram-Schmidt run twice).  Vectors whose residual after
+    projection has norm at or below tol are dropped, so the returned list
+    can be shorter than the input.  Raises ValueError when the vectors
+    have mixed lengths.
     """
-    kept = []
-    length = None
+    vectors = [np.array(v, dtype=complex).ravel() for v in vectors]
+    if len({v.size for v in vectors}) > 1:
+        raise ValueError("vectors have mixed lengths")
+    kept = np.zeros((len(vectors), vectors[0].size if vectors else 0), dtype=complex)
+    count = 0
     for v in vectors:
-        v = np.array(v, dtype=complex).ravel()
-        if length is None:
-            length = v.size
-        elif v.size != length:
-            raise ValueError("vectors have mixed lengths")
         for _ in range(2):
-            for u in kept:
-                v -= (u.conj() @ v) * u
+            v -= kept[:count].T @ (kept[:count].conj() @ v)
         nrm = float(np.sqrt((np.abs(v) ** 2).sum()))
-        if nrm <= tol:
-            continue
-        kept.append(v / nrm)
-    return kept
+        if nrm > tol:
+            kept[count] = v / nrm
+            count += 1
+    return list(kept[:count])
 
 
 def cluster_runs(sorted_values, cut):
@@ -377,34 +412,3 @@ def cluster_runs(sorted_values, cut):
         return []
     edges = [0] + (np.flatnonzero(np.diff(values) > cut) + 1).tolist() + [values.size]
     return list(zip(edges[:-1], edges[1:]))
-
-
-def companion_basis(pool, count, partner):
-    """Orthonormal (u, partner(u)) pairs drawn from the column span of pool.
-
-    Each of count steps projects the vectors chosen so far out of pool
-    (two passes), keeps the largest-residual column as u, then scrubs
-    w = partner(u) against the earlier choices and normalises it.  partner
-    must map u to a vector of the same span orthogonal to u.  Returns the
-    list of (u, w).  Raises ValueError when the pool runs out of rank.
-    """
-    chosen = []
-    pairs = []
-    for _ in range(count):
-        work = pool.copy()
-        for _ in range(2):
-            for c in chosen:
-                work -= np.outer(c, c.conj() @ work)
-        norms = np.sqrt((np.abs(work) ** 2).sum(axis=0))
-        best = int(np.argmax(norms))
-        if norms[best] <= 1e-6:
-            raise ValueError("companion extraction degenerated; "
-                             "residual pool norm %.3e" % norms[best])
-        u = work[:, best] / norms[best]
-        w = partner(u)
-        for c in chosen:
-            w -= (c.conj() @ w) * c
-        w /= float(np.sqrt((np.abs(w) ** 2).sum()))
-        chosen.extend([w, u])
-        pairs.append((u, w))
-    return pairs

@@ -2,18 +2,20 @@
 
 For any complex Z with Z^T = -Z there is a unitary U such that U Z U^T is
 block diagonal: 2x2 blocks [[0, sigma], [-sigma, 0]] with sigma > 0, then
-a zero block covering the kernel.  The construction goes through the
-Hermitian product H = Z Z*: each positive eigenvalue of H carries an even
-number of eigenvectors, and the antiunitary map u -> Z conj(u) / sigma
-turns one eigenvector into its block partner.
+a zero block covering the kernel (Hua).  hua_decompose works on Z itself:
+skew Householder congruence reduces it to a real skew tridiagonal matrix,
+and the eigenpairs of its Golub-Kahan form give the sigmas and the block
+pairs.  even_multiplicity_check tests the same fact independently through
+H = Z Z*, each of whose positive eigenvalues appears an even number of
+times.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .clinalg import (ConvergenceError, cluster_runs, companion_basis,
-                      frobenius_norm, herm_eig, mgs_orthonormalize)
+from .clinalg import (ConvergenceError, _skew_tridiagonal, _tridiagonal_eig,
+                      cluster_runs, frobenius_norm, herm_eig, mgs_orthonormalize)
 from .qmatrix import QuatMatrix
 
 CLUSTER_TOL = 1e-8
@@ -57,10 +59,6 @@ def _unit_scaled(z):
     return z, e[..., 0, 0]
 
 
-def _cluster_cut(values):
-    return CLUSTER_TOL * float(values.max(initial=0.0))
-
-
 def positive_clusters(values):
     """Group the positive entries of an ascending eigenvalue array.
 
@@ -69,7 +67,7 @@ def positive_clusters(values):
     threshold.  Returns a list of index lists, one per cluster.
     """
     values = np.asarray(values, dtype=float)
-    cut = _cluster_cut(values)
+    cut = CLUSTER_TOL * float(values.max(initial=0.0))
     order = np.argsort(values, kind="stable")
     idx = order[values[order] > cut]
     return [idx[lo:hi].tolist() for lo, hi in cluster_runs(values[idx], cut)]
@@ -86,7 +84,7 @@ def even_multiplicity_check(z):
     herm_eig call, so a slice's verdict is that of a single call.
     """
     z = _unit_scaled(np.asarray(z, dtype=complex))[0]
-    values = herm_eig(z @ z.conj().swapaxes(-2, -1), vectors=False)
+    values = herm_eig(z @ z.conj().swapaxes(-2, -1))
     even = [all(len(c) % 2 == 0 for c in positive_clusters(v))
             for v in np.atleast_2d(values)]
     return even[0] if values.ndim == 1 else np.array(even, dtype=bool)
@@ -97,12 +95,24 @@ def hua_decompose(z, tol=1e-8):
 
     Returns a HuaForm with U unitary, sigmas descending and positive, and
     the kernel gathered in a trailing zero block.  Raises ValueError for
-    non-skew input or when a positive eigenvalue cluster has odd size
-    (a clustering-tolerance failure), and ConvergenceError when the final
-    residuals exceed their contracts.  The kernel cut and the residual
-    limit are tol * ||Z||_F, the cluster gap CLUSTER_TOL * sigma_max^2.
-    Z far from unit scale is decomposed as Z 2^-e, with the same U, and
-    the sigmas and residual are scaled back by 2^e.
+    non-skew input, and ConvergenceError when the eigensolver reaches its
+    iteration limit or the final residuals exceed their contracts.  The
+    residual limit is tol * ||Z||_F; the smallest pairs go to the kernel
+    while sqrt(2) times the norm of their sigmas, which is what dropping
+    them adds to the residual, stays within half that limit.  Z is
+    decomposed as Z 2^-e, with max |z_ij| in [1/2, 1), and the sigmas and
+    residual are scaled back by 2^e.
+
+    Skew Householder congruence reduces Z to a real skew tridiagonal T,
+    with superdiagonal e >= 0 (_skew_tridiagonal).  With S = diag((-i)^k),
+    S^* (i T) S is the symmetric tridiagonal with zero diagonal and
+    off-diagonal e (Golub & Kahan, SIAM J. Numer. Anal. B 2, 1965), whose
+    eigenvalues are +-sigma, and 0 once more when n is odd.  Its
+    eigenvector s at sigma gives T phi = -i sigma phi for phi = S s, so
+    u1 = Im phi and u2 = Re phi, which hold the odd and the even entries
+    of s, satisfy T u2 = sigma u1 and T u1 = -sigma u2: normalised, they
+    are the rows of one block pair.  The real and imaginary parts of the
+    other eigenvectors span the kernel.
     """
     z = np.asarray(z, dtype=complex)
     if not QuatMatrix(z).is_skew_symmetric(tol):
@@ -110,52 +120,26 @@ def hua_decompose(z, tol=1e-8):
     n = z.shape[0]
     if n == 0:
         return HuaForm(np.zeros((0, 0), dtype=complex), [], 0, 0.0, 0.0)
-    z, e = _unit_scaled(z)
+    e = np.frexp(np.abs(z).max())[1]
+    z = np.ldexp(z.real, -e) + 1j * np.ldexp(z.imag, -e)
     scale = frobenius_norm(z)
 
-    h = z @ z.conj().T
-    _, v = herm_eig(h)
-
-    # measure each mode directly on Z; far sharper near the kernel than
-    # sqrt of the H eigenvalue
-    sig_hat = frobenius_norm(z @ v.conj(), axis=0)
-    zero_idx = np.flatnonzero(sig_hat <= tol * scale)
-    order = np.argsort(sig_hat, kind="stable")
-    pos = order[sig_hat[order] > tol * scale]
-
-    def partner(u):
-        zu = z @ u.conj()
-        return zu / frobenius_norm(zu)
-
-    # group positive modes whose squared values sit within the gap rule,
-    # then take one (w, u) block pair per two modes, highest cluster first
-    lam = sig_hat ** 2
-    pairs = []  # (sigma, w_vec, u_vec)
-    for lo, hi in reversed(cluster_runs(lam[pos], _cluster_cut(lam))):
-        if (hi - lo) % 2:
-            raise ValueError(
-                "positive eigenvalue cluster of odd size %d at sigma ~ %.6g; "
-                "clustering tolerance is off"
-                % (hi - lo, np.ldexp(sig_hat[pos[lo]], e)))
-        for u, w in companion_basis(v[:, pos[lo:hi]], (hi - lo) // 2, partner):
-            pairs.append((frobenius_norm(z @ u.conj()), w, u))
-
-    pairs.sort(key=lambda p: -p[0])
-
-    kernel = mgs_orthonormalize([v[:, j] for j in zero_idx], tol=1e-6)
-    if len(kernel) != len(zero_idx):
-        raise ValueError("kernel basis collapsed during orthonormalization")
-
-    rows = []
-    for _, w, u in pairs:
-        rows.extend([w, u])
-    rows.extend(kernel)
-    rows = mgs_orthonormalize(rows, tol=1e-6)
+    e2, q = _skew_tridiagonal((z - z.T) / 2.0)
+    w, y = _tridiagonal_eig(np.zeros((1, n)), e2[None], vectors=True)
+    sigmas = w[0, ::-1][:n // 2]
+    # what sending pairs t, t + 1, ... to the kernel adds to the residual
+    dropped = np.sqrt(2.0 * np.cumsum(sigmas[::-1] ** 2))[::-1]
+    pairs = int((dropped > tol * scale / 2.0).sum())
+    # Im phi and Re phi of each eigenvector, highest eigenvalue first: the
+    # block pairs, then the kernel candidates; those at -sigma add nothing
+    phi = y[0, :, ::-1].T * np.array([1, -1j, -1, 1j])[np.arange(n) % 4]
+    parts = np.stack([phi.imag, phi.real], axis=1).reshape(2 * n, n)
+    rows = mgs_orthonormalize(parts[:2 * (n - pairs)], tol=1e-6)
     if len(rows) != n:
         raise ValueError("basis lost a vector during final orthonormalization")
 
-    u_mat = np.array([r.conj() for r in rows])
-    form = HuaForm(u_mat, [p[0] for p in pairs], len(kernel), 0.0, 0.0)
+    u_mat = np.array(rows) @ q
+    form = HuaForm(u_mat, sigmas[:pairs].tolist(), n - 2 * pairs, 0.0, 0.0)
     form.residual = frobenius_norm(u_mat @ z @ u_mat.T - form.canonical())
     form.unitarity_residual = frobenius_norm(u_mat.conj().T @ u_mat - np.eye(n))
 

@@ -115,10 +115,6 @@ class QuatMatrix:
         i, j = key
         return self.entry(i, j)
 
-    def column(self, j):
-        """Column j as an (m, 1) QuatMatrix."""
-        return QuatMatrix(self.data[..., j:j + 1, :])
-
     def parts(self):
         """The four real component matrices (C-contiguous copies)."""
         return tuple(np.array(self.data[..., c]) for c in range(4))
@@ -238,12 +234,6 @@ class QuatMatrix:
         self._require_square("is_skew_symmetric")
         d = self.data
         return _per_slice(_max_abs(d.swapaxes(-3, -2) + d) <= tol * _max_abs(d))
-
-    def is_unitary(self):
-        """A* A = I within Frobenius residual 1e-10."""
-        self._require_square("is_unitary")
-        res = self.conj_transpose() @ self - QuatMatrix.eye(self.nrows)
-        return res.norm() <= 1e-10
 
     def _require_square(self, who):
         if self.nrows != self.ncols:

@@ -3,9 +3,8 @@
 The embedding chi sends an n x n quaternion matrix to a 2n x 2n complex
 matrix multiplicatively, so Hermitian quaternion eigenproblems reduce to
 complex ones.  Each real right eigenvalue of the quaternion matrix shows
-up twice in the complex spectrum; the pairing is checked, every second
-value is kept, and only right_eigenpairs_hermitian also maps eigenvectors
-back to quaternion columns.
+up twice in the complex spectrum; the pairing is checked and every second
+value is kept.
 
 gram_product and right_eigenvalues_hermitian take a QuatMatrix stack
 (..., n, n, 4) as well as one matrix and give bitwise the per-slice
@@ -13,45 +12,29 @@ results; each check still judges every slice on its own, and an error
 names the first slice that fails it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .clinalg import (cluster_runs, companion_basis, frobenius_norm, herm_eig,
-                      lu_inverse)
+from .clinalg import frobenius_norm, herm_eig, lu_inverse
 from .qmatrix import QuatMatrix
 
 
 @dataclass
 class RightSpectrum:
-    """Ascending real right eigenvalues, with a quaternion eigenbasis or None.
+    """Ascending real right eigenvalues and the gaps inside their pairs.
 
     values and pairing_gaps are (n,), or (..., n) for a stack.
     pairing_gaps holds the spread inside each doubled pair of the complex
-    spectrum; values near machine precision confirm the doubling.  vectors
-    is a unitary QuatMatrix of right eigenvectors from
-    right_eigenpairs_hermitian, and None from right_eigenvalues_hermitian.
+    spectrum; values near machine precision confirm the doubling.
     """
     values: np.ndarray
-    vectors: QuatMatrix | None
-    pairing_gaps: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    pairing_gaps: np.ndarray
 
     def to_dict(self):
-        """values and pairing_gaps as (nested) lists of floats; vectors stay
-        on the object."""
+        """values and pairing_gaps as (nested) lists of floats."""
         return {"values": self.values.tolist(),
                 "pairing_gaps": self.pairing_gaps.tolist()}
-
-
-def _antidual(v):
-    """The antiunitary companion of a complex 2n-vector in adjoint coordinates.
-
-    Commutes with every chi image and squares to -1; the companion of an
-    eigenvector is an eigenvector for the same value, always orthogonal to
-    the original.
-    """
-    n = v.size // 2
-    return np.concatenate([-v[n:].conj(), v[:n].conj()])
 
 
 def _require(ok, message, *values):
@@ -68,59 +51,27 @@ def _require(ok, message, *values):
     raise ValueError(text)
 
 
-def _hermitian(a, tol):
+def right_eigenvalues_hermitian(a, tol=1e-10):
+    """Values-only right spectrum of Hermitian quaternion matrices.
+
+    Returns a RightSpectrum for one matrix or a QuatMatrix stack, whose
+    slices all go to one herm_eig call: every second value of the
+    ascending spectrum of chi(A), and the gaps inside its pairs.  Raises
+    ValueError on input not Hermitian within tol or a complex spectrum not
+    paired within 1e-9 * ||A||_F.
+    """
     a = QuatMatrix.coerce(a)
     _require(a.is_hermitian(tol), "right spectrum needs a Hermitian matrix")
-    return a
-
-
-def _paired(mu, a):
-    """Every second value of the ascending complex spectra mu of chi(a),
-    the gaps inside their pairs, and the pairing tolerance they must meet."""
+    c = a.chi()  # herm_eig takes one matrix or a stack with one leading axis
+    mu = herm_eig(c.reshape((-1,) + c.shape[-2:]) if c.ndim > 3 else c)
+    mu = mu.reshape(c.shape[:-1])
     pair_tol = 1e-9 * a.norm()
     gaps = mu[..., 1::2] - mu[..., 0::2]
     worst = gaps.max(axis=-1, initial=0.0)
     _require(worst <= pair_tol,
              "complex spectrum does not pair: worst gap %.3e exceeds %.3e",
              worst, pair_tol)
-    return mu[..., ::2].copy(), gaps, pair_tol
-
-
-def right_eigenvalues_hermitian(a, tol=1e-10):
-    """Values-only right spectrum of Hermitian quaternion matrices.
-
-    Returns a RightSpectrum (ascending eigenvalues, pairing gaps, vectors
-    None) for one matrix or a QuatMatrix stack, whose slices all go to one
-    herm_eig call.  Raises ValueError on input not Hermitian within tol or
-    a complex spectrum not paired within 1e-9 * ||A||_F.
-    """
-    a = _hermitian(a, tol)
-    c = a.chi()  # herm_eig takes one matrix or a stack with one leading axis
-    mu = herm_eig(c.reshape((-1,) + c.shape[-2:]) if c.ndim > 3 else c,
-                  vectors=False)
-    values, gaps, _ = _paired(mu.reshape(c.shape[:-1]), a)
-    return RightSpectrum(values, None, gaps)
-
-
-def right_eigenpairs_hermitian(a):
-    """right_eigenvalues_hermitian(a) plus a unitary QuatMatrix of right
-    eigenvectors (A x = x lambda per column); same values, bitwise.  Takes
-    one matrix, not a stack."""
-    a = _hermitian(a, 1e-10)
-    a._require_single("right_eigenpairs_hermitian")
-    n = a.nrows
-    mu, v = herm_eig(a.chi())
-    values, gaps, pair_tol = _paired(mu, a)
-
-    # one eigenvector per pair, pulled out of each group of pairs whose
-    # values collide; column u of the adjoint lifts to x = u[:n] - conj(u[n:]) j
-    chosen = []
-    for lo, hi in cluster_runs(values, pair_tol):
-        chosen.extend(u for u, _ in companion_basis(v[:, 2 * lo:2 * hi], hi - lo,
-                                                    _antidual))
-    basis = np.array(chosen, dtype=complex).reshape(n, 2 * n).T
-    vectors = QuatMatrix.from_complex_pair(basis[:n], -basis[n:].conj())
-    return RightSpectrum(values, vectors, gaps)
+    return RightSpectrum(mu[..., ::2].copy(), gaps)
 
 
 def gram_product(z, tol=1e-10):

@@ -217,84 +217,61 @@ def test_search_basic_zero_trials_prints_only_summary(capsys):
     assert json.loads(lines[0])["hits"] == 0
 
 
-def test_only_hua_decompose_asks_for_eigenvectors(tmp_path, monkeypatch, capsys):
-    # every herm_eig call that accumulates eigenvectors, by calling function
-    calls = []
-
-    def spy_on(module):
-        solve = module.herm_eig
-
-        def spy(h, vectors=True):
-            if vectors:
-                calls.append(sys._getframe(1).f_code.co_name)
-            return solve(h, vectors)
+def spy_on_herm_eig(monkeypatch, calls):
+    """Record, for every herm_eig call from spectra and hua, the function
+    that made it and the shape of its input as a stack."""
+    for module in (qskew.spectra, qskew.hua):
+        def spy(h, solve=module.herm_eig):
+            calls.append((sys._getframe(1).f_code.co_name,
+                          (1,) * (3 - np.ndim(h)) + np.shape(h)))
+            return solve(h)
         monkeypatch.setattr(module, "herm_eig", spy)
 
-    spy_on(qskew.spectra)
-    spy_on(qskew.hua)
+
+def test_hua_decompose_makes_no_herm_eig_call(tmp_path, monkeypatch, capsys):
+    # hua works on Z itself; only even_multiplicity_check forms Z Z*
+    calls = []
+    spy_on_herm_eig(monkeypatch, calls)
     for n in (3, 16):
-        path = tmp_path / ("z%d.json" % n)
-        save_matrix(path, random_skew_symmetric(n, n))
-        assert main(["spectrum", "--json", str(path)]) == 0
+        assert main(["hua", "--json", write_complex_skew(tmp_path, n, n)]) == 0
     assert calls == []
     assert main(["verify-paper", "--json"]) == 0
-    assert calls == ["hua_decompose"] * 20
+    assert calls and "hua_decompose" not in {caller for caller, _ in calls}
     capsys.readouterr()
 
 
 def test_every_eigen_solve_goes_through_tridiagonal(tmp_path, monkeypatch, capsys):
-    # one eigen path: every herm_eig call, with vectors or without, reduces
-    # its whole stack to tridiagonal form, at every size
-    solves, reduced = [], []
+    # one eigen path: every herm_eig call reduces its whole stack to
+    # tridiagonal form, at every size
+    reduced = []
     reduce = qskew.clinalg._tridiagonal
 
     def spy_reduce(a):
         reduced.append(a.shape)
         return reduce(a)
     monkeypatch.setattr(qskew.clinalg, "_tridiagonal", spy_reduce)
-
-    def spy_on(module):
-        solve = module.herm_eig
-
-        def spy(h, vectors=True):
-            solves.append(((1,) * (3 - np.ndim(h)) + np.shape(h), vectors))
-            return solve(h, vectors)
-        monkeypatch.setattr(module, "herm_eig", spy)
-
-    spy_on(qskew.spectra)
-    spy_on(qskew.hua)
+    solves = []
+    spy_on_herm_eig(monkeypatch, solves)
     for n in (3, 4, 8, 16, 64):
         path = tmp_path / ("z%d.json" % n)
         save_matrix(path, random_skew_symmetric(n, n))
         assert main(["spectrum", "--json", str(path)]) == 0
-        assert main(["hua", "--json", write_complex_skew(tmp_path, n, n)]) == 0
     for n in (4, 8):
         assert main(["search-basic", "--n", str(n), "--trials", "3"]) == 0
     capsys.readouterr()
-    assert [s for s, _ in solves] == reduced
-    assert {shape[-1] for shape, vectors in solves if vectors} == {3, 4, 8, 16, 64}
-    assert {shape[-1] for shape, vectors in solves if not vectors} == {6, 8, 16, 32, 128}
+    assert [shape for _, shape in solves] == reduced
+    assert {shape[-1] for _, shape in solves} == {6, 8, 16, 32, 128}
 
 
 def test_verify_paper_solves_rows_in_stacks(monkeypatch, capsys):
     # one values-only call per row and matrix size (2x2, 3x3 reference,
-    # 3x3 degenerate, 4x4, and seven sizes of complex skew matrices), and
-    # the 20 eigenvector solves of the canonical pair form row
+    # 3x3 degenerate, 4x4, and seven sizes of complex skew matrices); the
+    # canonical pair form row makes none
     calls = []
-
-    def spy_on(module):
-        solve = module.herm_eig
-
-        def spy(h, vectors=True):
-            calls.append((vectors, sys._getframe(1).f_code.co_name))
-            return solve(h, vectors)
-        monkeypatch.setattr(module, "herm_eig", spy)
-
-    spy_on(qskew.spectra)
-    spy_on(qskew.hua)
+    spy_on_herm_eig(monkeypatch, calls)
     assert main(["verify-paper", "--json"]) == 0
-    assert [caller for vectors, caller in calls if vectors] == ["hua_decompose"] * 20
-    assert len([c for c in calls if not c[0]]) <= 11
+    assert 0 < len(calls) <= 11
+    assert "hua_decompose" not in {caller for caller, _ in calls}
     capsys.readouterr()
 
 

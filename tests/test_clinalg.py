@@ -15,12 +15,14 @@ from qskew import (
     SingularMatrixError,
     gram_product,
     herm_eig,
+    hua_decompose,
     lu_inverse,
     mgs_orthonormalize,
     random_skew_symmetric,
     sample_degenerate_triple,
 )
-from qskew.clinalg import frobenius_norm
+from qskew.clinalg import (_skew_tridiagonal, _tridiagonal, _tridiagonal_eig,
+                           frobenius_norm)
 
 
 def random_hermitian(rng, n, scale=1.0):
@@ -28,48 +30,45 @@ def random_hermitian(rng, n, scale=1.0):
     return scale * (m + m.conj().T) / 2
 
 
+def unit_tridiagonal(h):
+    """(d, e2), each a stack of one, of the real tridiagonal form of a
+    Hermitian h scaled by the power of two that herm_eig takes out."""
+    scale = 2.0 ** -np.frexp(np.abs(h).max(initial=0.0))[1]
+    return _tridiagonal((scale * np.asarray(h, dtype=complex))[None])
+
+
 def test_herm_eig_diagonal():
     h = np.diag([3.0, -1.0, 2.0]).astype(complex)
-    vals, vecs = herm_eig(h)
-    np.testing.assert_allclose(vals, [-1.0, 2.0, 3.0], atol=1e-14)
-    np.testing.assert_allclose(h @ vecs, vecs @ np.diag(vals), atol=1e-13)
+    np.testing.assert_allclose(herm_eig(h), [-1.0, 2.0, 3.0], atol=1e-14)
 
 
 def test_herm_eig_2x2_frozen():
     h = np.array([[2.0, 1.0j], [-1.0j, 2.0]])
-    vals, vecs = herm_eig(h)
-    np.testing.assert_allclose(vals, [1.0, 3.0], atol=1e-14)
-    np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(2), atol=1e-14)
+    np.testing.assert_allclose(herm_eig(h), [1.0, 3.0], atol=1e-14)
 
 
 def test_herm_eig_matches_reference():
     rng = np.random.default_rng(10)
     for n in (2, 3, 5, 8, 12):
         h = random_hermitian(rng, n)
-        vals, vecs = herm_eig(h)
         ref = np.linalg.eigvalsh(h)
-        np.testing.assert_allclose(vals, ref, atol=1e-10 * max(1, np.abs(h).max()))
-        # eigenpairs actually solve the problem
-        np.testing.assert_allclose(h @ vecs, vecs @ np.diag(vals), atol=1e-11)
-        np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(n), atol=1e-12)
+        np.testing.assert_allclose(herm_eig(h), ref, atol=1e-10 * max(1, np.abs(h).max()))
 
 
 def test_herm_eig_repeated_eigenvalues():
-    # block with a double eigenvalue; rotations must still settle
+    # block with a triple eigenvalue
     q, _ = np.linalg.qr(np.random.default_rng(11).normal(size=(4, 4))
                         + 1j * np.random.default_rng(12).normal(size=(4, 4)))
     h = q @ np.diag([2.0, 2.0, 2.0, 5.0]) @ q.conj().T
-    vals, vecs = herm_eig(h)
-    np.testing.assert_allclose(vals, [2.0, 2.0, 2.0, 5.0], atol=1e-12)
-    np.testing.assert_allclose(h @ vecs, vecs @ np.diag(vals), atol=1e-12)
+    np.testing.assert_allclose(herm_eig(h), [2.0, 2.0, 2.0, 5.0], atol=1e-12)
 
 
 def test_herm_eig_scale_invariance():
     rng = np.random.default_rng(13)
     h = random_hermitian(rng, 5)
-    vals_small, _ = herm_eig(h * 1e-8)
-    vals_big, _ = herm_eig(h * 1e8)
-    base, _ = herm_eig(h)
+    vals_small = herm_eig(h * 1e-8)
+    vals_big = herm_eig(h * 1e8)
+    base = herm_eig(h)
     np.testing.assert_allclose(vals_small, base * 1e-8, rtol=1e-10)
     np.testing.assert_allclose(vals_big, base * 1e8, rtol=1e-10)
 
@@ -84,20 +83,21 @@ def test_herm_eig_rejects_non_hermitian():
     lopsided = np.array([[0.0, 1.0], [3.0, 0.0]], dtype=complex)
     for c in (1e-12, 1e-170):
         with pytest.raises(ValueError, match="not Hermitian"):
-            herm_eig(c * lopsided, vectors=False)
+            herm_eig(c * lopsided)
         with pytest.raises(ValueError, match="not Hermitian \\(slice 1\\)"):
-            herm_eig(np.stack([np.eye(2), c * lopsided]), vectors=False)
-    # and before the values-only route is chosen
+            herm_eig(np.stack([np.eye(2), c * lopsided]))
     wide = random_hermitian(np.random.default_rng(17), 32)
     wide[0, 5] += 1.0
     with pytest.raises(ValueError, match="not Hermitian"):
-        herm_eig(wide, vectors=False)
+        herm_eig(wide)
 
 
 def test_herm_eig_zero_matrix():
-    vals, vecs = herm_eig(np.zeros((3, 3), dtype=complex))
-    np.testing.assert_array_equal(vals, np.zeros(3))
-    np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(3), atol=0)
+    np.testing.assert_array_equal(herm_eig(np.zeros((3, 3), dtype=complex)), np.zeros(3))
+    # its tridiagonal has unit vectors as eigenvectors, exactly
+    w, y = _tridiagonal_eig(*unit_tridiagonal(np.zeros((3, 3))), vectors=True)
+    np.testing.assert_array_equal(w, np.zeros((1, 3)))
+    np.testing.assert_array_equal(y, np.eye(3)[None])
 
 
 @given(st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=10**6))
@@ -105,10 +105,9 @@ def test_herm_eig_zero_matrix():
 def test_herm_eig_property(n, seed):
     rng = np.random.default_rng(seed)
     h = random_hermitian(rng, n, scale=rng.choice([1e-3, 1.0, 1e3]))
-    vals, vecs = herm_eig(h)
+    vals = herm_eig(h)
     scale = max(1.0, float(np.abs(h).max()))
     assert np.all(np.diff(vals) >= -1e-12 * scale)
-    np.testing.assert_allclose(h @ vecs, vecs @ np.diag(vals), atol=1e-9 * scale)
     np.testing.assert_allclose(np.sum(vals), np.trace(h).real, atol=1e-9 * scale)
 
 
@@ -123,14 +122,10 @@ def test_herm_eig_stack_matches_slices_bitwise():
         stack = random_hermitian_stack(rng, 6, n)
         # one slice converged from the start: it must not disturb the rest
         stack[2] = np.diag(np.arange(n, dtype=float))
-        w, v = herm_eig(stack)
-        assert w.shape == (6, n) and v.shape == (6, n, n)
+        w = herm_eig(stack)
+        assert w.shape == (6, n)
         for b in range(6):
-            wb, vb = herm_eig(stack[b])
-            np.testing.assert_array_equal(w[b], wb)
-            np.testing.assert_array_equal(v[b], vb)
-        np.testing.assert_array_equal(herm_eig(stack, vectors=False), w)
-        np.testing.assert_array_equal(herm_eig(stack[0], vectors=False), w[0])
+            np.testing.assert_array_equal(w[b], herm_eig(stack[b]))
 
 
 def test_herm_eig_tiny_and_huge_entries():
@@ -138,19 +133,13 @@ def test_herm_eig_tiny_and_huge_entries():
     # overflows (c = 1e200) unless each slice is first scaled by a power of two
     swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     normal = np.array([[2.0, 1 - 1j], [1 + 1j, 3.0]])
-    w0, v0 = herm_eig(normal)
+    w0 = herm_eig(normal)
     for c in (1e-170, 1e-200, 1e200):
-        np.testing.assert_allclose(herm_eig(swap * c, vectors=False), [-c, c], rtol=1e-14)
-        w, v = herm_eig(np.stack([normal, swap * c]))
+        np.testing.assert_allclose(herm_eig(swap * c), [-c, c], rtol=1e-14)
+        w = herm_eig(np.stack([normal, swap * c]))
         np.testing.assert_allclose(w[1], [-c, c], rtol=1e-14)
-        resid = (swap * c) @ v[1] - v[1] * w[1]
-        assert np.abs(resid).max() <= 1e-14 * c
-        np.testing.assert_allclose(v[1].conj().T @ v[1], np.eye(2), atol=1e-14)
         # the normal slice is bitwise its own single call
         np.testing.assert_array_equal(w[0], w0)
-        np.testing.assert_array_equal(v[0], v0)
-        np.testing.assert_array_equal(herm_eig(np.stack([normal, swap * c]),
-                                               vectors=False)[0], w0)
 
 
 @given(st.integers(min_value=0, max_value=5), st.integers(min_value=1, max_value=9),
@@ -159,14 +148,12 @@ def test_herm_eig_tiny_and_huge_entries():
 def test_herm_eig_stack_property(count, n, seed):
     rng = np.random.default_rng(seed)
     stack = random_hermitian_stack(rng, count, n) * rng.choice([1e-3, 1.0, 1e3])
-    w, v = herm_eig(stack)
-    assert w.shape == (count, n) and v.shape == (count, n, n)
+    w = herm_eig(stack)
+    assert w.shape == (count, n)
     for b in range(count):
         scale = max(1.0, float(np.abs(stack[b]).max()))
         np.testing.assert_allclose(w[b], np.linalg.eigvalsh(stack[b]),
                                    atol=1e-10 * scale)
-        np.testing.assert_allclose(stack[b] @ v[b], v[b] * w[b], atol=1e-9 * scale)
-        np.testing.assert_allclose(v[b].conj().T @ v[b], np.eye(n), atol=1e-12)
 
 
 def test_herm_eig_stack_rejects_any_bad_slice():
@@ -180,7 +167,7 @@ def test_herm_eig_stack_rejects_any_bad_slice():
             stack = random_hermitian_stack(rng, 4, 3)
             stack[where, 1, 1] = bad
             with pytest.raises(ValueError, match="finite"):
-                herm_eig(stack, vectors=False)
+                herm_eig(stack)
     with pytest.raises(ValueError):
         herm_eig(np.zeros((2, 3, 4), dtype=complex))
     with pytest.raises(ValueError):
@@ -189,15 +176,24 @@ def test_herm_eig_stack_rejects_any_bad_slice():
 
 def test_herm_eig_inverse_iteration_limit(monkeypatch):
     # a first pass alone never accepts an eigenvector; values and diagonal
-    # slices need no pass at all
+    # slices need no pass at all, and herm_eig asks for values only
     monkeypatch.setattr(qskew.clinalg, "MAX_PASSES", 1)
     h = random_hermitian(np.random.default_rng(16), 8)
+    d, e2 = unit_tridiagonal(h)
     with pytest.raises(ConvergenceError, match="inverse iteration limit 1"):
-        herm_eig(h)
+        _tridiagonal_eig(d, e2, vectors=True)
     with pytest.raises(ConvergenceError, match="inverse iteration limit 1"):
-        herm_eig(np.stack([np.diag([1.0, 2.0] * 4), h]))
-    herm_eig(h, vectors=False)
-    np.testing.assert_array_equal(herm_eig(np.diag([3.0, 1.0]))[1], [[0, 1], [1, 0]])
+        _tridiagonal_eig(np.stack([[1.0, 2.0] * 4, d[0]]),
+                         np.stack([np.zeros(7), e2[0]]), vectors=True)
+    _tridiagonal_eig(d, e2)
+    herm_eig(h)
+    np.testing.assert_array_equal(
+        _tridiagonal_eig(np.array([[3.0, 1.0]]), np.zeros((1, 1)), vectors=True)[1],
+        [[[0, 1], [1, 0]]])
+    # the canonical pair form solves its tridiagonal with vectors
+    y = np.random.default_rng(16).normal(size=(6, 6)) * (1 + 1j)
+    with pytest.raises(ConvergenceError, match="inverse iteration limit 1"):
+        hua_decompose(y - y.T)
 
 
 def test_lu_inverse_matches_reference():
@@ -330,7 +326,7 @@ def test_mgs_property(dim, count, seed):
 def test_herm_eig_tridiagonal_property(count, n, seed):
     rng = np.random.default_rng(seed)
     stack = random_hermitian_stack(rng, count, n) * rng.choice([1e-3, 1.0, 1e3])
-    w = herm_eig(stack, vectors=False)
+    w = herm_eig(stack)
     assert w.shape == (count, n)
     for b in range(count):
         ref = np.linalg.eigvalsh(stack[b])
@@ -342,18 +338,18 @@ def test_herm_eig_tridiagonal_stack_matches_slices_bitwise():
     rng = np.random.default_rng(18)
     for n in (32, 128):
         stack = random_hermitian_stack(rng, 3, n)
-        # one slice whose intervals close at other halvings than the rest
+        # a diagonal slice, which keeps its diagonal, beside slices that bisect
         stack[1] = np.diag(np.arange(n, dtype=float))
-        w = herm_eig(stack, vectors=False)
+        w = herm_eig(stack)
         for b in range(3):
-            np.testing.assert_array_equal(w[b], herm_eig(stack[b], vectors=False))
+            np.testing.assert_array_equal(w[b], herm_eig(stack[b]))
 
 
 def test_herm_eig_tridiagonal_structured_inputs():
     n = 40
 
     def check(h, values):
-        w = herm_eig(h, vectors=False)
+        w = herm_eig(h)
         np.testing.assert_allclose(w, np.sort(values), rtol=0,
                                    atol=1e-14 * max(np.abs(values).max(), 1e-300))
 
@@ -368,7 +364,7 @@ def test_herm_eig_tridiagonal_structured_inputs():
     y = rng.normal(size=(33, 33)) + 1j * rng.normal(size=(33, 33))
     z = QuatMatrix.from_complex_pair(y - y.T, np.zeros((33, 33)))
     h = gram_product(z).chi()
-    w = herm_eig(h, vectors=False)
+    w = herm_eig(h)
     ref = np.linalg.eigvalsh(h)
     np.testing.assert_allclose(w, ref, rtol=0, atol=1e-13 * ref.max())
     assert np.abs(w[:2]).max() <= 1e-13 * ref.max()
@@ -376,7 +372,7 @@ def test_herm_eig_tridiagonal_structured_inputs():
     h = random_hermitian(rng, n)
     ref = np.linalg.eigvalsh(h)
     for c in (1e-170, 1e200):
-        np.testing.assert_allclose(herm_eig(c * h, vectors=False), c * ref, rtol=0,
+        np.testing.assert_allclose(herm_eig(c * h), c * ref, rtol=0,
                                    atol=1e-13 * c * np.abs(ref).max())
 
 
@@ -384,18 +380,18 @@ def test_herm_eig_bisection_limit(monkeypatch):
     h = random_hermitian(np.random.default_rng(20), 32)
     monkeypatch.setattr(qskew.clinalg, "MAX_BISECTIONS", 10)
     with pytest.raises(ConvergenceError, match="bisection limit 10"):
-        herm_eig(h, vectors=False)
+        herm_eig(h)
     # solves with vectors and small solves bisect the same way
     with pytest.raises(ConvergenceError, match="bisection limit 10"):
-        herm_eig(h)
+        _tridiagonal_eig(*unit_tridiagonal(h), vectors=True)
     with pytest.raises(ConvergenceError, match="bisection limit 10"):
-        herm_eig(h[:5, :5], vectors=False)
-    # the absolute term of the stopping rule closes an interval around a zero
-    # eigenvalue as fast as any other: 53 halvings from the Gershgorin bound
+        herm_eig(h[:5, :5])
+    # an interval around a zero eigenvalue closes as fast as any other: 53
+    # halvings from the power of two above the Gershgorin bound
     monkeypatch.setattr(qskew.clinalg, "MAX_BISECTIONS", 54)
     y = np.random.default_rng(21).normal(size=(33, 33))
     for zero_inside in (h, (y - y.T) @ (y - y.T).T, np.diag([0.0, 1.0] * 20)):
-        herm_eig(zero_inside, vectors=False)
+        herm_eig(zero_inside)
 
 
 def structured_hermitian(kind, m, rng):
@@ -415,39 +411,64 @@ def structured_hermitian(kind, m, rng):
     return random_hermitian(rng, m)
 
 
-@given(st.sampled_from(["chi", "zz", "degenerate", "diag2225", "random"]),
+def golub_kahan(m, rng):
+    """(d, e2) of the zero-diagonal tridiagonal of a complex skew Z, which
+    hua_decompose solves, as stacks of one: a random Z, or one of rank
+    2 p < m whose zero and small sigmas cluster."""
+    y = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    if rng.uniform() < 0.5:
+        p = int(rng.integers(m // 2 + 1))
+        y = y[:, :p] @ y[:p] * 10.0 ** rng.uniform(-12, 0, size=(1, m))
+    z = y - y.T
+    scale = 2.0 ** -np.frexp(np.abs(z).max(initial=0.0))[1]
+    return np.zeros((1, m)), _skew_tridiagonal(scale * z)[0][None]
+
+
+@given(st.sampled_from(["chi", "zz", "degenerate", "diag2225", "random", "golub_kahan"]),
        st.integers(min_value=1, max_value=80), st.integers(min_value=1, max_value=64),
        st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=40, deadline=None)
-def test_herm_eig_vectors_of_clustered_spectra(kind, m, count, seed):
-    # eigenpairs against numpy's eigh, and each slice of a stack bitwise its
+def test_tridiagonal_eig_vectors_of_clustered_spectra(kind, m, count, seed):
+    # eigenpairs of the tridiagonal solve that herm_eig and hua_decompose
+    # share, against numpy's eigh, and each slice of a stack bitwise its
     # single call, whatever the rest of the stack holds
     rng = np.random.default_rng(seed)
-    h = structured_hermitian(kind, m, rng)
-    m = h.shape[0]
-    others = [random_hermitian(rng, m, 10.0 ** rng.uniform(-6, 6)),
-              np.zeros((m, m)), np.diag(rng.normal(size=m)), 1e-9 * h]
-    stack = np.stack([h] + [others[i] for i in rng.integers(0, 4, count - 1)])
-    w, v = herm_eig(stack)
-    np.testing.assert_array_equal(herm_eig(stack, vectors=False), w)
+    if kind == "golub_kahan":
+        d, e2 = golub_kahan(m, rng)
+    else:
+        h = structured_hermitian(kind, m, rng)
+        m = h.shape[0]
+        d, e2 = unit_tridiagonal(h)
+    others = [unit_tridiagonal(random_hermitian(rng, m, 10.0 ** rng.uniform(-6, 6))),
+              unit_tridiagonal(np.zeros((m, m))),
+              unit_tridiagonal(np.diag(rng.normal(size=m))), golub_kahan(m, rng)]
+    picks = [(d, e2)] + [others[i] for i in rng.integers(0, 4, count - 1)]
+    d, e2 = (np.concatenate(part) for part in zip(*picks))
+    w, y = _tridiagonal_eig(d, e2, vectors=True)
+    np.testing.assert_array_equal(_tridiagonal_eig(d, e2), w)
     for b in {0, count - 1, int(rng.integers(count))}:
-        wb, vb = herm_eig(stack[b])
-        np.testing.assert_array_equal(w[b], wb)
-        np.testing.assert_array_equal(v[b], vb)
-        np.testing.assert_array_equal(herm_eig(stack[b], vectors=False), wb)
-    ref = np.linalg.eigvalsh(h)
+        wb, yb = _tridiagonal_eig(d[b:b + 1], e2[b:b + 1], vectors=True)
+        np.testing.assert_array_equal(w[b], wb[0])
+        np.testing.assert_array_equal(y[b], yb[0])
+    off = np.sqrt(e2[0])
+    t = np.diag(d[0]) + np.diag(off, 1) + np.diag(off, -1)
+    ref = np.linalg.eigvalsh(t)
     scale = np.abs(ref).max()
     np.testing.assert_allclose(w[0], ref, rtol=0, atol=1e-13 * scale)
-    assert np.abs(h @ v[0] - v[0] * w[0]).max() <= 1e-13 * scale
-    assert np.abs(v[0].conj().T @ v[0] - np.eye(m)).max() <= 1e-11
+    assert np.abs(t @ y[0] - y[0] * w[0]).max() <= 1e-13 * scale
+    assert np.abs(y[0].T @ y[0] - np.eye(m)).max() <= 1e-11
 
 
 def test_herm_eig_one_by_one_and_empty_stacks():
     for h in ([[5.0]], np.full((3, 1, 1), -2.0)):
-        w, v = herm_eig(h)
-        np.testing.assert_array_equal(w, np.real(h)[..., 0])
-        np.testing.assert_array_equal(v, np.ones_like(h))
+        np.testing.assert_array_equal(herm_eig(h), np.real(h)[..., 0])
     for shape in ((0, 3, 3), (2, 0, 0), (0, 0)):
-        w, v = herm_eig(np.zeros(shape))
-        assert w.shape == shape[:-1] and v.shape == shape
-        assert herm_eig(np.zeros(shape), vectors=False).shape == shape[:-1]
+        assert herm_eig(np.zeros(shape)).shape == shape[:-1]
+    # and their tridiagonals, with vectors
+    w, y = _tridiagonal_eig(np.full((3, 1), -2.0), np.zeros((3, 0)), vectors=True)
+    np.testing.assert_array_equal(w, np.full((3, 1), -2.0))
+    np.testing.assert_array_equal(y, np.ones((3, 1, 1)))
+    for count, m in ((0, 3), (2, 0)):
+        w, y = _tridiagonal_eig(np.zeros((count, m)), np.zeros((count, max(m - 1, 0))),
+                                vectors=True)
+        assert w.shape == (count, m) and y.shape == (count, m, m)

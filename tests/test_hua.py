@@ -24,6 +24,16 @@ def rank_deficient_skew(rng, n, rank_pairs):
     return z
 
 
+def skew_with_sigmas(rng, n, sigmas):
+    """Q Sigma Q^T for a random unitary Q: a complex skew matrix with these
+    sigmas and a kernel of dimension n - 2 len(sigmas)."""
+    s = np.zeros((n, n), dtype=complex)
+    for t, sig in enumerate(sigmas):
+        s[2 * t, 2 * t + 1], s[2 * t + 1, 2 * t] = sig, -sig
+    q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    return q @ s @ q.T
+
+
 def check_form(z, form, tol=1e-10):
     n = z.shape[0]
     u = form.u
@@ -148,3 +158,48 @@ def test_stacked_even_multiplicity_matches_single_calls(count, n, exponents, see
     verdicts = even_multiplicity_check(np.array(slices).reshape(count, n, n))
     assert verdicts.dtype == bool and verdicts.shape == (count,)
     assert verdicts.tolist() == [even_multiplicity_check(z) for z in slices]
+
+
+def test_pairs_near_the_kernel_cut():
+    # dropping a pair adds sqrt(2) sigma to the residual, whose limit is
+    # tol ||Z||_F: a sigma within 10% of that limit stays a pair, and small
+    # pairs go to the kernel only while their sum stays within the contract
+    rng = np.random.default_rng(46)
+    for _ in range(200):
+        n = int(rng.integers(4, 9))
+        sig = rng.uniform(0.5, 2.0, size=n // 2)
+        sig[-1] = 1e-8 * np.sqrt(2 * (sig[:-1] ** 2).sum()) * rng.uniform(0.9, 1.1)
+        z = skew_with_sigmas(rng, n, sig)
+        form = hua_decompose(z)
+        assert form.zero_dim == n % 2
+        np.testing.assert_allclose(form.sigmas, np.sort(sig)[::-1], rtol=0,
+                                   atol=1e-14 * np.linalg.norm(z))
+        check_form(z, form)
+    for _ in range(100):
+        n = int(rng.integers(2, 13))
+        k = int(rng.integers(1, n // 2 + 1))
+        big = rng.uniform(0.5, 2.0, size=n // 2 - k)
+        small = 1e-8 * rng.uniform(0.2, 1.5, size=k) * (np.sqrt(2 * (big ** 2).sum()) or 1.0)
+        z = skew_with_sigmas(rng, n, np.concatenate([big, small]))
+        form = hua_decompose(z)
+        assert form.residual <= 1e-8 * np.linalg.norm(z)
+        assert len(form.sigmas) >= big.size
+
+
+@given(st.integers(min_value=1, max_value=10), st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=30, deadline=None)
+def test_hua_invariant_under_unitary_congruence_and_permutation(n, seed):
+    # U Z U^T for complex unitary U, and P Z P^T for a permutation P, have
+    # the sigmas and the kernel of Z
+    rng = np.random.default_rng(seed)
+    sig = rng.uniform(0.5, 2.0, size=int(rng.integers(n // 2 + 1)))
+    z = skew_with_sigmas(rng, n, sig)
+    base = hua_decompose(z)
+    assert base.zero_dim == n - 2 * sig.size
+    u = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    p = np.eye(n)[rng.permutation(n)]
+    for moved in (u @ z @ u.T, p @ z @ p.T):
+        form = hua_decompose(moved)
+        assert form.zero_dim == base.zero_dim
+        np.testing.assert_allclose(form.sigmas, base.sigmas, rtol=1e-12, atol=0)
+        check_form(moved, form)

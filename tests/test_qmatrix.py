@@ -209,10 +209,6 @@ def test_predicates():
     assert h.is_skew_symmetric()
     assert h.gram().allclose(QuatMatrix.eye(2), tol=1e-15)
 
-    u = QuatMatrix.from_entries([[I, 0], [0, J]])
-    assert u.is_unitary()
-    assert not QuatMatrix.from_entries([[2, 0], [0, 1]]).is_unitary()
-
     with pytest.raises(ValueError):
         QuatMatrix.zeros(2, 3).is_hermitian()
 
@@ -297,7 +293,6 @@ def test_stacked_operations_match_each_slice(count, n, k, seed):
               "chi": lambda x, y: y.chi()}
     scalars = {"is_hermitian": lambda x, y: x.is_hermitian(),
                "is_skew_symmetric": lambda x, y: x.is_skew_symmetric(),
-               "is_unitary": lambda x, y: x.is_unitary(),
                "allclose": lambda x, y: x.allclose(x.conj_transpose()),
                "norm": lambda x, y: x.norm(),
                "max_abs": lambda x, y: x.max_abs()}

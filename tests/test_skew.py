@@ -23,7 +23,6 @@ from qskew import (
     is_solid,
     quaternion_even_multiplicity_check,
     random_skew_symmetric,
-    right_eigenpairs_hermitian,
     right_eigenvalues_hermitian,
     sample_degenerate_triple,
     sample_generic_triple,
@@ -251,9 +250,9 @@ def test_search_solves_a_block_per_eigensolver_call(monkeypatch):
     calls = []
     solve = qskew.spectra.herm_eig
 
-    def counting(h, vectors=True):
+    def counting(h):
         calls.append(len(h))
-        return solve(h, vectors)
+        return solve(h)
 
     monkeypatch.setattr(qskew.spectra, "herm_eig", counting)
     block = qskew.skew.SEARCH_BLOCK
@@ -342,17 +341,11 @@ def test_right_spectra_of_a_list_match_one_by_one():
     ws = [gram_product(random_skew_symmetric(4, trial_seed(5, t)))
           for t in range(6)]
     stacked = right_eigenvalues_hermitian(QuatMatrix(np.stack([w.data for w in ws])))
-    assert stacked.vectors is None
     assert stacked.values.shape == stacked.pairing_gaps.shape == (6, 4)
     for w, values, gaps in zip(ws, stacked.values, stacked.pairing_gaps):
         alone = right_eigenvalues_hermitian(w)
         np.testing.assert_array_equal(values, alone.values)
         np.testing.assert_array_equal(gaps, alone.pairing_gaps)
-        # stack and single input share one path; the eigenpairs route solves
-        # with vectors on its own, and its values must agree bitwise
-        pairs = right_eigenpairs_hermitian(w)
-        np.testing.assert_array_equal(values, pairs.values)
-        np.testing.assert_array_equal(gaps, pairs.pairing_gaps)
     # the pairing and Hermitian checks still apply to each slice
     bad = np.stack([w.data for w in ws[:2]] + [random_skew_symmetric(4, 1).data])
     with pytest.raises(ValueError, match=r"Hermitian matrix \(slice 2\)$"):
@@ -363,7 +356,7 @@ def test_single_matrix_routes_reject_a_stack():
     # these read one spectrum or one inverse; a stack would mix its slices
     z = random_skew_symmetric(4, [1, 2])
     w = gram_product(z)
-    for route, arg in ((right_eigenpairs_hermitian, w), (qskew.spectra.quat_inverse, z),
+    for route, arg in ((qskew.spectra.quat_inverse, z),
                        (qskew.spectra.is_positive_definite, w),
                        (qskew.spectra.is_positive_semidefinite, w), (is_solid, z),
                        (inverse_skew_report, z), (quaternion_even_multiplicity_check, z)):

@@ -37,9 +37,7 @@ LIBRARY_ONLY = {
     "ONE": "unit quaternion exported for callers",
     "ZERO": "zero quaternion exported for callers",
     "real": "real part of a scalar quaternion, for callers",
-    "column": "one column of a matrix, for callers taking eigenvectors apart",
     "gram": "Z Z* without the skew check of gram_product",
-    "is_unitary": "checks the eigenbasis of right_eigenpairs_hermitian",
     "left_mul": "shows that left and right scalar products differ",
     "right_mul": "shows that left and right scalar products differ",
     "is_dq_hermitian": "the two dual Hermitian routes cross-checked (paper row 8)",
@@ -47,7 +45,6 @@ LIBRARY_ONLY = {
     "is_solid": "the 3x3 solid case as a predicate on Z",
     "quaternion_even_multiplicity_check": "the quaternion side of the even multiplicity contrast",
     "reference_4x4_variant": "the second reading of the published 4x4 example",
-    "right_eigenpairs_hermitian": "right eigenvectors with their values",
     "save_matrix": "writes the JSON schema that load_matrix reads",
 }
 
