@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .clinalg import ConvergenceError, SingularMatrixError
+from .clinalg import ConvergenceError, SingularMatrixError, unit_scaled
 from .dual import DualQuatMatrix, dq_hermitian_direct, dq_hermitian_split
 from .hua import even_multiplicity_check, hua_decompose
 from .matio import MatrixFormatError, load_matrix, quat_matrix_to_dict
@@ -88,18 +88,18 @@ def cmd_spectrum(args):
     mat = QuatMatrix.coerce(load_matrix(args.path))
     tol = _resolve_tol(args, GENERAL_TOL)
     _require_square(mat, "spectrum")
-    # below 2^-241 the entries of W = Z Z* underflow: W, its spectrum and
-    # the solid verdict come from Z 2^-e, exactly, and W and the spectrum
-    # are scaled back by 2^2e, correctly rounded
-    e = int(np.frexp(np.abs(mat.data).max(initial=0.0))[1])
-    e = e if e < -240 else 0
-    w = gram_product(QuatMatrix(np.ldexp(mat.data, -e)), tol)
+    # W, its spectrum and the solid verdict come from Z unit_scaled, and W
+    # and the spectrum are scaled back by 2^2e; Z is only scaled up, so that
+    # gram_product refuses a W beyond the float range
+    z, e = unit_scaled(mat.data)
+    if e > 0:
+        z, e = mat.data, 0
+    w = gram_product(QuatMatrix(z), tol)
     spec = right_eigenvalues_hermitian(w, tol)
     solid = float(spec.values.min()) > tol * w.norm()
-    if e:
-        w = QuatMatrix(np.ldexp(w.data, 2 * e))
-        spec.values, spec.pairing_gaps = (np.ldexp(spec.values, 2 * e),
-                                          np.ldexp(spec.pairing_gaps, 2 * e))
+    w = QuatMatrix(np.ldexp(w.data, 2 * e))
+    spec.values, spec.pairing_gaps = (np.ldexp(spec.values, 2 * e),
+                                      np.ldexp(spec.pairing_gaps, 2 * e))
 
     classification = None
     if mat.nrows == 3:

@@ -15,6 +15,8 @@ Provided:
 * _tridiagonal_eig: that tridiagonal solve, with eigenvectors by inverse
   iteration when asked for; hua_decompose solves with it the tridiagonal
   that _skew_tridiagonal, a skew Householder congruence, makes of Z
+* unit_scaled: the one scaling rule; every entry point that squares its
+  input works on it scaled to unit size by a power of two, exactly
 * frobenius_norm: Frobenius norm, of an array or per slice, that neither
   under- nor overflows
 * lu_inverse: the inverse by one LU factorization with partial pivoting
@@ -42,22 +44,28 @@ CLUSTER_GAP = 1e-3
 MAX_PASSES = 5
 
 
+def unit_scaled(a, axis=None):
+    """(a 2^-e, e), exact short of underflow, where e is the binary
+    exponent of the largest |a_ij| over axis: one per slice, shaped as a
+    reduced over axis, and 0 for a zero slice.  The largest magnitude of
+    each slice of a 2^-e lies in [1/2, 1).  A complex array is scaled as
+    one float view of its real and imaginary parts."""
+    a = np.asarray(a)
+    e = np.frexp(np.abs(a).max(axis=axis, keepdims=True, initial=0.0))[1]
+    if np.iscomplexobj(a):
+        unit = np.ldexp(a[..., None].view(float), -e[..., None]).view(complex)[..., 0]
+    else:
+        unit = np.ldexp(a, -e)
+    return unit, np.squeeze(e, axis)
+
+
 def frobenius_norm(a, axis=None):
     """Frobenius norm of a real or complex array, as a float, or with axis
-    the array of norms of its slices over those axes; neither under- nor
-    overflows.  Each is the plain sum when the largest magnitude lies in
-    [2^-480, 2^479), and otherwise a sum scaled exactly by a power of two."""
-    mag = np.abs(a)
-    top = mag.max(axis=axis, keepdims=True, initial=0.0)
-    tops = top.ravel().tolist()
-    # every slice's largest square is normal and its sum finite
-    if 2.0 ** -480 <= min(tops, default=1.0) and max(tops, default=1.0) < 2.0 ** 479:
-        norm = np.sqrt((mag ** 2).sum(axis=axis))
-    else:
-        e = np.frexp(top)[1]
-        e[np.abs(e) < 480] = 0  # 2^0 leaves the slices above as they are
-        norm = np.ldexp(np.sqrt((np.ldexp(mag, -e) ** 2).sum(axis=axis)),
-                        np.squeeze(e, axis))
+    the array of norms of its slices over those axes: the sum of squares
+    of a unit_scaled slice, scaled back, so it neither under- nor
+    overflows."""
+    mag, e = unit_scaled(np.abs(a), axis)
+    norm = np.ldexp(np.sqrt((mag ** 2).sum(axis=axis)), e)
     return float(norm) if axis is None else norm
 
 
@@ -71,8 +79,8 @@ def herm_eig(h):
     Every slice is checked first: ValueError when the input is not square
     or not finite, or names the first slice whose largest |h - h^*| entry
     exceeds 1e-10 times its largest |h| entry.  Each slice is then solved
-    scaled by a power of two, on its own, so a slice of a stack gives
-    bitwise the result of a single call.  Householder reflections reduce
+    unit_scaled, on its own, so a slice of a stack gives bitwise the
+    result of a single call.  Householder reflections reduce
     each slice to a real tridiagonal T (_tridiagonal), whose eigenvalues
     _tridiagonal_eig cuts out.
     """
@@ -90,9 +98,7 @@ def herm_eig(h):
     if bad.size:
         raise ValueError("matrix is not Hermitian"
                          + ("" if single else " (slice %d)" % bad[0]))
-    # solved scaled by 2^-e, exactly, so no norm in a solver under- or overflows
-    e = np.frexp(peak)[1]
-    a = np.ldexp(((h + hh) / 2.0).view(float), -e[:, None, None]).view(complex)
+    a, e = unit_scaled((h + hh) / 2.0, axis=(1, 2))
     w = np.ldexp(_tridiagonal_eig(*_tridiagonal(a)), e[:, None])
     return w[0] if single else w
 

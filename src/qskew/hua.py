@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clinalg import (ConvergenceError, _skew_tridiagonal, _tridiagonal_eig,
-                      cluster_runs, frobenius_norm, herm_eig, mgs_orthonormalize)
+                      cluster_runs, frobenius_norm, herm_eig, mgs_orthonormalize,
+                      unit_scaled)
 from .qmatrix import QuatMatrix
 
 CLUSTER_TOL = 1e-8
@@ -47,18 +48,6 @@ class HuaForm:
                 "u": np.stack([self.u.real, self.u.imag], axis=-1).tolist()}
 
 
-def _unit_scaled(z):
-    """(Z 2^-e, e) for a complex matrix, or per slice of a (B, n, n) stack
-    with e of shape (B,), exact, with e = 0 unless the largest |z_ij| lies
-    outside [2^-241, 2^240), so that Z Z* and the squared sigmas stay in
-    range.  Z itself is returned when every e is 0."""
-    e = np.frexp(np.abs(z).max(axis=(-2, -1), initial=0.0, keepdims=True))[1]
-    e[np.abs(e) <= 240] = 0
-    if e.any():
-        z = np.ldexp(z.real, -e) + 1j * np.ldexp(z.imag, -e)
-    return z, e[..., 0, 0]
-
-
 def positive_clusters(values):
     """Group the positive entries of an ascending eigenvalue array.
 
@@ -79,11 +68,12 @@ def even_multiplicity_check(z):
     True for every complex skew-symmetric Z; the quaternion analogue of
     this statement fails, which is the whole point of keeping it testable.
     z is one complex (n, n) matrix, giving a bool, or a (B, n, n) stack,
-    giving a bool array of one verdict per slice: each slice is scaled by
-    its own power of two, and all of Z Z* goes to one values-only
-    herm_eig call, so a slice's verdict is that of a single call.
+    giving a bool array of one verdict per slice: each slice is
+    unit_scaled on its own, so that Z Z* stays in range, and all of Z Z*
+    goes to one values-only herm_eig call, so a slice's verdict is that of
+    a single call.
     """
-    z = _unit_scaled(np.asarray(z, dtype=complex))[0]
+    z = unit_scaled(np.asarray(z, dtype=complex), axis=(-2, -1))[0]
     values = herm_eig(z @ z.conj().swapaxes(-2, -1))
     even = [all(len(c) % 2 == 0 for c in positive_clusters(v))
             for v in np.atleast_2d(values)]
@@ -100,8 +90,8 @@ def hua_decompose(z, tol=1e-8):
     residual limit is tol * ||Z||_F; the smallest pairs go to the kernel
     while sqrt(2) times the norm of their sigmas, which is what dropping
     them adds to the residual, stays within half that limit.  Z is
-    decomposed as Z 2^-e, with max |z_ij| in [1/2, 1), and the sigmas and
-    residual are scaled back by 2^e.
+    decomposed unit_scaled, as Z 2^-e, and the sigmas and residual are
+    scaled back by 2^e.
 
     Skew Householder congruence reduces Z to a real skew tridiagonal T,
     with superdiagonal e >= 0 (_skew_tridiagonal).  With S = diag((-i)^k),
@@ -120,8 +110,7 @@ def hua_decompose(z, tol=1e-8):
     n = z.shape[0]
     if n == 0:
         return HuaForm(np.zeros((0, 0), dtype=complex), [], 0, 0.0, 0.0)
-    e = np.frexp(np.abs(z).max())[1]
-    z = np.ldexp(z.real, -e) + 1j * np.ldexp(z.imag, -e)
+    z, e = unit_scaled(z)
     scale = frobenius_norm(z)
 
     e2, q = _skew_tridiagonal((z - z.T) / 2.0)

@@ -102,47 +102,41 @@ class Quaternion:
         return Quaternion(self.w, -self.x, -self.y, -self.z)
 
     def norm_sq(self):
-        """w^2 + x^2 + y^2 + z^2, inf once a square overflows (where float
-        ** raises OverflowError).  The squares stay ** rather than x * x:
-        libm pow is off by one ulp from the product on about 0.1% of
-        doubles, and every in-range result is kept bitwise."""
-        try:
-            return self.w ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2
-        except OverflowError:
-            return math.inf
+        """w^2 + x^2 + y^2 + z^2, each square a product (inf once one
+        overflows)."""
+        return _sum_of_squares(self.components())
 
     def _unit_scaled(self):
-        """(q 2^-e, e), exact, with e the binary exponent of the largest
-        component (0 for the zero quaternion)."""
-        e = math.frexp(max(map(abs, self.components())))[1]
-        return Quaternion(*(math.ldexp(c, -e) for c in self.components())), e
+        """(the components of q 2^-e, e), exact, with e the binary exponent
+        of the largest component (0 for the zero quaternion)."""
+        comps = self.components()
+        e = math.frexp(max(map(abs, comps)))[1]
+        return [math.ldexp(c, -e) for c in comps], e
 
     def __abs__(self):
-        """|q| from norm_sq while that lies in [2^-968, inf), else from q
-        scaled exactly by a power of two, so it is exact across the float
-        range (inf only where |q| itself overflows)."""
-        n2 = self.norm_sq()
-        if 2.0 ** -968 <= n2 < math.inf:
-            return math.sqrt(n2)
+        """|q| from q scaled exactly by a power of two (_unit_scaled), so it
+        is exact across the float range (inf only where |q| overflows)."""
         unit, e = self._unit_scaled()
-        return _times_pow2(math.sqrt(unit.norm_sq()), e)
+        return _times_pow2(math.sqrt(_sum_of_squares(unit)), e)
 
     def inverse(self):
-        """conj(q) / |q|^2, scaled exactly by a power of two where |q|^2
-        leaves [2^-968, inf); ZeroDivisionError for the zero quaternion."""
-        n2 = self.norm_sq()
-        if 2.0 ** -968 <= n2 < math.inf:
-            c = self.conjugate()
-            return Quaternion(c.w / n2, c.x / n2, c.y / n2, c.z / n2)
+        """conj(q) / |q|^2, from q scaled exactly by a power of two
+        (_unit_scaled); ZeroDivisionError for the zero quaternion."""
         unit, e = self._unit_scaled()
-        if unit.norm_sq() == 0.0:
+        n2 = _sum_of_squares(unit)
+        if n2 == 0.0:
             raise ZeroDivisionError("zero quaternion has no inverse")
-        return Quaternion(*(_times_pow2(c, -e) for c in unit.inverse().components()))
+        return Quaternion(*[_times_pow2(c / n2, -e) for c in unit]).conjugate()
 
     # -- structure -------------------------------------------------------------
 
     def real(self):
         return self.w
+
+
+def _sum_of_squares(comps):
+    w, x, y, z = comps
+    return w * w + x * x + y * y + z * z
 
 
 def _times_pow2(x, e):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clinalg import SingularMatrixError
+from .clinalg import SingularMatrixError, unit_scaled
 from .hua import positive_clusters
 from .qmatrix import QuatMatrix, random_skew_symmetric
 from .quaternion import Quaternion
@@ -101,21 +101,15 @@ def classify_3x3(triple):
     Solid (three distinct positive eigenvalues) exactly when |a| clears
     1e-10 * max(|a|, |b|, |c|) and |c a^-1 b - b a^-1 c| clears
     1e-10 * |a^-1||b||c|, both scale-free; otherwise degenerate with
-    predicted spectrum (0, s, s).  A triple whose largest component lies
-    outside [2^-241, 2^240) is classified scaled exactly by 2^-e, so that no
-    norm under- or overflows, and the gap and s are scaled back by 2^e and
-    2^2e.  Raises ValueError on the all-zero triple.
+    predicted spectrum (0, s, s).  The triple is classified unit_scaled,
+    as (a, b, c) 2^-e, so that no norm under- or overflows, and the gap and
+    s are scaled back by 2^e and 2^2e.  Raises ValueError on the all-zero
+    triple.
     """
     if not isinstance(triple, SkewTriple):
         triple = SkewTriple(*triple)
-    a, b, c = triple.a, triple.b, triple.c
-    parts = np.array([a.components(), b.components(), c.components()])
-    e = int(np.frexp(np.abs(parts).max())[1])
-    if abs(e) > 240:
-        report = classify_3x3(SkewTriple(*np.ldexp(parts, -e)))
-        report.condition_lhs_rhs_gap = float(np.ldexp(report.condition_lhs_rhs_gap, e))
-        report.predicted_values = np.ldexp(report.predicted_values, 2 * e).tolist()
-        return report
+    parts, e = unit_scaled([q.components() for q in (triple.a, triple.b, triple.c)])
+    a, b, c = (Quaternion(*p) for p in parts.tolist())
     largest = max(abs(a), abs(b), abs(c))
     if largest == 0.0:
         raise ValueError("classification needs a nonzero triple")
@@ -125,9 +119,10 @@ def classify_3x3(triple):
         ainv = a.inverse()
         gap = abs(c * ainv * b - b * ainv * c)
         solid = gap > 1e-10 * abs(ainv) * abs(b) * abs(c)
+    gap = float(np.ldexp(gap, e))
     if solid:
         return SpectrumReport("solid", [], [], 0.0, gap)
-    s = a.norm_sq() + b.norm_sq() + c.norm_sq()
+    s = float(np.ldexp(a.norm_sq() + b.norm_sq() + c.norm_sq(), 2 * e))
     return SpectrumReport("degenerate", [0.0, s, s], [], 0.0, gap)
 
 

@@ -22,7 +22,7 @@ from qskew import (
     sample_degenerate_triple,
 )
 from qskew.clinalg import (_skew_tridiagonal, _tridiagonal, _tridiagonal_eig,
-                           frobenius_norm)
+                           frobenius_norm, unit_scaled)
 
 
 def random_hermitian(rng, n, scale=1.0):
@@ -238,7 +238,7 @@ def test_lu_singular_raises():
 
 def test_frobenius_norm_matches_the_plain_sum():
     # bitwise the unscaled sum wherever that neither under- nor overflows,
-    # on both sides of the 2^480 (about 3e144) scaling cut
+    # though the sum is always taken scaled by a power of two
     rng = np.random.default_rng(5)
     for _ in range(400):
         shape = tuple(rng.integers(1, 7, size=2))
@@ -248,6 +248,21 @@ def test_frobenius_norm_matches_the_plain_sum():
             assert frobenius_norm(a) == float(np.sqrt((np.abs(a) ** 2).sum()))
     assert frobenius_norm(np.zeros((0, 3))) == 0.0
     assert frobenius_norm(np.zeros((2, 2), dtype=complex)) == 0.0
+
+
+def test_unit_scaled_brings_each_slice_to_unit_size():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(4, 3, 6)) + 1j * rng.normal(size=(4, 3, 6))
+    a *= 10.0 ** rng.uniform(-300, 300, (4, 1, 1))
+    a[2] = 0.0
+    a = a[:, :, ::2]  # complex, not contiguous in its last axis
+    unit, e = unit_scaled(a, axis=(1, 2))
+    assert e.shape == (4,) and e[2] == 0
+    top = np.abs(unit).max(axis=(1, 2))
+    assert ((0.5 <= top[[0, 1, 3]]) & (top[[0, 1, 3]] < 1.0)).all() and top[2] == 0.0
+    np.testing.assert_array_equal(unit * np.ldexp(1.0, e)[:, None, None], a)
+    unit, e = unit_scaled([0.75, -3.0])
+    assert unit.tolist() == [0.1875, -0.75] and e == 2
 
 
 def test_frobenius_norm_neither_under_nor_overflows():

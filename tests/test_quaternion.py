@@ -130,7 +130,7 @@ def test_in_range_norm_and_inverse_unchanged():
     comps = rng.uniform(-1, 1, (20000, 4)) * 10.0 ** rng.uniform(-140, 140, (20000, 1))
     comps[rng.uniform(size=comps.shape) < 0.2] = 0.0
     for w, x, y, z in comps.tolist():
-        n2 = w ** 2 + x ** 2 + y ** 2 + z ** 2
+        n2 = w * w + x * x + y * y + z * z
         if n2 == 0.0:
             continue
         q = Quaternion(w, x, y, z)

@@ -6,12 +6,17 @@ in the package is relative to the magnitude of the input it judges.  The
 properties below scale by c = 10^e with e in [-12, 12], and the sigmas of
 the canonical pair form with e in [-300, 300]; the pinned cases are small
 and large inputs whose verdict an absolute max(1, ...) floor would flip,
-or whose squared entries leave the float range.
+or whose squared entries leave the float range.  A power of two c = 2^k
+scales the input exactly, and every entry point works on the input
+scaled to unit size, so there each result is bitwise c (or c^2) times its
+value at c = 1, with k in [-900, 900] wherever that result stays below
+the overflow threshold.
 """
 
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -26,10 +31,15 @@ from qskew import (DualQuatMatrix, QuatMatrix, Quaternion, SkewTriple,
                    random_skew_symmetric, right_eigenvalues_hermitian,
                    sample_degenerate_triple, sample_generic_triple, save_matrix)
 from qskew.cli import main
+from qskew.clinalg import frobenius_norm
 
 SCALES = st.floats(min_value=-12, max_value=12).map(lambda e: 10.0 ** e)
 WIDE_SCALES = st.floats(min_value=-300, max_value=300).map(lambda e: 10.0 ** e)
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+POWERS = st.integers(min_value=-900, max_value=900)
+# c^2 = 2^(2k) times a squared result of size up to about 20 stays finite
+# while k <= 500
+SQUARED_POWERS = st.integers(min_value=-900, max_value=500)
 
 
 def scaled_triple(t, c):
@@ -54,6 +64,13 @@ def inverse_verdict(z):
         save_matrix(path, z)
         lines = run_cli(["inverse-check", path]).splitlines()
     return next(ln for ln in lines if ln.startswith("inverse stays skew"))
+
+
+def spectrum_json(z):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "z.json")
+        save_matrix(path, z)
+        return json.loads(run_cli(["spectrum", path, "--json"]))
 
 
 @given(SCALES, SEEDS)
@@ -125,6 +142,74 @@ def test_sigmas_scale_across_the_float_range(c, seed):
     np.testing.assert_allclose(scaled / c, base, rtol=0, atol=1e-12 * base.max())
     assert form.residual <= 1e-8 * c * np.sqrt(np.vdot(z, z).real)
     assert even_multiplicity_check(c * z)
+
+
+@given(POWERS, SEEDS)
+@settings(max_examples=40, deadline=None)
+def test_norms_scale_exactly_by_powers_of_two(k, seed):
+    rng = np.random.default_rng(seed)
+    c = math.ldexp(1.0, k)
+    a = rng.normal(size=(3, 4, 5)) + 1j * rng.normal(size=(3, 4, 5))
+    assert frobenius_norm(c * a) == math.ldexp(frobenius_norm(a), k)
+    np.testing.assert_array_equal(frobenius_norm(c * a.real, axis=(1, 2)),
+                                  np.ldexp(frobenius_norm(a.real, axis=(1, 2)), k))
+    comps = rng.normal(size=4)
+    q, qc = Quaternion(*comps), Quaternion(*(c * comps))
+    assert abs(qc) == math.ldexp(abs(q), k)
+    assert qc.inverse().components() == tuple(math.ldexp(x, -k)
+                                             for x in q.inverse().components())
+
+
+@given(POWERS, SQUARED_POWERS, SEEDS)
+@settings(max_examples=40, deadline=None)
+def test_classification_scales_exactly_by_powers_of_two(k, k2, seed):
+    rng = np.random.default_rng(seed)
+    solid = sample_generic_triple(rng)
+    base = classify_3x3(solid).condition_lhs_rhs_gap
+    report = classify_3x3(scaled_triple(solid, math.ldexp(1.0, k)))
+    assert report.condition_lhs_rhs_gap == math.ldexp(base, k)
+    degenerate = sample_degenerate_triple(rng)
+    base = classify_3x3(degenerate)
+    report = classify_3x3(scaled_triple(degenerate, math.ldexp(1.0, k2)))
+    assert report.case_label == "degenerate"
+    assert report.condition_lhs_rhs_gap == math.ldexp(base.condition_lhs_rhs_gap, k2)
+    assert report.predicted_values == [math.ldexp(v, 2 * k2)
+                                       for v in base.predicted_values]
+
+
+def test_degenerate_s_scales_exactly():
+    # with s summed from ** (libm pow), s(2 Z) was 3.1278456104179715
+    # against 4 s(Z) = 3.127845610417971
+    triple = SkewTriple(Quaternion(0), Quaternion(0.6851725349169309, 0.25),
+                        Quaternion(0.5))
+    s = classify_3x3(triple).predicted_values[1]
+    for k in (1, -300, 300):
+        scaled = classify_3x3(scaled_triple(triple, math.ldexp(1.0, k)))
+        assert scaled.predicted_values[1] == math.ldexp(s, 2 * k)
+
+
+@given(POWERS, SEEDS)
+@settings(max_examples=30, deadline=None)
+def test_hua_scales_exactly_by_powers_of_two(k, seed):
+    rng = np.random.default_rng(seed)
+    z = complex_skew(rng, int(rng.integers(2, 7)))
+    base, form = hua_decompose(z), hua_decompose(math.ldexp(1.0, k) * z)
+    np.testing.assert_array_equal(form.u, base.u)
+    assert form.sigmas == [math.ldexp(s, k) for s in base.sigmas]
+    assert form.zero_dim == base.zero_dim
+    assert form.residual == math.ldexp(base.residual, k)
+
+
+@given(SQUARED_POWERS, SEEDS)
+@settings(max_examples=15, deadline=None)
+def test_spectrum_cli_scales_exactly_by_powers_of_two(k, seed):
+    z = random_skew_symmetric(3 + seed % 4, seed)
+    base = spectrum_json(z)
+    out = spectrum_json(z.scale(math.ldexp(1.0, k)))
+    for key in ("values", "pairing_gaps"):
+        assert out["spectrum"][key] == np.ldexp(base["spectrum"][key], 2 * k).tolist()
+    assert out["gram"]["entries"] == np.ldexp(base["gram"]["entries"], 2 * k).tolist()
+    assert out["solid"] == base["solid"]
 
 
 @given(SCALES, SEEDS)

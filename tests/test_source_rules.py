@@ -9,7 +9,9 @@ package itself (a method only where it is called, not where an attribute of
 the same name is read), or listed as library surface with the reason it
 stays.
 Tolerances are relative to the input's magnitude, so no max(1, ...) floor
-turns one into an absolute bound.
+turns one into an absolute bound.  Inputs are scaled to unit size by one
+rule, clinalg.unit_scaled (Quaternion._unit_scaled for a scalar), so no
+other function takes a binary exponent.
 """
 
 import argparse
@@ -29,6 +31,11 @@ UNREAD_ALLOWED = {
     ("__setattr__", "name"): "immutability guard: every assignment raises",
     ("__setattr__", "value"): "immutability guard: every assignment raises",
 }
+
+# the functions that may take a binary exponent with frexp: the one scaling
+# rule, its scalar form, and the power of two above a Gershgorin bound
+FREXP_ALLOWED = {("clinalg.py", "unit_scaled"), ("quaternion.py", "_unit_scaled"),
+                 ("clinalg.py", "_tridiagonal_eig")}
 
 # names defined in the package that no package code reads, with the reason
 # each stays in the library
@@ -137,6 +144,21 @@ def test_no_absolute_tolerance_floors():
               and any(isinstance(arg, ast.Constant) and type(arg.value) in (int, float)
                       and arg.value == 1 for arg in node.args)]
     assert not floors, floors
+
+
+def test_one_scaling_rule():
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for name, fn in _functions(tree):  # outer functions come first
+            owner.update((id(node), name) for node in ast.walk(fn))
+        stray += ["%s: %s" % (path.name, owner.get(id(node), "<module>"))
+                  for node in ast.walk(tree)
+                  if "frexp" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                 getattr(node, "name", None), getattr(node, "asname", None))
+                  and (path.name, owner.get(id(node))) not in FREXP_ALLOWED]
+    assert not stray, stray
 
 
 def _definitions(tree):
