@@ -98,8 +98,8 @@ def cmd_spectrum(args):
     spec = right_eigenvalues_hermitian(w, tol)
     solid = float(spec.values.min()) > tol * w.norm()
     w = QuatMatrix(np.ldexp(w.data, 2 * e))
-    spec.values, spec.pairing_gaps = (np.ldexp(spec.values, 2 * e),
-                                      np.ldexp(spec.pairing_gaps, 2 * e))
+    spec.values, spec.trace_residual = (np.ldexp(spec.values, 2 * e),
+                                        np.ldexp(spec.trace_residual, 2 * e))
 
     classification = None
     if mat.nrows == 3:
@@ -128,7 +128,7 @@ def cmd_spectrum(args):
         print("  " + "  ".join(_fmt_quat(w.entry(i, j))
                                for j in range(w.ncols)))
     print("right eigenvalues of W: %s" % _fmt_values(spec.values))
-    print("largest pairing gap: %g" % float(spec.pairing_gaps.max(initial=0.0)))
+    print("trace residual: %g" % spec.trace_residual)
     print("solid (W positive definite): %s" % ("yes" if solid else "no"))
     if mat.nrows == 3:
         if classification is None:

@@ -7,11 +7,11 @@ in the test suite.
 
 Provided:
 
-* herm_eig: eigenvalues of one Hermitian matrix or a stack of them.
-  Householder reflections reduce each slice to real tridiagonal form,
-  whose eigenvalues are cut out on a dyadic grid by Sturm counts.  Every
-  step works on all slices at once, and every slice is checked and
-  converges on its own
+* herm_eig: eigenvalues of one Hermitian matrix, complex or quaternion,
+  or a stack of them.  Householder reflections reduce each slice to real
+  tridiagonal form of its size, whose eigenvalues are cut out on a dyadic
+  grid by Sturm counts.  Every step works on all slices at once, and
+  every slice is checked and converges on its own
 * _tridiagonal_eig: that tridiagonal solve, with eigenvectors by inverse
   iteration when asked for; hua_decompose solves with it the tridiagonal
   that _skew_tridiagonal, a skew Householder congruence, makes of Z
@@ -70,35 +70,38 @@ def frobenius_norm(a, axis=None):
 
 
 def herm_eig(h):
-    """Eigenvalues of Hermitian matrices.
+    """Eigenvalues, ascending, of a Hermitian matrix, (m,), or of each slice
+    of a (B, ...) stack, (B, m): complex H (m, m), or quaternion
+    A = A_c + A_d j as [A_c | A_d] (m, 2m), the first m rows of chi(A), each
+    right eigenvalue once (H is the quaternion H + 0 j).
 
-    h is one (m, m) matrix or a (B, m, m) stack; a single matrix is solved
-    as a stack of one.  Returns the eigenvalues w ascending, shaped (m,),
-    or (B, m) for a stack.
-
-    Every slice is checked first: ValueError when the input is not square
-    or not finite, or names the first slice whose largest |h - h^*| entry
-    exceeds 1e-10 times its largest |h| entry.  Each slice is then solved
-    unit_scaled, on its own, so a slice of a stack gives bitwise the
-    result of a single call.  Householder reflections reduce
-    each slice to a real tridiagonal T (_tridiagonal), whose eigenvalues
-    _tridiagonal_eig cuts out.
+    ValueError when the input is neither (m, m) nor (m, 2m) or not finite,
+    or names the first slice whose largest |A - A^*| entry exceeds 1e-10
+    times its largest entry.  Each slice is solved unit_scaled, on its own,
+    so a slice of a stack gives bitwise the result of a single call:
+    Householder reflections reduce it to a real tridiagonal T of size m
+    (_tridiagonal), whose eigenvalues _tridiagonal_eig cuts out.
     """
     h = np.asarray(h, dtype=complex)
     single = h.ndim == 2
     if single:
         h = h[None]
-    if h.ndim != 3 or h.shape[1] != h.shape[2]:
-        raise ValueError("herm_eig needs a square matrix or a stack of them")
+    if h.ndim != 3 or h.shape[2] not in (h.shape[1], 2 * h.shape[1]):
+        raise ValueError("herm_eig needs (m, m) or (m, 2m) matrices")
     if not np.isfinite(h).all():
         raise ValueError("herm_eig needs finite entries")
-    hh = h.conj().swapaxes(1, 2)
-    peak = np.abs(h).max(axis=(1, 2), initial=0.0)
-    bad = np.flatnonzero(np.abs(h - hh).max(axis=(1, 2), initial=0.0) > 1e-10 * peak)
+    m = h.shape[1]
+    # A^* = A: A_c Hermitian and A_d antisymmetric
+    parts = [(h[:, :, :m], h[:, :, :m].conj().swapaxes(1, 2))]
+    parts += [(h[:, :, m:], -h[:, :, m:].swapaxes(1, 2))] * (h.shape[2] > m)
+    off = np.max([np.abs(x - xh).max(axis=(1, 2), initial=0.0) for x, xh in parts], 0)
+    bad = np.flatnonzero(off > 1e-10 * np.abs(h).max(axis=(1, 2), initial=0.0))
     if bad.size:
         raise ValueError("matrix is not Hermitian"
                          + ("" if single else " (slice %d)" % bad[0]))
-    a, e = unit_scaled((h + hh) / 2.0, axis=(1, 2))
+    # a quaternion slice is interleaved as columns (c_0, d_0, c_1, d_1, ...)
+    a = np.stack([x + xh for x, xh in parts], axis=3).reshape(h.shape) * 0.5
+    a, e = unit_scaled(a, axis=(1, 2))
     w = np.ldexp(_tridiagonal_eig(*_tridiagonal(a)), e[:, None])
     return w[0] if single else w
 
@@ -138,47 +141,58 @@ def _tridiagonal_eig(d, e2, vectors=False):
 
 
 def _reflector(x, norm2):
-    """(v, tau) of the reflections I - tau v v^* that map each row x of a
-    (B, k) stack onto -e^{i arg x_0} ||x|| e_1, given norm2 = ||x||^2.  A
-    row whose squared norm underflows gets tau = 0, the identity: its
+    """(v, tau) of the reflections I - tau v v^* that map each column x of a
+    (B, k, w) stack, complex (w = 1) or of pairs (c, d) of c + d j (w = 2),
+    onto -(x_0 / |x_0|) ||x|| e_1, given norm2 = ||x||^2, so v^* x is real.
+    A column whose squared norm underflows gets tau = 0, the identity: its
     entries are below 1e-154."""
     live = norm2 >= np.finfo(float).tiny
-    v = np.divide(x, np.sqrt(norm2)[:, None], out=np.zeros_like(x),
-                  where=live[:, None])
-    # v = x / ||x|| + e^{i arg x_0} e_1, the sum with no cancellation
-    v[:, 0] += np.exp(1j * np.angle(x[:, 0]))
-    tau = np.divide(2.0, (v.real ** 2 + v.imag ** 2).sum(axis=1),
+    v = np.divide(x, np.sqrt(norm2)[:, None, None], out=np.zeros_like(x),
+                  where=live[:, None, None])
+    head = x[:, 0]
+    size = np.hypot.reduce(np.abs(head), axis=1)[:, None]
+    # v = x / ||x|| + (x_0 / |x_0|) e_1, the sum with no cancellation
+    v[:, 0] += (np.exp(1j * np.angle(head)) if x.shape[2] == 1 else np.divide(
+        head, size, out=np.tile([1 + 0j, 0], (len(x), 1)), where=size > 0))
+    tau = np.divide(2.0, (v.real ** 2 + v.imag ** 2).sum(axis=(1, 2)),
                     out=np.zeros(len(x)), where=live)
     return v, tau
 
 
 def _tridiagonal(a):
-    """Real symmetric tridiagonal form T = D* Q* A Q D of each slice A of a
-    stack of exactly Hermitian matrices with entries of size about 1, with
-    Q a product of reflections and D a unitary diagonal.
+    """Diagonal d (B, m) and squared off-diagonal magnitudes e2 (B, m - 1) of
+    the real tridiagonal T = D* Q* A Q D, Q a product of reflections and D a
+    unitary diagonal (Bunse-Gerstner, Byers & Mehrmann, Numer. Math. 55,
+    1989), of each exactly Hermitian slice A, entries of size about 1:
+    complex (B, m, m), or quaternion (B, m, 2m) whose row i holds the pairs
+    (c_ij, d_ij) of A_ij = c_ij + d_ij j.  Step k reflects column k below
+    the diagonal (_reflector); with V the columns of chi(v), H A H is the
+    rank-2 update A - v W^* - w V^*, p = tau A V, w = p - (tau/2) Re(v^* p) v.
+    A column too small to square is left as it is and changes no
+    eigenvalue at double precision.  a is overwritten."""
+    count, m = a.shape[:2]
+    width = a.shape[2] // m if m else 1
 
-    Returns the diagonal d (B, m) and squared off-diagonal magnitudes e2
-    (B, m - 1) of T.  Step k reflects column k below the diagonal
-    (_reflector), applied to the trailing block from both sides as one
-    rank-2 update; a column too small to square is left as it is and
-    changes no eigenvalue at double precision.
-    """
-    a = a.copy()
-    m = a.shape[1]
-    e2 = np.zeros(a.shape[:2])[:, 1:]
+    def adjoint(u):
+        """Rows 2i, 2i + 1 of chi(u): (c_i, d_i) and (-conj d_i, conj c_i)."""
+        if width == 1:
+            return u
+        rows = np.stack([u, [-1, 1] * u[..., ::-1].conj()], axis=2)
+        return rows.reshape(count, 2 * u.shape[1], 2)
+    e2 = np.zeros((count, m))[:, 1:]
     for k in range(m - 1):
-        x = a[:, k + 1:, k]
-        e2[:, k] = (x.real ** 2 + x.imag ** 2).sum(axis=1)
+        x = a[:, k + 1:, width * k:width * (k + 1)]
+        e2[:, k] = (x.real ** 2 + x.imag ** 2).sum(axis=(1, 2))
         if k == m - 2:
             break
         v, tau = _reflector(x, e2[:, k])
-        # H A H = A - v w^* - w v^* with p = tau A v, w = p - (tau/2)(v^* p) v
-        trail = a[:, k + 1:, k + 1:]
-        p = tau[:, None] * (trail @ v[:, :, None])[:, :, 0]
-        w = p - (0.5 * tau * (v.conj() * p).sum(axis=1).real)[:, None] * v
-        trail -= v[:, :, None] * w.conj()[:, None, :]
-        trail -= w[:, :, None] * v.conj()[:, None, :]
-    return a.diagonal(axis1=1, axis2=2).real.copy(), e2
+        big_v = adjoint(v)
+        trail = a[:, k + 1:, width * (k + 1):]
+        p = tau[:, None, None] * (trail @ big_v)
+        w = p - (0.5 * tau * (v.conj() * p).sum(axis=(1, 2)).real)[:, None, None] * v
+        trail -= (np.concatenate([v, w], axis=2)
+                  @ np.concatenate([adjoint(w), big_v], axis=2).conj().swapaxes(1, 2))
+    return a[:, np.arange(m), width * np.arange(m)].real, e2
 
 
 def _skew_tridiagonal(a):
@@ -204,8 +218,8 @@ def _skew_tridiagonal(a):
         e2[k] = (x.real ** 2 + x.imag ** 2).sum()
         unit = np.exp(1j * np.angle(x[0]))
         if k < m - 2:
-            v, tau = _reflector(x[None], e2[k:k + 1])
-            v, tau = v[0], tau[0]
+            v, tau = _reflector(x[None, :, None], e2[k:k + 1])
+            v, tau = v[0, :, 0], tau[0]
             trail = a[k + 1:, k + 1:]
             w = tau * (trail @ v.conj())
             trail += v[:, None] * w - w[:, None] * v

@@ -56,14 +56,16 @@ def matrix_from_dict(data):
         raise MatrixFormatError(
             "expected %d %s, got %d" % (m * n, key, len(entries)
                                         if isinstance(entries, list) else -1))
-    for idx, entry in enumerate(entries):
-        if not isinstance(entry, list) or len(entry) != width:
-            raise MatrixFormatError(
-                "entry %d: expected %d numbers" % (idx, width))
-        for pos, value in enumerate(entry):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise MatrixFormatError(
-                    "entry %d: component %d is not a number" % (idx, pos))
+    # one pass over types and lengths; the walk only names the first bad entry
+    if not (set(map(type, entries)) == {list} and set(map(len, entries)) == {width}
+            and {type(v) for entry in entries for v in entry} <= {int, float}):
+        for idx, entry in enumerate(entries):
+            if not isinstance(entry, list) or len(entry) != width:
+                raise MatrixFormatError("entry %d: expected %d numbers" % (idx, width))
+            for pos, value in enumerate(entry):
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise MatrixFormatError(
+                        "entry %d: component %d is not a number" % (idx, pos))
     try:
         flat = np.array(entries, dtype=float)
     except OverflowError:  # an integer beyond the float range

@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clinalg import SingularMatrixError, unit_scaled
+from .clinalg import SingularMatrixError
 from .hua import positive_clusters
 from .qmatrix import QuatMatrix, random_skew_symmetric
-from .quaternion import Quaternion
+from .quaternion import Quaternion, _times_pow2
 from .spectra import (gram_product, is_positive_definite, quat_inverse,
                       right_eigenvalues_hermitian)
 
@@ -101,15 +101,16 @@ def classify_3x3(triple):
     Solid (three distinct positive eigenvalues) exactly when |a| clears
     1e-10 * max(|a|, |b|, |c|) and |c a^-1 b - b a^-1 c| clears
     1e-10 * |a^-1||b||c|, both scale-free; otherwise degenerate with
-    predicted spectrum (0, s, s).  The triple is classified unit_scaled,
-    as (a, b, c) 2^-e, so that no norm under- or overflows, and the gap and
-    s are scaled back by 2^e and 2^2e.  Raises ValueError on the all-zero
-    triple.
+    predicted spectrum (0, s, s).  The triple is classified as (a, b, c) 2^-e,
+    e the largest exponent of Quaternion._unit_scaled, so that no norm
+    under- or overflows; the gap and s are scaled back by 2^e and 2^2e
+    (inf beyond the float range).  Raises ValueError on the all-zero triple.
     """
     if not isinstance(triple, SkewTriple):
         triple = SkewTriple(*triple)
-    parts, e = unit_scaled([q.components() for q in (triple.a, triple.b, triple.c)])
-    a, b, c = (Quaternion(*p) for p in parts.tolist())
+    given = (triple.a, triple.b, triple.c)
+    e = max(q._unit_scaled()[1] for q in given)
+    a, b, c = (Quaternion(*[_times_pow2(x, -e) for x in q.components()]) for q in given)
     largest = max(abs(a), abs(b), abs(c))
     if largest == 0.0:
         raise ValueError("classification needs a nonzero triple")
@@ -119,10 +120,10 @@ def classify_3x3(triple):
         ainv = a.inverse()
         gap = abs(c * ainv * b - b * ainv * c)
         solid = gap > 1e-10 * abs(ainv) * abs(b) * abs(c)
-    gap = float(np.ldexp(gap, e))
+    gap = _times_pow2(gap, e)
     if solid:
         return SpectrumReport("solid", [], [], 0.0, gap)
-    s = float(np.ldexp(a.norm_sq() + b.norm_sq() + c.norm_sq(), 2 * e))
+    s = _times_pow2(a.norm_sq() + b.norm_sq() + c.norm_sq(), 2 * e)
     return SpectrumReport("degenerate", [0.0, s, s], [], 0.0, gap)
 
 

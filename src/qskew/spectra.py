@@ -1,10 +1,8 @@
-"""Right eigenvalues of Hermitian quaternion matrices via the complex adjoint.
+"""Right eigenvalues of Hermitian quaternion matrices.
 
-The embedding chi sends an n x n quaternion matrix to a 2n x 2n complex
-matrix multiplicatively, so Hermitian quaternion eigenproblems reduce to
-complex ones.  Each real right eigenvalue of the quaternion matrix shows
-up twice in the complex spectrum; the pairing is checked and every second
-value is kept.
+A Hermitian quaternion A = A_c + A_d j goes to the eigensolver as
+[A_c | A_d], the first n rows of chi(A), which solves at size n and gives
+each right eigenvalue once; their sum is checked against the trace of A.
 
 gram_product and right_eigenvalues_hermitian take a QuatMatrix stack
 (..., n, n, 4) as well as one matrix and give bitwise the per-slice
@@ -22,19 +20,16 @@ from .qmatrix import QuatMatrix
 
 @dataclass
 class RightSpectrum:
-    """Ascending real right eigenvalues and the gaps inside their pairs.
-
-    values and pairing_gaps are (n,), or (..., n) for a stack.
-    pairing_gaps holds the spread inside each doubled pair of the complex
-    spectrum; values near machine precision confirm the doubling.
-    """
+    """The ascending real right eigenvalues, values (n,) or (..., n) for a
+    stack, and per slice trace_residual = |sum of values - Re tr A|,
+    which the solve keeps near machine precision times ||A||."""
     values: np.ndarray
-    pairing_gaps: np.ndarray
+    trace_residual: np.ndarray
 
     def to_dict(self):
-        """values and pairing_gaps as (nested) lists of floats."""
+        """values and trace_residual as (nested) lists of floats."""
         return {"values": self.values.tolist(),
-                "pairing_gaps": self.pairing_gaps.tolist()}
+                "trace_residual": self.trace_residual.tolist()}
 
 
 def _require(ok, message, *values):
@@ -55,23 +50,22 @@ def right_eigenvalues_hermitian(a, tol=1e-10):
     """Values-only right spectrum of Hermitian quaternion matrices.
 
     Returns a RightSpectrum for one matrix or a QuatMatrix stack, whose
-    slices all go to one herm_eig call: every second value of the
-    ascending spectrum of chi(A), and the gaps inside its pairs.  Raises
-    ValueError on input not Hermitian within tol or a complex spectrum not
-    paired within 1e-9 * ||A||_F.
+    slices all go to one herm_eig call as [A_c | A_d]: the n ascending
+    right eigenvalues and their trace residual.  Raises ValueError on
+    input not Hermitian within tol or a trace residual above
+    1e-9 * sqrt(n) * ||A||_F.
     """
     a = QuatMatrix.coerce(a)
     _require(a.is_hermitian(tol), "right spectrum needs a Hermitian matrix")
-    c = a.chi()  # herm_eig takes one matrix or a stack with one leading axis
+    n = a.nrows
+    c = a.chi()[..., :n, :]  # [A_c | A_d]; herm_eig takes at most one stack axis
     mu = herm_eig(c.reshape((-1,) + c.shape[-2:]) if c.ndim > 3 else c)
     mu = mu.reshape(c.shape[:-1])
-    pair_tol = 1e-9 * a.norm()
-    gaps = mu[..., 1::2] - mu[..., 0::2]
-    worst = gaps.max(axis=-1, initial=0.0)
-    _require(worst <= pair_tol,
-             "complex spectrum does not pair: worst gap %.3e exceeds %.3e",
-             worst, pair_tol)
-    return RightSpectrum(mu[..., ::2].copy(), gaps)
+    residual = np.abs(mu.sum(axis=-1) - np.trace(a.data[..., 0], axis1=-2, axis2=-1))
+    bound = 1e-9 * np.sqrt(n) * a.norm()
+    _require(residual <= bound, "right eigenvalues do not sum to the trace: "
+             "residual %.3e exceeds %.3e", residual, bound)
+    return RightSpectrum(mu, residual)
 
 
 def gram_product(z, tol=1e-10):

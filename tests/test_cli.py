@@ -242,14 +242,20 @@ def test_hua_decompose_makes_no_herm_eig_call(tmp_path, monkeypatch, capsys):
 
 def test_every_eigen_solve_goes_through_tridiagonal(tmp_path, monkeypatch, capsys):
     # one eigen path: every herm_eig call reduces its whole stack to
-    # tridiagonal form, at every size
-    reduced = []
-    reduce = qskew.clinalg._tridiagonal
+    # tridiagonal form, at every size; a quaternion request solves a
+    # tridiagonal of size n, not the 2n of its complex adjoint
+    reduced, sizes = [], []
+    reduce, solve = qskew.clinalg._tridiagonal, qskew.clinalg._tridiagonal_eig
 
     def spy_reduce(a):
         reduced.append(a.shape)
         return reduce(a)
+
+    def spy_solve(d, e2, vectors=False):
+        sizes.append(d.shape[1])
+        return solve(d, e2, vectors)
     monkeypatch.setattr(qskew.clinalg, "_tridiagonal", spy_reduce)
+    monkeypatch.setattr(qskew.clinalg, "_tridiagonal_eig", spy_solve)
     solves = []
     spy_on_herm_eig(monkeypatch, solves)
     for n in (3, 4, 8, 16, 64):
@@ -261,6 +267,18 @@ def test_every_eigen_solve_goes_through_tridiagonal(tmp_path, monkeypatch, capsy
     capsys.readouterr()
     assert [shape for _, shape in solves] == reduced
     assert {shape[-1] for _, shape in solves} == {6, 8, 16, 32, 128}
+    assert sizes == [3, 4, 8, 16, 64, 4, 8]
+    # verify-paper: its quaternion rows at n = 2, 3 and 4, its complex row
+    # at the size of each complex matrix
+    del solves[:], sizes[:]
+    assert main(["verify-paper", "--json"]) == 0
+    capsys.readouterr()
+    by_caller = {}
+    for (caller, _), size in zip(solves, sizes):
+        by_caller.setdefault(caller, set()).add(size)
+    assert len(solves) == len(sizes)
+    assert by_caller == {"right_eigenvalues_hermitian": {2, 3, 4},
+                         "even_multiplicity_check": set(range(2, 9))}
 
 
 def test_verify_paper_solves_rows_in_stacks(monkeypatch, capsys):

@@ -474,6 +474,38 @@ def test_tridiagonal_eig_vectors_of_clustered_spectra(kind, m, count, seed):
     assert np.abs(y[0].T @ y[0] - np.eye(m)).max() <= 1e-11
 
 
+@given(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_herm_eig_quaternion_matches_the_doubled_adjoint(n, count, seed):
+    # [A_c | A_d] solved at size n gives every second value of the doubled
+    # spectrum of chi(A), each slice at its own scale and bitwise its single
+    # call; a complex H gives the spectrum of H
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1, 1, (count, n, n, 4)) * 10.0 ** rng.uniform(-6, 6, (count, 1, 1, 1))
+    a = QuatMatrix(a) + QuatMatrix(a).conj_transpose()
+    chi = a.chi()
+    w = herm_eig(chi[:, :n])
+    for b in range(count):
+        np.testing.assert_allclose(w[b], np.linalg.eigvalsh(chi[b])[::2], rtol=0,
+                                   atol=1e-12 * a.norm()[b])
+        assert herm_eig(chi[b, :n]).tobytes() == w[b].tobytes()
+        h = chi[b, :n, :n]
+        np.testing.assert_allclose(herm_eig(h), np.linalg.eigvalsh(h), rtol=0,
+                                   atol=1e-12 * frobenius_norm(h))
+
+
+def test_herm_eig_checks_the_quaternion_half():
+    # A = A_c + A_d j is Hermitian when A_c is and A_d is antisymmetric
+    ac = np.array([[2.0, 1j], [-1j, 3.0]])
+    ad = np.array([[0.0, 1 + 1j], [-1 - 1j, 0.0]])
+    herm_eig(np.hstack([ac, ad]))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        herm_eig(np.hstack([ac, ad + np.eye(2)]))
+    with pytest.raises(ValueError, match=r"\(m, m\) or \(m, 2m\)"):
+        herm_eig(np.hstack([ac, ad, ad]))
+
+
 def test_herm_eig_one_by_one_and_empty_stacks():
     for h in ([[5.0]], np.full((3, 1, 1), -2.0)):
         np.testing.assert_array_equal(herm_eig(h), np.real(h)[..., 0])

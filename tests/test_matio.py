@@ -70,6 +70,40 @@ def test_rejects_malformed(data, msg):
         matrix_from_dict(data)
 
 
+@pytest.mark.parametrize("index", [0, 5, 8])
+@pytest.mark.parametrize("bad,msg", [
+    ([0, 0, True, 0], "entry %d: component 2 is not a number"),
+    (["0", 0, 0, 0], "entry %d: component 0 is not a number"),
+    ([0, 0, 0, None], "entry %d: component 3 is not a number"),
+    ([0, [1.0], 0, 0], "entry %d: component 1 is not a number"),
+    ([[0, 0, 0, 0]] * 4, "entry %d: component 0 is not a number"),
+    ([0, 0, 0], "entry %d: expected 4 numbers"),
+    ([0, 0, 0, 0, 0], "entry %d: expected 4 numbers"),
+    ((0, 0, 0, 0), "entry %d: expected 4 numbers"),
+    (0.5, "entry %d: expected 4 numbers"),
+])
+def test_first_bad_entry_is_named(bad, msg, index):
+    # the one-pass check defers to the entry walk for every message
+    entries = [[0.5, -1, 2.0, 3]] * 9
+    entries[index] = bad
+    with pytest.raises(MatrixFormatError) as exc:
+        matrix_from_dict({"rows": 3, "cols": 3, "entries": entries})
+    assert str(exc.value) == msg % index
+    # a later bad entry does not change which one is named
+    entries[8 if index < 8 else 0] = [0, 0, 0]
+    with pytest.raises(MatrixFormatError) as exc:
+        matrix_from_dict({"rows": 3, "cols": 3, "entries": entries})
+    assert str(exc.value) == (msg % index if index < 8 else "entry 0: expected 4 numbers")
+
+
+def test_number_subclasses_pass_the_entry_walk():
+    # numpy floats are floats: the one-pass check misses them and the walk
+    # accepts them, as it always did
+    entries = [[np.float64(0.5), 1, 2.0, 3]] * 4
+    z = matrix_from_dict({"rows": 2, "cols": 2, "entries": entries})
+    np.testing.assert_array_equal(z.data, np.tile([0.5, 1, 2, 3], (2, 2, 1)))
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(MatrixFormatError):
         load_matrix(tmp_path / "absent.json")

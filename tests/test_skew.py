@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,17 @@ def test_commuting_parts_alone_do_not_force_degeneracy():
 def test_classify_rejects_zero_triple():
     with pytest.raises(ValueError):
         classify_3x3(SkewTriple(0, 0, 0))
+
+
+def test_classify_overflowing_s_is_inf_quietly():
+    # s = |a|^2 + |b|^2 + |c|^2 is 1e401 here: it scales back to inf with
+    # no warning, since every scaling is exact and the last one saturates
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = classify_3x3(SkewTriple(0, Quaternion(1e200, 1), Quaternion(3e200)))
+    assert report.case_label == "degenerate"
+    assert report.predicted_values == [0.0, math.inf, math.inf]
+    assert report.condition_lhs_rhs_gap == 0.0
 
 
 def test_is_solid():
@@ -341,12 +353,13 @@ def test_right_spectra_of_a_list_match_one_by_one():
     ws = [gram_product(random_skew_symmetric(4, trial_seed(5, t)))
           for t in range(6)]
     stacked = right_eigenvalues_hermitian(QuatMatrix(np.stack([w.data for w in ws])))
-    assert stacked.values.shape == stacked.pairing_gaps.shape == (6, 4)
-    for w, values, gaps in zip(ws, stacked.values, stacked.pairing_gaps):
+    assert stacked.values.shape == (6, 4)
+    assert stacked.trace_residual.shape == (6,)
+    for w, values, residual in zip(ws, stacked.values, stacked.trace_residual):
         alone = right_eigenvalues_hermitian(w)
         np.testing.assert_array_equal(values, alone.values)
-        np.testing.assert_array_equal(gaps, alone.pairing_gaps)
-    # the pairing and Hermitian checks still apply to each slice
+        np.testing.assert_array_equal(residual, alone.trace_residual)
+    # the trace and Hermitian checks still apply to each slice
     bad = np.stack([w.data for w in ws[:2]] + [random_skew_symmetric(4, 1).data])
     with pytest.raises(ValueError, match=r"Hermitian matrix \(slice 2\)$"):
         right_eigenvalues_hermitian(bad)

@@ -10,6 +10,7 @@ from qskew import (
     RightSpectrum,
     SkewTriple,
     gram_product,
+    herm_eig,
     is_positive_definite,
     is_positive_semidefinite,
     quat_inverse,
@@ -37,9 +38,13 @@ def test_reference_3x3_spectrum():
 
 
 def test_pairing_gaps_small():
+    # the complex adjoint doubles every right eigenvalue; the solve at size
+    # n gives each once, summing to the trace
     z = random_skew_symmetric(6, seed=17)
+    mu = herm_eig(z.gram().chi())
+    assert (mu[1::2] - mu[0::2]).max() <= 1e-9 * max(1.0, z.gram().norm())
     spec = right_eigenvalues_hermitian(z.gram())
-    assert max(spec.pairing_gaps) <= 1e-9 * max(1.0, z.gram().norm())
+    assert spec.trace_residual <= 1e-9 * max(1.0, z.gram().norm())
 
 
 def test_rejects_non_hermitian():
@@ -92,7 +97,7 @@ def test_definiteness_checks():
 
 
 def test_right_spectrum_of_tiny_and_huge_matrices():
-    # the pairing and definiteness floors are relative to ||A||_F, so that
+    # the trace and definiteness floors are relative to ||A||_F, so that
     # norm must neither underflow (1e-170 and below) nor overflow
     w = gram_product(random_skew_symmetric(4, seed=3))
     base = right_eigenvalues_hermitian(w).values
@@ -127,20 +132,20 @@ def test_spectrum_to_dict():
     z = random_skew_symmetric(2, seed=2)
     spec = right_eigenvalues_hermitian(z.gram())
     d = spec.to_dict()
-    assert set(d) == {"values", "pairing_gaps"}
+    assert set(d) == {"values", "trace_residual"}
     assert d == {"values": [float(v) for v in spec.values],
-                 "pairing_gaps": [float(g) for g in spec.pairing_gaps]}
-    assert all(type(v) is float for v in d["values"] + d["pairing_gaps"])
+                 "trace_residual": float(spec.trace_residual)}
+    assert all(type(v) is float for v in d["values"] + [d["trace_residual"]])
 
 
 def test_stacked_spectrum_to_dict():
     stacked = right_eigenvalues_hermitian(gram_product(random_skew_symmetric(4, [1, 2, 3])))
     d = stacked.to_dict()
-    assert len(d["values"]) == len(d["pairing_gaps"]) == 3
+    assert len(d["values"]) == len(d["trace_residual"]) == 3
     for i, seed in enumerate([1, 2, 3]):
         alone = right_eigenvalues_hermitian(gram_product(random_skew_symmetric(4, seed)))
         assert d["values"][i] == alone.to_dict()["values"]
-        assert d["pairing_gaps"][i] == alone.to_dict()["pairing_gaps"]
+        assert d["trace_residual"][i] == alone.to_dict()["trace_residual"]
 
 
 def test_nested_list_matrix_is_one_matrix():
@@ -170,13 +175,14 @@ def test_stacked_gram_and_spectra_match_each_slice(count, n, seed):
     w = gram_product(z)
     spec = right_eigenvalues_hermitian(w)
     assert w.data.shape == (count, n, n, 4)
-    assert spec.values.shape == spec.pairing_gaps.shape == (count, n)
+    assert spec.values.shape == (count, n)
+    assert spec.trace_residual.shape == (count,)
     for i in range(count):
         alone = gram_product(QuatMatrix(z.data[i]))
         assert w.data[i].tobytes() == alone.data.tobytes()
         one = right_eigenvalues_hermitian(alone)
         assert spec.values[i].tobytes() == one.values.tobytes()
-        assert spec.pairing_gaps[i].tobytes() == one.pairing_gaps.tobytes()
+        assert spec.trace_residual[i].tobytes() == one.trace_residual.tobytes()
 
 
 def nearly_skew_4x4(eps):
