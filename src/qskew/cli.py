@@ -70,7 +70,8 @@ def _fmt_quat(q):
 
 
 def _fmt_values(values):
-    return ", ".join("%g" % round(float(v), 4) for v in values)
+    # + 0.0 turns a -0.0, a tiny negative value rounded, into 0.0
+    return ", ".join("%g" % (round(float(v), 4) + 0.0) for v in values)
 
 
 def _rng(seed):
@@ -264,14 +265,16 @@ def _row_complex_even():
 
 def _row_hua():
     rng = _rng(37)
-    worst_res = worst_uni = 0.0
+    by_size = {}
     for _ in range(20):
         n = int(rng.integers(2, 10))
         m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        z = m - m.T
-        form = hua_decompose(z)
-        worst_res = max(worst_res, form.residual / np.sqrt(np.vdot(z, z).real))
-        worst_uni = max(worst_uni, form.unitarity_residual)
+        by_size.setdefault(n, []).append(m - m.T)
+    worst_res = worst_uni = 0.0
+    for zs in by_size.values():
+        for z, form in zip(zs, hua_decompose(np.array(zs))):
+            worst_res = max(worst_res, form.residual / np.sqrt(np.vdot(z, z).real))
+            worst_uni = max(worst_uni, form.unitarity_residual)
     ok = worst_res <= 1e-8 and worst_uni <= 1e-10
     return ok, ("20 random matrices, worst relative residual %.2e, "
                 "worst unitarity %.2e" % (worst_res, worst_uni))
@@ -279,41 +282,39 @@ def _row_hua():
 
 def _row_inverse():
     rng = _rng(41)
-    worst2 = 0.0
-    for t in range(20):
-        z = random_skew_symmetric(2, trial_seed(43, t))
-        rep = inverse_skew_report(z)
-        worst2 = max(worst2, rep.skew_deviation / rep.inverse.norm())
+    pairs = inverse_skew_report(random_skew_symmetric(2, [trial_seed(43, t)
+                                                          for t in range(20)]))
+    worst2 = max(rep.skew_deviation / rep.inverse.norm() for rep in pairs)
     if worst2 > 1e-12:
         return False, "2x2 inverse skew deviation %.2e too large" % worst2
-    floor3 = np.inf
-    for _ in range(20):
-        rep = inverse_skew_report(sample_generic_triple(rng).matrix())
-        floor3 = min(floor3, rep.skew_deviation / rep.inverse.norm())
+    triples = ([sample_generic_triple(rng) for _ in range(20)]
+               + [sample_degenerate_triple(rng) for _ in range(5)])
+    reports = inverse_skew_report(QuatMatrix(np.array([t.matrix().data for t in triples])))
+    floor3 = min(rep.skew_deviation / rep.inverse.norm() for rep in reports[:20])
     if floor3 < 1e-6:
         return False, "3x3 solid inverse skew deviation %.2e too small" % floor3
-    for _ in range(5):
-        rep = inverse_skew_report(sample_degenerate_triple(rng).matrix())
-        if rep.invertible:
-            return False, "degenerate 3x3 came back invertible"
+    if any(rep.invertible for rep in reports[20:]):
+        return False, "degenerate 3x3 came back invertible"
     return True, ("2x2 worst relative deviation %.2e; 3x3 solid floor %.2e; "
                   "degenerate all singular" % (worst2, floor3))
 
 
 def _row_dual():
     rng = _rng(47)
+    by_size = {}
     for _ in range(100):
         n = int(rng.integers(1, 5))
-        if rng.uniform() < 0.5:
-            std = QuatMatrix(rng.uniform(-1, 1, (n, n, 4)))
-            inf = QuatMatrix(rng.uniform(-1, 1, (n, n, 4)))
-        else:
-            s = QuatMatrix(rng.uniform(-1, 1, (n, n, 4)))
-            k = QuatMatrix(rng.uniform(-1, 1, (n, n, 4)))
-            std = s + s.conj_transpose()
-            inf = k - k.transpose()
-        a = DualQuatMatrix(std, inf)
-        if dq_hermitian_direct(a) != dq_hermitian_split(a):
+        plain = rng.uniform() < 0.5
+        std, inf = (rng.uniform(-1, 1, (n, n, 4)) for _ in range(2))
+        by_size.setdefault(n, []).append((plain, std, inf))
+    for draws in by_size.values():
+        plain, std, inf = (np.array(part) for part in zip(*draws))
+        # the other half: std made Hermitian, inf skew-symmetric
+        s, k = QuatMatrix(std), QuatMatrix(inf)
+        keep = plain[:, None, None, None]
+        a = DualQuatMatrix(np.where(keep, std, (s + s.conj_transpose()).data),
+                           np.where(keep, inf, (k - k.transpose()).data))
+        if (dq_hermitian_direct(a) != dq_hermitian_split(a)).any():
             return False, "the two hermitian tests disagreed"
     return True, "100 random dual matrices, both hermitian tests always agree"
 

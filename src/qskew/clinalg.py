@@ -13,15 +13,21 @@ Provided:
   grid by Sturm counts.  Every step works on all slices at once, and
   every slice is checked and converges on its own
 * _tridiagonal_eig: that tridiagonal solve, with eigenvectors by inverse
-  iteration when asked for; hua_decompose solves with it the tridiagonal
-  that _skew_tridiagonal, a skew Householder congruence, makes of Z
+  iteration when asked for; hua_decompose solves with it the tridiagonals
+  that _skew_tridiagonal, a skew Householder congruence run on a stack of
+  Z at once, makes of them
 * unit_scaled: the one scaling rule; every entry point that squares its
   input works on it scaled to unit size by a power of two, exactly
 * frobenius_norm: Frobenius norm, of an array or per slice, that neither
   under- nor overflows
-* lu_inverse: the inverse by one LU factorization with partial pivoting
+* lu_inverse: the inverse by one LU factorization with partial pivoting,
+  of one matrix or of each slice of a stack, with an invertible flag each
 * mgs_orthonormalize: Gram-Schmidt, run twice
 * cluster_runs: grouping of a sorted spectrum
+* _require: the check that names the first slice of a stack that fails it
+
+Every routine that takes a stack solves each slice as a single call would,
+so a slice gives bitwise the result of its own call.
 """
 
 import numpy as np
@@ -42,6 +48,20 @@ MAX_BISECTIONS = 100
 CLUSTER_GAP = 1e-3
 # inverse iteration gives up after this many solves per eigenvector
 MAX_PASSES = 5
+
+
+def _require(ok, message, *values, error=ValueError):
+    """Raise error(message % values) unless the verdict ok holds for every
+    slice; each of values, one per slice or one for all, is taken at the
+    first failing slice, and for a stack the message names that slice."""
+    ok = np.asarray(ok)
+    if np.count_nonzero(ok) == ok.size:
+        return
+    first = int(np.flatnonzero(~ok)[0])
+    text = message % tuple(np.broadcast_to(np.ravel(v), ok.size)[first] for v in values)
+    if ok.ndim:
+        text += " (slice %s)" % ", ".join(map(str, np.unravel_index(first, ok.shape)))
+    raise error(text)
 
 
 def unit_scaled(a, axis=None):
@@ -95,10 +115,8 @@ def herm_eig(h):
     parts = [(h[:, :, :m], h[:, :, :m].conj().swapaxes(1, 2))]
     parts += [(h[:, :, m:], -h[:, :, m:].swapaxes(1, 2))] * (h.shape[2] > m)
     off = np.max([np.abs(x - xh).max(axis=(1, 2), initial=0.0) for x, xh in parts], 0)
-    bad = np.flatnonzero(off > 1e-10 * np.abs(h).max(axis=(1, 2), initial=0.0))
-    if bad.size:
-        raise ValueError("matrix is not Hermitian"
-                         + ("" if single else " (slice %d)" % bad[0]))
+    ok = off <= 1e-10 * np.abs(h).max(axis=(1, 2), initial=0.0)
+    _require(ok[0] if single else ok, "matrix is not Hermitian")
     # a quaternion slice is interleaved as columns (c_0, d_0, c_1, d_1, ...)
     a = np.stack([x + xh for x, xh in parts], axis=3).reshape(h.shape) * 0.5
     a, e = unit_scaled(a, axis=(1, 2))
@@ -196,38 +214,49 @@ def _tridiagonal(a):
 
 
 def _skew_tridiagonal(a):
-    """Real skew tridiagonal form T = U A U^T of one exactly skew-symmetric
-    complex matrix A with entries of size about 1, U unitary (Ward & Gray,
-    ACM TOMS 4, 1978; Wimmer, ACM TOMS 38, 2012).
+    """Real skew tridiagonal forms T = U A U^T of each exactly
+    skew-symmetric complex slice A of a (B, m, m) stack, entries of size
+    about 1, U unitary (Ward & Gray, ACM TOMS 4, 1978; Wimmer, ACM TOMS 38,
+    2012).
 
-    Returns the squared superdiagonal e2 (m - 1,) of T, whose superdiagonal
-    is sqrt(e2), and U = D Q.  Step k of Q reflects column k below the
-    subdiagonal (_reflector) and applies H A H^T, which keeps A skew, as
-    the rank-2 update A += v w^T - w v^T with w = tau A conj(v) (the term
-    in v^* A conj(v) = 0 drops out).  The unitary diagonal D makes the
-    superdiagonal real and nonnegative.  A column too small to square is
-    left as it is.
+    Returns the squared superdiagonals e2 (B, m - 1) of T, whose
+    superdiagonal is sqrt(e2), and U = D Q (B, m, m).  Step k of Q reflects
+    column k below the subdiagonal (_reflector) and applies H A H^T, which
+    keeps A skew, as the rank-2 update A += v w^T - w v^T with
+    w = tau A conj(v) (the term in v^* A conj(v) = 0 drops out).  The
+    unitary diagonal D makes the superdiagonal real and nonnegative.  A
+    column too small to square is left as it is.  a is overwritten, except
+    for the columns below the subdiagonal, which no step writes.
     """
-    a = a.copy()
-    m = len(a)
-    e2 = np.zeros(m)[1:]
-    q = np.eye(m, dtype=complex)
-    diag = np.ones(m, dtype=complex)
+    count, m = a.shape[:2]
+    e2 = np.zeros((count, m))[:, 1:]
+    taus = np.zeros((count, m))[:, 1:]
+    q = np.zeros((count, m, m), dtype=complex)
+    q[:] = np.eye(m)
     for k in range(m - 1):
-        x = a[k + 1:, k]
-        e2[k] = (x.real ** 2 + x.imag ** 2).sum()
-        unit = np.exp(1j * np.angle(x[0]))
-        if k < m - 2:
-            v, tau = _reflector(x[None, :, None], e2[k:k + 1])
-            v, tau = v[0, :, 0], tau[0]
-            trail = a[k + 1:, k + 1:]
-            w = tau * (trail @ v.conj())
-            trail += v[:, None] * w - w[:, None] * v
-            q[k + 1:] -= (tau * v)[:, None] * (v.conj() @ q[k + 1:])
-        # T_{k, k + 1} is e^{i arg x_0} ||x|| once column k is reflected, else -x_0
-        phase = unit if k < m - 2 and tau else -unit
-        diag[k + 1] = (diag[k] * phase).conj()
-    return e2, diag[:, None] * q
+        x = a[:, k + 1:, k]
+        e2[:, k] = (x.real ** 2 + x.imag ** 2).sum(axis=1)
+        if k == m - 2:
+            break
+        v, tau = _reflector(x[:, :, None], e2[:, k])
+        taus[:, k] = tau
+        tau, vc = tau[:, None, None], v.conj()
+        trail = a[:, k + 1:, k + 1:]
+        w = tau * (trail @ vc)
+        trail += v * w.swapaxes(1, 2) - w * v.swapaxes(1, 2)
+        q[:, k + 1:] -= (tau * v) * (vc.swapaxes(1, 2) @ q[:, k + 1:])
+    # T_{k, k + 1} is e^{i arg x_0} ||x|| once column k is reflected, else
+    # -x_0; D_{k + 1} = conj(D_k phase_k) as Python complex products, which
+    # round alike on every machine (numpy's array product may fuse them)
+    unit = np.exp(1j * np.angle(a[:, np.arange(1, m), np.arange(m - 1)]))
+    phases = np.where(taus > 0, unit, -unit).tolist()
+    diag = np.ones((count, m), dtype=complex)
+    for b in range(count):
+        d = 1.0
+        for k, phase in enumerate(phases[b]):
+            d = (d * phase).conjugate()
+            diag[b, k + 1] = d
+    return e2, diag[:, :, None] * q
 
 
 def _bisect(d, e2, top):
@@ -361,39 +390,69 @@ def _inverse_iteration(d, e, w, top):
 
 
 def lu_inverse(a, tol=1e-10):
-    """Inverse of a square matrix by LU factorization with partial pivoting.
+    """Inverse of a square matrix, or of each slice of a (B, n, n) stack,
+    by LU factorization with partial pivoting.
 
     Elimination factors A in place and swaps the rows of an identity as it
-    swaps those of A; substitution then turns that identity into A^-1.
-    Raises SingularMatrixError when the best available pivot magnitude falls
-    to tol times the Frobenius norm of the input or below, and ValueError
-    when the input is not square or not finite.
+    swaps those of A; substitution then turns that identity into A^-1.  A
+    pivot whose magnitude falls to tol times the Frobenius norm of its
+    slice or below makes the slice singular: for one matrix that raises
+    SingularMatrixError, naming the first such pivot, and a stack gives
+    (inverses, invertible), with a zero inverse for each singular slice.
+    The pivots are judged after elimination, which runs on through a
+    singular slice (which may fill with NaN, in that slice only).
+    Raises ValueError when the input is not square or not finite, naming
+    the first slice with a non-finite entry.
     """
-    a = np.array(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("lu_inverse needs a square matrix")
-    if not np.isfinite(a).all():
-        raise ValueError("lu_inverse needs finite entries")
-    n = a.shape[0]
-    pivot_tol = tol * frobenius_norm(a)
-    x = np.eye(n, dtype=complex)
-    for k in range(n):
-        r = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[r, k]) <= pivot_tol:
+    a = np.asarray(a, dtype=complex)
+    single = a.ndim == 2
+    if single:
+        a = a[None]
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError("lu_inverse needs a square matrix or a stack of them")
+    finite = np.isfinite(a).all(axis=(1, 2))
+    _require(finite[0] if single else finite, "lu_inverse needs finite entries")
+    count, n = a.shape[:2]
+    pivot_tol = tol * frobenius_norm(a, axis=(1, 2))
+    # [A | I], so that one swap moves a row of both
+    ax = np.zeros((count, n, 2 * n), dtype=complex)
+    ax[:, :, :n] = a
+    ax[:, :, n:] = np.eye(n)
+    lu, x = ax[:, :, :n], ax[:, :, n:]
+    slices = np.arange(count)[:, None]
+    pair = np.zeros((count, 2), dtype=np.intp)
+    # past a failed pivot, which may be 0 or subnormal, a slice may fill
+    # with inf and NaN; it is judged singular below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            col = lu[:, k:, k]
+            r = np.abs(col).argmax(axis=1)
+            if r.any():
+                # rows k and k + r of each slice trade places
+                pair[:, 1] = r
+                rows = pair + k
+                ax[slices, rows] = ax[slices, rows[:, ::-1]]
+            below = col[:, 1:]
+            below /= col[:, :1]
+            lu[:, k + 1:, k + 1:] -= below[:, :, None] * lu[:, k, None, k + 1:]
+    pivots = np.abs(lu.diagonal(axis1=1, axis2=2))
+    fail = pivots <= pivot_tol[:, None]
+    singular = fail.any(axis=1)
+    if singular.any():
+        if single:
+            k = int(fail[0].argmax())
             raise SingularMatrixError(
                 "pivot %d is %.3e, at or below threshold %.3e"
-                % (k, abs(a[r, k]), pivot_tol))
-        if r != k:
-            a[[k, r], :] = a[[r, k], :]
-            x[[k, r], :] = x[[r, k], :]
-        a[k + 1:, k] /= a[k, k]
-        a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k], a[k, k + 1:])
+                % (k, pivots[0, k], pivot_tol[0]))
+        # U = I and X = 0 make the substitution give a singular slice 0
+        ax[singular] = np.eye(n, 2 * n)
     for k in range(1, n):
-        x[k, :] -= a[k, :k] @ x[:k, :]
+        x[:, k:k + 1] -= lu[:, k:k + 1, :k] @ x[:, :k]
     for k in range(n - 1, -1, -1):
-        x[k, :] -= a[k, k + 1:] @ x[k + 1:, :]
-        x[k, :] /= a[k, k]
-    return x
+        row = x[:, k:k + 1]
+        row -= lu[:, k:k + 1, k + 1:] @ x[:, k + 1:]
+        row /= lu[:, k:k + 1, k:k + 1]
+    return x[0] if single else (x, ~singular)
 
 
 def mgs_orthonormalize(vectors, tol=1e-10):

@@ -7,16 +7,18 @@ skew Householder congruence reduces it to a real skew tridiagonal matrix,
 and the eigenpairs of its Golub-Kahan form give the sigmas and the block
 pairs.  even_multiplicity_check tests the same fact independently through
 H = Z Z*, each of whose positive eigenvalues appears an even number of
-times.
+times.  Both take one matrix or a (B, n, n) stack, which goes through one
+reduction and one tridiagonal solve, and give each slice bitwise the
+result of its own call.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .clinalg import (ConvergenceError, _skew_tridiagonal, _tridiagonal_eig,
-                      cluster_runs, frobenius_norm, herm_eig, mgs_orthonormalize,
-                      unit_scaled)
+from .clinalg import (ConvergenceError, _require, _skew_tridiagonal,
+                      _tridiagonal_eig, cluster_runs, frobenius_norm, herm_eig,
+                      mgs_orthonormalize, unit_scaled)
 from .qmatrix import QuatMatrix
 
 CLUSTER_TOL = 1e-8
@@ -81,63 +83,71 @@ def even_multiplicity_check(z):
 
 
 def hua_decompose(z, tol=1e-8):
-    """Canonical pair form of a complex skew-symmetric matrix.
+    """Canonical pair form of a complex skew-symmetric matrix, or of each
+    slice of a (B, n, n) stack.
 
-    Returns a HuaForm with U unitary, sigmas descending and positive, and
-    the kernel gathered in a trailing zero block.  Raises ValueError for
+    Returns a HuaForm, or for a stack a list of them, each bitwise that of
+    its own call, with U unitary, sigmas descending and positive, and the
+    kernel gathered in a trailing zero block.  Raises ValueError for
     non-skew input, and ConvergenceError when the eigensolver reaches its
-    iteration limit or the final residuals exceed their contracts.  The
+    iteration limit or the final residuals exceed their contracts; for a
+    stack, a failed check names the first slice that fails it.  The
     residual limit is tol * ||Z||_F; the smallest pairs go to the kernel
     while sqrt(2) times the norm of their sigmas, which is what dropping
-    them adds to the residual, stays within half that limit.  Z is
-    decomposed unit_scaled, as Z 2^-e, and the sigmas and residual are
+    them adds to the residual, stays within half that limit.  Each Z is
+    decomposed unit_scaled, as Z 2^-e, and its sigmas and residual are
     scaled back by 2^e.
 
-    Skew Householder congruence reduces Z to a real skew tridiagonal T,
-    with superdiagonal e >= 0 (_skew_tridiagonal).  With S = diag((-i)^k),
-    S^* (i T) S is the symmetric tridiagonal with zero diagonal and
-    off-diagonal e (Golub & Kahan, SIAM J. Numer. Anal. B 2, 1965), whose
-    eigenvalues are +-sigma, and 0 once more when n is odd.  Its
-    eigenvector s at sigma gives T phi = -i sigma phi for phi = S s, so
+    Skew Householder congruence reduces every Z at once to a real skew
+    tridiagonal T, with superdiagonal e >= 0 (_skew_tridiagonal).  With
+    S = diag((-i)^k), S^* (i T) S is the symmetric tridiagonal with zero
+    diagonal and off-diagonal e (Golub & Kahan, SIAM J. Numer. Anal. B 2,
+    1965), whose eigenvalues are +-sigma, and 0 once more when n is odd.
+    Its eigenvector s at sigma gives T phi = -i sigma phi for phi = S s, so
     u1 = Im phi and u2 = Re phi, which hold the odd and the even entries
     of s, satisfy T u2 = sigma u1 and T u1 = -sigma u2: normalised, they
     are the rows of one block pair.  The real and imaginary parts of the
     other eigenvectors span the kernel.
     """
     z = np.asarray(z, dtype=complex)
-    if not QuatMatrix(z).is_skew_symmetric(tol):
-        raise ValueError("matrix is not skew-symmetric within tolerance")
-    n = z.shape[0]
-    if n == 0:
-        return HuaForm(np.zeros((0, 0), dtype=complex), [], 0, 0.0, 0.0)
-    z, e = unit_scaled(z)
-    scale = frobenius_norm(z)
+    if z.ndim not in (2, 3):
+        raise ValueError("hua_decompose needs a matrix or a (B, n, n) stack")
+    _require(QuatMatrix.from_parts(z.real, z.imag).is_skew_symmetric(tol),
+             "matrix is not skew-symmetric within tolerance")
+    single = z.ndim == 2
+    if single:
+        z = z[None]
+    count, n = z.shape[:2]
+    z, e = unit_scaled(z, axis=(1, 2))
+    scale = frobenius_norm(z, axis=(1, 2))
 
-    e2, q = _skew_tridiagonal((z - z.T) / 2.0)
-    w, y = _tridiagonal_eig(np.zeros((1, n)), e2[None], vectors=True)
-    sigmas = w[0, ::-1][:n // 2]
+    e2, q = _skew_tridiagonal((z - z.swapaxes(1, 2)) / 2.0)
+    w, y = _tridiagonal_eig(np.zeros((count, n)), e2, vectors=True)
+    sigmas = w[:, ::-1][:, :n // 2]
     # what sending pairs t, t + 1, ... to the kernel adds to the residual
-    dropped = np.sqrt(2.0 * np.cumsum(sigmas[::-1] ** 2))[::-1]
-    pairs = int((dropped > tol * scale / 2.0).sum())
+    dropped = np.sqrt(2.0 * np.cumsum(sigmas[:, ::-1] ** 2, axis=1))[:, ::-1]
+    pairs = (dropped > tol * scale[:, None] / 2.0).sum(axis=1)
     # Im phi and Re phi of each eigenvector, highest eigenvalue first: the
     # block pairs, then the kernel candidates; those at -sigma add nothing
-    phi = y[0, :, ::-1].T * np.array([1, -1j, -1, 1j])[np.arange(n) % 4]
-    parts = np.stack([phi.imag, phi.real], axis=1).reshape(2 * n, n)
-    rows = mgs_orthonormalize(parts[:2 * (n - pairs)], tol=1e-6)
-    if len(rows) != n:
-        raise ValueError("basis lost a vector during final orthonormalization")
+    phi = y[:, :, ::-1].swapaxes(1, 2) * np.array([1, -1j, -1, 1j])[np.arange(n) % 4]
+    parts = np.stack([phi.imag, phi.real], axis=2).reshape(count, 2 * n, n)
+    rows = [mgs_orthonormalize(p[:2 * (n - k)], tol=1e-6) for p, k in zip(parts, pairs)]
+    kept = np.array([len(r) == n for r in rows])
+    _require(kept[0] if single else kept,
+             "basis lost a vector during final orthonormalization")
 
-    u_mat = np.array(rows) @ q
-    form = HuaForm(u_mat, sigmas[:pairs].tolist(), n - 2 * pairs, 0.0, 0.0)
-    form.residual = frobenius_norm(u_mat @ z @ u_mat.T - form.canonical())
-    form.unitarity_residual = frobenius_norm(u_mat.conj().T @ u_mat - np.eye(n))
-
-    if form.residual > tol * scale or form.unitarity_residual > tol:
-        raise ConvergenceError(
-            "canonical form residuals out of contract: "
-            "reconstruction %.3e (limit %.3e), unitarity %.3e (limit %.3e)"
-            % (np.ldexp(form.residual, e), np.ldexp(tol * scale, e),
-               form.unitarity_residual, tol))
-    form.sigmas = [float(np.ldexp(s, e)) for s in form.sigmas]
-    form.residual = float(np.ldexp(form.residual, e))
-    return form
+    u = np.array(rows).reshape(count, n, n) @ q
+    forms = [HuaForm(u[b], sigmas[b, :pairs[b]].tolist(), n - 2 * int(pairs[b]), 0.0, 0.0)
+             for b in range(count)]
+    canonical = np.array([form.canonical() for form in forms]).reshape(count, n, n)
+    residual = frobenius_norm(u @ z @ u.swapaxes(1, 2) - canonical, axis=(1, 2))
+    unitarity = frobenius_norm(u.conj().swapaxes(1, 2) @ u - np.eye(n), axis=(1, 2))
+    ok = (residual <= tol * scale) & (unitarity <= tol)
+    _require(ok[0] if single else ok, "canonical form residuals out of contract: "
+             "reconstruction %.3e (limit %.3e), unitarity %.3e (limit %.3e)",
+             np.ldexp(residual, e), np.ldexp(tol * scale, e), unitarity, tol,
+             error=ConvergenceError)
+    for form, res, uni, exp in zip(forms, residual, unitarity, e):
+        form.sigmas = [float(np.ldexp(s, exp)) for s in form.sigmas]
+        form.residual, form.unitarity_residual = float(np.ldexp(res, exp)), float(uni)
+    return forms[0] if single else forms

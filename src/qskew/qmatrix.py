@@ -24,7 +24,7 @@ slice (an array), and a Python float or bool for a single matrix.
 
 import numpy as np
 
-from .clinalg import frobenius_norm
+from .clinalg import _require, frobenius_norm
 from .quaternion import Quaternion
 
 # component signs of the quaternion conjugate w - x i - y j - z k
@@ -200,16 +200,19 @@ class QuatMatrix:
 
     @classmethod
     def from_chi(cls, c, tol=1e-10):
-        """Invert chi; ValueError when c is off the symmetry by > tol*max|c|."""
+        """Invert chi, of one matrix or of each slice of a stack
+        (..., 2m, 2n); ValueError, naming the first failing slice, when a
+        slice is off the symmetry by > tol*max|c|."""
         c = np.asarray(c, dtype=complex)
-        if c.ndim != 2 or c.shape[0] % 2 or c.shape[1] % 2:
+        if c.ndim < 2 or c.shape[-2] % 2 or c.shape[-1] % 2:
             raise ValueError("adjoint matrix must have even dimensions")
-        m, n = c.shape[0] // 2, c.shape[1] // 2
-        ac, ad = c[:m, :n], c[:m, n:]
-        scale = float(np.abs(c).max(initial=0.0))
-        if (np.abs(c[m:, :n] + ad.conj()).max(initial=0.0) > tol * scale
-                or np.abs(c[m:, n:] - ac.conj()).max(initial=0.0) > tol * scale):
-            raise ValueError("matrix does not have the adjoint block symmetry")
+        m, n = c.shape[-2] // 2, c.shape[-1] // 2
+        ac, ad = c[..., :m, :n], c[..., :m, n:]
+        off = np.maximum(np.abs(c[..., m:, :n] + ad.conj()), np.abs(c[..., m:, n:] - ac.conj()))
+        # a NaN passes here, and the constructor refuses it as non-finite
+        _require(~(off.max(axis=(-2, -1), initial=0.0)
+                   > tol * np.abs(c).max(axis=(-2, -1), initial=0.0)),
+                 "matrix does not have the adjoint block symmetry")
         return cls.from_complex_pair(ac, ad)
 
     # -- metrics and predicates ----------------------------------------------------------

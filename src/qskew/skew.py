@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clinalg import SingularMatrixError
+from .clinalg import SingularMatrixError, _require
 from .hua import positive_clusters
 from .qmatrix import QuatMatrix, random_skew_symmetric
 from .quaternion import Quaternion, _times_pow2
@@ -172,17 +172,22 @@ def inverse_skew_report(z, tol=1e-10):
     skew_deviation is ||(Z^-1)^T + Z^-1||_F.  It vanishes for every
     invertible 2x2 but is materially positive for every invertible 3x3;
     singular input is reported through invertible = False, not raised.
+    One matrix gives one report, a (B, n, n, 4) stack a list of them, each
+    that of its own call, from one quat_inverse call; a slice that is not
+    skew is named in the error.
     """
     z = QuatMatrix.coerce(z)
-    z._require_single("inverse_skew_report")
-    if not z.is_skew_symmetric(tol):
-        raise ValueError("inverse_skew_report needs a skew-symmetric matrix")
+    _require(z.is_skew_symmetric(tol), "inverse_skew_report needs a skew-symmetric matrix")
     try:
         inv = quat_inverse(z, tol)
-    except SingularMatrixError:
+    except SingularMatrixError:  # only one matrix raises; a stack flags its slices
         return InverseSkewReport(False)
+    if z.data.ndim == 3:
+        return InverseSkewReport(True, inv, (inv.transpose() + inv).norm())
+    inv, invertible = inv
     deviation = (inv.transpose() + inv).norm()
-    return InverseSkewReport(True, inv, deviation)
+    return [InverseSkewReport(True, QuatMatrix(inv.data[b]), float(deviation[b])) if ok
+            else InverseSkewReport(False) for b, ok in enumerate(invertible)]
 
 
 def quaternion_even_multiplicity_check(z):

@@ -5,16 +5,16 @@ A Hermitian quaternion A = A_c + A_d j goes to the eigensolver as
 each right eigenvalue once; their sum is checked against the trace of A.
 
 gram_product and right_eigenvalues_hermitian take a QuatMatrix stack
-(..., n, n, 4) as well as one matrix and give bitwise the per-slice
-results; each check still judges every slice on its own, and an error
-names the first slice that fails it.
+(..., n, n, 4) as well as one matrix, quat_inverse a (B, n, n, 4) stack,
+and they give bitwise the per-slice results; each check still judges
+every slice on its own, and an error names the first slice that fails it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .clinalg import frobenius_norm, herm_eig, lu_inverse
+from .clinalg import _require, frobenius_norm, herm_eig, lu_inverse
 from .qmatrix import QuatMatrix
 
 
@@ -30,20 +30,6 @@ class RightSpectrum:
         """values and trace_residual as (nested) lists of floats."""
         return {"values": self.values.tolist(),
                 "trace_residual": self.trace_residual.tolist()}
-
-
-def _require(ok, message, *values):
-    """Raise ValueError(message % values) unless the verdict ok holds for
-    every slice; each of values is taken at the first failing slice, and
-    for a stack the message names that slice."""
-    ok = np.asarray(ok)
-    if ok.all():
-        return
-    where = tuple(int(i) for i in np.argwhere(~ok)[0])
-    text = message % tuple(np.asarray(v)[where] for v in values)
-    if where:
-        text += " (slice %s)" % ", ".join(map(str, where))
-    raise ValueError(text)
 
 
 def right_eigenvalues_hermitian(a, tol=1e-10):
@@ -95,16 +81,21 @@ def gram_product(z, tol=1e-10):
 
 
 def quat_inverse(a, tol=1e-10):
-    """Inverse of a quaternion matrix through the complex adjoint.
+    """Inverse of a quaternion matrix through the complex adjoint, by one
+    lu_inverse call.
 
-    Raises SingularMatrixError (from the LU pivot test) when the matrix is
-    not invertible, and ValueError if the inverse loses the adjoint block
+    For one matrix, raises SingularMatrixError (from the LU pivot test)
+    when it is not invertible; a (B, n, n, 4) stack gives (inverses,
+    invertible) as lu_inverse does, with a zero inverse for each singular
+    slice.  Raises ValueError if an inverse loses the adjoint block
     structure beyond tolerance.
     """
     a = QuatMatrix.coerce(a)
-    a._require_single("quat_inverse")
     a._require_square("quat_inverse")
-    return QuatMatrix.from_chi(lu_inverse(a.chi(), tol=tol), tol=1e-8)
+    inverse = lu_inverse(a.chi(), tol=tol)
+    if a.data.ndim == 3:
+        return QuatMatrix.from_chi(inverse, tol=1e-8)
+    return QuatMatrix.from_chi(inverse[0], tol=1e-8), inverse[1]
 
 
 def _lowest_and_floor(a):

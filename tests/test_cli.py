@@ -4,13 +4,17 @@ import sys
 import numpy as np
 import pytest
 
+import qskew.cli
 import qskew.clinalg
 import qskew.hua
 import qskew.spectra
-from qskew import (QuatMatrix, SkewTriple, I, J, even_multiplicity_check,
-                   gram_product, random_skew_symmetric,
+from qskew import (DualQuatMatrix, QuatMatrix, SkewTriple, I, J,
+                   dq_hermitian_direct, dq_hermitian_split,
+                   even_multiplicity_check, gram_product, hua_decompose,
+                   inverse_skew_report, random_skew_symmetric,
                    right_eigenvalues_hermitian, sample_degenerate_triple,
-                   save_matrix, trial_seed, verify_classification)
+                   sample_generic_triple, save_matrix, trial_seed,
+                   verify_classification)
 from qskew.cli import build_parser, main
 
 
@@ -287,14 +291,34 @@ def test_verify_paper_solves_rows_in_stacks(monkeypatch, capsys):
     # canonical pair form row makes none
     calls = []
     spy_on_herm_eig(monkeypatch, calls)
+    # the canonical pair form, the LU inverse and the dual tests: at most
+    # one call per row and matrix size too, each on a stack
+    stacks = {}
+    for module, name in ((qskew.cli, "hua_decompose"), (qskew.spectra, "lu_inverse"),
+                         (qskew.cli, "dq_hermitian_direct"), (qskew.cli, "dq_hermitian_split")):
+        def spy(a, *args, solve=getattr(module, name), name=name, **kwargs):
+            shape = np.shape(a.std.data)[:-1] if name.startswith("dq_") else np.shape(a)
+            stacks.setdefault(name, []).append(shape)
+            return solve(a, *args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
     assert main(["verify-paper", "--json"]) == 0
     assert 0 < len(calls) <= 11
     assert "hua_decompose" not in {caller for caller, _ in calls}
     capsys.readouterr()
+    for name, shapes in stacks.items():
+        assert all(len(shape) == 3 for shape in shapes), name
+        assert len({shape[1:] for shape in shapes}) == len(shapes), name
+    assert sorted(shape[1] for shape in stacks["hua_decompose"]) == list(range(2, 10))
+    assert sum(shape[0] for shape in stacks["hua_decompose"]) == 20
+    # chi of twenty 2x2 and of twenty-five 3x3 matrices
+    assert stacks["lu_inverse"] == [(20, 4, 4), (25, 6, 6)]
+    assert len(stacks["dq_hermitian_direct"]) <= 4
+    assert stacks["dq_hermitian_split"] == stacks["dq_hermitian_direct"]
+    assert sum(shape[0] for shape in stacks["dq_hermitian_direct"]) == 100
 
 
 def test_verify_paper_stacked_rows_match_single_calls(capsys):
-    # the three stacked rows recomputed one matrix per call, as they were
+    # the six stacked rows recomputed one matrix per call, as they were
     # before stacking, give the same detail strings
     worst = 0.0
     for t in range(25):
@@ -319,6 +343,42 @@ def test_verify_paper_stacked_rows_match_single_calls(capsys):
         even.append(even_multiplicity_check(m - m.T))
     assert all(even)
 
+    rng = np.random.Generator(np.random.Philox(key=37))
+    worst_res = worst_uni = 0.0
+    for _ in range(20):
+        n = int(rng.integers(2, 10))
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        z = m - m.T
+        form = hua_decompose(z)
+        worst_res = max(worst_res, form.residual / np.sqrt(np.vdot(z, z).real))
+        worst_uni = max(worst_uni, form.unitarity_residual)
+    hua = ("20 random matrices, worst relative residual %.2e, worst unitarity %.2e"
+           % (worst_res, worst_uni))
+
+    rng = np.random.Generator(np.random.Philox(key=41))
+    worst2 = 0.0
+    for t in range(20):
+        report = inverse_skew_report(random_skew_symmetric(2, trial_seed(43, t)))
+        worst2 = max(worst2, report.skew_deviation / report.inverse.norm())
+    floor3 = np.inf
+    for _ in range(20):
+        report = inverse_skew_report(sample_generic_triple(rng).matrix())
+        floor3 = min(floor3, report.skew_deviation / report.inverse.norm())
+    assert not any(inverse_skew_report(sample_degenerate_triple(rng).matrix()).invertible
+                   for _ in range(5))
+    inverse = ("2x2 worst relative deviation %.2e; 3x3 solid floor %.2e; "
+               "degenerate all singular" % (worst2, floor3))
+
+    rng = np.random.Generator(np.random.Philox(key=47))
+    for _ in range(100):
+        n = int(rng.integers(1, 5))
+        if rng.uniform() < 0.5:
+            a = DualQuatMatrix(rng.uniform(-1, 1, (n, n, 4)), rng.uniform(-1, 1, (n, n, 4)))
+        else:
+            s, k = (QuatMatrix(rng.uniform(-1, 1, (n, n, 4))) for _ in range(2))
+            a = DualQuatMatrix(s + s.conj_transpose(), k - k.transpose())
+        assert dq_hermitian_direct(a) == dq_hermitian_split(a)
+
     assert main(["verify-paper", "--json"]) == 0
     rows = {r["name"]: r["detail"]
             for r in json.loads(capsys.readouterr().out)["rows"]}
@@ -326,6 +386,10 @@ def test_verify_paper_stacked_rows_match_single_calls(capsys):
     assert rows["3x3 degenerate spectrum formula"] == degenerate
     assert rows["complex even multiplicity"] == (
         "100 random complex skew matrices, all multiplicities even")
+    assert rows["canonical pair form"] == hua
+    assert rows["inverse skew contrast"] == inverse
+    assert rows["dual hermitian characterization"] == (
+        "100 random dual matrices, both hermitian tests always agree")
 
 
 @pytest.mark.parametrize("c", [1e-200, 1e-300])
@@ -375,3 +439,19 @@ def test_spectrum_refuses_unrepresentable_gram(tmp_path, capsys):
         assert len(lines) == 1
         assert lines[0].startswith(
             "math contract violation: W = Z Z* is not representable")
+
+
+def test_spectrum_prints_a_zero_eigenvalue_without_sign(tmp_path, capsys):
+    # the zero eigenvalue of this degenerate triple comes out just below 0;
+    # rounded for text it is 0, not -0, while --json keeps the value
+    triple = sample_degenerate_triple(np.random.default_rng(0))
+    path = tmp_path / "degenerate.json"
+    save_matrix(path, triple.matrix())
+    assert main(["spectrum", "--json", str(path)]) == 0
+    values = json.loads(capsys.readouterr().out)["spectrum"]["values"]
+    assert values[0] < 0
+    assert main(["spectrum", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "right eigenvalues of W: 0, %g, %g\n" % (round(values[1], 4),
+                                                      round(values[2], 4)) in out
+    assert "predicted (0, " in out

@@ -236,6 +236,56 @@ def test_lu_singular_raises():
         lu_inverse(np.zeros((3, 3), dtype=complex))
 
 
+def lu_slice(kind, n, rng):
+    """An n x n complex matrix: random, scaled far from 1, exactly zero, or
+    singular by a dependent last column."""
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    if kind == "scaled":
+        a *= 10.0 ** rng.uniform(-200, 200)
+    elif kind == "zero":
+        a[:] = 0.0
+    elif kind == "dependent":
+        a[:, -1] = a[:, :-1] @ rng.normal(size=n - 1) if n > 1 else 0.0
+    return a
+
+
+@given(st.lists(st.sampled_from(["random", "scaled", "zero", "dependent"]),
+                min_size=1, max_size=6),
+       st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=60, deadline=None)
+def test_lu_inverse_stack_matches_single_calls(kinds, n, seed):
+    # each slice of a stack is bitwise its own call; a singular slice, which
+    # raises on its own, gets a zero inverse and a False flag, and leaves
+    # the slices around it alone
+    rng = np.random.default_rng(seed)
+    slices = [lu_slice(kind, n, rng) for kind in kinds]
+    inverses, invertible = lu_inverse(np.array(slices))
+    assert inverses.shape == (len(kinds), n, n) and invertible.dtype == bool
+    for a, inv, ok in zip(slices, inverses, invertible):
+        try:
+            alone = lu_inverse(a)
+        except SingularMatrixError:
+            assert not ok and not inv.any()
+        else:
+            assert ok and inv.tobytes() == alone.tobytes()
+    one, flag = lu_inverse(slices[0][None])
+    assert flag.tolist() == [invertible[0]]
+    assert one[0].tobytes() == inverses[0].tobytes()
+
+
+def test_lu_inverse_stack_flags_a_singular_slice_between_invertible_ones():
+    rng = np.random.default_rng(23)
+    slices = [lu_slice(kind, 4, rng) for kind in ("random", "dependent", "random", "zero")]
+    inverses, invertible = lu_inverse(np.array(slices))
+    assert invertible.tolist() == [True, False, True, False]
+    for b in (0, 2):
+        np.testing.assert_allclose(slices[b] @ inverses[b], np.eye(4), atol=1e-12)
+    with pytest.raises(ValueError, match="square matrix or a stack"):
+        lu_inverse(np.zeros((2, 2, 3, 3)))
+    with pytest.raises(ValueError, match=r"finite entries \(slice 1\)$"):
+        lu_inverse(np.array([np.eye(2), [[np.nan, 0], [0, 1]]]))
+
+
 def test_frobenius_norm_matches_the_plain_sum():
     # bitwise the unscaled sum wherever that neither under- nor overflows,
     # though the sum is always taken scaled by a power of two
@@ -436,7 +486,7 @@ def golub_kahan(m, rng):
         y = y[:, :p] @ y[:p] * 10.0 ** rng.uniform(-12, 0, size=(1, m))
     z = y - y.T
     scale = 2.0 ** -np.frexp(np.abs(z).max(initial=0.0))[1]
-    return np.zeros((1, m)), _skew_tridiagonal(scale * z)[0][None]
+    return np.zeros((1, m)), _skew_tridiagonal(scale * z[None])[0]
 
 
 @given(st.sampled_from(["chi", "zz", "degenerate", "diag2225", "random", "golub_kahan"]),

@@ -100,3 +100,27 @@ def test_non_square_rejected():
         dq_hermitian_direct(a)
     with pytest.raises(ValueError):
         dq_hermitian_split(a)
+
+
+@given(st.lists(st.booleans(), min_size=1, max_size=6), st.integers(min_value=1, max_value=5),
+       st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=40, deadline=None)
+def test_stacked_hermitian_tests_match_single_calls(hermitian, n, seed):
+    # a DualQuatMatrix holding a stack gives one verdict per slice, each
+    # that of its own call, by either route
+    rng = np.random.default_rng(seed)
+    mats = [hermitian_dqm(rng, n) if h else random_dqm(rng, n) for h in hermitian]
+    stack = DualQuatMatrix(np.array([a.std.data for a in mats]),
+                           np.array([a.inf.data for a in mats]))
+    for route in (dq_hermitian_direct, dq_hermitian_split):
+        verdicts = route(stack)
+        assert verdicts.dtype == bool and verdicts.shape == (len(mats),)
+        assert verdicts.tolist() == [route(a) for a in mats]
+        assert route(DualQuatMatrix(stack.std.data[:1], stack.inf.data[:1])).tolist() == [
+            route(mats[0])]
+    assert (is_dq_hermitian(stack) == dq_hermitian_direct(stack)).all()
+    conj = stack.conj_transpose()
+    for b, a in enumerate(mats):
+        single = a.conj_transpose()
+        assert conj.std.data[b].tobytes() == single.std.data.tobytes()
+        assert conj.inf.data[b].tobytes() == single.inf.data.tobytes()

@@ -203,3 +203,46 @@ def test_hua_invariant_under_unitary_congruence_and_permutation(n, seed):
         assert form.zero_dim == base.zero_dim
         np.testing.assert_allclose(form.sigmas, base.sigmas, rtol=1e-12, atol=0)
         check_form(moved, form)
+
+
+def same_form(a, b):
+    return (a.u.tobytes() == b.u.tobytes() and a.sigmas == b.sigmas
+            and a.zero_dim == b.zero_dim and a.residual == b.residual
+            and a.unitarity_residual == b.unitarity_residual)
+
+
+@given(st.lists(st.sampled_from(["random", "rank", "scaled", "zero"]), min_size=1,
+                max_size=5),
+       st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=40, deadline=None)
+def test_stacked_hua_matches_single_calls(kinds, n, seed):
+    # one reduction and one tridiagonal solve for the whole stack; every
+    # slice, at its own scale and rank, is bitwise its own call
+    rng = np.random.default_rng(seed)
+    slices = []
+    for kind in kinds:
+        if kind == "rank":
+            z = rank_deficient_skew(rng, n, int(rng.integers(n // 2 + 1)))
+        else:
+            z = random_complex_skew(rng, n, 0.0 if kind == "zero" else
+                                    10.0 ** rng.uniform(-100, 100) if kind == "scaled" else 1.0)
+        slices.append(z)
+    forms = hua_decompose(np.array(slices))
+    assert isinstance(forms, list) and len(forms) == len(slices)
+    for z, form in zip(slices, forms):
+        assert same_form(form, hua_decompose(z))
+    one = hua_decompose(np.array(slices[:1]))
+    assert len(one) == 1 and same_form(one[0], forms[0])
+
+
+def test_stacked_hua_names_a_slice_that_is_not_skew():
+    rng = np.random.default_rng(47)
+    zs = np.array([random_complex_skew(rng, 4) for _ in range(3)])
+    zs[2, 0, 0] = 1.0
+    with pytest.raises(ValueError, match=r"within tolerance \(slice 2\)$"):
+        hua_decompose(zs)
+    with pytest.raises(ValueError, match=r"within tolerance$"):
+        hua_decompose(zs[2])
+    empty = hua_decompose(np.zeros((0, 0)))
+    assert empty.u.shape == (0, 0) and empty.sigmas == [] and empty.residual == 0.0
+    assert all(same_form(form, empty) for form in hua_decompose(np.zeros((2, 0, 0))))

@@ -366,15 +366,65 @@ def test_right_spectra_of_a_list_match_one_by_one():
 
 
 def test_single_matrix_routes_reject_a_stack():
-    # these read one spectrum or one inverse; a stack would mix its slices
+    # these read one spectrum; a stack would mix its slices (quat_inverse
+    # and inverse_skew_report take stacks, see test_stacked_inverses_*)
     z = random_skew_symmetric(4, [1, 2])
     w = gram_product(z)
-    for route, arg in ((qskew.spectra.quat_inverse, z),
-                       (qskew.spectra.is_positive_definite, w),
+    for route, arg in ((qskew.spectra.is_positive_definite, w),
                        (qskew.spectra.is_positive_semidefinite, w), (is_solid, z),
-                       (inverse_skew_report, z), (quaternion_even_multiplicity_check, z)):
+                       (quaternion_even_multiplicity_check, z)):
         with pytest.raises(ValueError, match=r"one matrix, not a stack of shape \(2,\)"):
             route(arg)
+
+
+@given(st.lists(st.sampled_from(["random", "generic", "degenerate"]), min_size=1,
+                max_size=6),
+       st.sampled_from([2, 3, 4]), st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=40, deadline=None)
+def test_stacked_inverses_match_single_calls(kinds, n, seed):
+    # quat_inverse and inverse_skew_report of a (B, n, n, 4) stack, one LU
+    # call, give each slice bitwise its own call; degenerate 3x3 slices are
+    # singular between invertible ones
+    rng = np.random.default_rng(seed)
+    if n != 3:
+        kinds = ["random"] * len(kinds)
+    slices = [random_skew_symmetric(n, int(rng.integers(2 ** 32))) if kind == "random"
+              else (sample_generic_triple(rng) if kind == "generic"
+                    else sample_degenerate_triple(rng)).matrix() for kind in kinds]
+    stack = QuatMatrix(np.array([z.data for z in slices]))
+    reports = inverse_skew_report(stack)
+    inverses, invertible = qskew.spectra.quat_inverse(stack)
+    assert isinstance(reports, list) and len(reports) == len(slices)
+    assert invertible.tolist() == [r.invertible for r in reports]
+    assert invertible.tolist() == [kind != "degenerate" for kind in kinds]
+    for b, (z, report) in enumerate(zip(slices, reports)):
+        assert report.to_dict() == inverse_skew_report(z).to_dict()
+        if report.invertible:
+            alone = qskew.spectra.quat_inverse(z).data
+            assert inverses.data[b].tobytes() == alone.tobytes()
+            assert report.inverse.data.tobytes() == alone.tobytes()
+        else:
+            assert not inverses.data[b].any()
+    one = inverse_skew_report(QuatMatrix(stack.data[:1]))
+    assert [r.to_dict() for r in one] == [reports[0].to_dict()]
+
+
+def test_degenerate_inverses_at_tiny_scale_are_singular_quietly():
+    # at 1e-300 a failed pivot can be subnormal; the elimination runs on past
+    # it, through an overflowing division, and must neither warn (an error
+    # under pytest) nor flag the slice invertible
+    rng = np.random.default_rng(61)
+    zs = QuatMatrix(np.array([sample_degenerate_triple(rng).matrix().scale(1e-300).data
+                              for _ in range(20)]))
+    assert not any(report.invertible for report in inverse_skew_report(zs))
+    assert not any(inverse_skew_report(QuatMatrix(z)).invertible for z in zs.data)
+
+
+def test_stacked_inverse_names_a_slice_that_is_not_skew():
+    z = random_skew_symmetric(3, [1, 2, 3]).data.copy()
+    z[1, 0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match=r"skew-symmetric matrix \(slice 1\)$"):
+        inverse_skew_report(z)
 
 
 @given(st.lists(st.booleans(), max_size=8), st.integers(min_value=0, max_value=10**6))
