@@ -102,14 +102,16 @@ def classify_3x3(triple):
     1e-10 * max(|a|, |b|, |c|) and |c a^-1 b - b a^-1 c| clears
     1e-10 * |a^-1||b||c|, both scale-free; otherwise degenerate with
     predicted spectrum (0, s, s).  The triple is classified as (a, b, c) 2^-e,
-    e the largest exponent of Quaternion._unit_scaled, so that no norm
-    under- or overflows; the gap and s are scaled back by 2^e and 2^2e
+    e the largest exponent of Quaternion._unit_scaled over the nonzero
+    entries (a zero entry's exponent 0 says nothing of the scale), so that
+    no norm under- or overflows; the gap and s are scaled back by 2^e and 2^2e
     (inf beyond the float range).  Raises ValueError on the all-zero triple.
     """
     if not isinstance(triple, SkewTriple):
         triple = SkewTriple(*triple)
     given = (triple.a, triple.b, triple.c)
-    e = max(q._unit_scaled()[1] for q in given)
+    e = max((q._unit_scaled()[1] for q in given if any(q.components())),
+            default=0)
     a, b, c = (Quaternion(*[_times_pow2(x, -e) for x in q.components()]) for q in given)
     largest = max(abs(a), abs(b), abs(c))
     if largest == 0.0:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qskew import (DualQuatMatrix, QuatMatrix, Quaternion, SkewTriple,
                    classify_3x3, even_multiplicity_check, gram_product,
@@ -162,6 +162,9 @@ def test_norms_scale_exactly_by_powers_of_two(k, seed):
 
 @given(POWERS, SQUARED_POWERS, SEEDS)
 @settings(max_examples=40, deadline=None)
+# seed 1 draws a degenerate triple with a = 0: a zero entry must not pin
+# the unit scaling, or the tiny b and c are squared into subnormals
+@example(k=0, k2=-511, seed=1)
 def test_classification_scales_exactly_by_powers_of_two(k, k2, seed):
     rng = np.random.default_rng(seed)
     solid = sample_generic_triple(rng)
