@@ -13,9 +13,15 @@ spectrum, hua and inverse-check take a positive finite tolerance from --tol,
 else QSKEW_TOL, else 1e-10 (1e-8 for hua), and apply it relative to the
 input's magnitude; verify-paper uses fixed per-row relative bounds, and
 search-basic its --gap-tol.
+
+main(argv) may be called any number of times in one process: the parser
+holds only module constants, so it is built on the first call and reused.
+Each call resolves its tolerance, lays out help text (COLUMNS) and reports
+usage errors afresh.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -345,7 +351,10 @@ def cmd_verify_paper(args):
     return 0 if all(r["pass"] for r in results) else 3
 
 
+@functools.cache
 def build_parser():
+    """The command line parser, built once per process and shared by every
+    main call; parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="qskew",
         description="quaternion skew-symmetric matrix toolkit")

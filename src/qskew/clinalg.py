@@ -16,12 +16,14 @@ Provided:
   iteration when asked for; hua_decompose solves with it the tridiagonals
   that _skew_tridiagonal, a skew Householder congruence run on a stack of
   Z at once, makes of them
-* unit_scaled: the one scaling rule; every entry point that squares its
-  input works on it scaled to unit size by a power of two, exactly
+* unit_scaled: the one scaling rule; every entry point that squares or
+  inverts its input works on it scaled to unit size by a power of two,
+  exactly
 * frobenius_norm: Frobenius norm, of an array or per slice, that neither
   under- nor overflows
 * lu_inverse: the inverse by one LU factorization with partial pivoting,
-  of one matrix or of each slice of a stack, with an invertible flag each
+  of one matrix or of each slice of a stack, each unit_scaled, with an
+  invertible flag each
 * mgs_orthonormalize: Gram-Schmidt, run twice
 * cluster_runs: grouping of a sorted spectrum
 * _require: the check that names the first slice of a stack that fails it
@@ -393,16 +395,19 @@ def lu_inverse(a, tol=1e-10):
     """Inverse of a square matrix, or of each slice of a (B, n, n) stack,
     by LU factorization with partial pivoting.
 
-    Elimination factors A in place and swaps the rows of an identity as it
-    swaps those of A; substitution then turns that identity into A^-1.  A
-    pivot whose magnitude falls to tol times the Frobenius norm of its
-    slice or below makes the slice singular: for one matrix that raises
+    Each slice is factored unit_scaled, A 2^-e, and its inverse scaled back
+    by 2^-e; pivoting commutes exactly with that scaling, so the result
+    does not depend on it short of under- or overflow.  Elimination
+    factors A in place and swaps the rows of an identity as it swaps those
+    of A; substitution then turns that identity into A^-1.  A pivot whose
+    magnitude falls to tol times the Frobenius norm of its slice or below
+    makes the slice singular: for one matrix that raises
     SingularMatrixError, naming the first such pivot, and a stack gives
     (inverses, invertible), with a zero inverse for each singular slice.
     The pivots are judged after elimination, which runs on through a
     singular slice (which may fill with NaN, in that slice only).
-    Raises ValueError when the input is not square or not finite, naming
-    the first slice with a non-finite entry.
+    Raises ValueError when the input is not square or not finite, or when
+    an inverse lies beyond the float range, naming the first such slice.
     """
     a = np.asarray(a, dtype=complex)
     single = a.ndim == 2
@@ -413,6 +418,7 @@ def lu_inverse(a, tol=1e-10):
     finite = np.isfinite(a).all(axis=(1, 2))
     _require(finite[0] if single else finite, "lu_inverse needs finite entries")
     count, n = a.shape[:2]
+    a, e = unit_scaled(a, axis=(1, 2))
     pivot_tol = tol * frobenius_norm(a, axis=(1, 2))
     # [A | I], so that one swap moves a row of both
     ax = np.zeros((count, n, 2 * n), dtype=complex)
@@ -443,7 +449,7 @@ def lu_inverse(a, tol=1e-10):
             k = int(fail[0].argmax())
             raise SingularMatrixError(
                 "pivot %d is %.3e, at or below threshold %.3e"
-                % (k, pivots[0, k], pivot_tol[0]))
+                % (k, np.ldexp(pivots[0, k], e[0]), np.ldexp(pivot_tol[0], e[0])))
         # U = I and X = 0 make the substitution give a singular slice 0
         ax[singular] = np.eye(n, 2 * n)
     for k in range(1, n):
@@ -452,6 +458,12 @@ def lu_inverse(a, tol=1e-10):
         row = x[:, k:k + 1]
         row -= lu[:, k:k + 1, k + 1:] @ x[:, k + 1:]
         row /= lu[:, k:k + 1, k:k + 1]
+    # (A 2^-e)^-1 = A^-1 2^e, so A^-1 may lie beyond the float range
+    with np.errstate(over="ignore"):
+        x = np.ldexp(x.view(float), -e[:, None, None]).view(complex)
+    finite = np.isfinite(x).all(axis=(1, 2))
+    _require(finite[0] if single else finite,
+             "lu_inverse: the inverse lies beyond the float range")
     return x[0] if single else (x, ~singular)
 
 

@@ -1,4 +1,6 @@
+import argparse
 import json
+import subprocess
 import sys
 
 import numpy as np
@@ -200,6 +202,71 @@ def test_parser_help_lists_subcommands():
     text = parser.format_help()
     for name in ("spectrum", "verify-paper", "hua", "search-basic", "inverse-check"):
         assert name in text
+
+
+def run_calls(calls, monkeypatch, capsys):
+    """(exit code, stdout, stderr) of each (argv, QSKEW_TOL) call in turn,
+    the variable unset where it is None."""
+    results = []
+    for argv, tol in calls:
+        if tol is None:
+            monkeypatch.delenv("QSKEW_TOL", raising=False)
+        else:
+            monkeypatch.setenv("QSKEW_TOL", tol)
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        captured = capsys.readouterr()
+        results.append((rc, captured.out, captured.err))
+    return results
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch, capsys):
+    # one mixed sequence in one process prints what the same calls print,
+    # each with a parser of its own, and builds one parser (with its five
+    # subparsers) at most
+    ref3, cskew = write_ref3(tmp_path), write_complex_skew(tmp_path)
+    calls = [(argv + flags, None)
+             for argv in (["spectrum", ref3], ["hua", cskew],
+                          ["inverse-check", ref3], ["verify-paper"])
+             for flags in ([], ["--json"])]
+    calls += [(["search-basic", "--n", "4", "--trials", "3"], None),
+              (["hua", "--help"], None),
+              (["spectrum", ref3, "--bogus"], None),
+              (["spectrum", str(tmp_path / "nope.json")], None),
+              (["spectrum", ref3, "--json"], "100"),
+              (["spectrum", ref3, "--json"], None)]
+    with monkeypatch.context() as patch:
+        patch.setattr(qskew.cli, "build_parser",
+                      getattr(build_parser, "__wrapped__", build_parser))
+        fresh = run_calls(calls, monkeypatch, capsys)
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(parser, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(parser, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    reused = run_calls(calls, monkeypatch, capsys)
+    assert len(built) <= 6, built
+    assert reused == fresh
+    assert [rc for rc, _, _ in fresh[-6:]] == [0, 0, 2, 2, 0, 0]
+    # QSKEW_TOL is read per call: set, it flips the solid verdict; unset, not
+    assert [json.loads(out)["solid"] for _, out, _ in fresh[-2:]] == [False, True]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["spectrum", "--bogus"]])
+def test_one_shot_process_prints_what_main_prints(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    proc = subprocess.run([sys.executable, "-m", "qskew.cli"] + argv,
+                          capture_output=True, text=True, timeout=120)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        exc.value.code, captured.out, captured.err)
 
 
 def test_tol_help_names_each_default(capsys):

@@ -327,6 +327,29 @@ def test_lu_threshold_does_not_overflow():
         np.testing.assert_allclose(lu_inverse(c * np.eye(3)), np.eye(3) / c, rtol=1e-15)
 
 
+def test_lu_singular_message_names_unscaled_values():
+    # LU runs on the matrix scaled to unit size; the message gives the pivot
+    # U[1, 1] = 2^-40 and the threshold 1e-10 ||A||_F at the input's scale,
+    # also where both are subnormal
+    a = np.array([[2.0, 1.0], [1.0, 0.5 + 2.0 ** -40]], dtype=complex)
+    for k in (0, -1030, 900):
+        with pytest.raises(SingularMatrixError) as exc:
+            lu_inverse(np.ldexp(a.real, k).astype(complex))
+        assert str(exc.value) == "pivot 1 is %.3e, at or below threshold %.3e" % (
+            np.ldexp(1.0, k - 40), np.ldexp(1e-10 * frobenius_norm(a), k))
+
+
+def test_lu_inverse_beyond_the_float_range_is_an_error():
+    # 2^-1040 I is invertible, but its inverse 2^1040 I is not a float
+    tiny = np.ldexp(1.0, -1040) * np.eye(3)
+    np.testing.assert_array_equal(lu_inverse(np.ldexp(1.0, 40) * tiny),
+                                  np.ldexp(1.0, 1000) * np.eye(3))
+    with pytest.raises(ValueError, match=r"^lu_inverse: the inverse lies beyond the float range$"):
+        lu_inverse(tiny)
+    with pytest.raises(ValueError, match=r"beyond the float range \(slice 1\)$"):
+        lu_inverse(np.array([np.eye(3), tiny]))
+
+
 def test_lu_pivoting_stability():
     # tiny leading entry forces a row swap; without pivoting this loses digits
     a = np.array([[1e-18, 1.0], [1.0, 1.0]], dtype=complex)

@@ -10,7 +10,8 @@ or whose squared entries leave the float range.  A power of two c = 2^k
 scales the input exactly, and every entry point works on the input
 scaled to unit size, so there each result is bitwise c (or c^2) times its
 value at c = 1, with k in [-900, 900] wherever that result stays below
-the overflow threshold.
+the overflow threshold; lu_inverse's is bitwise 1/c times its value, with
+k in [-1000, 1000] wherever the input and the inverse stay normal.
 """
 
 import contextlib
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qskew import (DualQuatMatrix, QuatMatrix, Quaternion, SkewTriple,
                    classify_3x3, even_multiplicity_check, gram_product,
@@ -31,12 +32,13 @@ from qskew import (DualQuatMatrix, QuatMatrix, Quaternion, SkewTriple,
                    random_skew_symmetric, right_eigenvalues_hermitian,
                    sample_degenerate_triple, sample_generic_triple, save_matrix)
 from qskew.cli import main
-from qskew.clinalg import frobenius_norm
+from qskew.clinalg import frobenius_norm, lu_inverse
 
 SCALES = st.floats(min_value=-12, max_value=12).map(lambda e: 10.0 ** e)
 WIDE_SCALES = st.floats(min_value=-300, max_value=300).map(lambda e: 10.0 ** e)
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 POWERS = st.integers(min_value=-900, max_value=900)
+LU_POWERS = st.integers(min_value=-1000, max_value=1000)
 # c^2 = 2^(2k) times a squared result of size up to about 20 stays finite
 # while k <= 500
 SQUARED_POWERS = st.integers(min_value=-900, max_value=500)
@@ -180,6 +182,42 @@ def test_classification_scales_exactly_by_powers_of_two(k, k2, seed):
                                        for v in base.predicted_values]
 
 
+def normal(a):
+    """Whether every real and imaginary part of a is finite and, unless
+    zero, not subnormal, so that scaling it by 2^k is exact both ways."""
+    parts = np.abs(np.asarray(a, dtype=complex).view(float))
+    return bool(np.isfinite(parts).all()
+                and (parts[parts != 0] >= np.finfo(float).tiny).all())
+
+
+@given(LU_POWERS, st.integers(min_value=1, max_value=6),
+       st.lists(st.sampled_from(["random", "zero", "singular"]), min_size=1, max_size=4),
+       SEEDS)
+@settings(max_examples=60, deadline=None)
+@example(k=-1000, n=3, kinds=["random", "singular"], seed=0)
+@example(k=1000, n=3, kinds=["singular", "random"], seed=0)
+def test_lu_inverse_scales_exactly_by_powers_of_two(k, n, kinds, seed):
+    # each slice is factored unit_scaled, so 2^k A gives bitwise 2^-k A^-1,
+    # one matrix or a stack, and a singular slice stays singular
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(len(kinds), n, n)) + 1j * rng.normal(size=(len(kinds), n, n))
+    for b, kind in enumerate(kinds):
+        if kind == "zero":
+            a[b] = 0.0
+        elif kind == "singular":
+            a[b, :, -1] = a[b, :, :-1] @ rng.normal(size=n - 1) if n > 1 else 0.0
+    scaled = np.ldexp(a.view(float), k).view(complex)
+    inverses, invertible = lu_inverse(a)
+    with np.errstate(over="ignore"):
+        expect = np.ldexp(inverses.view(float), -k).view(complex)
+    assume(normal(scaled) and normal(inverses) and normal(expect))
+    got, flags = lu_inverse(scaled)
+    assert flags.tolist() == invertible.tolist()
+    assert got.tobytes() == expect.tobytes()
+    if invertible[0]:
+        assert lu_inverse(scaled[0]).tobytes() == expect[0].tobytes()
+
+
 def test_degenerate_s_scales_exactly():
     # with s summed from ** (libm pow), s(2 Z) was 3.1278456104179715
     # against 4 s(Z) = 3.127845610417971
@@ -238,6 +276,30 @@ def test_inverse_check_verdict_at_extreme_scales():
 
 
 # -- inputs far from unit scale that an absolute floor misjudges ---------------
+
+@pytest.mark.parametrize("c", [1.0, 1e-300, 1e-310])
+def test_inverse_check_of_subnormal_degenerate_3x3(tmp_path, capsys, c):
+    # at 1e-310 every entry is subnormal; LU factors the matrix scaled to
+    # unit size, so no pivot is subnormal and no RuntimeWarning is raised
+    path = str(tmp_path / "z.json")
+    save_matrix(path, sample_degenerate_triple(np.random.default_rng(0)).matrix().scale(c))
+    assert main(["inverse-check", path]) == 0
+    assert capsys.readouterr() == ("invertible: no\n", "")
+    assert main(["inverse-check", "--json", path]) == 0
+    assert json.loads(capsys.readouterr().out)["invertible"] is False
+
+
+def test_inverse_check_of_subnormal_solid_3x3(tmp_path, capsys):
+    # its inverse, about 1e310, lies beyond the float range: a contract
+    # violation on stderr, with no RuntimeWarning
+    path = str(tmp_path / "z.json")
+    save_matrix(path, sample_generic_triple(np.random.default_rng(0)).matrix().scale(1e-310))
+    for flags in ([], ["--json"]):
+        assert main(["inverse-check", path] + flags) == 3
+        assert capsys.readouterr() == (
+            "", "math contract violation: lu_inverse: the inverse lies beyond "
+                "the float range\n")
+
 
 def test_spectrum_of_small_solid_matrix(tmp_path):
     # at 1e-160 the entries' squares are subnormal and 1 / |a|^2 overflows
