@@ -8,10 +8,10 @@ dual quaternion matrices.
 """
 
 from .clinalg import (ConvergenceError, SingularMatrixError, herm_eig,
-                      lu_inverse, mgs_orthonormalize)
+                      lu_inverse, mgs_orthonormalize, positive_clusters)
 from .dual import (DualQuatMatrix, dq_hermitian_direct, dq_hermitian_split,
                    is_dq_hermitian)
-from .hua import HuaForm, even_multiplicity_check, hua_decompose, positive_clusters
+from .hua import HuaForm, even_multiplicity_check, hua_decompose
 from .matio import (MatrixFormatError, complex_matrix_to_dict, load_matrix,
                     matrix_from_dict, quat_matrix_to_dict, save_matrix)
 from .qmatrix import QuatMatrix, random_skew_symmetric

@@ -25,7 +25,7 @@ Provided:
   of one matrix or of each slice of a stack, each unit_scaled, with an
   invertible flag each
 * mgs_orthonormalize: Gram-Schmidt, run twice
-* cluster_runs: grouping of a sorted spectrum
+* positive_clusters: the clusters of a spectrum's positive entries
 * _require: the check that names the first slice of a stack that fails it
 
 Every routine that takes a stack solves each slice as a single call would,
@@ -50,6 +50,8 @@ MAX_BISECTIONS = 100
 CLUSTER_GAP = 1e-3
 # inverse iteration gives up after this many solves per eigenvector
 MAX_PASSES = 5
+# relative zero and neighbour gap of positive_clusters
+CLUSTER_TOL = 1e-8
 
 
 def _require(ok, message, *values, error=ValueError):
@@ -419,7 +421,8 @@ def lu_inverse(a, tol=1e-10):
     _require(finite[0] if single else finite, "lu_inverse needs finite entries")
     count, n = a.shape[:2]
     a, e = unit_scaled(a, axis=(1, 2))
-    pivot_tol = tol * frobenius_norm(a, axis=(1, 2))
+    # unit_scaled already, so the plain sum of squares is frobenius_norm's
+    pivot_tol = tol * np.sqrt((np.abs(a) ** 2).sum(axis=(1, 2)))
     # [A | I], so that one swap moves a row of both
     ax = np.zeros((count, n, 2 * n), dtype=complex)
     ax[:, :, :n] = a
@@ -492,14 +495,16 @@ def mgs_orthonormalize(vectors, tol=1e-10):
     return list(kept[:count])
 
 
-def cluster_runs(sorted_values, cut):
-    """Group an ascending array into runs whose neighbour gaps are <= cut.
+def positive_clusters(values):
+    """Group the positive entries of an ascending eigenvalue array.
 
-    Returns half-open (lo, hi) index pairs covering the array in order;
-    an empty array has no runs.
+    Entries at or below CLUSTER_TOL times the largest value count as zero.
+    Two neighbours share a cluster when their gap is at most that same
+    threshold.  Returns a list of index lists, one per cluster.
     """
-    values = np.asarray(sorted_values, dtype=float)
-    if values.size == 0:
-        return []
-    edges = [0] + (np.flatnonzero(np.diff(values) > cut) + 1).tolist() + [values.size]
-    return list(zip(edges[:-1], edges[1:]))
+    values = np.asarray(values, dtype=float)
+    cut = CLUSTER_TOL * float(values.max(initial=0.0))
+    order = np.argsort(values, kind="stable")
+    idx = order[values[order] > cut]
+    edges = [0, *(np.flatnonzero(np.diff(values[idx]) > cut) + 1).tolist(), idx.size]
+    return [idx[lo:hi].tolist() for lo, hi in zip(edges, edges[1:]) if hi > lo]

@@ -17,11 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clinalg import (ConvergenceError, _require, _skew_tridiagonal,
-                      _tridiagonal_eig, cluster_runs, frobenius_norm, herm_eig,
-                      mgs_orthonormalize, unit_scaled)
+                      _tridiagonal_eig, frobenius_norm, herm_eig,
+                      mgs_orthonormalize, positive_clusters, unit_scaled)
 from .qmatrix import QuatMatrix
-
-CLUSTER_TOL = 1e-8
 
 
 @dataclass
@@ -48,20 +46,6 @@ class HuaForm:
                 "residual": float(self.residual),
                 "unitarity_residual": float(self.unitarity_residual),
                 "u": np.stack([self.u.real, self.u.imag], axis=-1).tolist()}
-
-
-def positive_clusters(values):
-    """Group the positive entries of an ascending eigenvalue array.
-
-    Entries at or below CLUSTER_TOL times the largest value count as zero.
-    Two neighbours share a cluster when their gap is at most that same
-    threshold.  Returns a list of index lists, one per cluster.
-    """
-    values = np.asarray(values, dtype=float)
-    cut = CLUSTER_TOL * float(values.max(initial=0.0))
-    order = np.argsort(values, kind="stable")
-    idx = order[values[order] > cut]
-    return [idx[lo:hi].tolist() for lo, hi in cluster_runs(values[idx], cut)]
 
 
 def even_multiplicity_check(z):
@@ -119,7 +103,8 @@ def hua_decompose(z, tol=1e-8):
         z = z[None]
     count, n = z.shape[:2]
     z, e = unit_scaled(z, axis=(1, 2))
-    scale = frobenius_norm(z, axis=(1, 2))
+    # unit_scaled already, so the plain sum of squares is frobenius_norm's
+    scale = np.sqrt((np.abs(z) ** 2).sum(axis=(1, 2)))
 
     e2, q = _skew_tridiagonal((z - z.swapaxes(1, 2)) / 2.0)
     w, y = _tridiagonal_eig(np.zeros((count, n)), e2, vectors=True)

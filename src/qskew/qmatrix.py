@@ -25,7 +25,7 @@ slice (an array), and a Python float or bool for a single matrix.
 import numpy as np
 
 from .clinalg import _require, frobenius_norm
-from .quaternion import Quaternion
+from .quaternion import Quaternion, _hamilton
 
 # component signs of the quaternion conjugate w - x i - y j - z k
 _CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
@@ -178,7 +178,9 @@ class QuatMatrix:
         if self.ncols != other.nrows:
             raise ValueError("matmul shape mismatch: %r @ %r"
                              % (self.shape, other.shape))
-        return _hamilton_matmul(self.parts(), other.parts())
+        # C-contiguous parts: each slice of a stack takes one matrix's route
+        product = _hamilton(self.parts(), other.parts(), np.matmul)
+        return QuatMatrix(np.stack(product, axis=-1))
 
     def gram(self):
         """Z Z*, Hermitian and positive semidefinite for any Z."""
@@ -319,16 +321,3 @@ def _conj_transpose(d):
 def _scalar_matrix(q, n):
     """q I: the quaternion scalar q on the diagonal of an n x n matrix."""
     return QuatMatrix(np.eye(n)[:, :, None] * Quaternion.coerce(q).components())
-
-
-def _hamilton_matmul(parts_a, parts_b):
-    """Multiply via the sixteen real products of the component matrices,
-    each C-contiguous, so a stack takes per slice the BLAS route of a single
-    matrix and gives bitwise its product."""
-    w1, x1, y1, z1 = parts_a
-    w2, x2, y2, z2 = parts_b
-    w = w1 @ w2 - x1 @ x2 - y1 @ y2 - z1 @ z2
-    x = w1 @ x2 + x1 @ w2 + y1 @ z2 - z1 @ y2
-    y = w1 @ y2 - x1 @ z2 + y1 @ w2 + z1 @ x2
-    z = w1 @ z2 + x1 @ y2 - y1 @ x2 + z1 @ w2
-    return QuatMatrix(np.stack([w, x, y, z], axis=-1))

@@ -7,6 +7,7 @@ jk = i, ki = j.
 
 import math
 import numbers
+import operator
 
 
 class Quaternion:
@@ -80,14 +81,8 @@ class Quaternion:
 
     def __mul__(self, other):
         other = Quaternion.coerce(other)
-        w1, x1, y1, z1 = self.components()
-        w2, x2, y2, z2 = other.components()
-        return Quaternion(
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        )
+        return Quaternion(*_hamilton(self.components(), other.components(),
+                                     operator.mul))
 
     def __rmul__(self, other):
         return Quaternion.coerce(other) * self
@@ -132,6 +127,17 @@ class Quaternion:
 
     def real(self):
         return self.w
+
+
+def _hamilton(p, q, mul):
+    """The Hamilton product of p = (w, x, y, z) and q from the sixteen
+    products mul of their components: of floats, or of component matrices."""
+    w1, x1, y1, z1 = p
+    w2, x2, y2, z2 = q
+    return (mul(w1, w2) - mul(x1, x2) - mul(y1, y2) - mul(z1, z2),
+            mul(w1, x2) + mul(x1, w2) + mul(y1, z2) - mul(z1, y2),
+            mul(w1, y2) - mul(x1, z2) + mul(y1, w2) + mul(z1, x2),
+            mul(w1, z2) + mul(x1, y2) - mul(y1, x2) + mul(z1, w2))
 
 
 def _sum_of_squares(comps):

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clinalg import SingularMatrixError, _require
-from .hua import positive_clusters
+from .clinalg import SingularMatrixError, _require, positive_clusters, unit_scaled
 from .qmatrix import QuatMatrix, random_skew_symmetric
 from .quaternion import Quaternion, _times_pow2
 from .spectra import (gram_product, is_positive_definite, quat_inverse,
@@ -101,18 +100,15 @@ def classify_3x3(triple):
     Solid (three distinct positive eigenvalues) exactly when |a| clears
     1e-10 * max(|a|, |b|, |c|) and |c a^-1 b - b a^-1 c| clears
     1e-10 * |a^-1||b||c|, both scale-free; otherwise degenerate with
-    predicted spectrum (0, s, s).  The triple is classified as (a, b, c) 2^-e,
-    e the largest exponent of Quaternion._unit_scaled over the nonzero
-    entries (a zero entry's exponent 0 says nothing of the scale), so that
-    no norm under- or overflows; the gap and s are scaled back by 2^e and 2^2e
-    (inf beyond the float range).  Raises ValueError on the all-zero triple.
+    predicted spectrum (0, s, s).  The triple is classified unit_scaled, as
+    (a, b, c) 2^-e over its twelve components, so that no norm under- or
+    overflows; the gap and s are scaled back by 2^e and 2^2e (inf beyond
+    the float range).  Raises ValueError on the all-zero triple.
     """
     if not isinstance(triple, SkewTriple):
         triple = SkewTriple(*triple)
-    given = (triple.a, triple.b, triple.c)
-    e = max((q._unit_scaled()[1] for q in given if any(q.components())),
-            default=0)
-    a, b, c = (Quaternion(*[_times_pow2(x, -e) for x in q.components()]) for q in given)
+    unit, e = unit_scaled([q.components() for q in (triple.a, triple.b, triple.c)])
+    a, b, c = (Quaternion(*q) for q in unit)
     largest = max(abs(a), abs(b), abs(c))
     if largest == 0.0:
         raise ValueError("classification needs a nonzero triple")
@@ -122,10 +118,10 @@ def classify_3x3(triple):
         ainv = a.inverse()
         gap = abs(c * ainv * b - b * ainv * c)
         solid = gap > 1e-10 * abs(ainv) * abs(b) * abs(c)
-    gap = _times_pow2(gap, e)
+    gap = _times_pow2(gap, int(e))
     if solid:
         return SpectrumReport("solid", [], [], 0.0, gap)
-    s = _times_pow2(a.norm_sq() + b.norm_sq() + c.norm_sq(), 2 * e)
+    s = _times_pow2(a.norm_sq() + b.norm_sq() + c.norm_sq(), 2 * int(e))
     return SpectrumReport("degenerate", [0.0, s, s], [], 0.0, gap)
 
 
@@ -164,8 +160,9 @@ def verify_classification(triples):
 
 
 def is_solid(z):
-    """Whether W = Z Z* is positive definite."""
-    return is_positive_definite(gram_product(z))
+    """Whether W = Z Z*, formed from Z unit_scaled, is positive definite."""
+    z = QuatMatrix.coerce(z)
+    return is_positive_definite(gram_product(QuatMatrix(unit_scaled(z.data)[0])))
 
 
 def inverse_skew_report(z, tol=1e-10):
@@ -196,11 +193,12 @@ def quaternion_even_multiplicity_check(z):
     """Whether every positive right eigenvalue of W = Z Z* has even multiplicity.
 
     Always true in the complex world; over quaternions a 3x3 solid matrix
-    already breaks it.
+    already breaks it.  W is formed from Z unit_scaled, to stay in range.
     """
     z = QuatMatrix.coerce(z)
     z._require_single("quaternion_even_multiplicity_check")
-    values = right_eigenvalues_hermitian(gram_product(z)).values
+    w = gram_product(QuatMatrix(unit_scaled(z.data)[0]))
+    values = right_eigenvalues_hermitian(w).values
     return all(len(c) % 2 == 0 for c in positive_clusters(values))
 
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from qskew import (
     even_multiplicity_check,
+    herm_eig,
     hua_decompose,
     positive_clusters,
 )
@@ -124,6 +125,19 @@ def test_positive_clusters():
     assert [len(c) for c in clusters] == [2, 1]
     assert sorted(vals[clusters[0]]) == sorted([2.0, 2.0 + 1e-12])
     assert positive_clusters(np.zeros(4)) == []
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_zj_spectrum_is_plus_minus_the_sigmas(n):
+    # Z j = [0 | Z] is a Hermitian quaternion matrix whose right eigenvalues
+    # are +-sigma, and 0 once more when n is odd: herm_eig's quaternion
+    # Householder reduction checked against hua_decompose's skew one
+    z = random_complex_skew(np.random.default_rng(n), n)
+    sigmas = np.array(hua_decompose(z).sigmas)
+    assert sigmas.size == n // 2
+    expect = np.sort(np.concatenate([-sigmas, np.zeros(n % 2), sigmas]))
+    np.testing.assert_allclose(herm_eig(np.concatenate([0 * z, z], axis=1)), expect,
+                               rtol=0, atol=1e-14 * sigmas.max())
 
 
 def test_even_multiplicity_check():

@@ -93,6 +93,16 @@ def test_matmul_frozen_2x2():
     assert c.entry(1, 1) == J
 
 
+def test_scalar_and_matrix_products_agree_bitwise():
+    # one Hamilton formula serves both, in one order of operations; mixed
+    # magnitudes make that order show in the rounding of the sums
+    rng = np.random.default_rng(8)
+    for _ in range(2000):
+        a, b = rng.normal(size=(2, 4)) * np.ldexp(1.0, rng.integers(-300, 300, size=(2, 4)))
+        matrix = QuatMatrix(a.reshape(1, 1, 4)) @ QuatMatrix(b.reshape(1, 1, 4))
+        assert matrix.entry(0, 0).components() == (Quaternion(*a) * Quaternion(*b)).components()
+
+
 def test_matmul_against_complex_pair_route():
     # the Hamilton product path must agree with symplectic-component algebra
     rng = np.random.default_rng(2)

@@ -114,6 +114,22 @@ def test_even_multiplicity_checks(c, seed):
             == quaternion_even_multiplicity_check(z))
 
 
+@given(POWERS, SEEDS)
+@settings(max_examples=40, deadline=None)
+# at 2^-560 W of a solid 3x3 underflows to 0, and at 2^520 W overflows,
+# unless Z is unit_scaled before it is squared
+@example(k=-560, seed=0)
+@example(k=520, seed=0)
+def test_quaternion_verdicts_scale_by_powers_of_two(k, seed):
+    rng = np.random.default_rng(seed)
+    for z in (sample_generic_triple(rng).matrix(),
+              sample_degenerate_triple(rng).matrix(), random_skew_symmetric(4, seed)):
+        scaled = z.scale(math.ldexp(1.0, k))
+        assert is_solid(scaled) == is_solid(z)
+        assert (quaternion_even_multiplicity_check(scaled)
+                == quaternion_even_multiplicity_check(z))
+
+
 @given(SCALES, SEEDS)
 @settings(max_examples=30, deadline=None)
 def test_spectra_and_sigmas_scale(c, seed):

@@ -11,7 +11,8 @@ stays.
 Tolerances are relative to the input's magnitude, so no max(1, ...) floor
 turns one into an absolute bound.  Inputs are scaled to unit size by one
 rule, clinalg.unit_scaled (Quaternion._unit_scaled for a scalar), so no
-other function takes a binary exponent.
+other function takes a binary exponent, and the scalar form serves only the
+scalar's own abs and inverse.
 """
 
 import argparse
@@ -36,6 +37,11 @@ UNREAD_ALLOWED = {
 # rule, its scalar form, and the power of two above a Gershgorin bound
 FREXP_ALLOWED = {("clinalg.py", "unit_scaled"), ("quaternion.py", "_unit_scaled"),
                  ("clinalg.py", "_tridiagonal_eig")}
+# where Quaternion._unit_scaled may be named: its definition and the scalar
+# abs and inverse; a triple or a matrix is scaled as one array by
+# clinalg.unit_scaled
+SCALAR_SCALING_ALLOWED = {("quaternion.py", "_unit_scaled"), ("quaternion.py", "__abs__"),
+                          ("quaternion.py", "inverse")}
 
 # names defined in the package that no package code reads, with the reason
 # each stays in the library
@@ -146,18 +152,31 @@ def test_no_absolute_tolerance_floors():
     assert not floors, floors
 
 
-def test_one_scaling_rule():
+def _uses_outside(name, allowed):
+    """The "file: function" of each node that names name (a read, an
+    attribute, a definition or an import) outside the (file, function)
+    pairs allowed."""
     stray = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         owner = {}
-        for name, fn in _functions(tree):  # outer functions come first
-            owner.update((id(node), name) for node in ast.walk(fn))
+        for fname, fn in _functions(tree):  # outer functions come first
+            owner.update((id(node), fname) for node in ast.walk(fn))
         stray += ["%s: %s" % (path.name, owner.get(id(node), "<module>"))
                   for node in ast.walk(tree)
-                  if "frexp" in (getattr(node, "id", None), getattr(node, "attr", None),
-                                 getattr(node, "name", None), getattr(node, "asname", None))
-                  and (path.name, owner.get(id(node))) not in FREXP_ALLOWED]
+                  if name in (getattr(node, "id", None), getattr(node, "attr", None),
+                              getattr(node, "name", None), getattr(node, "asname", None))
+                  and (path.name, owner.get(id(node))) not in allowed]
+    return stray
+
+
+def test_one_scaling_rule():
+    stray = _uses_outside("frexp", FREXP_ALLOWED)
+    assert not stray, stray
+
+
+def test_scalar_scaling_serves_only_the_scalar():
+    stray = _uses_outside("_unit_scaled", SCALAR_SCALING_ALLOWED)
     assert not stray, stray
 
 
