@@ -22,8 +22,8 @@ from .skew import (BasicCandidate, InverseSkewReport, SkewTriple,
                    quaternion_even_multiplicity_check, reference_4x4,
                    reference_4x4_variant, sample_degenerate_triple,
                    sample_generic_triple, trial_seed, verify_classification)
-from .spectra import (RightSpectrum, gram_product, is_positive_definite,
-                      is_positive_semidefinite, quat_inverse,
-                      right_eigenvalues_hermitian)
+from .spectra import (RightSpectrum, gram_product, gram_spectrum,
+                      is_positive_definite, is_positive_semidefinite,
+                      quat_inverse, right_eigenvalues_hermitian)
 
 __version__ = "0.1.0"

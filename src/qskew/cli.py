@@ -29,7 +29,7 @@ import sys
 
 import numpy as np
 
-from .clinalg import ConvergenceError, SingularMatrixError, unit_scaled
+from .clinalg import ConvergenceError, SingularMatrixError
 from .dual import DualQuatMatrix, dq_hermitian_direct, dq_hermitian_split
 from .hua import even_multiplicity_check, hua_decompose
 from .matio import MatrixFormatError, load_matrix, quat_matrix_to_dict
@@ -38,7 +38,7 @@ from .quaternion import Quaternion, I, J
 from .skew import (SkewTriple, basic_candidate_search, classify_3x3,
                    inverse_skew_report, reference_4x4, sample_degenerate_triple,
                    sample_generic_triple, trial_seed, verify_classification)
-from .spectra import gram_product, right_eigenvalues_hermitian
+from .spectra import gram_spectrum
 
 GENERAL_TOL = 1e-10
 HUA_TOL = 1e-8
@@ -95,14 +95,7 @@ def cmd_spectrum(args):
     mat = QuatMatrix.coerce(load_matrix(args.path))
     tol = _resolve_tol(args, GENERAL_TOL)
     _require_square(mat, "spectrum")
-    # W, its spectrum and the solid verdict come from Z unit_scaled, and W
-    # and the spectrum are scaled back by 2^2e; Z is only scaled up, so that
-    # gram_product refuses a W beyond the float range
-    z, e = unit_scaled(mat.data)
-    if e > 0:
-        z, e = mat.data, 0
-    w = gram_product(QuatMatrix(z), tol)
-    spec = right_eigenvalues_hermitian(w, tol)
+    w, spec, e = gram_spectrum(mat, tol)
     solid = float(spec.values.min()) > tol * w.norm()
     w = QuatMatrix(np.ldexp(w.data, 2 * e))
     spec.values, spec.trace_residual = (np.ldexp(spec.values, 2 * e),
@@ -217,9 +210,9 @@ def cmd_search_basic(args):
 
 def _row_two_by_two():
     z = random_skew_symmetric(2, [trial_seed(11, t) for t in range(25)])
-    values = right_eigenvalues_hermitian(gram_product(z)).values
-    expect = np.array([Quaternion(*a).norm_sq() for a in z.data[:, 0, 1]])
-    worst = float((np.abs(values - expect[:, None]).max(axis=1) / expect).max())
+    _, spec, e = gram_spectrum(z)
+    expect = np.ldexp([Quaternion(*a).norm_sq() for a in z.data[:, 0, 1]], -2 * e)
+    worst = float((np.abs(spec.values - expect[:, None]).max(axis=1) / expect).max())
     return worst <= 1e-10, "double value |a|^2, worst relative error %.2e" % worst
 
 
@@ -245,7 +238,7 @@ def _row_degenerate():
 
 
 def _row_four_by_four():
-    values = right_eigenvalues_hermitian(gram_product(reference_4x4())).values
+    values = gram_spectrum(reference_4x4())[1].values  # entries up to 25: e = 0
     published = (131.4, 235.5, 1238.3, 1482.9)
     corrected = (141.3, 235.5, 1238.3, 1482.9)
     ok = all(abs(v - e) <= 0.05 for v, e in zip(values, corrected))

@@ -43,8 +43,6 @@ class ConvergenceError(RuntimeError):
     """Iteration budget exhausted before reaching the requested tolerance."""
 
 
-# the dyadic grid closes every interval in 53 halvings
-MAX_BISECTIONS = 100
 # eigenvalues with neighbour gaps of at most this times the scale of T share
 # a cluster, whose eigenvectors are orthogonalised together (LAPACK zstein)
 CLUSTER_GAP = 1e-3
@@ -138,7 +136,7 @@ def _tridiagonal_eig(d, e2, vectors=False):
     eigenvalues and unit vectors as eigenvectors, so the zero matrix gives
     w = 0 and y = I exactly.  The others bisect every eigenvalue on Sturm
     counts (_bisect) and, with vectors, run inverse iteration
-    (_inverse_iteration); both raise ConvergenceError at their iteration
+    (_inverse_iteration), which raises ConvergenceError at its iteration
     limit.  w is bitwise the same with and without vectors.
     """
     m = d.shape[1]
@@ -277,8 +275,7 @@ def _bisect(d, e2, top):
     fall as x rises (a zero pivot makes the next one infinite with the
     sign that keeps the count right).  The grid is fixed, so an interval
     takes the same path for any s: many cuts per interval when there are
-    few intervals, one when there are many.  Raises ConvergenceError if
-    the intervals are still open after MAX_BISECTIONS halvings.
+    few intervals, one when there are many.
     """
     count, m = d.shape
     index = np.tile(np.arange(m), count)
@@ -289,9 +286,7 @@ def _bisect(d, e2, top):
     most = (512 // index.size + 1).bit_length() - 1 or 1
     with np.errstate(divide="ignore", over="ignore"):
         while level < 53:
-            if level == MAX_BISECTIONS:
-                raise ConvergenceError("bisection limit %d reached" % MAX_BISECTIONS)
-            s = min(most, min(53, MAX_BISECTIONS) - level)
+            s = min(most, 53 - level)
             if parts != (1 << s) - 1:
                 parts = (1 << s) - 1
                 diag = np.repeat(d.T, m * parts, axis=1)

@@ -16,8 +16,7 @@ import numpy as np
 from .clinalg import SingularMatrixError, _require, positive_clusters, unit_scaled
 from .qmatrix import QuatMatrix, random_skew_symmetric
 from .quaternion import Quaternion, _times_pow2
-from .spectra import (gram_product, is_positive_definite, quat_inverse,
-                      right_eigenvalues_hermitian)
+from .spectra import gram_product, gram_spectrum, is_positive_definite, quat_inverse
 
 # trials that basic_candidate_search samples, checks and solves as one stack
 SEARCH_BLOCK = 64
@@ -141,8 +140,8 @@ def verify_classification(triples):
     triples is one triple (a SkewTriple or its entries a, b, c), giving one
     SpectrumReport, or a sequence of them, giving a list.  The matrices
     are laid out as one (B, 3, 3, 4) stack that goes once through
-    gram_product and right_eigenvalues_hermitian, bitwise per slice, so
-    each report is that of its own call.
+    gram_spectrum, bitwise per slice, so each report is that of its own
+    call; the computed values are scaled back by 4^e.
     """
     one = _is_one_triple(triples)
     triples = [t if isinstance(t, SkewTriple) else SkewTriple(*t)
@@ -153,8 +152,8 @@ def verify_classification(triples):
     for k, (i, j) in enumerate(((0, 1), (1, 2), (0, 2))):
         z[:, i, j] = entries[:, k]
         z[:, j, i] = -entries[:, k]
-    w = gram_product(QuatMatrix(z[0] if one else z))
-    values = right_eigenvalues_hermitian(w).values.reshape(-1, 3)
+    _, spectrum, e = gram_spectrum(QuatMatrix(z[0] if one else z))
+    values = np.ldexp(spectrum.values.reshape(-1, 3), 2 * np.reshape(e, (-1, 1)))
     reports = [classify_3x3(t).compare(v) for t, v in zip(triples, values)]
     return reports[0] if one else reports
 
@@ -197,8 +196,7 @@ def quaternion_even_multiplicity_check(z):
     """
     z = QuatMatrix.coerce(z)
     z._require_single("quaternion_even_multiplicity_check")
-    w = gram_product(QuatMatrix(unit_scaled(z.data)[0]))
-    values = right_eigenvalues_hermitian(w).values
+    values = gram_spectrum(QuatMatrix(unit_scaled(z.data)[0]))[1].values
     return all(len(c) % 2 == 0 for c in positive_clusters(values))
 
 
@@ -240,10 +238,10 @@ def basic_candidate_search(n, trials, seed, scale=1.0, gap_tol=1e-3):
     Deterministic for fixed (n, trials, seed, scale, gap_tol): per-trial
     streams come from trial_seed.  SEARCH_BLOCK consecutive trials are
     drawn into one (B, n, n, 4) stack, which goes once through
-    gram_product, chi, the eigensolver and the hit test; every step works
-    slice by slice, so the hits do not depend on the block size, and only
-    a hit gets a QuatMatrix of its own.  Everything runs in the calling
-    thread.
+    gram_spectrum and the hit test at unit size, slice by slice, so the
+    hits depend neither on scale nor on the block size; only a hit gets a
+    QuatMatrix of its own, its eigenvalues scaled back by 4^e (0 below the
+    float range).  Everything runs in the calling thread.
     """
     if n < 4:
         raise ValueError("search needs n >= 4; smaller sizes are settled")
@@ -253,11 +251,11 @@ def basic_candidate_search(n, trials, seed, scale=1.0, gap_tol=1e-3):
     for first in range(0, trials, SEARCH_BLOCK):
         block = range(first, min(first + SEARCH_BLOCK, trials))
         zs = random_skew_symmetric(n, [trial_seed(seed, t) for t in block], scale)
-        values = right_eigenvalues_hermitian(gram_product(zs)).values
-        hit, lam_max, gap = _candidate(values, gap_tol)
+        _, spectrum, e = gram_spectrum(zs)
+        hit, lam_max, gap = _candidate(spectrum.values, gap_tol)
         for b in np.flatnonzero(hit):
             hits.append(BasicCandidate(block[b], QuatMatrix(zs.data[b]),
-                                       [float(v) for v in values[b]],
+                                       np.ldexp(spectrum.values[b], 2 * e[b]).tolist(),
                                        float(gap[b] / lam_max[b])))
     return hits
 

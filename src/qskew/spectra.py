@@ -4,9 +4,9 @@ A Hermitian quaternion A = A_c + A_d j goes to the eigensolver as
 [A_c | A_d], the first n rows of chi(A), which solves at size n and gives
 each right eigenvalue once; their sum is checked against the trace of A.
 
-gram_product and right_eigenvalues_hermitian take a QuatMatrix stack
-(..., n, n, 4) as well as one matrix, quat_inverse a (B, n, n, 4) stack,
-and they give bitwise the per-slice results; each check still judges
+gram_spectrum, gram_product and right_eigenvalues_hermitian take a
+QuatMatrix stack (..., n, n, 4) as well as one matrix, quat_inverse a
+(B, n, n, 4) stack, with bitwise the per-slice results; each check judges
 every slice on its own, and an error names the first slice that fails it.
 """
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clinalg import _require, frobenius_norm, herm_eig, lu_inverse
+from .clinalg import _require, frobenius_norm, herm_eig, lu_inverse, unit_scaled
 from .qmatrix import QuatMatrix
 
 
@@ -78,6 +78,19 @@ def gram_product(z, tol=1e-10):
     _require(w.allclose(w_alt, tol), "Z Z* and -Z conj(Z) disagree beyond "
              "tolerance; input is too far from skew-symmetric")
     return w
+
+
+def gram_spectrum(z, tol=1e-10):
+    """(W, its RightSpectrum, e) for W = Z Z* of a skew Z, or of each slice
+    of a stack, formed from Z 2^-e: each slice is scaled up to unit size,
+    never down (e <= 0), so gram_product still refuses a W beyond the float
+    range.  Judge verdicts on W and its values; scale by 4^e what is shown."""
+    z = QuatMatrix.coerce(z)
+    e = np.minimum(unit_scaled(z.data, axis=(-3, -2, -1))[1], 0)
+    if e.any():  # a copy only when some slice is scaled
+        z = QuatMatrix(np.ldexp(z.data, -e[..., None, None, None]))
+    w = gram_product(z, tol)
+    return w, right_eigenvalues_hermitian(w, tol), e
 
 
 def quat_inverse(a, tol=1e-10):

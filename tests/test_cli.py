@@ -522,3 +522,17 @@ def test_spectrum_prints_a_zero_eigenvalue_without_sign(tmp_path, capsys):
     assert "right eigenvalues of W: 0, %g, %g\n" % (round(values[1], 4),
                                                       round(values[2], 4)) in out
     assert "predicted (0, " in out
+
+
+def test_search_basic_rejects_negative_trials(capsys):
+    assert main(["search-basic", "--trials", "-1"]) == 2
+    assert "--trials must be nonnegative" in capsys.readouterr().err
+
+
+def test_search_basic_hits_do_not_depend_on_scale(capsys):
+    # at 1e-170, W = Z Z* of the drawn Z underflows unless Z is scaled up
+    # first; the hits are judged at unit size, as at scale 1
+    for scale in ("1", "1e-170"):
+        assert main(["search-basic", "--n", "4", "--trials", "70", "--seed", "3",
+                     "--scale", scale]) == 0
+        assert json.loads(capsys.readouterr().out.splitlines()[-1])["hits"] == 70

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qskew.dual
+
 from qskew import (
     DualQuatMatrix,
     I,
@@ -124,3 +126,15 @@ def test_stacked_hermitian_tests_match_single_calls(hermitian, n, seed):
         single = a.conj_transpose()
         assert conj.std.data[b].tobytes() == single.std.data.tobytes()
         assert conj.inf.data[b].tobytes() == single.inf.data.tobytes()
+
+
+def test_parts_must_share_a_shape():
+    with pytest.raises(ValueError, match="part shapes disagree"):
+        DualQuatMatrix(np.zeros((2, 2, 4)), np.zeros((3, 3, 4)))
+
+
+def test_disagreeing_routes_raise(monkeypatch):
+    a = DualQuatMatrix(QuatMatrix.eye(2))
+    monkeypatch.setattr(qskew.dual, "dq_hermitian_split", lambda a: ~dq_hermitian_direct(a))
+    with pytest.raises(RuntimeError, match="routes disagree"):
+        is_dq_hermitian(a)

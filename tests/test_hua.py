@@ -260,3 +260,8 @@ def test_stacked_hua_names_a_slice_that_is_not_skew():
     empty = hua_decompose(np.zeros((0, 0)))
     assert empty.u.shape == (0, 0) and empty.sigmas == [] and empty.residual == 0.0
     assert all(same_form(form, empty) for form in hua_decompose(np.zeros((2, 0, 0))))
+
+
+def test_hua_decompose_rejects_a_stack_of_stacks():
+    with pytest.raises(ValueError, match=r"a matrix or a \(B, n, n\) stack"):
+        hua_decompose(np.zeros((2, 2, 3, 3)))

@@ -114,3 +114,10 @@ def test_load_invalid_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(MatrixFormatError):
         load_matrix(path)
+
+
+def test_dict_that_is_not_a_matrix_object():
+    with pytest.raises(MatrixFormatError, match="top level must be a JSON object"):
+        matrix_from_dict([[0, 0, 0, 0]])
+    with pytest.raises(MatrixFormatError, match='"rows" and "cols" must be integers'):
+        matrix_from_dict({"rows": "x", "cols": 1, "entries": [[0, 0, 0, 0]]})

@@ -348,3 +348,14 @@ def test_random_skew_symmetric_builds_one_philox_per_call(monkeypatch):
     for slice_, seed in zip(stack.data, seeds):
         rng = np.random.Generator(np.random.Philox(key=seed))
         assert slice_[upper, lower].tobytes() == rng.uniform(-2.0, 2.0, (3, 4)).tobytes()
+
+
+def test_constructor_and_sampler_reject_bad_shapes_and_sizes():
+    with pytest.raises(ValueError, match=r"expected an \(m, n, 4\) array"):
+        QuatMatrix(np.zeros((2, 2, 3)))
+    with pytest.raises(ValueError, match="matmul shape mismatch"):
+        QuatMatrix(np.zeros((2, 3, 4))) @ QuatMatrix(np.zeros((2, 2, 4)))
+    with pytest.raises(ValueError, match="need n >= 2"):
+        random_skew_symmetric(1, 0)
+    with pytest.raises(ValueError, match="scale must be positive"):
+        random_skew_symmetric(3, 0, scale=0.0)

@@ -26,11 +26,12 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from qskew import (DualQuatMatrix, QuatMatrix, Quaternion, SkewTriple,
-                   classify_3x3, even_multiplicity_check, gram_product,
-                   hua_decompose, I, J, is_dq_hermitian, is_solid,
-                   quaternion_even_multiplicity_check,
+                   basic_candidate_search, classify_3x3,
+                   even_multiplicity_check, gram_product, hua_decompose, I, J,
+                   is_dq_hermitian, is_solid, quaternion_even_multiplicity_check,
                    random_skew_symmetric, right_eigenvalues_hermitian,
-                   sample_degenerate_triple, sample_generic_triple, save_matrix)
+                   sample_degenerate_triple, sample_generic_triple, save_matrix,
+                   verify_classification)
 from qskew.cli import main
 from qskew.clinalg import frobenius_norm, lu_inverse
 
@@ -42,6 +43,8 @@ LU_POWERS = st.integers(min_value=-1000, max_value=1000)
 # c^2 = 2^(2k) times a squared result of size up to about 20 stays finite
 # while k <= 500
 SQUARED_POWERS = st.integers(min_value=-900, max_value=500)
+# a search draws entries up to 2^k, so W = Z Z* stays finite while k <= 250
+SEARCH_POWERS = st.integers(min_value=-900, max_value=250)
 
 
 def scaled_triple(t, c):
@@ -267,6 +270,42 @@ def test_spectrum_cli_scales_exactly_by_powers_of_two(k, seed):
         assert out["spectrum"][key] == np.ldexp(base["spectrum"][key], 2 * k).tolist()
     assert out["gram"]["entries"] == np.ldexp(base["gram"]["entries"], 2 * k).tolist()
     assert out["solid"] == base["solid"]
+
+
+def assert_squared_where_normal(got, base, k):
+    """got equals base times 4^k bitwise wherever that is a normal float."""
+    expect = np.ldexp(base, 2 * k)
+    normal = np.abs(expect) >= np.finfo(float).tiny
+    assert np.array(got)[normal].tolist() == expect[normal].tolist()
+
+
+@given(SEARCH_POWERS, SEEDS)
+@settings(max_examples=15, deadline=None)
+# at 2^-600 W of the drawn Z underflows to 0, unless Z is scaled up first
+@example(k=-600, seed=3)
+def test_search_scales_exactly_by_powers_of_two(k, seed):
+    n = 4 + seed % 3
+    base = basic_candidate_search(n, 70, seed)
+    hits = basic_candidate_search(n, 70, seed, scale=math.ldexp(1.0, k))
+    assert [h.trial for h in hits] == [h.trial for h in base]
+    assert [h.min_relative_gap for h in hits] == [h.min_relative_gap for h in base]
+    for hit, ref in zip(hits, base):
+        assert_squared_where_normal(hit.eigenvalues, ref.eigenvalues, k)
+
+
+@given(SQUARED_POWERS, SEEDS)
+@settings(max_examples=30, deadline=None)
+@example(k=-600, seed=0)
+def test_verify_classification_scales_exactly_by_powers_of_two(k, seed):
+    rng = np.random.default_rng(seed)
+    triples = [sample_generic_triple(rng), sample_degenerate_triple(rng)]
+    base = verify_classification(triples)
+    scaled = [scaled_triple(t, math.ldexp(1.0, k)) for t in triples]
+    reports = verify_classification(scaled)
+    for report, ref in zip(reports, base):
+        assert report.case_label == ref.case_label
+        assert_squared_where_normal(report.computed_values, ref.computed_values, k)
+    assert verify_classification(scaled[0]).computed_values == reports[0].computed_values
 
 
 @given(SCALES, SEEDS)

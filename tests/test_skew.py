@@ -311,7 +311,7 @@ def test_search_samples_and_solves_a_block_per_call(monkeypatch):
 
     names = ("random_skew_symmetric", "gram_product", "chi")
     spy(qskew.skew, names[0])
-    spy(qskew.skew, names[1])
+    spy(qskew.spectra, names[1])
     spy(QuatMatrix, names[2])
     block = qskew.skew.SEARCH_BLOCK
     for trials in (0, 1, block, 2 * block + 1):
@@ -441,3 +441,13 @@ def test_verify_classification_list_matches_single_calls(solid, seed):
         for single in (verify_classification(triple), verify_classification(entries)):
             for f in dataclasses.fields(single):
                 assert getattr(report, f.name) == getattr(single, f.name), f.name
+
+
+def test_search_rejects_negative_trials():
+    with pytest.raises(ValueError, match="trials must be nonnegative"):
+        basic_candidate_search(4, -1, 0)
+
+
+def test_classify_3x3_takes_raw_entries():
+    entries = (Quaternion(1), I + J, I + 2 * J)
+    assert classify_3x3(entries) == classify_3x3(SkewTriple(*entries))

@@ -12,7 +12,8 @@ Tolerances are relative to the input's magnitude, so no max(1, ...) floor
 turns one into an absolute bound.  Inputs are scaled to unit size by one
 rule, clinalg.unit_scaled (Quaternion._unit_scaled for a scalar), so no
 other function takes a binary exponent, and the scalar form serves only the
-scalar's own abs and inverse.
+scalar's own abs and inverse.  Z goes to W = Z Z* and its spectrum by one
+route, spectra.gram_spectrum.
 """
 
 import argparse
@@ -42,6 +43,11 @@ FREXP_ALLOWED = {("clinalg.py", "unit_scaled"), ("quaternion.py", "_unit_scaled"
 # clinalg.unit_scaled
 SCALAR_SCALING_ALLOWED = {("quaternion.py", "_unit_scaled"), ("quaternion.py", "__abs__"),
                           ("quaternion.py", "inverse")}
+
+# W = Z Z* and its right spectrum come from Z by one route,
+# spectra.gram_spectrum, which decides how Z is scaled: the CLI scales no Z
+# itself, and skew solves no W of its own
+ROUTE_BANNED = {"cli.py": "unit_scaled", "skew.py": "right_eigenvalues_hermitian"}
 
 # names defined in the package that no package code reads, with the reason
 # each stays in the library
@@ -177,6 +183,12 @@ def test_one_scaling_rule():
 
 def test_scalar_scaling_serves_only_the_scalar():
     stray = _uses_outside("_unit_scaled", SCALAR_SCALING_ALLOWED)
+    assert not stray, stray
+
+
+def test_one_route_from_z_to_the_spectrum_of_w():
+    stray = [use for module, name in ROUTE_BANNED.items()
+             for use in _uses_outside(name, set()) if use.startswith(module + ":")]
     assert not stray, stray
 
 

@@ -10,6 +10,7 @@ from qskew import (
     RightSpectrum,
     SkewTriple,
     gram_product,
+    gram_spectrum,
     herm_eig,
     is_positive_definite,
     is_positive_semidefinite,
@@ -230,3 +231,17 @@ def test_gram_product_rejects_unrepresentable_w():
     for c in (1.0, 1e-300, 2.0 ** 511 / np.sqrt(7) / 2):
         zc = z.scale(c)
         assert gram_product(zc).data.tobytes() == (zc @ zc.conj_transpose()).data.tobytes()
+
+
+def test_gram_spectrum_scales_each_slice_up_and_never_down():
+    z = random_skew_symmetric(4, [1, 2, 3])
+    base_w, base, base_e = gram_spectrum(z)
+    assert base_e.tolist() == [0, 0, 0]
+    k = np.array([-700, 0, 40])
+    w, spec, e = gram_spectrum(QuatMatrix(np.ldexp(z.data, k[:, None, None, None])))
+    # the tiny slice is solved at unit size, the large one as it is
+    assert e.tolist() == [-700, 0, 0]
+    np.testing.assert_array_equal(spec.values, np.ldexp(base.values, [[0], [0], [80]]))
+    np.testing.assert_array_equal(w.data[:2], base_w.data[:2])
+    with pytest.raises(ValueError, match="not representable"):
+        gram_spectrum(z.scale(1e160))
