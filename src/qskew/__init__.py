@@ -7,7 +7,7 @@ classification, inverse skew contrasts, a seeded candidate search, and
 dual quaternion matrices.
 """
 
-from .clinalg import (ConvergenceError, SingularMatrixError, herm_eig,
+from .clinalg import (ConvergenceError, SingularMatrixError, even_clusters, herm_eig,
                       lu_inverse, mgs_orthonormalize, positive_clusters)
 from .dual import (DualQuatMatrix, dq_hermitian_direct, dq_hermitian_split,
                    is_dq_hermitian)

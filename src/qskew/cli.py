@@ -96,7 +96,7 @@ def cmd_spectrum(args):
     tol = _resolve_tol(args, GENERAL_TOL)
     _require_square(mat, "spectrum")
     w, spec, e = gram_spectrum(mat, tol)
-    solid = float(spec.values.min()) > tol * w.norm()
+    solid = spec.definite()
     w = QuatMatrix(np.ldexp(w.data, 2 * e))
     spec.values, spec.trace_residual = (np.ldexp(spec.values, 2 * e),
                                         np.ldexp(spec.trace_residual, 2 * e))
@@ -195,6 +195,9 @@ def cmd_search_basic(args):
         if not 0 < value < math.inf:
             print("%s must be positive and finite" % flag, file=sys.stderr)
             return 2
+    if args.scale < np.finfo(float).tiny:  # subnormal draws keep few bits
+        print("--scale must be normal, at least 2^-1022", file=sys.stderr)
+        return 2
     candidates = basic_candidate_search(args.n, args.trials, args.seed,
                                         scale=args.scale, gap_tol=args.gap_tol)
     for cand in candidates:
@@ -249,28 +252,31 @@ def _row_four_by_four():
     return ok and trace_ok, detail
 
 
-def _row_complex_even():
-    rng = _rng(31)
+def _by_size(rng, count, sizes, draw):
+    """count seeded draws draw(rng, n), each after its size
+    n = rng.integers(*sizes), in one list per size, sizes in first-seen order."""
     by_size = {}
-    for _ in range(100):
-        n = int(rng.integers(2, 9))
-        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        by_size.setdefault(n, []).append(m - m.T)
+    for _ in range(count):
+        n = int(rng.integers(*sizes))
+        by_size.setdefault(n, []).append(draw(rng, n))
+    return by_size.values()
+
+
+def _complex_skew(rng, n):
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return m - m.T
+
+
+def _row_complex_even():
     if not all(even_multiplicity_check(np.array(zs)).all()
-               for zs in by_size.values()):
+               for zs in _by_size(_rng(31), 100, (2, 9), _complex_skew)):
         return False, "failed on a random complex skew matrix"
     return True, "100 random complex skew matrices, all multiplicities even"
 
 
 def _row_hua():
-    rng = _rng(37)
-    by_size = {}
-    for _ in range(20):
-        n = int(rng.integers(2, 10))
-        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        by_size.setdefault(n, []).append(m - m.T)
     worst_res = worst_uni = 0.0
-    for zs in by_size.values():
+    for zs in _by_size(_rng(37), 20, (2, 10), _complex_skew):
         for z, form in zip(zs, hua_decompose(np.array(zs))):
             worst_res = max(worst_res, form.residual / np.sqrt(np.vdot(z, z).real))
             worst_uni = max(worst_uni, form.unitarity_residual)
@@ -299,14 +305,9 @@ def _row_inverse():
 
 
 def _row_dual():
-    rng = _rng(47)
-    by_size = {}
-    for _ in range(100):
-        n = int(rng.integers(1, 5))
-        plain = rng.uniform() < 0.5
-        std, inf = (rng.uniform(-1, 1, (n, n, 4)) for _ in range(2))
-        by_size.setdefault(n, []).append((plain, std, inf))
-    for draws in by_size.values():
+    # each draw: whether to keep it plain, then its standard and infinitesimal parts
+    for draws in _by_size(_rng(47), 100, (1, 5), lambda rng, n: (
+            rng.uniform() < 0.5, *(rng.uniform(-1, 1, (n, n, 4)) for _ in range(2)))):
         plain, std, inf = (np.array(part) for part in zip(*draws))
         # the other half: std made Hermitian, inf skew-symmetric
         s, k = QuatMatrix(std), QuatMatrix(inf)

@@ -25,7 +25,7 @@ Provided:
   of one matrix or of each slice of a stack, each unit_scaled, with an
   invertible flag each
 * mgs_orthonormalize: Gram-Schmidt, run twice
-* positive_clusters: the clusters of a spectrum's positive entries
+* positive_clusters: a spectrum's positive clusters; even_clusters: are all even
 * _require: the check that names the first slice of a stack that fails it
 
 Every routine that takes a stack solves each slice as a single call would,
@@ -503,3 +503,12 @@ def positive_clusters(values):
     idx = order[values[order] > cut]
     edges = [0, *(np.flatnonzero(np.diff(values[idx]) > cut) + 1).tolist(), idx.size]
     return [idx[lo:hi].tolist() for lo, hi in zip(edges, edges[1:]) if hi > lo]
+
+
+def even_clusters(values):
+    """Whether every positive cluster of an ascending spectrum, (n,) or
+    each row of (..., n), has an even size: a bool, or one per row."""
+    values = np.asarray(values, dtype=float)
+    rows = values.reshape(-1, values.shape[-1])
+    even = [all(len(c) % 2 == 0 for c in positive_clusters(v)) for v in rows]
+    return even[0] if values.ndim == 1 else np.array(even, bool).reshape(values.shape[:-1])

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clinalg import (ConvergenceError, _require, _skew_tridiagonal,
-                      _tridiagonal_eig, frobenius_norm, herm_eig,
-                      mgs_orthonormalize, positive_clusters, unit_scaled)
+                      _tridiagonal_eig, even_clusters, frobenius_norm, herm_eig,
+                      mgs_orthonormalize, unit_scaled)
 from .qmatrix import QuatMatrix
 
 
@@ -51,19 +51,12 @@ class HuaForm:
 def even_multiplicity_check(z):
     """Whether every positive eigenvalue of Z Z* appears an even number of times.
 
-    True for every complex skew-symmetric Z; the quaternion analogue of
-    this statement fails, which is the whole point of keeping it testable.
-    z is one complex (n, n) matrix, giving a bool, or a (B, n, n) stack,
-    giving a bool array of one verdict per slice: each slice is
-    unit_scaled on its own, so that Z Z* stays in range, and all of Z Z*
-    goes to one values-only herm_eig call, so a slice's verdict is that of
-    a single call.
+    True for every complex skew-symmetric Z; its quaternion analogue fails.
+    A bool for one complex (n, n) matrix, one per slice of a (B, n, n)
+    stack, each unit_scaled so that Z Z* stays in range, in one herm_eig call.
     """
     z = unit_scaled(np.asarray(z, dtype=complex), axis=(-2, -1))[0]
-    values = herm_eig(z @ z.conj().swapaxes(-2, -1))
-    even = [all(len(c) % 2 == 0 for c in positive_clusters(v))
-            for v in np.atleast_2d(values)]
-    return even[0] if values.ndim == 1 else np.array(even, dtype=bool)
+    return even_clusters(herm_eig(z @ z.conj().swapaxes(-2, -1)))
 
 
 def hua_decompose(z, tol=1e-8):

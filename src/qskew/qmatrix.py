@@ -245,11 +245,6 @@ class QuatMatrix:
             raise ValueError("%s needs a square matrix, got %dx%d"
                              % ((who,) + self.shape))
 
-    def _require_single(self, who):
-        if self.data.ndim != 3:
-            raise ValueError("%s takes one matrix, not a stack of shape %r"
-                             % (who, self.data.shape[:-3]))
-
     def allclose(self, other, tol=1e-12):
         """max|a_ij - b_ij| within tol times the larger of the two max_abs."""
         other = _coerce_matrix(other, self.shape)
@@ -261,8 +256,8 @@ def random_skew_symmetric(n, seed, scale=1.0):
     """Random n x n quaternion skew-symmetric matrix, reproducible by seed.
 
     The strictly upper triangle is drawn row-major, four independent
-    components per entry, uniform on [-scale, scale]; the lower triangle is
-    the negated transpose and the diagonal is zero.  The stream comes from
+    components per entry, uniform on [-scale, scale] for a normal scale;
+    the lower triangle is the negated transpose and the diagonal is zero.  The stream comes from
     numpy's counter-based Philox generator keyed by the seed, so the same
     (n, seed, scale) always yields the same matrix, on any platform.  A
     sequence of B seeds gives a (B, n, n, 4) stack whose slice b is
@@ -270,8 +265,8 @@ def random_skew_symmetric(n, seed, scale=1.0):
     """
     if n < 2:
         raise ValueError("need n >= 2, got %d" % n)
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    if not scale >= np.finfo(float).tiny:  # a subnormal scale quantizes the draws
+        raise ValueError("scale must be positive and normal (>= 2^-1022), got %r" % scale)
     stacked = np.ndim(seed) > 0
     seeds = list(seed) if stacked else [seed]
     k = n * (n - 1) // 2

@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clinalg import SingularMatrixError, _require, positive_clusters, unit_scaled
+from .clinalg import SingularMatrixError, _require, even_clusters, unit_scaled
 from .qmatrix import QuatMatrix, random_skew_symmetric
 from .quaternion import Quaternion, _times_pow2
-from .spectra import gram_product, gram_spectrum, is_positive_definite, quat_inverse
+from .spectra import gram_spectrum, quat_inverse
 
 # trials that basic_candidate_search samples, checks and solves as one stack
 SEARCH_BLOCK = 64
@@ -158,10 +158,17 @@ def verify_classification(triples):
     return reports[0] if one else reports
 
 
-def is_solid(z):
-    """Whether W = Z Z*, formed from Z unit_scaled, is positive definite."""
+def _unit_gram_spectrum(z):
+    """The RightSpectrum of W = Z Z* formed from each slice of Z
+    unit_scaled, up or down, so that W stays in range at any scale: the
+    one route of is_solid and quaternion_even_multiplicity_check."""
     z = QuatMatrix.coerce(z)
-    return is_positive_definite(gram_product(QuatMatrix(unit_scaled(z.data)[0])))
+    return gram_spectrum(QuatMatrix(unit_scaled(z.data, axis=(-3, -2, -1))[0]))[1]
+
+
+def is_solid(z):
+    """Whether W = Z Z* is positive definite: a bool, or one per slice."""
+    return _unit_gram_spectrum(z).definite()
 
 
 def inverse_skew_report(z, tol=1e-10):
@@ -192,12 +199,9 @@ def quaternion_even_multiplicity_check(z):
     """Whether every positive right eigenvalue of W = Z Z* has even multiplicity.
 
     Always true in the complex world; over quaternions a 3x3 solid matrix
-    already breaks it.  W is formed from Z unit_scaled, to stay in range.
+    already breaks it.  A bool, or one per slice of a stack.
     """
-    z = QuatMatrix.coerce(z)
-    z._require_single("quaternion_even_multiplicity_check")
-    values = gram_spectrum(QuatMatrix(unit_scaled(z.data)[0]))[1].values
-    return all(len(c) % 2 == 0 for c in positive_clusters(values))
+    return even_clusters(_unit_gram_spectrum(z).values)
 
 
 def trial_seed(seed, trial):

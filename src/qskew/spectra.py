@@ -4,10 +4,11 @@ A Hermitian quaternion A = A_c + A_d j goes to the eigensolver as
 [A_c | A_d], the first n rows of chi(A), which solves at size n and gives
 each right eigenvalue once; their sum is checked against the trace of A.
 
-gram_spectrum, gram_product and right_eigenvalues_hermitian take a
-QuatMatrix stack (..., n, n, 4) as well as one matrix, quat_inverse a
-(B, n, n, 4) stack, with bitwise the per-slice results; each check judges
-every slice on its own, and an error names the first slice that fails it.
+Every routine takes a QuatMatrix stack (..., n, n, 4) as well as one
+matrix, quat_inverse a (B, n, n, 4) stack, with bitwise the per-slice
+results; each check judges every slice on its own, and an error names the
+first slice that fails it.  Definiteness has one rule, RightSpectrum.definite,
+which is_positive_definite, is_solid and the CLI's "solid" verdict read.
 """
 
 from dataclasses import dataclass
@@ -15,16 +16,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clinalg import _require, frobenius_norm, herm_eig, lu_inverse, unit_scaled
-from .qmatrix import QuatMatrix
+from .qmatrix import QuatMatrix, _per_slice
 
 
 @dataclass
 class RightSpectrum:
     """The ascending real right eigenvalues, values (n,) or (..., n) for a
     stack, and per slice trace_residual = |sum of values - Re tr A|,
-    which the solve keeps near machine precision times ||A||."""
+    which the solve keeps near machine precision times ||A||, and the
+    definiteness floor tol * ||A||_F (0 for the zero matrix)."""
     values: np.ndarray
     trace_residual: np.ndarray
+    floor: np.ndarray
+
+    def definite(self):
+        """Lowest value above the floor: a bool, or one per slice."""
+        return _per_slice(self.values.min(axis=-1) > self.floor)
 
     def to_dict(self):
         """values and trace_residual as (nested) lists of floats."""
@@ -39,19 +46,19 @@ def right_eigenvalues_hermitian(a, tol=1e-10):
     slices all go to one herm_eig call as [A_c | A_d]: the n ascending
     right eigenvalues and their trace residual.  Raises ValueError on
     input not Hermitian within tol or a trace residual above
-    1e-9 * sqrt(n) * ||A||_F.
+    1e-9 * sqrt(n) * ||A||_F; tol * ||A||_F is the definiteness floor.
     """
     a = QuatMatrix.coerce(a)
     _require(a.is_hermitian(tol), "right spectrum needs a Hermitian matrix")
     n = a.nrows
     c = a.chi()[..., :n, :]  # [A_c | A_d]; herm_eig takes at most one stack axis
-    mu = herm_eig(c.reshape((-1,) + c.shape[-2:]) if c.ndim > 3 else c)
-    mu = mu.reshape(c.shape[:-1])
+    mu = herm_eig(c.reshape((-1,) + c.shape[-2:]) if c.ndim > 3 else c).reshape(c.shape[:-1])
     residual = np.abs(mu.sum(axis=-1) - np.trace(a.data[..., 0], axis1=-2, axis2=-1))
-    bound = 1e-9 * np.sqrt(n) * a.norm()
+    norm = a.norm()
+    bound = 1e-9 * np.sqrt(n) * norm
     _require(residual <= bound, "right eigenvalues do not sum to the trace: "
              "residual %.3e exceeds %.3e", residual, bound)
-    return RightSpectrum(mu, residual)
+    return RightSpectrum(mu, residual, tol * norm)
 
 
 def gram_product(z, tol=1e-10):
@@ -111,22 +118,12 @@ def quat_inverse(a, tol=1e-10):
     return QuatMatrix.from_chi(inverse[0], tol=1e-8), inverse[1]
 
 
-def _lowest_and_floor(a):
-    """Min right eigenvalue of A and the floor 1e-10 * ||A||_F.  The floor
-    of the zero matrix is 0, so it is semidefinite and not definite."""
-    a = QuatMatrix.coerce(a)
-    a._require_single("a definiteness test")
-    return (float(right_eigenvalues_hermitian(a).values.min()),
-            1e-10 * a.norm())
-
-
 def is_positive_semidefinite(a):
-    """Min right eigenvalue >= -1e-10 * ||A||_F."""
-    lowest, floor = _lowest_and_floor(a)
-    return lowest >= -floor
+    """Min right eigenvalue >= -1e-10 * ||A||_F, one bool per slice."""
+    spectrum = right_eigenvalues_hermitian(a)
+    return _per_slice(spectrum.values.min(axis=-1) >= -spectrum.floor)
 
 
 def is_positive_definite(a):
-    """Min right eigenvalue strictly above +1e-10 * ||A||_F."""
-    lowest, floor = _lowest_and_floor(a)
-    return lowest > floor
+    """Min right eigenvalue strictly above +1e-10 * ||A||_F, one bool per slice."""
+    return right_eigenvalues_hermitian(a).definite()

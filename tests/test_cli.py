@@ -13,7 +13,7 @@ import qskew.spectra
 from qskew import (DualQuatMatrix, QuatMatrix, SkewTriple, I, J,
                    dq_hermitian_direct, dq_hermitian_split,
                    even_multiplicity_check, gram_product, hua_decompose,
-                   inverse_skew_report, random_skew_symmetric,
+                   inverse_skew_report, is_solid, random_skew_symmetric,
                    right_eigenvalues_hermitian, sample_degenerate_triple,
                    sample_generic_triple, save_matrix, trial_seed,
                    verify_classification)
@@ -522,6 +522,38 @@ def test_spectrum_prints_a_zero_eigenvalue_without_sign(tmp_path, capsys):
     assert "right eigenvalues of W: 0, %g, %g\n" % (round(values[1], 4),
                                                       round(values[2], 4)) in out
     assert "predicted (0, " in out
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-160, 2.0 ** -600, 1e150])
+def test_spectrum_solid_is_is_solid(tmp_path, capsys, c):
+    # one definiteness rule: the "solid" of spectrum --json, at the default
+    # tol, is is_solid of the same file, for both verdicts and every size
+    rng = np.random.default_rng(7)
+    zs = [SkewTriple(1, I + J, I + 2 * J).matrix(),
+          sample_degenerate_triple(rng).matrix(), QuatMatrix.zeros(4)]
+    zs += [random_skew_symmetric(n, n) for n in range(3, 9)]
+    seen = set()
+    for k, z in enumerate(zs):
+        path = tmp_path / ("z%d.json" % k)
+        save_matrix(path, z.scale(c))
+        assert main(["spectrum", "--json", str(path)]) == 0
+        solid = json.loads(capsys.readouterr().out)["solid"]
+        assert solid is is_solid(z.scale(c)) is is_solid(z)
+        seen.add(solid)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("scale", ["5e-324", "1e-310"])
+def test_search_basic_rejects_a_subnormal_scale(capsys, scale):
+    assert main(["search-basic", "--trials", "5", "--scale", scale]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "--scale must be normal, at least 2^-1022\n"
+
+
+def test_search_basic_takes_the_smallest_normal_scale(capsys):
+    assert main(["search-basic", "--trials", "5", "--scale", repr(2.0 ** -1022)]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["trials"] == 5
 
 
 def test_search_basic_rejects_negative_trials(capsys):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qskew import (
+    even_clusters,
     even_multiplicity_check,
     herm_eig,
     hua_decompose,
@@ -125,6 +126,14 @@ def test_positive_clusters():
     assert [len(c) for c in clusters] == [2, 1]
     assert sorted(vals[clusters[0]]) == sorted([2.0, 2.0 + 1e-12])
     assert positive_clusters(np.zeros(4)) == []
+
+
+def test_even_clusters():
+    # the one evenness rule of both even-multiplicity checks, per row
+    rows = np.array([[0.0, 2.0, 2.0 + 1e-12], [0.0, 1.0, 2.0], [0.0, 0.0, 0.0]])
+    assert even_clusters(rows[0]) is True and even_clusters(rows[1]) is False
+    assert even_clusters(rows).tolist() == [True, False, True]
+    assert even_clusters(np.stack([rows, rows])).shape == (2, 3)
 
 
 @pytest.mark.parametrize("n", range(2, 12))

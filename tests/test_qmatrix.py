@@ -359,3 +359,17 @@ def test_constructor_and_sampler_reject_bad_shapes_and_sizes():
         random_skew_symmetric(1, 0)
     with pytest.raises(ValueError, match="scale must be positive"):
         random_skew_symmetric(3, 0, scale=0.0)
+
+
+@pytest.mark.parametrize("scale", [5e-324, 1e-310])
+def test_sampler_rejects_a_subnormal_scale(scale):
+    # draws on [-scale, scale] below 2^-1022 keep few bits, at 5e-324 none
+    with pytest.raises(ValueError, match="scale must be positive and normal"):
+        random_skew_symmetric(4, 0, scale=scale)
+    with pytest.raises(ValueError, match="scale must be positive and normal"):
+        random_skew_symmetric(4, [0, 1], scale=scale)
+
+
+def test_sampler_takes_the_smallest_normal_scale():
+    z = random_skew_symmetric(4, 0, scale=2.0 ** -1022)
+    assert z.is_skew_symmetric() and 0 < np.abs(z.data).max() <= 2.0 ** -1022

@@ -365,16 +365,42 @@ def test_right_spectra_of_a_list_match_one_by_one():
         right_eigenvalues_hermitian(bad)
 
 
-def test_single_matrix_routes_reject_a_stack():
-    # these read one spectrum; a stack would mix its slices (quat_inverse
-    # and inverse_skew_report take stacks, see test_stacked_inverses_*)
-    z = random_skew_symmetric(4, [1, 2])
-    w = gram_product(z)
-    for route, arg in ((qskew.spectra.is_positive_definite, w),
-                       (qskew.spectra.is_positive_semidefinite, w), (is_solid, z),
-                       (quaternion_even_multiplicity_check, z)):
-        with pytest.raises(ValueError, match=r"one matrix, not a stack of shape \(2,\)"):
-            route(arg)
+@given(st.sampled_from([3, 4]),
+       st.lists(st.tuples(st.sampled_from(["solid", "degenerate", "random", "zero"]),
+                          st.integers(min_value=-900, max_value=500), st.booleans()),
+                min_size=1, max_size=6),
+       st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=40, deadline=None)
+def test_verdicts_on_a_stack_match_single_calls(n, slices, seed):
+    # is_solid and quaternion_even_multiplicity_check of a stack of Z, and
+    # the definiteness tests of a stack of W = Z Z* or -W, give the list of
+    # their single-call verdicts; each slice is a solid or degenerate 3x3
+    # (at n = 4 a random 4x4), a random or the zero matrix, at its own 2^k
+    rng = np.random.default_rng(seed)
+    zs, ws = [], []
+    for kind, k, negate in slices:
+        if kind == "zero":
+            z = QuatMatrix.zeros(n)
+        elif kind == "random" or n == 4:
+            z = random_skew_symmetric(n, int(rng.integers(2 ** 32)))
+        else:
+            z = (sample_generic_triple(rng) if kind == "solid"
+                 else sample_degenerate_triple(rng)).matrix()
+        zs.append(np.ldexp(z.data, k))
+        # W at unit size, then at 2^k, so that it stays in range
+        ws.append(np.ldexp(gram_product(z).data, k) * (-1.0 if negate else 1.0))
+    verdicts = ((is_solid, zs), (quaternion_even_multiplicity_check, zs),
+                (qskew.spectra.is_positive_definite, ws),
+                (qskew.spectra.is_positive_semidefinite, ws))
+    for verdict, inputs in verdicts:
+        alone = [verdict(QuatMatrix(x)) for x in inputs]
+        assert all(type(v) is bool for v in alone), verdict.__name__
+        stacked = verdict(QuatMatrix(np.array(inputs)))
+        assert stacked.dtype == bool and stacked.shape == (len(inputs),)
+        assert stacked.tolist() == alone, verdict.__name__
+    # the zero matrix is semidefinite, not definite, and has no positive value
+    zero = QuatMatrix.zeros(n)
+    assert [verdict(zero) for verdict, _ in verdicts] == [False, True, False, True]
 
 
 @given(st.lists(st.sampled_from(["random", "generic", "degenerate"]), min_size=1,

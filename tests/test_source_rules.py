@@ -46,8 +46,9 @@ SCALAR_SCALING_ALLOWED = {("quaternion.py", "_unit_scaled"), ("quaternion.py", "
 
 # W = Z Z* and its right spectrum come from Z by one route,
 # spectra.gram_spectrum, which decides how Z is scaled: the CLI scales no Z
-# itself, and skew solves no W of its own
-ROUTE_BANNED = {"cli.py": "unit_scaled", "skew.py": "right_eigenvalues_hermitian"}
+# itself, and skew neither forms nor solves a W of its own
+ROUTE_BANNED = {"cli.py": ("unit_scaled",),
+                "skew.py": ("right_eigenvalues_hermitian", "gram_product")}
 
 # names defined in the package that no package code reads, with the reason
 # each stays in the library
@@ -60,6 +61,8 @@ LIBRARY_ONLY = {
     "left_mul": "shows that left and right scalar products differ",
     "right_mul": "shows that left and right scalar products differ",
     "is_dq_hermitian": "the two dual Hermitian routes cross-checked (paper row 8)",
+    "is_positive_definite": "the definite half of the Gram claim; is_solid and the CLI "
+                            "read RightSpectrum.definite, its one rule",
     "is_positive_semidefinite": "the semidefinite half of the Gram claim",
     "is_solid": "the 3x3 solid case as a predicate on Z",
     "quaternion_even_multiplicity_check": "the quaternion side of the even multiplicity contrast",
@@ -187,7 +190,7 @@ def test_scalar_scaling_serves_only_the_scalar():
 
 
 def test_one_route_from_z_to_the_spectrum_of_w():
-    stray = [use for module, name in ROUTE_BANNED.items()
+    stray = [use for module, names in ROUTE_BANNED.items() for name in names
              for use in _uses_outside(name, set()) if use.startswith(module + ":")]
     assert not stray, stray
 
