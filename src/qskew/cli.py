@@ -198,6 +198,10 @@ def cmd_search_basic(args):
     if args.scale < np.finfo(float).tiny:  # subnormal draws keep few bits
         print("--scale must be normal, at least 2^-1022", file=sys.stderr)
         return 2
+    if args.scale > np.finfo(float).max / 2:  # the draws span 2 scale
+        print("--scale must be at most half the largest float, %r"
+              % float(np.finfo(float).max / 2), file=sys.stderr)
+        return 2
     candidates = basic_candidate_search(args.n, args.trials, args.seed,
                                         scale=args.scale, gap_tol=args.gap_tol)
     for cand in candidates:

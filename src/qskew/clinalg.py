@@ -10,8 +10,11 @@ Provided:
 * herm_eig: eigenvalues of one Hermitian matrix, complex or quaternion,
   or a stack of them.  Householder reflections reduce each slice to real
   tridiagonal form of its size, whose eigenvalues are cut out on a dyadic
-  grid by Sturm counts.  Every step works on all slices at once, and
-  every slice is checked and converges on its own
+  grid by Sturm counts: by bisection, and on a stack of 74 eigenvalues or
+  more, for each eigenvalue alone in its coarse cell, by Newton steps
+  whose level-53 cell Sturm counts confirm, so both give the same bits.
+  Every step works on all slices at once, and every slice is checked and
+  converges on its own
 * _tridiagonal_eig: that tridiagonal solve, with eigenvectors by inverse
   iteration when asked for; hua_decompose solves with it the tridiagonals
   that _skew_tridiagonal, a skew Householder congruence run on a stack of
@@ -50,6 +53,9 @@ CLUSTER_GAP = 1e-3
 MAX_PASSES = 5
 # relative zero and neighbour gap of positive_clusters
 CLUSTER_TOL = 1e-8
+# Newton steps _newton_cells takes on an isolated eigenvalue before its cell
+# is confirmed or handed back to bisection
+NEWTON_STEPS = 6
 
 
 def _require(ok, message, *values, error=ValueError):
@@ -262,45 +268,147 @@ def _skew_tridiagonal(a):
 
 
 def _bisect(d, e2, top):
-    """Ascending eigenvalues (B, m) of symmetric tridiagonals by bisection
-    on a dyadic grid.
+    """Ascending eigenvalues (B, m) of symmetric tridiagonals, each the
+    midpoint of its cell of a dyadic grid.
 
     Eigenvalue j of slice b starts in [-t_b, t_b], with t_b = top[b] a
     power of two at or above its Gershgorin bound, and ends as the midpoint
-    of its part of width eps t_b, 53 halvings down.  Each round cuts every
-    interval into 2^s equal parts at exact points and keeps the one that
-    the Sturm counts at the cuts pick: the negative pivots
-    q_i = (d_i - x) - e2_{i-1} / q_{i-1} of T - x I number the eigenvalues
-    below x, and each pivot rounds monotonically in x, so the counts never
-    fall as x rises (a zero pivot makes the next one infinite with the
-    sign that keeps the count right).  The grid is fixed, so an interval
-    takes the same path for any s: many cuts per interval when there are
-    few intervals, one when there are many.
+    of its part of width eps t_b, 53 halvings down: the cell whose lower
+    end is the highest grid point where the Sturm count is at most j.  The
+    negative pivots q_i = (d_i - x) - e2_{i-1} / q_{i-1} of T - x I number
+    the eigenvalues below x, and each pivot rounds monotonically in x, so
+    the counts never fall as x rises (a zero pivot makes the next one
+    infinite with the sign that keeps the count right) and that cell is
+    one and the same however it is found.
+
+    _grid finds it by bisection on the fixed grid.  A stack where a round
+    makes at most 3 cuts per interval (about 74 intervals or more) is
+    bisected only to level bit_length(m) + 6, 64 to 128 grid cells per
+    eigenvalue, and _newton_cells closes the intervals whose cell there
+    holds one eigenvalue alone; every interval it does not confirm carries
+    on with the bisection from that level.
     """
     count, m = d.shape
     index = np.tile(np.arange(m), count)
     lo = -np.repeat(top, m)
-    level, parts, span = 0, 0, -2.0 * lo
-    # levels per round: the most whose 2^s - 1 cuts per interval keep a round
-    # within 512 cuts, where a Sturm count stops costing about its overhead
-    most = (512 // index.size + 1).bit_length() - 1 or 1
+    span = -2.0 * lo
     with np.errstate(divide="ignore", over="ignore"):
-        while level < 53:
-            s = min(most, 53 - level)
-            if parts != (1 << s) - 1:
-                parts = (1 << s) - 1
-                diag = np.repeat(d.T, m * parts, axis=1)
-                e2s = np.repeat(e2.T, m * parts, axis=1)
-            level += s
-            step = np.ldexp(span, -level)
-            q = diag - (lo[:, None] + step[:, None] * np.arange(1, parts + 1)).ravel()
-            rows = list(q)
-            for prev, row, e in zip(rows, rows[1:], e2s):
-                row -= e / prev
-            # the cuts at or below eigenvalue j
-            counts = np.add.reduce(np.signbit(q), axis=0, dtype=np.intp)
-            lo = lo + (counts.reshape(-1, parts) <= index[:, None]).sum(axis=1) * step
+        if _levels_per_round(index.size) > 2:
+            lo = _grid(d.T, e2.T, index, lo, span, 0)
+        else:
+            level = m.bit_length() + 6
+            lo = _grid(d.T, e2.T, index, lo, span, 0, level)
+            rest = _newton_cells(d, e2, index, lo, span, level)
+            if rest.size == index.size:  # no Newton step: bisect on, uncopied
+                lo = _grid(d.T, e2.T, index, lo, span, level)
+            elif rest.size:
+                # one column per interval
+                slices = rest // m
+                lo[rest] = _grid(d[slices].T, e2[slices].T, index[rest], lo[rest],
+                                 span[rest], level)
     return np.sort((lo + np.ldexp(span, -54)).reshape(count, m), axis=1)
+
+
+def _levels_per_round(intervals):
+    """The most grid levels s whose 2^s - 1 cuts per interval keep a round
+    within 512 cuts, where a Sturm count stops costing about its overhead."""
+    return (512 // intervals + 1).bit_length() - 1 or 1
+
+
+def _sturm_counts(diag, e2s, x):
+    """The Sturm count at x (k,) of each column of diag (m, k), e2s
+    (m - 1, k): the number of negative pivots of T - x I."""
+    q = diag - x
+    rows = list(q)
+    for prev, row, e in zip(rows, rows[1:], e2s):
+        row -= e / prev
+    return np.add.reduce(np.signbit(q), axis=0, dtype=np.intp)
+
+
+def _grid(diag, e2s, index, lo, span, level, stop=53):
+    """The lower ends lo of the grid cells of width span 2^-stop that hold
+    eigenvalue index of each interval, bisected from the cells of width
+    span 2^-level at lo.  The tridiagonals are the columns of diag and e2s,
+    each read by as many consecutive intervals as there are intervals per
+    column: all of its slice's, or one.  Each round cuts every cell into
+    2^s equal parts at exact points and keeps the one that the Sturm
+    counts at the cuts pick.  The grid is fixed, so an interval takes the
+    same path for any s: many cuts per interval when there are few
+    intervals, one when there are many."""
+    most = _levels_per_round(index.size)
+    per = index.size // diag.shape[1]
+    parts = 0
+    while level < stop:
+        s = min(most, stop - level)
+        if parts != (1 << s) - 1:
+            parts = (1 << s) - 1
+            diag_cuts = np.repeat(diag, per * parts, axis=1)
+            e2s_cuts = np.repeat(e2s, per * parts, axis=1)
+            ks = np.arange(1, parts + 1)
+        level += s
+        step = np.ldexp(span, -level)
+        cuts = (lo[:, None] + step[:, None] * ks).ravel()
+        # the cuts at or below eigenvalue j
+        counts = _sturm_counts(diag_cuts, e2s_cuts, cuts)
+        lo = lo + (counts.reshape(-1, parts) <= index[:, None]).sum(axis=1) * step
+    return lo
+
+
+def _newton_cells(d, e2, index, lo, span, level):
+    """Close, in lo, the level-53 cells of the intervals whose cell of
+    width span 2^-level at lo holds one eigenvalue alone, and return the
+    other intervals.
+
+    A cell holds one eigenvalue alone when it differs from the cells of
+    both neighbours in its slice.  Unless at least half the intervals are
+    alone, none is taken: the rest would bisect as many rounds anyway.
+    Newton's method on det(T - x I), whose log-derivative is the sum of
+    r_i = q_i' / q_i, q_i' = -1 + (e2_{i-1} / q_{i-1}) r_{i-1}, starts at
+    the middle of the cell and is kept inside it, for at most NEWTON_STEPS
+    steps or until no step exceeds eps t_b.  Its point is snapped down to
+    the level-53 grid, the multiples of eps t_b, exactly, and Sturm counts
+    from one grid point below to two above confirm the cell where the
+    count first exceeds j, inside the starting cell.  An interval with a
+    non-finite point or no such crossing is not confirmed.
+    """
+    m = d.shape[1]
+    alone = np.ones(d.shape, dtype=bool)
+    apart = np.diff(lo.reshape(d.shape), axis=1) > 0
+    alone[:, 1:] = apart
+    alone[:, :-1] &= apart
+    sel = np.flatnonzero(alone)
+    if 2 * sel.size < lo.size:
+        return np.arange(lo.size)
+    # one column per interval
+    d, e2, j = d[sel // m].T, e2[sel // m].T, index[sel]
+    low = lo[sel]
+    width = np.ldexp(span[sel], -level)
+    cell = np.ldexp(span[sel], -53)
+    x = low + 0.5 * width
+    # a vanishing pivot makes inf - inf, and a NaN point is never confirmed
+    with np.errstate(invalid="ignore"):
+        for _ in range(NEWTON_STEPS):
+            q = d - x
+            # r = q_i' / q_i, summed into f
+            r = -1.0 / q[0]
+            f = r.copy()
+            for i in range(1, m):
+                u = e2[i - 1] / q[i - 1]
+                q[i] -= u
+                r = (u * r - 1.0) / q[i]
+                f += r
+            step = -1.0 / f
+            x = np.minimum(np.maximum(x + step, low), low + width)
+            if not (np.abs(step) > cell).any():
+                break
+        x = np.floor(x / cell) * cell
+        below = [_sturm_counts(d, e2, x + k * cell) <= j for k in (-1, 0, 1, 2)]
+        x += (np.add.reduce(below, axis=0, dtype=np.intp) - 2) * cell
+        ok = np.isfinite(x) & below[0] & ~below[-1] & (x >= low) & (x < low + width)
+    lo[sel[ok]] = x[ok]
+    rest = np.ones(lo.size, dtype=bool)
+    rest[sel[ok]] = False
+    return np.flatnonzero(rest)
 
 
 def _inverse_iteration(d, e, w, top):

@@ -256,17 +256,21 @@ def random_skew_symmetric(n, seed, scale=1.0):
     """Random n x n quaternion skew-symmetric matrix, reproducible by seed.
 
     The strictly upper triangle is drawn row-major, four independent
-    components per entry, uniform on [-scale, scale] for a normal scale;
-    the lower triangle is the negated transpose and the diagonal is zero.  The stream comes from
-    numpy's counter-based Philox generator keyed by the seed, so the same
-    (n, seed, scale) always yields the same matrix, on any platform.  A
-    sequence of B seeds gives a (B, n, n, 4) stack whose slice b is
-    bitwise the matrix of seed[b].
+    components per entry, uniform on [-scale, scale] for a normal scale
+    of at most half the largest float (else ValueError); the lower
+    triangle is the negated transpose and the diagonal is zero.  The
+    stream comes from numpy's counter-based Philox generator keyed by the
+    seed, so the same (n, seed, scale) always yields the same matrix, on
+    any platform.  A sequence of B seeds gives a (B, n, n, 4) stack whose
+    slice b is bitwise the matrix of seed[b].
     """
     if n < 2:
         raise ValueError("need n >= 2, got %d" % n)
     if not scale >= np.finfo(float).tiny:  # a subnormal scale quantizes the draws
         raise ValueError("scale must be positive and normal (>= 2^-1022), got %r" % scale)
+    if scale > np.finfo(float).max / 2:  # the draws' range, 2 scale, would overflow
+        raise ValueError("scale must be at most half the largest float (%r), got %r"
+                         % (float(np.finfo(float).max / 2), scale))
     stacked = np.ndim(seed) > 0
     seeds = list(seed) if stacked else [seed]
     k = n * (n - 1) // 2

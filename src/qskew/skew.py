@@ -18,9 +18,6 @@ from .qmatrix import QuatMatrix, random_skew_symmetric
 from .quaternion import Quaternion, _times_pow2
 from .spectra import gram_spectrum, quat_inverse
 
-# trials that basic_candidate_search samples, checks and solves as one stack
-SEARCH_BLOCK = 64
-
 
 @dataclass
 class SkewTriple:
@@ -221,12 +218,21 @@ def trial_seed(seed, trial):
     return z
 
 
+def _search_block(n):
+    """Trials that an n x n search samples, checks and solves as one stack:
+    as many as fit in 2^14 quaternion entries, and at least 64, so 1024 at
+    n = 4, 256 at n = 8 and 64 from n = 16 up."""
+    return max(64, 2 ** 14 // n ** 2)
+
+
 def _candidate(values, gap_tol):
     """For each row of ascending spectra (B, n): whether it is a hit, every
     value positive and every consecutive gap above gap_tol * its largest
-    value, and its largest value and smallest gap."""
+    value, and its largest value and smallest gap.  A floor beyond the
+    float range is infinite, which no spectrum clears."""
     lam_max = values.max(axis=-1)
-    floor = gap_tol * lam_max
+    with np.errstate(over="ignore"):
+        floor = gap_tol * lam_max
     gap = np.diff(values, axis=-1).min(axis=-1)
     hit = (lam_max > 0.0) & (values.min(axis=-1) > floor) & (gap > floor)
     return hit, lam_max, gap
@@ -240,20 +246,22 @@ def basic_candidate_search(n, trials, seed, scale=1.0, gap_tol=1e-3):
     produced by any complex skew-symmetric matrix of the same size, so
     hits are evidence (not proof) of genuinely quaternionic behaviour.
     Deterministic for fixed (n, trials, seed, scale, gap_tol): per-trial
-    streams come from trial_seed.  SEARCH_BLOCK consecutive trials are
-    drawn into one (B, n, n, 4) stack, which goes once through
-    gram_spectrum and the hit test at unit size, slice by slice, so the
-    hits depend neither on scale nor on the block size; only a hit gets a
-    QuatMatrix of its own, its eigenvalues scaled back by 4^e (0 below the
-    float range).  Everything runs in the calling thread.
+    streams come from trial_seed.  _search_block(n) consecutive trials,
+    as many as fit in 2^14 quaternion entries and at least 64, are drawn
+    into one (B, n, n, 4) stack, which goes once through gram_spectrum and
+    the hit test at unit size, slice by slice, so the hits depend neither
+    on scale nor on the block size; only a hit gets a QuatMatrix of its
+    own, its eigenvalues scaled back by 4^e (0 below the float range).
+    Everything runs in the calling thread.
     """
     if n < 4:
         raise ValueError("search needs n >= 4; smaller sizes are settled")
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     hits = []
-    for first in range(0, trials, SEARCH_BLOCK):
-        block = range(first, min(first + SEARCH_BLOCK, trials))
+    size = _search_block(n)
+    for first in range(0, trials, size):
+        block = range(first, min(first + size, trials))
         zs = random_skew_symmetric(n, [trial_seed(seed, t) for t in block], scale)
         _, spectrum, e = gram_spectrum(zs)
         hit, lam_max, gap = _candidate(spectrum.values, gap_tol)

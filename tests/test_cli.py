@@ -551,6 +551,24 @@ def test_search_basic_rejects_a_subnormal_scale(capsys, scale):
     assert captured.err == "--scale must be normal, at least 2^-1022\n"
 
 
+@pytest.mark.parametrize("scale", ["1e308", repr(float(np.nextafter(np.finfo(float).max / 2, np.inf)))])
+def test_search_basic_rejects_a_scale_beyond_half_the_largest_float(capsys, scale):
+    assert main(["search-basic", "--trials", "5", "--scale", scale]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("--scale must be at most half the largest float, "
+                            "8.988465674311579e+307\n")
+
+
+def test_search_basic_gap_tol_beyond_the_float_range_finds_no_hit(capsys):
+    # gap_tol * the largest value overflows: an infinite floor, cleared by no
+    # spectrum, and no warning
+    assert main(["search-basic", "--trials", "5", "--gap-tol", "1e308"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == '{"hits": 0, "max_gap": null, "min_gap": null, "trials": 5}\n'
+
+
 def test_search_basic_takes_the_smallest_normal_scale(capsys):
     assert main(["search-basic", "--trials", "5", "--scale", repr(2.0 ** -1022)]) == 0
     assert json.loads(capsys.readouterr().out.splitlines()[-1])["trials"] == 5

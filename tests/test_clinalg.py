@@ -583,3 +583,120 @@ def test_herm_eig_one_by_one_and_empty_stacks():
         w, y = _tridiagonal_eig(np.zeros((count, m)), np.zeros((count, max(m - 1, 0))),
                                 vectors=True)
         assert w.shape == (count, m) and y.shape == (count, m, m)
+
+
+def plain_bisection(d, e2, top):
+    """_bisect by its definition: 53 rounds of one cut per interval on the
+    dyadic grid over [-top, top], with the Sturm counts written out."""
+    count, m = d.shape
+    lo = np.repeat(-top[:, None], m, axis=1)
+    with np.errstate(divide="ignore", over="ignore"):
+        for level in range(1, 54):
+            x = lo + np.ldexp(2.0 * top, -level)[:, None]
+            q = d[:, :1] - x
+            below = np.signbit(q).astype(np.intp)
+            for i in range(1, m):
+                q = (d[:, i:i + 1] - x) - e2[:, i - 1:i] / q
+                below += np.signbit(q)
+            lo = np.where(below <= np.arange(m), x, lo)
+    return np.sort(lo + np.ldexp(2.0 * top, -54)[:, None], axis=1)
+
+
+def gershgorin_top(d, e2):
+    """The power of two above each slice's Gershgorin bound, as
+    _tridiagonal_eig hands it to _bisect."""
+    off = np.sqrt(e2)
+    radius = np.abs(d)
+    radius[:, 1:] += off
+    radius[:, :-1] += off
+    return np.ldexp(1.0, np.frexp(radius.max(axis=1))[1])
+
+
+def quaternion_tridiagonal(w):
+    """(d, e2), a stack of one, of the real tridiagonal form of a Hermitian
+    quaternion W, laid out and scaled as herm_eig does."""
+    n = w.nrows
+    c = w.chi()[:n]
+    ac, ad = (c[:, :n] + c[:, :n].conj().T) / 2, (c[:, n:] - c[:, n:].T) / 2
+    a = np.stack([ac, ad], axis=2).reshape(1, n, 2 * n)
+    return _tridiagonal(unit_scaled(a)[0])
+
+
+def bisection_input(kind, m, rng):
+    """(d, e2) of one tridiagonal of about m rows, entries of size about 1,
+    whose spectrum is of the given kind."""
+    if kind == "golub_kahan":  # +-sigma, and 0 when m is odd
+        return golub_kahan(m, rng)
+    if kind == "wilkinson":  # W21+, whose top pairs agree to about 1e-14
+        return np.abs(np.arange(21.0) - 10)[None] / 16, np.full((1, 20), 2.0 ** -8)
+    if kind == "floor":  # repeated diagonal entries, off-diagonals at the floor
+        return rng.integers(-2, 3, (1, m)) / 4.0, np.zeros((1, m - 1))
+    if kind == "search":  # W = Z Z* of a search trial: simple, positive
+        return quaternion_tridiagonal(gram_product(random_skew_symmetric(
+            max(m, 4), int(rng.integers(2 ** 32)))))
+    if kind == "degenerate3":  # the quaternion (0, s, s) class: near-doubles
+        return quaternion_tridiagonal(gram_product(sample_degenerate_triple(rng).matrix()))
+    return unit_tridiagonal(structured_hermitian(kind, m, rng))
+
+
+@given(st.sampled_from(["search", "random", "chi", "zz", "degenerate", "degenerate3",
+                        "golub_kahan", "wilkinson", "floor"]),
+       st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=8),
+       st.booleans(), st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=80, deadline=None)
+def test_bisect_on_a_newton_stack_is_plain_grid_bisection(kind, m, extra, mixed, seed):
+    # stacks of 74 intervals and more take Newton steps on every isolated
+    # eigenvalue, when at least half are, and bisect the rest; the cells
+    # must be those of the plain bisection, bitwise: simple spectra, exact
+    # doubles (chi, complex Z Z*), near-doubles, zero eigenvalues, the
+    # +-sigma form, off-diagonals at the 2^-512 floor and W21+, each alone
+    # or, mixed, among slices with simple spectra
+    rng = np.random.default_rng(seed)
+    first = bisection_input(kind, m, rng)
+    m = first[0].shape[1]
+    picks = [first] + [bisection_input("random" if mixed and rng.uniform() < 0.7 else kind,
+                                       m, rng)
+                       for _ in range(-(-74 // m) - 1 + extra)]
+    d, e2 = (np.concatenate(part) for part in zip(*picks))
+    assert d.size >= 74
+    e2 = np.maximum(e2, 2.0 ** -512)
+    top = gershgorin_top(d, e2)
+    w = qskew.clinalg._bisect(d, e2, top)
+    assert w.tobytes() == plain_bisection(d, e2, top).tobytes()
+
+
+def test_newton_confirms_every_cell_of_a_search_stack():
+    # a search block's spectra are simple: every interval is closed by
+    # Newton steps and confirmed by Sturm counts, none is bisected further
+    d, e2 = (np.concatenate(part) for part in zip(*[
+        bisection_input("search", 4, np.random.default_rng(seed)) for seed in range(100)]))
+    top = gershgorin_top(d, e2)
+    index, span = np.tile(np.arange(4), 100), np.repeat(2.0 * top, 4)
+    with np.errstate(divide="ignore", over="ignore"):
+        lo = qskew.clinalg._grid(d.T, e2.T, index, -span / 2, span, 0, 9)
+        rest = qskew.clinalg._newton_cells(d, e2, index, lo, span, 9)
+    assert rest.size == 0
+    w = np.sort((lo + np.ldexp(span, -54)).reshape(100, 4), axis=1)
+    assert w.tobytes() == plain_bisection(d, e2, top).tobytes()
+
+
+@given(st.sampled_from(["search", "random", "chi", "zz"]),
+       st.integers(min_value=2, max_value=24), st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=20, deadline=None)
+def test_herm_eig_newton_stack_slices_match_single_calls(kind, m, seed):
+    # a stack of 74 intervals or more against each slice on its own, which
+    # bisects on the grid alone
+    rng = np.random.default_rng(seed)
+    if kind == "search":
+        z = random_skew_symmetric(m, [int(s) for s in rng.integers(2 ** 32, size=-(-74 // m))])
+        w = gram_product(z)
+        stack = w.chi()[:, :m]
+    else:
+        first = structured_hermitian(kind, m, rng)
+        m = first.shape[0]
+        stack = np.array([first] + [structured_hermitian(kind, m, rng)
+                                    for _ in range(-(-74 // m) - 1)])
+    assert stack.shape[0] * m >= 74
+    values = herm_eig(stack)
+    for b in range(stack.shape[0]):
+        assert herm_eig(stack[b]).tobytes() == values[b].tobytes()

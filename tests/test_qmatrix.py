@@ -373,3 +373,13 @@ def test_sampler_rejects_a_subnormal_scale(scale):
 def test_sampler_takes_the_smallest_normal_scale():
     z = random_skew_symmetric(4, 0, scale=2.0 ** -1022)
     assert z.is_skew_symmetric() and 0 < np.abs(z.data).max() <= 2.0 ** -1022
+
+
+def test_sampler_scale_stops_at_half_the_largest_float():
+    # the draws' range [-scale, scale] has width 2 scale, which must not overflow
+    half = np.finfo(float).max / 2
+    z = random_skew_symmetric(4, [0, 1], scale=half)
+    assert z.is_skew_symmetric().all() and np.abs(z.data).max() <= half
+    for scale in (np.nextafter(half, np.inf), 1e308):
+        with pytest.raises(ValueError, match=r"at most half the largest float \(8\.98"):
+            random_skew_symmetric(4, 0, scale=scale)

@@ -248,14 +248,31 @@ def test_search_rejects_small_n():
         basic_candidate_search(3, trials=5, seed=0)
 
 
+def test_search_gap_tol_beyond_the_float_range_finds_no_hit():
+    # the floor gap_tol * lam_max overflows to inf, without a warning (which
+    # pytest turns into an error), and no spectrum clears it; below that the
+    # hits stay those of a finite floor
+    assert basic_candidate_search(4, 3, 0, gap_tol=1e308) == []
+    assert basic_candidate_search(4, 64, 0, gap_tol=1e-300)
+
+
 def test_search_hits_do_not_depend_on_block_size(monkeypatch):
-    default = [json.dumps(x.to_dict(), sort_keys=True)
-               for x in basic_candidate_search(4, 60, 11)]
-    # 60 trials in blocks of 7 cross eight block boundaries
-    monkeypatch.setattr(qskew.skew, "SEARCH_BLOCK", 7)
-    small = [json.dumps(x.to_dict(), sort_keys=True)
-             for x in basic_candidate_search(4, 60, 11)]
-    assert default and small == default
+    # 260 trials at n = 8 cross the boundary of its blocks of 256; in
+    # blocks of 7, each below the size at which the eigensolver takes
+    # Newton steps, 60 trials cross eight boundaries and 260 many more
+    sizes = [(4, 60), (8, 260)]
+    default = [[json.dumps(x.to_dict(), sort_keys=True)
+                for x in basic_candidate_search(n, trials, 11)] for n, trials in sizes]
+    monkeypatch.setattr(qskew.skew, "_search_block", lambda n: 7)
+    small = [[json.dumps(x.to_dict(), sort_keys=True)
+              for x in basic_candidate_search(n, trials, 11)] for n, trials in sizes]
+    assert all(default) and small == default
+
+
+def test_search_block_rule():
+    # as many trials as fit in 2^14 quaternion entries, and at least 64
+    rule = qskew.skew._search_block
+    assert [rule(n) for n in (4, 5, 8, 16, 64)] == [1024, 655, 256, 64, 64]
 
 
 def test_search_solves_a_block_per_eigensolver_call(monkeypatch):
@@ -267,13 +284,13 @@ def test_search_solves_a_block_per_eigensolver_call(monkeypatch):
         return solve(h)
 
     monkeypatch.setattr(qskew.spectra, "herm_eig", counting)
-    block = qskew.skew.SEARCH_BLOCK
+    block = qskew.skew._search_block(4)
     for trials in (0, 1, block, 2 * block + 1):
         calls.clear()
         basic_candidate_search(4, trials, 3)
         assert len(calls) == math.ceil(trials / block)
         assert sum(calls) == trials
-    monkeypatch.setattr(qskew.skew, "SEARCH_BLOCK", 7)
+    monkeypatch.setattr(qskew.skew, "_search_block", lambda n: 7)
     calls.clear()
     basic_candidate_search(4, 60, 11)
     assert calls == [7] * 8 + [4]
@@ -291,7 +308,7 @@ def test_search_builds_few_matrices_per_trial(monkeypatch):
         init(self, data)
 
     monkeypatch.setattr(QuatMatrix, "__init__", counting)
-    block = qskew.skew.SEARCH_BLOCK
+    block = qskew.skew._search_block(4)
     hits = basic_candidate_search(4, 2 * block + 2, 5)
     assert hits
     assert len(calls) <= len(hits) + 6 * 3
@@ -313,7 +330,7 @@ def test_search_samples_and_solves_a_block_per_call(monkeypatch):
     spy(qskew.skew, names[0])
     spy(qskew.spectra, names[1])
     spy(QuatMatrix, names[2])
-    block = qskew.skew.SEARCH_BLOCK
+    block = qskew.skew._search_block(4)
     for trials in (0, 1, block, 2 * block + 1):
         counts.clear()
         basic_candidate_search(4, trials, 3)
