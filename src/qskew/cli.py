@@ -198,9 +198,13 @@ def cmd_search_basic(args):
     if args.scale < np.finfo(float).tiny:  # subnormal draws keep few bits
         print("--scale must be normal, at least 2^-1022", file=sys.stderr)
         return 2
-    if args.scale > np.finfo(float).max / 2:  # the draws span 2 scale
-        print("--scale must be at most half the largest float, %r"
-              % float(np.finfo(float).max / 2), file=sys.stderr)
+    # an entry has norm at most 2 scale, so ||Z||_F is at most 2^511 and W = Z Z*,
+    # whose trace is ||Z||_F^2, keeps every entry and eigenvalue in range
+    limit = math.ldexp(1.0, 510) / math.sqrt(args.n * (args.n - 1))
+    if args.scale > limit:
+        print("--scale must be at most 2^510 / sqrt(n (n - 1)) = %r at --n %d, "
+              "so that W = Z Z* stays in the float range" % (limit, args.n),
+              file=sys.stderr)
         return 2
     candidates = basic_candidate_search(args.n, args.trials, args.seed,
                                         scale=args.scale, gap_tol=args.gap_tol)

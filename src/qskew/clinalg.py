@@ -15,20 +15,21 @@ Provided:
   whose level-53 cell Sturm counts confirm, so both give the same bits.
   Every step works on all slices at once, and every slice is checked and
   converges on its own
-* _tridiagonal_eig: that tridiagonal solve, with eigenvectors by inverse
-  iteration when asked for; hua_decompose solves with it the tridiagonals
-  that _skew_tridiagonal, a skew Householder congruence run on a stack of
-  Z at once, makes of them
+* _tridiagonal_eig: that tridiagonal solve, from a first index up, with
+  eigenvectors by inverse iteration when asked for; hua_decompose solves
+  with it the +sigma half of the tridiagonals that _skew_tridiagonal, a
+  skew Householder congruence run on a stack of Z at once, makes of them
 * unit_scaled: the one scaling rule; every entry point that squares or
   inverts its input works on it scaled to unit size by a power of two,
   exactly
-* frobenius_norm: Frobenius norm, of an array or per slice, that neither
-  under- nor overflows
+* frobenius_norm: Frobenius norm, of an array or per slice, that does not
+  underflow, and is inf only when the norm lies beyond the float range
 * lu_inverse: the inverse by one LU factorization with partial pivoting,
   of one matrix or of each slice of a stack, each unit_scaled, with an
   invertible flag each
 * mgs_orthonormalize: Gram-Schmidt, run twice
-* positive_clusters: a spectrum's positive clusters; even_clusters: are all even
+* positive_clusters: a spectrum's positive clusters; even_clusters: are all
+  even, decided for every row at once by the same cluster rule
 * _require: the check that names the first slice of a stack that fails it
 
 Every routine that takes a stack solves each slice as a single call would,
@@ -56,6 +57,9 @@ CLUSTER_TOL = 1e-8
 # Newton steps _newton_cells takes on an isolated eigenvalue before its cell
 # is confirmed or handed back to bisection
 NEWTON_STEPS = 6
+# the float limits, looked up once
+EPS = np.finfo(float).eps
+TINY = np.finfo(float).tiny
 
 
 def _require(ok, message, *values, error=ValueError):
@@ -90,10 +94,11 @@ def unit_scaled(a, axis=None):
 def frobenius_norm(a, axis=None):
     """Frobenius norm of a real or complex array, as a float, or with axis
     the array of norms of its slices over those axes: the sum of squares
-    of a unit_scaled slice, scaled back, so it neither under- nor
-    overflows."""
+    of a unit_scaled slice, scaled back, so no square under- or overflows.
+    A norm beyond the float range is inf, without a warning."""
     mag, e = unit_scaled(np.abs(a), axis)
-    norm = np.ldexp(np.sqrt((mag ** 2).sum(axis=axis)), e)
+    with np.errstate(over="ignore"):
+        norm = np.ldexp(np.sqrt((mag ** 2).sum(axis=axis)), e)
     return float(norm) if axis is None else norm
 
 
@@ -132,18 +137,23 @@ def herm_eig(h):
     return w[0] if single else w
 
 
-def _tridiagonal_eig(d, e2, vectors=False):
-    """Eigenvalues w (B, m), ascending, of the real symmetric tridiagonal
-    matrices T with diagonal d (B, m) and squared off-diagonal e2
-    (B, m - 1), entries of size about 1; with vectors, (w, y) where the
-    columns of y (B, m, m) are the matching orthonormal eigenvectors.
+def _tridiagonal_eig(d, e2, vectors=False, first=0):
+    """Eigenvalues w (B, m - first), ascending, from eigenvalue first up, of
+    the real symmetric tridiagonal matrices T with diagonal d (B, m) and
+    squared off-diagonal e2 (B, m - 1), entries of size about 1; with
+    vectors, (w, y) where the columns of y (B, m, m - first) are the
+    matching orthonormal eigenvectors.
 
     A slice with no nonzero off-diagonal entry takes its sorted diagonal as
     eigenvalues and unit vectors as eigenvectors, so the zero matrix gives
-    w = 0 and y = I exactly.  The others bisect every eigenvalue on Sturm
+    w = 0 and y = I exactly.  The others bisect their eigenvalues on Sturm
     counts (_bisect) and, with vectors, run inverse iteration
     (_inverse_iteration), which raises ConvergenceError at its iteration
-    limit.  w is bitwise the same with and without vectors.
+    limit.  Each value is bitwise that of a full solve (first = 0), with or
+    without vectors.  So is each vector when first starts a cluster of
+    every slice, which keeps every vector's cluster predecessors; with
+    vectors, first is moved down to such a start, solving the values below
+    it that takes, and w and y begin there.
     """
     m = d.shape[1]
     order = np.argsort(d, axis=1, kind="stable")
@@ -160,29 +170,64 @@ def _tridiagonal_eig(d, e2, vectors=False):
         radius[:, :-1] += off
         # the power of two above each Gershgorin bound
         top = np.ldexp(1.0, np.frexp(radius.max(axis=1))[1])
-        w[rows] = _bisect(d, e2, top)
+        part = _bisect(d, e2, top, first)
+        if vectors and first:
+            # value first starts a cluster (_apart from value first - 1)
+            # when the Sturm count 4 grid cells below its gap already
+            # reaches first; else all values are solved, and first moves
+            # down to the start of its cluster
+            with np.errstate(divide="ignore", over="ignore"):
+                below = _sturm_counts(d.T, e2.T, part[:, 0] - (CLUSTER_GAP + 4 * EPS) * top)
+            if (below < first).any():
+                part = _bisect(d, e2, top, 0)
+                starts = np.r_[True, _apart(part, top).all(axis=0)]
+                first = int(np.flatnonzero(starts[:first + 1])[-1])
+                part = part[:, first:]
+        w[rows, first:] = part
         if vectors:
-            y[rows] = _inverse_iteration(d, off, w[rows], top)
-    return (w, y) if vectors else w
+            y[rows, :, first:] = _inverse_iteration(d, off, part, top)
+    return (w[:, first:], y[:, :, first:]) if vectors else w[:, first:]
 
 
-def _reflector(x, norm2):
-    """(v, tau) of the reflections I - tau v v^* that map each column x of a
-    (B, k, w) stack, complex (w = 1) or of pairs (c, d) of c + d j (w = 2),
-    onto -(x_0 / |x_0|) ||x|| e_1, given norm2 = ||x||^2, so v^* x is real.
-    A column whose squared norm underflows gets tau = 0, the identity: its
-    entries are below 1e-154."""
-    live = norm2 >= np.finfo(float).tiny
-    v = np.divide(x, np.sqrt(norm2)[:, None, None], out=np.zeros_like(x),
-                  where=live[:, None, None])
+def _reflector(x, norm2, v):
+    """The reflections I - tau v v^* that map each column x of a (B, k, w)
+    stack, complex (w = 1) or of pairs (c, d) of c + d j (w = 2), onto
+    -(x_0 / |x_0|) ||x|| e_1, given norm2 = ||x||^2, so v^* x is real:
+    writes each v into v, shaped as x, and returns tau.  A column whose
+    squared norm underflows gets tau = 0, the identity: its entries are
+    below 1e-154."""
+    live = norm2 >= TINY
+    v[...] = 0
+    np.divide(x, np.sqrt(norm2)[:, None, None], out=v, where=live[:, None, None])
     head = x[:, 0]
-    size = np.hypot.reduce(np.abs(head), axis=1)[:, None]
     # v = x / ||x|| + (x_0 / |x_0|) e_1, the sum with no cancellation
-    v[:, 0] += (np.exp(1j * np.angle(head)) if x.shape[2] == 1 else np.divide(
-        head, size, out=np.tile([1 + 0j, 0], (len(x), 1)), where=size > 0))
-    tau = np.divide(2.0, (v.real ** 2 + v.imag ** 2).sum(axis=(1, 2)),
-                    out=np.zeros(len(x)), where=live)
-    return v, tau
+    if x.shape[2] == 1:
+        v[:, 0] += np.exp(1j * np.angle(head))
+    else:
+        size = np.hypot.reduce(np.abs(head), axis=1)[:, None]
+        unit = np.zeros((len(x), 2), dtype=complex)
+        unit[:, 0] = 1
+        v[:, 0] += np.divide(head, size, out=unit, where=size > 0)
+    return np.divide(2.0, (v.real ** 2 + v.imag ** 2).sum(axis=(1, 2)),
+                     out=np.zeros(len(x)), where=live)
+
+
+# the signs of row 2i + 1 of chi(u), (-conj d_i, conj c_i)
+_ADJOINT_SIGNS = np.array([-1, 1])
+
+
+def _adjoint(u, out):
+    """The rows of chi(u) for the columns u (B, k, w), written into out
+    (B, w k, w): u itself when complex (w = 1), and for the pairs
+    (c_i, d_i) of c_i + d_i j (w = 2) rows 2i, 2i + 1, (c_i, d_i) and
+    (-conj d_i, conj c_i); returns out."""
+    if u.shape[2] == 1:
+        out[...] = u
+        return out
+    out[:, 0::2] = u
+    odd = np.conjugate(u[..., ::-1], out=out[:, 1::2])
+    np.multiply(_ADJOINT_SIGNS, odd, out=odd)
+    return out
 
 
 def _tridiagonal(a):
@@ -194,30 +239,35 @@ def _tridiagonal(a):
     (c_ij, d_ij) of A_ij = c_ij + d_ij j.  Step k reflects column k below
     the diagonal (_reflector); with V the columns of chi(v), H A H is the
     rank-2 update A - v W^* - w V^*, p = tau A V, w = p - (tau/2) Re(v^* p) v.
-    A column too small to square is left as it is and changes no
-    eigenvalue at double precision.  a is overwritten."""
+    Each step writes v, V, [v | w] and conj [W | V] into buffers made once
+    per call.  A column too small to square is left as it is and changes
+    no eigenvalue at double precision.  a is overwritten."""
     count, m = a.shape[:2]
     width = a.shape[2] // m if m else 1
-
-    def adjoint(u):
-        """Rows 2i, 2i + 1 of chi(u): (c_i, d_i) and (-conj d_i, conj c_i)."""
-        if width == 1:
-            return u
-        rows = np.stack([u, [-1, 1] * u[..., ::-1].conj()], axis=2)
-        return rows.reshape(count, 2 * u.shape[1], 2)
+    v = np.empty((count, m, width), dtype=complex)
+    big_v = np.empty((count, width * m, width), dtype=complex)
+    left = np.empty((count, m, 2 * width), dtype=complex)
+    right = np.empty((count, width * m, 2 * width), dtype=complex)
     e2 = np.zeros((count, m))[:, 1:]
     for k in range(m - 1):
         x = a[:, k + 1:, width * k:width * (k + 1)]
         e2[:, k] = (x.real ** 2 + x.imag ** 2).sum(axis=(1, 2))
         if k == m - 2:
             break
-        v, tau = _reflector(x, e2[:, k])
-        big_v = adjoint(v)
+        rows = m - k - 1
+        vk = v[:, :rows]
+        tau = _reflector(x, e2[:, k], vk)
+        vv = _adjoint(vk, big_v[:, :width * rows])
         trail = a[:, k + 1:, width * (k + 1):]
-        p = tau[:, None, None] * (trail @ big_v)
-        w = p - (0.5 * tau * (v.conj() * p).sum(axis=(1, 2)).real)[:, None, None] * v
-        trail -= (np.concatenate([v, w], axis=2)
-                  @ np.concatenate([adjoint(w), big_v], axis=2).conj().swapaxes(1, 2))
+        p = tau[:, None, None] * (trail @ vv)
+        vw, wv = left[:, :rows], right[:, :width * rows]
+        vw[:, :, :width] = vk
+        w = np.subtract(p, (0.5 * tau * (vk.conj() * p).sum(axis=(1, 2)).real)[:, None, None]
+                        * vk, out=vw[:, :, width:])
+        _adjoint(w, wv[:, :, :width])
+        wv[:, :, width:] = vv
+        np.conjugate(wv, out=wv)
+        trail -= vw @ wv.swapaxes(1, 2)
     return a[:, np.arange(m), width * np.arange(m)].real, e2
 
 
@@ -231,28 +281,32 @@ def _skew_tridiagonal(a):
     superdiagonal is sqrt(e2), and U = D Q (B, m, m).  Step k of Q reflects
     column k below the subdiagonal (_reflector) and applies H A H^T, which
     keeps A skew, as the rank-2 update A += v w^T - w v^T with
-    w = tau A conj(v) (the term in v^* A conj(v) = 0 drops out).  The
-    unitary diagonal D makes the superdiagonal real and nonnegative.  A
-    column too small to square is left as it is.  a is overwritten, except
-    for the columns below the subdiagonal, which no step writes.
+    w = tau A conj(v) (the term in v^* A conj(v) = 0 drops out); v and
+    conj(v) are written into buffers made once per call.  The unitary
+    diagonal D makes the superdiagonal real and nonnegative.  A column too
+    small to square is left as it is.  a is overwritten, except for the
+    columns below the subdiagonal, which no step writes.
     """
     count, m = a.shape[:2]
     e2 = np.zeros((count, m))[:, 1:]
     taus = np.zeros((count, m))[:, 1:]
     q = np.zeros((count, m, m), dtype=complex)
     q[:] = np.eye(m)
+    v = np.empty((count, m, 1), dtype=complex)
+    v_conj = np.empty_like(v)
     for k in range(m - 1):
         x = a[:, k + 1:, k]
         e2[:, k] = (x.real ** 2 + x.imag ** 2).sum(axis=1)
         if k == m - 2:
             break
-        v, tau = _reflector(x[:, :, None], e2[:, k])
+        vk = v[:, :m - k - 1]
+        tau = _reflector(x[:, :, None], e2[:, k], vk)
         taus[:, k] = tau
-        tau, vc = tau[:, None, None], v.conj()
+        tau, vc = tau[:, None, None], np.conjugate(vk, out=v_conj[:, :m - k - 1])
         trail = a[:, k + 1:, k + 1:]
         w = tau * (trail @ vc)
-        trail += v * w.swapaxes(1, 2) - w * v.swapaxes(1, 2)
-        q[:, k + 1:] -= (tau * v) * (vc.swapaxes(1, 2) @ q[:, k + 1:])
+        trail += vk * w.swapaxes(1, 2) - w * vk.swapaxes(1, 2)
+        q[:, k + 1:] -= (tau * vk) * (vc.swapaxes(1, 2) @ q[:, k + 1:])
     # T_{k, k + 1} is e^{i arg x_0} ||x|| once column k is reflected, else
     # -x_0; D_{k + 1} = conj(D_k phase_k) as Python complex products, which
     # round alike on every machine (numpy's array product may fuse them)
@@ -267,9 +321,9 @@ def _skew_tridiagonal(a):
     return e2, diag[:, :, None] * q
 
 
-def _bisect(d, e2, top):
-    """Ascending eigenvalues (B, m) of symmetric tridiagonals, each the
-    midpoint of its cell of a dyadic grid.
+def _bisect(d, e2, top, first=0):
+    """Ascending eigenvalues first, ..., m - 1 (B, m - first) of symmetric
+    tridiagonals, each the midpoint of its cell of a dyadic grid.
 
     Eigenvalue j of slice b starts in [-t_b, t_b], with t_b = top[b] a
     power of two at or above its Gershgorin bound, and ends as the midpoint
@@ -279,7 +333,8 @@ def _bisect(d, e2, top):
     the eigenvalues below x, and each pivot rounds monotonically in x, so
     the counts never fall as x rises (a zero pivot makes the next one
     infinite with the sign that keeps the count right) and that cell is
-    one and the same however it is found.
+    one and the same however it is found, and whichever other eigenvalues
+    are solved with it.
 
     _grid finds it by bisection on the fixed grid.  A stack where a round
     makes at most 3 cuts per interval (about 74 intervals or more) is
@@ -289,8 +344,9 @@ def _bisect(d, e2, top):
     on with the bisection from that level.
     """
     count, m = d.shape
-    index = np.tile(np.arange(m), count)
-    lo = -np.repeat(top, m)
+    per = m - first
+    index = np.tile(np.arange(first, m), count)
+    lo = -np.repeat(top, per)
     span = -2.0 * lo
     with np.errstate(divide="ignore", over="ignore"):
         if _levels_per_round(index.size) > 2:
@@ -303,10 +359,10 @@ def _bisect(d, e2, top):
                 lo = _grid(d.T, e2.T, index, lo, span, level)
             elif rest.size:
                 # one column per interval
-                slices = rest // m
+                slices = rest // per
                 lo[rest] = _grid(d[slices].T, e2[slices].T, index[rest], lo[rest],
                                  span[rest], level)
-    return np.sort((lo + np.ldexp(span, -54)).reshape(count, m), axis=1)
+    return np.sort((lo + np.ldexp(span, -54)).reshape(count, per), axis=1)
 
 
 def _levels_per_round(intervals):
@@ -360,7 +416,8 @@ def _newton_cells(d, e2, index, lo, span, level):
     other intervals.
 
     A cell holds one eigenvalue alone when it differs from the cells of
-    both neighbours in its slice.  Unless at least half the intervals are
+    both neighbours solved in its slice; the counts below confirm a cell
+    whatever the neighbours.  Unless at least half the intervals are
     alone, none is taken: the rest would bisect as many rounds anyway.
     Newton's method on det(T - x I), whose log-derivative is the sum of
     r_i = q_i' / q_i, q_i' = -1 + (e2_{i-1} / q_{i-1}) r_{i-1}, starts at
@@ -371,16 +428,17 @@ def _newton_cells(d, e2, index, lo, span, level):
     count first exceeds j, inside the starting cell.  An interval with a
     non-finite point or no such crossing is not confirmed.
     """
-    m = d.shape[1]
-    alone = np.ones(d.shape, dtype=bool)
-    apart = np.diff(lo.reshape(d.shape), axis=1) > 0
+    count, m = d.shape
+    alone = np.ones((count, lo.size // count), dtype=bool)
+    apart = np.diff(lo.reshape(alone.shape), axis=1) > 0
     alone[:, 1:] = apart
     alone[:, :-1] &= apart
     sel = np.flatnonzero(alone)
     if 2 * sel.size < lo.size:
         return np.arange(lo.size)
     # one column per interval
-    d, e2, j = d[sel // m].T, e2[sel // m].T, index[sel]
+    slices = sel // alone.shape[1]
+    d, e2, j = d[slices].T, e2[slices].T, index[sel]
     low = lo[sel]
     width = np.ldexp(span[sel], -level)
     cell = np.ldexp(span[sel], -53)
@@ -411,10 +469,20 @@ def _newton_cells(d, e2, index, lo, span, level):
     return np.flatnonzero(rest)
 
 
+def _apart(w, top):
+    """Whether each of the ascending values w (B, k) but the first lies
+    more than CLUSTER_GAP t_b (t_b = top[b]) above the one before, so
+    starts a cluster: (B, k - 1)."""
+    return np.diff(w, axis=1) > CLUSTER_GAP * top[:, None]
+
+
 def _inverse_iteration(d, e, w, top):
-    """Eigenvectors (B, m, m) of symmetric tridiagonals with diagonal d,
-    off-diagonal e > 0 and ascending eigenvalues w, by inverse iteration
-    on every (slice, eigenvalue) column at once.
+    """Eigenvectors (B, m, k) of symmetric tridiagonals with diagonal d
+    (B, m), off-diagonal e > 0 and ascending eigenvalues w (B, k), the top
+    k of each, by inverse iteration on every (slice, eigenvalue) column at
+    once.  Column j of each slice starts from column m - k + j of one fixed
+    random (m, m) draw, so when w[:, 0] starts a cluster, each vector is
+    bitwise that of the full solve.
 
     Eigenvalues with neighbour gaps of at most CLUSTER_GAP t_b (t_b =
     top[b]) form a cluster.  Column j factors T - s_j I once by
@@ -431,20 +499,21 @@ def _inverse_iteration(d, e, w, top):
     MAX_PASSES.
     """
     count, m = d.shape
-    n = count * m
-    # the rank of column b m + j in its cluster, and for each rank its
+    per = w.shape[1]
+    n = count * per
+    # the rank of column b per + j in its cluster, and for each rank its
     # columns with those of their earlier members
-    new = np.ones((count, m), dtype=bool)
-    new[:, 1:] = np.diff(w, axis=1) > CLUSTER_GAP * top[:, None]
+    new = np.ones((count, per), dtype=bool)
+    new[:, 1:] = _apart(w, top)
     rank = np.arange(n) - np.maximum.accumulate(np.where(new.ravel(), np.arange(n), 0))
     groups = [(cols, cols[:, None] - np.arange(r, 0, -1))
               for r in range(1, rank.max() + 1) for cols in [np.flatnonzero(rank == r)]]
-    tiny = np.repeat(np.finfo(float).eps * top, m)
+    tiny = np.repeat(EPS * top, per)
     s = w.ravel().copy()
     for cols, _ in groups:
         s[cols] = np.maximum(s[cols], s[cols - 1] + 10.0 * tiny[cols])
-    shift = (d.repeat(m, axis=0) - s[:, None]).T
-    off = np.repeat(e, m, axis=0).T
+    shift = (d.repeat(per, axis=0) - s[:, None]).T
+    off = np.repeat(e, per, axis=0).T
     # row k of what is left to eliminate is (head, over, 0) in columns k,
     # k + 1, k + 2; the factors are lists of rows
     head, over = shift[0], off[0]
@@ -463,7 +532,8 @@ def _inverse_iteration(d, e, w, top):
 
     bound = 4 * m * np.sqrt(m) * tiny
     done, y = np.zeros(n, dtype=bool), np.zeros((n, m))
-    rows = list(np.tile(np.random.default_rng(0).uniform(-1.0, 1.0, (m, m)), count))
+    start = np.random.default_rng(0).uniform(-1.0, 1.0, (m, m))[:, m - per:]
+    rows = list(np.tile(start, count))
     for sweep in range(MAX_PASSES):
         for k in range(m - 1 if sweep else 0):
             top_row = np.where(swap[k], rows[k + 1], rows[k])
@@ -484,14 +554,14 @@ def _inverse_iteration(d, e, w, top):
                       * earlier).sum(axis=1)
             y[cols] = u / np.sqrt((u ** 2).sum(axis=1))[:, None]
         if sweep:
-            res = (d.repeat(m, axis=0) - w.reshape(n, 1)) * y
+            res = (d.repeat(per, axis=0) - w.reshape(n, 1)) * y
             res[:, 1:] += off.T * y[:, :-1]
             res[:, :-1] += off.T * y[:, 1:]
             done = np.sqrt((res ** 2).sum(axis=1)) <= bound
             for cols, _ in groups:
                 done[cols] &= done[cols - 1]
             if done.all():
-                return y.reshape(count, m, m).transpose(0, 2, 1)
+                return y.reshape(count, per, m).transpose(0, 2, 1)
         rows = list(y.T)
     raise ConvergenceError("inverse iteration limit %d reached" % MAX_PASSES)
 
@@ -587,36 +657,51 @@ def mgs_orthonormalize(vectors, tol=1e-10):
     if len({v.size for v in vectors}) > 1:
         raise ValueError("vectors have mixed lengths")
     kept = np.zeros((len(vectors), vectors[0].size if vectors else 0), dtype=complex)
+    kept_conj = np.zeros_like(kept)
     count = 0
     for v in vectors:
         for _ in range(2):
-            v -= kept[:count].T @ (kept[:count].conj() @ v)
+            v -= kept[:count].T @ (kept_conj[:count] @ v)
         nrm = float(np.sqrt((np.abs(v) ** 2).sum()))
         if nrm > tol:
             kept[count] = v / nrm
+            np.conjugate(kept[count], out=kept_conj[count])
             count += 1
     return list(kept[:count])
 
 
+def _cluster_starts(ascending):
+    """Which entries of each ascending row (..., n) start a positive
+    cluster.  Entries at or below CLUSTER_TOL times the row's largest count
+    as zero; the first positive entry starts a cluster, and so does every
+    later one whose gap to the entry before exceeds that same threshold."""
+    cut = CLUSTER_TOL * ascending.max(axis=-1, initial=0.0)[..., None]
+    positive = ascending > cut
+    start = positive.copy()
+    start[..., 1:] &= ~positive[..., :-1] | (np.diff(ascending, axis=-1) > cut)
+    return start
+
+
 def positive_clusters(values):
-    """Group the positive entries of an ascending eigenvalue array.
+    """Group the positive entries of an eigenvalue array.
 
     Entries at or below CLUSTER_TOL times the largest value count as zero.
     Two neighbours share a cluster when their gap is at most that same
-    threshold.  Returns a list of index lists, one per cluster.
+    threshold (_cluster_starts).  Returns a list of index lists, one per
+    cluster, in ascending order of value.
     """
     values = np.asarray(values, dtype=float)
-    cut = CLUSTER_TOL * float(values.max(initial=0.0))
     order = np.argsort(values, kind="stable")
-    idx = order[values[order] > cut]
-    edges = [0, *(np.flatnonzero(np.diff(values[idx]) > cut) + 1).tolist(), idx.size]
-    return [idx[lo:hi].tolist() for lo, hi in zip(edges, edges[1:]) if hi > lo]
+    starts = np.flatnonzero(_cluster_starts(values[order]))
+    return [cluster.tolist() for cluster in np.split(order, starts)[1:]]
 
 
 def even_clusters(values):
-    """Whether every positive cluster of an ascending spectrum, (n,) or
-    each row of (..., n), has an even size: a bool, or one per row."""
-    values = np.asarray(values, dtype=float)
-    rows = values.reshape(-1, values.shape[-1])
-    even = [all(len(c) % 2 == 0 for c in positive_clusters(v)) for v in rows]
-    return even[0] if values.ndim == 1 else np.array(even, bool).reshape(values.shape[:-1])
+    """Whether every positive cluster of a spectrum, (n,) or each row of
+    (..., n), has an even size: a bool, or one per row.  The positives are
+    a suffix of the sorted row, so its clusters are all even exactly when
+    every cluster start has the parity of n."""
+    rows = np.sort(np.asarray(values, dtype=float), axis=-1)
+    n = rows.shape[-1]
+    even = ~(_cluster_starts(rows) & (np.arange(n) % 2 != n % 2)).any(axis=-1)
+    return bool(even) if rows.ndim == 1 else even

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import subprocess
 import sys
 
@@ -556,8 +557,29 @@ def test_search_basic_rejects_a_scale_beyond_half_the_largest_float(capsys, scal
     assert main(["search-basic", "--trials", "5", "--scale", scale]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("--scale must be at most half the largest float, "
-                            "8.988465674311579e+307\n")
+    assert captured.err == ("--scale must be at most 2^510 / sqrt(n (n - 1)) = "
+                            "9.676251896993948e+152 at --n 4, so that W = Z Z* stays "
+                            "in the float range\n")
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_search_basic_takes_every_scale_whose_w_is_representable(capsys, n):
+    # ||Z||_F <= 2 scale sqrt(n (n - 1)) stays at 2^511, so W = Z Z* and its
+    # eigenvalues stay finite: the limit itself runs without a warning, and
+    # the next float up is refused at the flag check, not by gram_product
+    limit = math.ldexp(1.0, 510) / math.sqrt(n * (n - 1))
+    argv = ["search-basic", "--n", str(n), "--trials", "30", "--seed", "5", "--scale"]
+    assert main(argv + [repr(limit)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert main(argv + ["1"]) == 0
+    assert (json.loads(capsys.readouterr().out.splitlines()[-1])["hits"]
+            == json.loads(captured.out.splitlines()[-1])["hits"])
+    assert main(argv + [repr(math.nextafter(limit, math.inf))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("--scale must be at most 2^510 / sqrt(n (n - 1)) = %r at --n %d, "
+                            "so that W = Z Z* stays in the float range\n" % (limit, n))
 
 
 def test_search_basic_gap_tol_beyond_the_float_range_finds_no_hit(capsys):

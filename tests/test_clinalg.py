@@ -321,6 +321,14 @@ def test_frobenius_norm_neither_under_nor_overflows():
         assert frobenius_norm(c * a) == pytest.approx(5.0 * c, rel=1e-15)
 
 
+def test_frobenius_norm_beyond_the_float_range_is_inf_without_a_warning():
+    # the test configuration makes any RuntimeWarning an error
+    assert frobenius_norm(np.full((2, 2), 1.5e308)) == np.inf
+    stack = np.full((3, 2, 2), 1.5e308, dtype=complex)
+    stack[1] = 1.0
+    np.testing.assert_array_equal(frobenius_norm(stack, axis=(1, 2)), [np.inf, 2.0, np.inf])
+
+
 def test_lu_threshold_does_not_overflow():
     # the pivot threshold is tol * ||A||_F, which must stay finite
     for c in (1e-200, 1e200):
@@ -536,6 +544,48 @@ def test_tridiagonal_eig_vectors_of_clustered_spectra(kind, m, count, seed):
     np.testing.assert_allclose(w[0], ref, rtol=0, atol=1e-13 * scale)
     assert np.abs(t @ y[0] - y[0] * w[0]).max() <= 1e-13 * scale
     assert np.abs(y[0].T @ y[0] - np.eye(m)).max() <= 1e-11
+
+
+def cluster_start(d, e2, w, k):
+    """The highest j <= k at which, in every slice with an off-diagonal
+    entry, a cluster of the full spectrum w starts: j = 0, or w_j lies more
+    than CLUSTER_GAP times the slice's Gershgorin power of two above w_{j-1}."""
+    rows = (e2 > 0).any(axis=1)
+    top = gershgorin_top(d[rows], np.maximum(e2[rows], 2.0 ** -512))
+    gaps = np.diff(w[rows], axis=1) > qskew.clinalg.CLUSTER_GAP * top[:, None]
+    return max(j for j in range(k + 1) if j == 0 or gaps[:, j - 1].all())
+
+
+@given(st.integers(min_value=1, max_value=24), st.integers(min_value=1, max_value=6),
+       st.sampled_from(["golub_kahan", "floor", "zero", "random"]),
+       st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=60, deadline=None)
+def test_tridiagonal_eig_from_a_first_index_is_the_top_of_the_full_solve(m, count, kind,
+                                                                        seed):
+    # values from index k are bitwise the top m - k of the full solve, and
+    # with vectors so are the vectors, from the start of k's cluster, which
+    # keeps every vector's start column and cluster predecessors: zero-diagonal
+    # Golub-Kahan forms of odd and even size, with +-sigma clusters across the
+    # middle when Z loses rank, off-diagonals at the 2^-512 floor, zero slices
+    rng = np.random.default_rng(seed)
+    picks = []
+    for _ in range(count):
+        d, e2 = golub_kahan(m, rng)
+        if kind == "floor":  # split into blocks, some off-diagonals floored
+            e2 = e2 * rng.choice([0.0, 2.0 ** -1000, 1.0], size=e2.shape, p=[0.3, 0.2, 0.5])
+        elif kind == "zero" and rng.uniform() < 0.5:
+            e2 = np.zeros_like(e2)
+        elif kind == "random":
+            d, e2 = unit_tridiagonal(random_hermitian(rng, m))
+        picks.append((d, e2))
+    d, e2 = (np.concatenate(part) for part in zip(*picks))
+    w, y = _tridiagonal_eig(d, e2, vectors=True)
+    for k in sorted({0, m // 2, m - 1, int(rng.integers(m))}):
+        assert _tridiagonal_eig(d, e2, first=k).tobytes() == w[:, k:].tobytes()
+        start = cluster_start(d, e2, w, k) if (e2 > 0).any() else k
+        wk, yk = _tridiagonal_eig(d, e2, vectors=True, first=k)
+        assert wk.tobytes() == w[:, start:].tobytes()
+        assert yk.tobytes() == y[:, :, start:].tobytes()
 
 
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=4),

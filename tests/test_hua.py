@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qskew.clinalg
 from qskew import (
     even_clusters,
     even_multiplicity_check,
@@ -134,6 +135,53 @@ def test_even_clusters():
     assert even_clusters(rows[0]) is True and even_clusters(rows[1]) is False
     assert even_clusters(rows).tolist() == [True, False, True]
     assert even_clusters(np.stack([rows, rows])).shape == (2, 3)
+
+
+def clusters_by_edges(values):
+    """The positive clusters by their definition: the entries above
+    CLUSTER_TOL times the largest, sorted, cut where a gap exceeds that."""
+    cut = qskew.clinalg.CLUSTER_TOL * float(values.max(initial=0.0))
+    order = np.argsort(values, kind="stable")
+    idx = order[values[order] > cut]
+    edges = [0, *(np.flatnonzero(np.diff(values[idx]) > cut) + 1).tolist(), idx.size]
+    return [idx[lo:hi].tolist() for lo, hi in zip(edges, edges[1:]) if hi > lo]
+
+
+@given(st.integers(min_value=1, max_value=7),
+       st.lists(st.sampled_from([-1.0, 0.0, 1e-8, 1.5e-8, 1.0, 1.0 + 1e-8, 1.0 + 2e-8,
+                                 2.0, 3.0]), min_size=42, max_size=42),
+       st.sampled_from([1.0, 1e-300, 2.0 ** 600]))
+@settings(max_examples=200, deadline=None)
+def test_even_clusters_is_the_per_row_rule_of_positive_clusters(n, pool, scale):
+    # one array pass against the cluster lists, row by row, and both against
+    # the definition: ties, zeros, negatives, entries at CLUSTER_TOL times the
+    # largest (zero), a first positive within that of a zero, gaps of that
+    # size (one cluster), one entry, and a (2, 3, n) stack
+    rows = np.array(pool[:6 * n]).reshape(2, 3, n) * scale
+    for row in rows.reshape(6, n):
+        assert positive_clusters(row) == clusters_by_edges(row)
+    rule = [[all(len(c) % 2 == 0 for c in clusters_by_edges(row)) for row in block]
+            for block in rows]
+    assert even_clusters(rows).tolist() == rule
+    assert even_clusters(np.sort(rows[1, 2])) is rule[1][2]
+
+
+def test_hua_solves_only_the_positive_half_of_a_full_rank_stack(monkeypatch):
+    # the Golub-Kahan eigenvalues from n // 2 up, n - n // 2 per slice, give
+    # the sigmas and the vectors that a full-rank slice reads
+    asked = []
+    bisect = qskew.clinalg._bisect
+
+    def spy(d, e2, top, first=0):
+        asked.append((len(d), d.shape[1] - first))
+        return bisect(d, e2, top, first)
+    monkeypatch.setattr(qskew.clinalg, "_bisect", spy)
+    rng = np.random.default_rng(48)
+    for n in (2, 3, 4, 7, 8, 16, 33):
+        forms = hua_decompose(np.array([random_complex_skew(rng, n) for _ in range(3)]))
+        assert [f.zero_dim for f in forms] == [n % 2] * 3
+        assert asked == [(3, n - n // 2)]
+        del asked[:]
 
 
 @pytest.mark.parametrize("n", range(2, 12))

@@ -13,7 +13,9 @@ turns one into an absolute bound.  Inputs are scaled to unit size by one
 rule, clinalg.unit_scaled (Quaternion._unit_scaled for a scalar), so no
 other function takes a binary exponent, and the scalar form serves only the
 scalar's own abs and inverse.  Z goes to W = Z Z* and its spectrum by one
-route, spectra.gram_spectrum.
+route, spectra.gram_spectrum.  The per-step loops of the Householder
+reductions neither stack, concatenate nor tile arrays and look up no float
+limits.
 """
 
 import argparse
@@ -50,6 +52,13 @@ SCALAR_SCALING_ALLOWED = {("quaternion.py", "_unit_scaled"), ("quaternion.py", "
 ROUTE_BANNED = {"cli.py": ("unit_scaled",),
                 "skew.py": ("right_eigenvalues_hermitian", "gram_product")}
 
+# calls that build a temporary array, or look up float limits, through
+# Python-level numpy code: no per-step loop of a Householder reduction makes
+# them, directly or through a package function it calls, because such a loop
+# runs once per row of every matrix solved
+STEP_BANNED = {"np.stack", "np.concatenate", "np.tile", "np.finfo"}
+HOUSEHOLDER_REDUCTIONS = ("_tridiagonal", "_skew_tridiagonal")
+
 # names defined in the package that no package code reads, with the reason
 # each stays in the library
 LIBRARY_ONLY = {
@@ -65,6 +74,8 @@ LIBRARY_ONLY = {
                             "read RightSpectrum.definite, its one rule",
     "is_positive_semidefinite": "the semidefinite half of the Gram claim",
     "is_solid": "the 3x3 solid case as a predicate on Z",
+    "positive_clusters": "the clusters themselves; even_clusters decides evenness from "
+                         "the same rule without listing them",
     "quaternion_even_multiplicity_check": "the quaternion side of the even multiplicity contrast",
     "reference_4x4_variant": "the second reading of the published 4x4 example",
     "save_matrix": "writes the JSON schema that load_matrix reads",
@@ -193,6 +204,25 @@ def test_one_route_from_z_to_the_spectrum_of_w():
     stray = [use for module, names in ROUTE_BANNED.items() for name in names
              for use in _uses_outside(name, set()) if use.startswith(module + ":")]
     assert not stray, stray
+
+
+def test_householder_steps_build_no_temporaries():
+    tree = ast.parse((SRC / "clinalg.py").read_text())
+    defs = dict(_functions(tree))
+    hits = []
+    for name in HOUSEHOLDER_REDUCTIONS:
+        loops = [node for node in ast.walk(defs[name]) if isinstance(node, ast.For)]
+        assert loops, name
+        todo, seen = [stmt for loop in loops for stmt in loop.body], set()
+        while todo:
+            for node in ast.walk(todo.pop()):
+                callee = _dotted(node.func) if isinstance(node, ast.Call) else None
+                if callee in STEP_BANNED:
+                    hits.append("%s: %s at line %d" % (name, callee, node.lineno))
+                elif callee in defs and callee not in seen:
+                    seen.add(callee)
+                    todo.extend(defs[callee].body)
+    assert not hits, hits
 
 
 def _definitions(tree):
