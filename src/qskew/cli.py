@@ -85,10 +85,11 @@ def _rng(seed):
 
 
 def _require_square(mat, command):
-    """A non-square matrix file is an input error, not a contract violation."""
-    if mat.nrows != mat.ncols:
-        raise MatrixFormatError("%s needs a square matrix, got %dx%d"
-                                % ((command,) + mat.shape))
+    """A non-square matrix file, quaternion or complex, is an input error,
+    not a contract violation."""
+    m, n = mat.shape
+    if m != n:
+        raise MatrixFormatError("%s needs a square matrix, got %dx%d" % (command, m, n))
 
 
 def cmd_spectrum(args):
@@ -151,6 +152,7 @@ def cmd_hua(args):
         raise MatrixFormatError(
             'hua needs a complex matrix file ("entries_c" schema)')
     tol = _resolve_tol(args, HUA_TOL)
+    _require_square(mat, "hua")
     form = hua_decompose(mat, tol=tol)
     if args.json:
         print(json.dumps(form.to_dict(), sort_keys=True))
@@ -208,14 +210,14 @@ def cmd_search_basic(args):
         return 2
     candidates = basic_candidate_search(args.n, args.trials, args.seed,
                                         scale=args.scale, gap_tol=args.gap_tol)
-    for cand in candidates:
-        print(json.dumps(cand.to_dict(), sort_keys=True))
     summary = {"trials": args.trials, "hits": len(candidates),
                "min_gap": min((c.min_relative_gap for c in candidates),
                               default=None),
                "max_gap": max((c.min_relative_gap for c in candidates),
                               default=None)}
-    print(json.dumps(summary, sort_keys=True))
+    lines = [json.dumps(c.to_dict(), sort_keys=True) for c in candidates]
+    lines.append(json.dumps(summary, sort_keys=True))
+    sys.stdout.write("\n".join(lines) + "\n")  # one write for the whole request
     return 0
 
 

@@ -10,6 +10,7 @@ the offending entry index in the message.
 """
 
 import json
+import numbers
 import sys
 
 import numpy as np
@@ -41,11 +42,12 @@ def matrix_from_dict(data):
     if has_q == has_c:
         raise MatrixFormatError(
             'need exactly one of "entries" (quaternion) or "entries_c" (complex)')
-    try:
-        m = int(data["rows"])
-        n = int(data["cols"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MatrixFormatError('"rows" and "cols" must be integers') from exc
+    dims = data.get("rows"), data.get("cols")
+    # integers only, and not bool: a float (1e400 parses to inf), a string
+    # or true is refused, not converted
+    if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in dims):
+        raise MatrixFormatError('"rows" and "cols" must be integers')
+    m, n = map(int, dims)
     if m <= 0 or n <= 0:
         raise MatrixFormatError("rows and cols must be positive")
 

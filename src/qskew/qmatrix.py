@@ -262,7 +262,9 @@ def random_skew_symmetric(n, seed, scale=1.0):
     stream comes from numpy's counter-based Philox generator keyed by the
     seed, so the same (n, seed, scale) always yields the same matrix, on
     any platform.  A sequence of B seeds gives a (B, n, n, 4) stack whose
-    slice b is bitwise the matrix of seed[b].
+    slice b is bitwise the matrix of seed[b].  Each stream fills its slice
+    with Generator.random, and the stack is mapped to [-scale, scale] as
+    Generator.uniform maps each draw, -scale + (2 scale) u.
     """
     if n < 2:
         raise ValueError("need n >= 2, got %d" % n)
@@ -272,20 +274,24 @@ def random_skew_symmetric(n, seed, scale=1.0):
         raise ValueError("scale must be at most half the largest float (%r), got %r"
                          % (float(np.finfo(float).max / 2), scale))
     stacked = np.ndim(seed) > 0
-    seeds = list(seed) if stacked else [seed]
+    keys = [int(s) & (2 ** 64 - 1) for s in (seed if stacked else [seed])]
     k = n * (n - 1) // 2
-    draws = np.empty((len(seeds), k, 4))
-    # one generator per call, rekeyed per seed: each Philox construction
-    # also draws an unused SeedSequence from the OS entropy pool
+    draws = np.empty((len(keys), k, 4))
+    # one generator and one state dict per call, rekeyed per seed: each
+    # Philox construction also draws an unused SeedSequence from the OS
+    # entropy pool, and the state setter copies what it is given
     bits = np.random.Philox(key=0)
     rng = np.random.Generator(bits)
-    fresh = bits.state
-    for b, s in enumerate(seeds):
-        fresh["state"] = {"counter": np.zeros(4, np.uint64),
-                          "key": np.array([int(s) & (2 ** 64 - 1), 0], np.uint64)}
-        bits.state = fresh
-        draws[b] = rng.uniform(-scale, scale, size=(k, 4))
-    arr = np.zeros((len(seeds), n, n, 4))
+    state = bits.state
+    key = state["state"]["key"]
+    for b, s in enumerate(keys):
+        key[0] = s
+        bits.state = state
+        rng.random(out=draws[b])
+    # Generator.uniform's map, low + (high - low) u, once for the block
+    draws *= 2.0 * scale
+    draws += -scale
+    arr = np.zeros((len(keys), n, n, 4))
     upper, lower = np.triu_indices(n, 1)  # row-major, matching the draw order
     arr[:, upper, lower] = draws
     arr[:, lower, upper] = -draws

@@ -76,18 +76,25 @@ class InverseSkewReport:
         return out
 
 
-@dataclass
+@dataclass(eq=False)  # array fields have no single truth value: compare by identity
 class BasicCandidate:
+    """A search hit: its trial, its Z as an (n, n, 4) array, the ascending
+    right eigenvalues of W = Z Z* and the smallest relative gap."""
     trial: int
-    matrix: QuatMatrix
-    eigenvalues: list
+    data: np.ndarray
+    eigenvalues: np.ndarray
     min_relative_gap: float
+
+    @property
+    def matrix(self):
+        """Z as a QuatMatrix, built by the constructor on each read."""
+        return QuatMatrix(self.data)
 
     def to_dict(self):
         return {"trial": self.trial,
-                "matrix": self.matrix.data.tolist(),
-                "eigenvalues": [float(v) for v in self.eigenvalues],
-                "min_relative_gap": float(self.min_relative_gap)}
+                "matrix": self.data.tolist(),
+                "eigenvalues": self.eigenvalues.tolist(),
+                "min_relative_gap": self.min_relative_gap}
 
 
 def classify_3x3(triple):
@@ -218,6 +225,21 @@ def trial_seed(seed, trial):
     return z
 
 
+def _trial_keys(seed, first, stop):
+    """trial_seed(seed, t) for t in range(first, stop), as one uint64 array.
+    Array arithmetic wraps modulo 2^64 without the overflow warning that
+    numpy scalars give, so the same splitmix64 step runs on the whole range."""
+    z = np.arange(first + 1, stop + 1, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z += np.uint64(int(seed) & ((1 << 64) - 1))
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
 def _search_block(n):
     """Trials that an n x n search samples, checks and solves as one stack:
     as many as fit in 2^14 quaternion entries, and at least 64, so 1024 at
@@ -250,8 +272,11 @@ def basic_candidate_search(n, trials, seed, scale=1.0, gap_tol=1e-3):
     as many as fit in 2^14 quaternion entries and at least 64, are drawn
     into one (B, n, n, 4) stack, which goes once through gram_spectrum and
     the hit test at unit size, slice by slice, so the hits depend neither
-    on scale nor on the block size; only a hit gets a QuatMatrix of its
-    own, its eigenvalues scaled back by 4^e (0 below the float range).
+    on scale nor on the block size.  Each block takes its keys from one
+    _trial_keys pass, and its hits' slices, eigenvalues scaled back by 4^e
+    (0 below the float range) and relative gaps are copied out in one
+    array pass each, so that no hit keeps its block alive; a hit's
+    QuatMatrix is built only when its matrix is read.
     Everything runs in the calling thread.
     """
     if n < 4:
@@ -261,14 +286,14 @@ def basic_candidate_search(n, trials, seed, scale=1.0, gap_tol=1e-3):
     hits = []
     size = _search_block(n)
     for first in range(0, trials, size):
-        block = range(first, min(first + size, trials))
-        zs = random_skew_symmetric(n, [trial_seed(seed, t) for t in block], scale)
+        zs = random_skew_symmetric(n, _trial_keys(seed, first, min(first + size, trials)),
+                                   scale)
         _, spectrum, e = gram_spectrum(zs)
         hit, lam_max, gap = _candidate(spectrum.values, gap_tol)
-        for b in np.flatnonzero(hit):
-            hits.append(BasicCandidate(block[b], QuatMatrix(zs.data[b]),
-                                       np.ldexp(spectrum.values[b], 2 * e[b]).tolist(),
-                                       float(gap[b] / lam_max[b])))
+        b = np.flatnonzero(hit)
+        hits += map(BasicCandidate, (first + b).tolist(), zs.data[b],
+                    np.ldexp(spectrum.values[b], 2 * e[b, None]),
+                    (gap[b] / lam_max[b]).tolist())
     return hits
 
 

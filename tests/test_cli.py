@@ -113,11 +113,28 @@ def test_inverse_check(tmp_path, capsys):
 def test_non_square_file_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "wide.json"
     save_matrix(path, QuatMatrix(np.ones((1, 2, 4))))
-    for command in ("spectrum", "inverse-check"):
-        assert main([command, str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err == ("input error: %s needs a square matrix, got 1x2\n"
-                       % command)
+    complex_path = tmp_path / "wide_c.json"
+    save_matrix(complex_path, np.array([[1.0 + 2.0j, -1.0j]]))
+    for command, file in (("spectrum", path), ("inverse-check", path),
+                          ("hua", complex_path)):
+        for extra in ([], ["--json"]):
+            assert main([command, str(file)] + extra) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == ("input error: %s needs a square matrix, got 1x2\n"
+                           % command)
+
+
+def test_matrix_size_that_is_not_an_integer_is_an_input_error(tmp_path, capsys):
+    # 1e400 parses to inf, which int() refused with an OverflowError traceback
+    path = tmp_path / "huge.json"
+    for rows in ("1e400", "2.9", '"2"', "true"):
+        path.write_text('{"rows": %s, "cols": 2, "entries": [[0, 0, 0, 0], [0, 0, 0, 0]]}'
+                        % rows)
+        for command in ("spectrum", "inverse-check"):
+            assert main([command, str(path)]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err == 'input error: "rows" and "cols" must be integers\n'
 
 
 def test_search_basic_deterministic(tmp_path, capsys):

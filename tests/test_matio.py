@@ -64,6 +64,17 @@ def test_dict_shapes():
      "entry 2: component 1 is not a number"),
     ({"rows": 1, "cols": 2, "entries": [[0] * 4, [0, 0, -10 ** 400, 0]]},
      "entry 1: component 2 is beyond the float range"),
+    # rows and cols are integers: not a float, however integral, nor a
+    # string or a bool, and inf (what JSON's 1e400 parses to) raises no
+    # OverflowError
+    ({"rows": float("inf"), "cols": 1, "entries": [[0] * 4]}, '"rows" and "cols" must be integers'),
+    ({"rows": 1, "cols": float("-inf"), "entries": [[0] * 4]}, '"rows" and "cols" must be integers'),
+    ({"rows": "2", "cols": 1, "entries": [[0] * 4] * 2}, '"rows" and "cols" must be integers'),
+    ({"rows": 1, "cols": 2.9, "entries": [[0] * 4] * 2}, '"rows" and "cols" must be integers'),
+    ({"rows": 2.0, "cols": 1, "entries": [[0] * 4] * 2}, '"rows" and "cols" must be integers'),
+    ({"rows": True, "cols": 1, "entries": [[0] * 4]}, '"rows" and "cols" must be integers'),
+    ({"rows": 1, "cols": None, "entries_c": [[0, 0]]}, '"rows" and "cols" must be integers'),
+    ({"cols": 1, "entries_c": [[0, 0]]}, '"rows" and "cols" must be integers'),
 ])
 def test_rejects_malformed(data, msg):
     with pytest.raises(MatrixFormatError, match=msg):
@@ -98,9 +109,9 @@ def test_first_bad_entry_is_named(bad, msg, index):
 
 def test_number_subclasses_pass_the_entry_walk():
     # numpy floats are floats: the one-pass check misses them and the walk
-    # accepts them, as it always did
+    # accepts them, as it always did; numpy integers are sizes
     entries = [[np.float64(0.5), 1, 2.0, 3]] * 4
-    z = matrix_from_dict({"rows": 2, "cols": 2, "entries": entries})
+    z = matrix_from_dict({"rows": np.int64(2), "cols": np.int32(2), "entries": entries})
     np.testing.assert_array_equal(z.data, np.tile([0.5, 1, 2, 3], (2, 2, 1)))
 
 

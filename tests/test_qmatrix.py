@@ -329,6 +329,25 @@ def test_random_skew_symmetric_stacks_its_seeds():
     assert random_skew_symmetric(4, []).data.shape == (0, 4, 4, 4)
 
 
+@pytest.mark.parametrize("scale", [2.0 ** -1022, 1e-300, 1.0, 3.7, 1e152,
+                                   float(np.finfo(float).max / 2)])
+def test_random_skew_symmetric_draws_as_generator_uniform(scale):
+    # each stream filled by Generator.random and the stack mapped once give
+    # bitwise what Generator.uniform draws per seed, seeds given as Python
+    # ints (masked to 64 bits) or as a uint64 array, as the search gives them
+    n, k = 5, 10
+    seeds = [0, 7, -1, 2**63, 2**64 - 1, 2**64 + 3, 12345678901234567]
+    upper = np.triu_indices(n, 1)
+    want = [np.random.Generator(np.random.Philox(key=s % 2**64)).uniform(-scale, scale, (k, 4))
+            for s in seeds]
+    keys = np.array([s % 2**64 for s in seeds], np.uint64)
+    for stack in (random_skew_symmetric(n, seeds, scale), random_skew_symmetric(n, keys, scale)):
+        got = stack.data[:, upper[0], upper[1]]
+        assert got.tobytes() == np.array(want).tobytes()
+        assert stack.data[:, upper[1], upper[0]].tobytes() == (-got).tobytes()
+    assert random_skew_symmetric(n, seeds[2], scale).data[upper].tobytes() == want[2].tobytes()
+
+
 def test_random_skew_symmetric_builds_one_philox_per_call(monkeypatch):
     # each Philox construction also draws an unused SeedSequence from the
     # OS entropy pool, so a block rekeys one generator per seed

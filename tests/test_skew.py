@@ -299,7 +299,8 @@ def test_search_solves_a_block_per_eigensolver_call(monkeypatch):
 def test_search_builds_few_matrices_per_trial(monkeypatch):
     # per block: one stack from sampling and five in gram_product
     # (Z*, Z Z*, conj(Z), Z conj(Z) and its negation); the Hermitian check
-    # and chi work on the stack of W; then one matrix per hit
+    # and chi work on the stack of W.  A hit and its to_dict read arrays,
+    # so no hit builds a matrix of its own until its matrix is read
     calls = []
     init = QuatMatrix.__init__
 
@@ -311,7 +312,44 @@ def test_search_builds_few_matrices_per_trial(monkeypatch):
     block = qskew.skew._search_block(4)
     hits = basic_candidate_search(4, 2 * block + 2, 5)
     assert hits
-    assert len(calls) <= len(hits) + 6 * 3
+    for hit in hits:
+        hit.to_dict()
+    assert len(calls) <= 6 * 3
+    calls.clear()
+    z = hits[0].matrix
+    assert len(calls) == 1 and z.data.tobytes() == hits[0].data.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 5, -1, -(2**64) - 3, 2**63, 2**64 - 1, 2**64 + 3, 3 * 2**70 + 11])
+def test_trial_keys_are_trial_seed(seed):
+    for first, stop in ((0, 0), (0, 1), (0, 100), (1023, 1025), (2**40, 2**40 + 5)):
+        keys = qskew.skew._trial_keys(seed, first, stop)
+        assert keys.dtype == np.uint64
+        assert keys.tolist() == [trial_seed(seed, t) for t in range(first, stop)]
+
+
+def test_search_hits_copy_only_their_slices(monkeypatch):
+    blocks = []
+    sample = qskew.skew.random_skew_symmetric
+
+    def keeping(*args):
+        blocks.append(sample(*args))
+        return blocks[-1]
+
+    monkeypatch.setattr(qskew.skew, "random_skew_symmetric", keeping)
+    monkeypatch.setattr(qskew.skew, "_search_block", lambda n: 64)
+    hits = basic_candidate_search(4, 3 * 64, 2, gap_tol=0.05)  # some trials miss
+    assert len(blocks) == 3
+    for b, block in enumerate(blocks):
+        inside = [h for h in hits if h.trial // 64 == b]
+        assert 0 < len(inside) < 64
+        for hit in inside:
+            assert hit.data.tobytes() == block.data[hit.trial % 64].tobytes()
+            assert not np.shares_memory(hit.data, block.data)
+            # the copy holds this block's hits, not the block
+            owner = hit.data if hit.data.base is None else hit.data.base
+            assert owner.nbytes == len(inside) * hit.data.nbytes
+            assert type(hit.eigenvalues) is np.ndarray and type(hit.min_relative_gap) is float
 
 
 def test_search_samples_and_solves_a_block_per_call(monkeypatch):
