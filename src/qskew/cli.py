@@ -22,6 +22,7 @@ usage errors afresh.
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -35,7 +36,7 @@ from .hua import even_multiplicity_check, hua_decompose
 from .matio import MatrixFormatError, load_matrix, quat_matrix_to_dict
 from .qmatrix import QuatMatrix, random_skew_symmetric
 from .quaternion import Quaternion, I, J
-from .skew import (SkewTriple, basic_candidate_search, classify_3x3,
+from .skew import (SkewTriple, _search_block, basic_candidate_search, classify_3x3,
                    inverse_skew_report, reference_4x4, sample_degenerate_triple,
                    sample_generic_triple, trial_seed, verify_classification)
 from .spectra import gram_spectrum
@@ -215,9 +216,12 @@ def cmd_search_basic(args):
                               default=None),
                "max_gap": max((c.min_relative_gap for c in candidates),
                               default=None)}
-    lines = [json.dumps(c.to_dict(), sort_keys=True) for c in candidates]
-    lines.append(json.dumps(summary, sort_keys=True))
-    sys.stdout.write("\n".join(lines) + "\n")  # one write for the whole request
+    # one write per _search_block(n) lines, so the text of the whole
+    # request is never held at once
+    lines = itertools.chain((json.dumps(c.to_dict(), sort_keys=True) for c in candidates),
+                            [json.dumps(summary, sort_keys=True)])
+    while chunk := list(itertools.islice(lines, _search_block(args.n))):
+        sys.stdout.write("".join(line + "\n" for line in chunk))
     return 0
 
 

@@ -17,8 +17,9 @@ Provided:
   converges on its own
 * _tridiagonal_eig: that tridiagonal solve, from a first index up, with
   eigenvectors by inverse iteration when asked for; hua_decompose solves
-  with it the +sigma half of the tridiagonals that _skew_tridiagonal, a
-  skew Householder congruence run on a stack of Z at once, makes of them
+  with it, once per stack, the +sigma half of the tridiagonals that
+  _skew_tridiagonal, a skew Householder congruence run on a stack of Z at
+  once, makes of them
 * unit_scaled: the one scaling rule; every entry point that squares or
   inverts its input works on it scaled to unit size by a power of two,
   exactly
@@ -27,7 +28,7 @@ Provided:
 * lu_inverse: the inverse by one LU factorization with partial pivoting,
   of one matrix or of each slice of a stack, each unit_scaled, with an
   invertible flag each
-* mgs_orthonormalize: Gram-Schmidt, run twice
+* mgs_orthonormalize: Gram-Schmidt, run twice, up to a full basis
 * positive_clusters: a spectrum's positive clusters; even_clusters: are all
   even, decided for every row at once by the same cluster rule
 * _require: the check that names the first slice of a stack that fails it
@@ -150,10 +151,8 @@ def _tridiagonal_eig(d, e2, vectors=False, first=0):
     counts (_bisect) and, with vectors, run inverse iteration
     (_inverse_iteration), which raises ConvergenceError at its iteration
     limit.  Each value is bitwise that of a full solve (first = 0), with or
-    without vectors.  So is each vector when first starts a cluster of
-    every slice, which keeps every vector's cluster predecessors; with
-    vectors, first is moved down to such a start, solving the values below
-    it that takes, and w and y begin there.
+    without vectors, and so are a slice's vectors when first starts one of
+    its clusters, which keeps every vector's cluster predecessors.
     """
     m = d.shape[1]
     order = np.argsort(d, axis=1, kind="stable")
@@ -171,18 +170,6 @@ def _tridiagonal_eig(d, e2, vectors=False, first=0):
         # the power of two above each Gershgorin bound
         top = np.ldexp(1.0, np.frexp(radius.max(axis=1))[1])
         part = _bisect(d, e2, top, first)
-        if vectors and first:
-            # value first starts a cluster (_apart from value first - 1)
-            # when the Sturm count 4 grid cells below its gap already
-            # reaches first; else all values are solved, and first moves
-            # down to the start of its cluster
-            with np.errstate(divide="ignore", over="ignore"):
-                below = _sturm_counts(d.T, e2.T, part[:, 0] - (CLUSTER_GAP + 4 * EPS) * top)
-            if (below < first).any():
-                part = _bisect(d, e2, top, 0)
-                starts = np.r_[True, _apart(part, top).all(axis=0)]
-                first = int(np.flatnonzero(starts[:first + 1])[-1])
-                part = part[:, first:]
         w[rows, first:] = part
         if vectors:
             y[rows, :, first:] = _inverse_iteration(d, off, part, top)
@@ -469,13 +456,6 @@ def _newton_cells(d, e2, index, lo, span, level):
     return np.flatnonzero(rest)
 
 
-def _apart(w, top):
-    """Whether each of the ascending values w (B, k) but the first lies
-    more than CLUSTER_GAP t_b (t_b = top[b]) above the one before, so
-    starts a cluster: (B, k - 1)."""
-    return np.diff(w, axis=1) > CLUSTER_GAP * top[:, None]
-
-
 def _inverse_iteration(d, e, w, top):
     """Eigenvectors (B, m, k) of symmetric tridiagonals with diagonal d
     (B, m), off-diagonal e > 0 and ascending eigenvalues w (B, k), the top
@@ -504,7 +484,7 @@ def _inverse_iteration(d, e, w, top):
     # the rank of column b per + j in its cluster, and for each rank its
     # columns with those of their earlier members
     new = np.ones((count, per), dtype=bool)
-    new[:, 1:] = _apart(w, top)
+    new[:, 1:] = np.diff(w, axis=1) > CLUSTER_GAP * top[:, None]
     rank = np.arange(n) - np.maximum.accumulate(np.where(new.ravel(), np.arange(n), 0))
     groups = [(cols, cols[:, None] - np.arange(r, 0, -1))
               for r in range(1, rank.max() + 1) for cols in [np.flatnonzero(rank == r)]]
@@ -650,16 +630,20 @@ def mgs_orthonormalize(vectors, tol=1e-10):
     product, and a second such pass cleans up the rounding left by the
     first (classical Gram-Schmidt run twice).  Vectors whose residual after
     projection has norm at or below tol are dropped, so the returned list
-    can be shorter than the input.  Raises ValueError when the vectors
-    have mixed lengths.
+    can be shorter than the input.  Once the kept vectors are a full basis,
+    as many as each vector is long, the rest are skipped.  Raises
+    ValueError when the vectors have mixed lengths.
     """
     vectors = [np.array(v, dtype=complex).ravel() for v in vectors]
     if len({v.size for v in vectors}) > 1:
         raise ValueError("vectors have mixed lengths")
-    kept = np.zeros((len(vectors), vectors[0].size if vectors else 0), dtype=complex)
+    size = vectors[0].size if vectors else 0
+    kept = np.zeros((min(len(vectors), size), size), dtype=complex)
     kept_conj = np.zeros_like(kept)
     count = 0
     for v in vectors:
+        if count == size:
+            break
         for _ in range(2):
             v -= kept[:count].T @ (kept_conj[:count] @ v)
         nrm = float(np.sqrt((np.abs(v) ** 2).sum()))

@@ -83,11 +83,13 @@ def hua_decompose(z, tol=1e-8):
     Its eigenvector s at sigma gives T phi = -i sigma phi for phi = S s, so
     u1 = Im phi and u2 = Re phi, which hold the odd and the even entries
     of s, satisfy T u2 = sigma u1 and T u1 = -sigma u2: normalised, they
-    are the rows of one block pair.  The real and imaginary parts of the
-    other eigenvectors span the kernel.  Only the eigenpairs from n // 2 up,
-    the +sigma half and the 0 of odd n, are solved, and the sigmas come
-    from them; a slice that sends pairs to the kernel takes its candidates
-    from eigenvectors further down, which a second solve gives.
+    are the rows of one block pair.  Only the eigenpairs from n // 2 up,
+    the +sigma half and the 0 of odd n, are solved, in one solve for the
+    whole stack, and the sigmas come from them.  The parts of the
+    eigenvectors whose pairs go to the kernel lie in it; where they do not
+    span it, as when +-sigma near 0 share a cluster, Gram-Schmidt completes
+    them from the unit rows, whose parts orthogonal to the block pairs lie
+    in the kernel block too.
     """
     z = np.asarray(z, dtype=complex)
     if z.ndim not in (2, 3):
@@ -103,23 +105,17 @@ def hua_decompose(z, tol=1e-8):
     scale = np.sqrt((np.abs(z) ** 2).sum(axis=(1, 2)))
 
     e2, q = _skew_tridiagonal((z - z.swapaxes(1, 2)) / 2.0)
-    d = np.zeros((count, n))
-    w, y = _tridiagonal_eig(d, e2, vectors=True, first=n // 2)
+    w, y = _tridiagonal_eig(np.zeros((count, n)), e2, vectors=True, first=n // 2)
     sigmas = w[:, ::-1][:, :n // 2]
     # what sending pairs t, t + 1, ... to the kernel adds to the residual
     dropped = np.sqrt(2.0 * np.cumsum(sigmas[:, ::-1] ** 2, axis=1))[:, ::-1]
     pairs = (dropped > tol * scale[:, None] / 2.0).sum(axis=1)
-    # slice b reads the eigenvectors from index pairs[b] up
-    if pairs.min(initial=n) < n - w.shape[1]:
-        w, y = _tridiagonal_eig(d, e2, vectors=True, first=int(pairs.min()))
     # Im phi and Re phi of each eigenvector, highest eigenvalue first: the
-    # block pairs, then the kernel candidates; those at -sigma add nothing
+    # block pairs, then the kernel candidates, then the unit rows, which
+    # span C^n, so every slice keeps n rows
     phi = y[:, :, ::-1].swapaxes(1, 2) * np.array([1, -1j, -1, 1j])[np.arange(n) % 4]
     parts = np.stack([phi.imag, phi.real], axis=2).reshape(count, 2 * y.shape[2], n)
-    rows = [mgs_orthonormalize(p[:2 * (n - k)], tol=1e-6) for p, k in zip(parts, pairs)]
-    kept = np.array([len(r) == n for r in rows])
-    _require(kept[0] if single else kept,
-             "basis lost a vector during final orthonormalization")
+    rows = [mgs_orthonormalize(np.concatenate([p, np.eye(n)]), tol=1e-6) for p in parts]
 
     u = np.array(rows).reshape(count, n, n) @ q
     forms = [HuaForm(u[b], sigmas[b, :pairs[b]].tolist(), n - 2 * int(pairs[b]), 0.0, 0.0)

@@ -12,7 +12,7 @@ import qskew.clinalg
 import qskew.hua
 import qskew.spectra
 from qskew import (DualQuatMatrix, QuatMatrix, SkewTriple, I, J,
-                   dq_hermitian_direct, dq_hermitian_split,
+                   basic_candidate_search, dq_hermitian_direct, dq_hermitian_split,
                    even_multiplicity_check, gram_product, hua_decompose,
                    inverse_skew_report, is_solid, random_skew_symmetric,
                    right_eigenvalues_hermitian, sample_degenerate_triple,
@@ -151,6 +151,43 @@ def test_search_basic_deterministic(tmp_path, capsys):
     summary = json.loads(lines[-1])
     assert summary["trials"] == 15
     assert summary["hits"] == len(lines) - 1
+
+
+class WriteLog:
+    """A stdout that records each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+def test_search_basic_writes_its_lines_a_block_at_a_time(monkeypatch):
+    # a request of many chunks prints the text of one join, in writes of at
+    # most a chunk of lines; the perfbench requests (n = 4 and 8) make one
+    candidates = basic_candidate_search(4, 60, 3)
+    summary = {"trials": 60, "hits": len(candidates),
+               "min_gap": min(c.min_relative_gap for c in candidates),
+               "max_gap": max(c.min_relative_gap for c in candidates)}
+    lines = [json.dumps(c.to_dict(), sort_keys=True) for c in candidates]
+    text = "\n".join(lines + [json.dumps(summary, sort_keys=True)]) + "\n"
+    assert len(candidates) > 20
+    for chunk in (1, 4, 7, len(candidates), len(candidates) + 1):
+        log = WriteLog()
+        monkeypatch.setattr(sys, "stdout", log)
+        monkeypatch.setattr(qskew.cli, "_search_block", lambda n: chunk)
+        assert main(["search-basic", "--n", "4", "--trials", "60", "--seed", "3"]) == 0
+        assert "".join(log.writes) == text
+        assert [w.count("\n") for w in log.writes[:-1]] == [chunk] * (len(log.writes) - 1)
+        assert 0 < log.writes[-1].count("\n") <= chunk
+    monkeypatch.undo()
+    for n, trials in ((4, 100), (8, 20)):
+        log = WriteLog()
+        monkeypatch.setattr(sys, "stdout", log)
+        assert main(["search-basic", "--n", str(n), "--trials", str(trials)]) == 0
+        assert len(log.writes) == 1
+        monkeypatch.undo()
 
 
 def test_search_basic_rejects_small_n(capsys):

@@ -388,6 +388,26 @@ def test_mgs_drops_dependent():
     assert len(mgs_orthonormalize([np.zeros(3, dtype=complex)])) == 0
 
 
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=30, deadline=None)
+def test_mgs_stops_at_a_full_basis(dim, extra, seed):
+    # a basis of C^d followed by more vectors gives the d vectors of the
+    # basis alone, bitwise, also at tol = 0, where the rounding residual of
+    # any vector projected against a full basis would be kept
+    rng = np.random.default_rng(seed)
+    basis = [rng.normal(size=dim) + 1j * rng.normal(size=dim) for _ in range(dim)]
+    more = [rng.normal(size=dim) + 1j * rng.normal(size=dim) for _ in range(extra)]
+    for tol in (0.0, 1e-10):
+        alone = mgs_orthonormalize(basis, tol)
+        assert len(alone) == dim
+        out = mgs_orthonormalize(basis + more, tol)
+        assert np.array(out).tobytes() == np.array(alone).tobytes()
+    assert mgs_orthonormalize([]) == []
+    assert mgs_orthonormalize([np.zeros(dim, dtype=complex)]) == []
+    assert mgs_orthonormalize([np.zeros(0, dtype=complex)] * extra) == []
+
+
 def test_mgs_rejects_mixed_lengths():
     with pytest.raises(ValueError):
         mgs_orthonormalize([np.zeros(2, dtype=complex), np.zeros(3, dtype=complex)])
@@ -562,11 +582,12 @@ def cluster_start(d, e2, w, k):
 @settings(max_examples=60, deadline=None)
 def test_tridiagonal_eig_from_a_first_index_is_the_top_of_the_full_solve(m, count, kind,
                                                                         seed):
-    # values from index k are bitwise the top m - k of the full solve, and
-    # with vectors so are the vectors, from the start of k's cluster, which
-    # keeps every vector's start column and cluster predecessors: zero-diagonal
-    # Golub-Kahan forms of odd and even size, with +-sigma clusters across the
-    # middle when Z loses rank, off-diagonals at the 2^-512 floor, zero slices
+    # values from index k are bitwise the top m - k of the full solve, with
+    # or without vectors; so are a slice's vectors when k starts one of its
+    # clusters, which keeps every vector's start column and cluster
+    # predecessors, and else they are orthonormal: zero-diagonal Golub-Kahan
+    # forms of odd and even size, with +-sigma clusters across the middle
+    # when Z loses rank, off-diagonals at the 2^-512 floor, zero slices
     rng = np.random.default_rng(seed)
     picks = []
     for _ in range(count):
@@ -582,10 +603,15 @@ def test_tridiagonal_eig_from_a_first_index_is_the_top_of_the_full_solve(m, coun
     w, y = _tridiagonal_eig(d, e2, vectors=True)
     for k in sorted({0, m // 2, m - 1, int(rng.integers(m))}):
         assert _tridiagonal_eig(d, e2, first=k).tobytes() == w[:, k:].tobytes()
-        start = cluster_start(d, e2, w, k) if (e2 > 0).any() else k
         wk, yk = _tridiagonal_eig(d, e2, vectors=True, first=k)
-        assert wk.tobytes() == w[:, start:].tobytes()
-        assert yk.tobytes() == y[:, :, start:].tobytes()
+        assert wk.tobytes() == w[:, k:].tobytes()
+        assert yk.shape == (count, m, m - k)
+        for b in range(count):
+            one = slice(b, b + 1)
+            if not (e2[b] > 0).any() or cluster_start(d[one], e2[one], w[one], k) == k:
+                assert yk[b].tobytes() == y[b, :, k:].tobytes()
+            else:
+                assert np.abs(yk[b].T @ yk[b] - np.eye(m - k)).max() <= 1e-12
 
 
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=4),

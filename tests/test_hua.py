@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qskew.clinalg
+import qskew.hua
 from qskew import (
     even_clusters,
     even_multiplicity_check,
@@ -167,21 +168,38 @@ def test_even_clusters_is_the_per_row_rule_of_positive_clusters(n, pool, scale):
 
 
 def test_hua_solves_only_the_positive_half_of_a_full_rank_stack(monkeypatch):
-    # the Golub-Kahan eigenvalues from n // 2 up, n - n // 2 per slice, give
-    # the sigmas and the vectors that a full-rank slice reads
-    asked = []
-    bisect = qskew.clinalg._bisect
+    # one tridiagonal solve per call, of the Golub-Kahan eigenvalues from
+    # n // 2 up, n - n // 2 per slice that is not zero, gives the sigmas and
+    # the vectors that every slice reads, whether its rank is full, lower
+    # or 0, alone or stacked with others
+    asked, solves = [], []
+    bisect, solve = qskew.clinalg._bisect, qskew.hua._tridiagonal_eig
 
     def spy(d, e2, top, first=0):
         asked.append((len(d), d.shape[1] - first))
         return bisect(d, e2, top, first)
+
+    def spy_solve(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
     monkeypatch.setattr(qskew.clinalg, "_bisect", spy)
+    monkeypatch.setattr(qskew.hua, "_tridiagonal_eig", spy_solve)
     rng = np.random.default_rng(48)
     for n in (2, 3, 4, 7, 8, 16, 33):
-        forms = hua_decompose(np.array([random_complex_skew(rng, n) for _ in range(3)]))
-        assert [f.zero_dim for f in forms] == [n % 2] * 3
-        assert asked == [(3, n - n // 2)]
-        del asked[:]
+        full = [random_complex_skew(rng, n) for _ in range(3)]
+        rank = [rank_deficient_skew(rng, n, p) for p in (0, n // 4, n // 2 - 1)]
+        near = [skew_with_sigmas(rng, n, [1.0] * (n // 2 - 1) + [1e-12])]
+        zero = [np.zeros((n, n), dtype=complex)] * 2
+        for stack in (full, rank, near, zero, full[:1] + rank + zero[:1] + near):
+            forms = hua_decompose(np.array(stack))
+            live = sum(bool(np.any(z)) for z in stack)
+            assert solves == [1]
+            assert asked == ([(live, n - n // 2)] if live else [])
+            for z, form in zip(stack, forms):
+                check_form(z, form)
+            del asked[:], solves[:]
+            if stack is full:
+                assert [f.zero_dim for f in forms] == [n % 2] * 3
 
 
 @pytest.mark.parametrize("n", range(2, 12))
