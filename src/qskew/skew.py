@@ -91,6 +91,8 @@ class BasicCandidate:
         return QuatMatrix(self.data)
 
     def to_dict(self):
+        """The reference form of a hit line: the search-basic CLI writer
+        reproduces json.dumps(..., sort_keys=True) of it byte for byte."""
         return {"trial": self.trial,
                 "matrix": self.data.tolist(),
                 "eigenvalues": self.eigenvalues.tolist(),

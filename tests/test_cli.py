@@ -6,12 +6,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qskew.cli
 import qskew.clinalg
 import qskew.hua
 import qskew.spectra
-from qskew import (DualQuatMatrix, QuatMatrix, SkewTriple, I, J,
+from qskew import (BasicCandidate, DualQuatMatrix, QuatMatrix, SkewTriple, I, J,
                    basic_candidate_search, dq_hermitian_direct, dq_hermitian_split,
                    even_multiplicity_check, gram_product, hua_decompose,
                    inverse_skew_report, is_solid, random_skew_symmetric,
@@ -188,6 +189,86 @@ def test_search_basic_writes_its_lines_a_block_at_a_time(monkeypatch):
         assert main(["search-basic", "--n", str(n), "--trials", str(trials)]) == 0
         assert len(log.writes) == 1
         monkeypatch.undo()
+
+
+def json_lines(hits):
+    return [json.dumps(c.to_dict(), sort_keys=True) for c in hits]
+
+
+@given(st.integers(min_value=4, max_value=17),
+       st.one_of(st.integers(min_value=-2 ** 70, max_value=-1),
+                 st.integers(min_value=2 ** 64, max_value=2 ** 70)),
+       st.sampled_from([2.0 ** -1022, 1e-300, 1.0, 3.7, 1e152]),
+       st.integers(min_value=1, max_value=40))
+@settings(max_examples=40, deadline=None)
+def test_hit_lines_are_json_dumps_of_search_hits(n, seed, scale, trials):
+    # subnormal and exponent-form reprs of Z's components, and eigenvalues
+    # that scale back to 0.0 at the smallest scales
+    hits = basic_candidate_search(n, trials, seed, scale=scale)
+    assert qskew.cli._hit_lines(hits) == json_lines(hits)
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]
+
+
+@st.composite
+def hand_built_hits(draw):
+    n = draw(st.integers(min_value=4, max_value=9))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    hits = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        upper = np.array(draw(st.lists(st.one_of(st.sampled_from(EDGE_FLOATS), finite),
+                                       min_size=2 * n * (n - 1), max_size=2 * n * (n - 1))))
+        data = np.zeros((n, n, 4))
+        iu, ju = np.triu_indices(n, 1)
+        data[iu, ju] = upper.reshape(-1, 4)
+        data[ju, iu] = -data[iu, ju]
+        values = np.array(draw(st.lists(finite, min_size=n, max_size=n)))
+        hits.append(BasicCandidate(draw(st.integers(min_value=0, max_value=2 ** 70)), data,
+                                   values, draw(finite)))
+    return hits
+
+
+@given(hand_built_hits())
+@settings(max_examples=60, deadline=None)
+def test_hit_lines_are_json_dumps_of_hand_built_hits(hits):
+    assert qskew.cli._hit_lines(hits) == json_lines(hits)
+
+
+def test_hit_lines_refuse_what_is_not_bitwise_skew_or_finite():
+    # json.dumps would print such a hit, but not as the template does
+    hits = basic_candidate_search(4, 30, 7)
+    assert qskew.cli._hit_lines(hits) == json_lines(hits)
+    hit = hits[3]
+    lower = hit.data.copy()
+    lower[2, 0, 1] = np.nextafter(lower[2, 0, 1], np.inf)  # one ulp off -Z[0, 2]
+    diagonal = hit.data.copy()
+    diagonal[1, 1, 2] = -0.0
+    infinite = hit.data.copy()
+    infinite[0, 3, 0], infinite[3, 0, 0] = np.inf, -np.inf  # bitwise skew, not finite
+    bad = [BasicCandidate(hit.trial, data, hit.eigenvalues, hit.min_relative_gap)
+           for data in (lower, diagonal, infinite)]
+    bad.append(BasicCandidate(hit.trial, hit.data, np.append(hit.eigenvalues[:3], np.inf),
+                              hit.min_relative_gap))
+    bad.append(BasicCandidate(hit.trial, hit.data, hit.eigenvalues, math.nan))
+    for c in bad:
+        with pytest.raises(ValueError):
+            qskew.cli._hit_lines(hits[:3] + [c])
+
+
+def test_search_basic_calls_json_dumps_once_per_request(monkeypatch, capsys):
+    # only the summary line goes through json.dumps; every hit line is
+    # formatted from Z's upper triangle
+    calls = []
+    dumps = json.dumps
+    monkeypatch.setattr(qskew.cli.json, "dumps",
+                        lambda *args, **kwargs: calls.append(args) or dumps(*args, **kwargs))
+    for n, trials in ((4, 100), (8, 20)):
+        calls.clear()
+        assert main(["search-basic", "--n", str(n), "--trials", str(trials)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) > 10
+        assert calls == [(json.loads(lines[-1]),)]
 
 
 def test_search_basic_rejects_small_n(capsys):
