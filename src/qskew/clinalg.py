@@ -323,31 +323,26 @@ def _bisect(d, e2, top, first=0):
     one and the same however it is found, and whichever other eigenvalues
     are solved with it.
 
-    _grid finds it by bisection on the fixed grid.  A stack where a round
-    makes at most 3 cuts per interval (about 74 intervals or more) is
-    bisected only to level bit_length(m) + 6, 64 to 128 grid cells per
-    eigenvalue, and _newton_cells closes the intervals whose cell there
-    holds one eigenvalue alone; every interval it does not confirm carries
-    on with the bisection from that level.
+    Each interval, one (slice, eigenvalue) pair, reads its own column of
+    the tridiagonals, and _grid bisects it on the fixed grid.  A stack
+    where a round makes at most 3 cuts per interval (about 74 intervals or
+    more) is bisected only to level bit_length(m) + 6, 64 to 128 grid
+    cells per eigenvalue, and _newton_cells closes the intervals whose cell
+    there holds one eigenvalue alone; the others bisect on from that level.
     """
     count, m = d.shape
     per = m - first
     index = np.tile(np.arange(first, m), count)
+    diag, e2s = np.repeat(d, per, axis=0).T, np.repeat(e2, per, axis=0).T
     lo = -np.repeat(top, per)
     span = -2.0 * lo
+    level = 53 if _levels_per_round(index.size) > 2 else m.bit_length() + 6
     with np.errstate(divide="ignore", over="ignore"):
-        if _levels_per_round(index.size) > 2:
-            lo = _grid(d.T, e2.T, index, lo, span, 0)
-        else:
-            level = m.bit_length() + 6
-            lo = _grid(d.T, e2.T, index, lo, span, 0, level)
-            rest = _newton_cells(d, e2, index, lo, span, level)
-            if rest.size == index.size:  # no Newton step: bisect on, uncopied
-                lo = _grid(d.T, e2.T, index, lo, span, level)
-            elif rest.size:
-                # one column per interval
-                slices = rest // per
-                lo[rest] = _grid(d[slices].T, e2[slices].T, index[rest], lo[rest],
+        lo = _grid(diag, e2s, index, lo, span, 0, level)
+        if level < 53:
+            rest = _newton_cells(diag, e2s, index, lo, span, level)
+            if rest.size:
+                lo[rest] = _grid(diag[:, rest], e2s[:, rest], index[rest], lo[rest],
                                  span[rest], level)
     return np.sort((lo + np.ldexp(span, -54)).reshape(count, per), axis=1)
 
@@ -371,22 +366,19 @@ def _sturm_counts(diag, e2s, x):
 def _grid(diag, e2s, index, lo, span, level, stop=53):
     """The lower ends lo of the grid cells of width span 2^-stop that hold
     eigenvalue index of each interval, bisected from the cells of width
-    span 2^-level at lo.  The tridiagonals are the columns of diag and e2s,
-    each read by as many consecutive intervals as there are intervals per
-    column: all of its slice's, or one.  Each round cuts every cell into
-    2^s equal parts at exact points and keeps the one that the Sturm
-    counts at the cuts pick.  The grid is fixed, so an interval takes the
-    same path for any s: many cuts per interval when there are few
-    intervals, one when there are many."""
+    span 2^-level at lo.  Interval i reads the tridiagonal in column i of
+    diag and e2s.  Each round cuts every cell into 2^s equal parts at exact
+    points and keeps the one that the Sturm counts at the cuts pick.  The
+    grid is fixed, so an interval takes the same path for any s: many cuts
+    per interval when there are few intervals, one when there are many."""
     most = _levels_per_round(index.size)
-    per = index.size // diag.shape[1]
     parts = 0
     while level < stop:
         s = min(most, stop - level)
         if parts != (1 << s) - 1:
             parts = (1 << s) - 1
-            diag_cuts = np.repeat(diag, per * parts, axis=1)
-            e2s_cuts = np.repeat(e2s, per * parts, axis=1)
+            diag_cuts = np.repeat(diag, parts, axis=1)
+            e2s_cuts = np.repeat(e2s, parts, axis=1)
             ks = np.arange(1, parts + 1)
         level += s
         step = np.ldexp(span, -level)
@@ -397,10 +389,11 @@ def _grid(diag, e2s, index, lo, span, level, stop=53):
     return lo
 
 
-def _newton_cells(d, e2, index, lo, span, level):
+def _newton_cells(diag, e2s, index, lo, span, level):
     """Close, in lo, the level-53 cells of the intervals whose cell of
     width span 2^-level at lo holds one eigenvalue alone, and return the
-    other intervals.
+    other intervals.  Interval i reads the tridiagonal in column i of diag
+    and e2s.
 
     A cell holds one eigenvalue alone when it differs from the cells of
     both neighbours solved in its slice; the counts below confirm a cell
@@ -415,17 +408,16 @@ def _newton_cells(d, e2, index, lo, span, level):
     count first exceeds j, inside the starting cell.  An interval with a
     non-finite point or no such crossing is not confirmed.
     """
-    count, m = d.shape
-    alone = np.ones((count, lo.size // count), dtype=bool)
-    apart = np.diff(lo.reshape(alone.shape), axis=1) > 0
-    alone[:, 1:] = apart
-    alone[:, :-1] &= apart
+    m = diag.shape[0]
+    # a slice's last interval is apart from the next slice's first
+    apart = (np.diff(lo) > 0) | (np.diff(index) != 1)
+    alone = np.ones(lo.size, dtype=bool)
+    alone[1:] = apart
+    alone[:-1] &= apart
     sel = np.flatnonzero(alone)
     if 2 * sel.size < lo.size:
         return np.arange(lo.size)
-    # one column per interval
-    slices = sel // alone.shape[1]
-    d, e2, j = d[slices].T, e2[slices].T, index[sel]
+    d, e2, j = diag[:, sel], e2s[:, sel], index[sel]
     low = lo[sel]
     width = np.ldexp(span[sel], -level)
     cell = np.ldexp(span[sel], -53)
@@ -492,8 +484,8 @@ def _inverse_iteration(d, e, w, top):
     s = w.ravel().copy()
     for cols, _ in groups:
         s[cols] = np.maximum(s[cols], s[cols - 1] + 10.0 * tiny[cols])
-    shift = (d.repeat(per, axis=0) - s[:, None]).T
-    off = np.repeat(e, per, axis=0).T
+    diag, off = d.repeat(per, axis=0), np.repeat(e, per, axis=0).T
+    shift = (diag - s[:, None]).T
     # row k of what is left to eliminate is (head, over, 0) in columns k,
     # k + 1, k + 2; the factors are lists of rows
     head, over = shift[0], off[0]
@@ -534,7 +526,7 @@ def _inverse_iteration(d, e, w, top):
                       * earlier).sum(axis=1)
             y[cols] = u / np.sqrt((u ** 2).sum(axis=1))[:, None]
         if sweep:
-            res = (d.repeat(per, axis=0) - w.reshape(n, 1)) * y
+            res = (diag - w.reshape(n, 1)) * y
             res[:, 1:] += off.T * y[:, :-1]
             res[:, :-1] += off.T * y[:, 1:]
             done = np.sqrt((res ** 2).sum(axis=1)) <= bound

@@ -61,6 +61,16 @@ def test_spectrum_json(tmp_path, capsys):
     assert data["classification_agrees"] is True
 
 
+def test_spectrum_skips_the_classification_of_a_zero_3x3(tmp_path, capsys):
+    path = tmp_path / "zero3.json"
+    save_matrix(path, QuatMatrix.zeros(3, 3))
+    assert main(["spectrum", str(path), "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["classification"] is None and data["solid"] is False
+    assert main(["spectrum", str(path)]) == 0
+    assert "3x3 classification: skipped (nonzero triple required)" in capsys.readouterr().out
+
+
 def test_spectrum_accepts_complex_input(tmp_path, capsys):
     rc = main(["spectrum", write_complex_skew(tmp_path), "--json"])
     assert rc == 0

@@ -741,6 +741,30 @@ def test_bisect_on_a_newton_stack_is_plain_grid_bisection(kind, m, extra, mixed,
     assert w.tobytes() == plain_bisection(d, e2, top).tobytes()
 
 
+@given(st.sampled_from(["search", "random", "chi", "zz", "degenerate", "degenerate3",
+                        "golub_kahan", "wilkinson", "floor"]),
+       st.integers(min_value=2, max_value=36), st.integers(min_value=0, max_value=72),
+       st.booleans(), st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=60, deadline=None)
+def test_bisect_below_the_newton_size_is_plain_grid_bisection(kind, m, extra, mixed, seed):
+    # stacks of 1 to 73 intervals bisect with several cuts per round, each
+    # interval on its own column; the cells must be those of the plain
+    # bisection, bitwise, from eigenvalue 0 and from m // 2 up
+    rng = np.random.default_rng(seed)
+    first = bisection_input(kind, m, rng)
+    m = first[0].shape[1]
+    picks = [first] + [bisection_input("random" if mixed and rng.uniform() < 0.7 else kind,
+                                       m, rng)
+                       for _ in range(extra % (73 // m))]
+    d, e2 = (np.concatenate(part) for part in zip(*picks))
+    assert d.size <= 73
+    e2 = np.maximum(e2, 2.0 ** -512)
+    top = gershgorin_top(d, e2)
+    full = plain_bisection(d, e2, top)
+    assert qskew.clinalg._bisect(d, e2, top).tobytes() == full.tobytes()
+    assert qskew.clinalg._bisect(d, e2, top, m // 2).tobytes() == full[:, m // 2:].tobytes()
+
+
 def test_newton_confirms_every_cell_of_a_search_stack():
     # a search block's spectra are simple: every interval is closed by
     # Newton steps and confirmed by Sturm counts, none is bisected further
@@ -748,9 +772,11 @@ def test_newton_confirms_every_cell_of_a_search_stack():
         bisection_input("search", 4, np.random.default_rng(seed)) for seed in range(100)]))
     top = gershgorin_top(d, e2)
     index, span = np.tile(np.arange(4), 100), np.repeat(2.0 * top, 4)
+    # one column per interval, as _bisect lays them out
+    diag, e2s = np.repeat(d, 4, axis=0).T, np.repeat(e2, 4, axis=0).T
     with np.errstate(divide="ignore", over="ignore"):
-        lo = qskew.clinalg._grid(d.T, e2.T, index, -span / 2, span, 0, 9)
-        rest = qskew.clinalg._newton_cells(d, e2, index, lo, span, 9)
+        lo = qskew.clinalg._grid(diag, e2s, index, -span / 2, span, 0, 9)
+        rest = qskew.clinalg._newton_cells(diag, e2s, index, lo, span, 9)
     assert rest.size == 0
     w = np.sort((lo + np.ldexp(span, -54)).reshape(100, 4), axis=1)
     assert w.tobytes() == plain_bisection(d, e2, top).tobytes()

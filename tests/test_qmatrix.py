@@ -374,6 +374,8 @@ def test_constructor_and_sampler_reject_bad_shapes_and_sizes():
         QuatMatrix(np.zeros((2, 2, 3)))
     with pytest.raises(ValueError, match="matmul shape mismatch"):
         QuatMatrix(np.zeros((2, 3, 4))) @ QuatMatrix(np.zeros((2, 2, 4)))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        QuatMatrix.eye(2) + QuatMatrix.eye(3)
     with pytest.raises(ValueError, match="need n >= 2"):
         random_skew_symmetric(1, 0)
     with pytest.raises(ValueError, match="scale must be positive"):
@@ -402,3 +404,7 @@ def test_sampler_scale_stops_at_half_the_largest_float():
     for scale in (np.nextafter(half, np.inf), 1e308):
         with pytest.raises(ValueError, match=r"at most half the largest float \(8\.98"):
             random_skew_symmetric(4, 0, scale=scale)
+
+
+def test_repr_names_the_stack_shape():
+    assert repr(QuatMatrix(np.zeros((2, 3, 3, 4)))) == "QuatMatrix(shape=2x3x3)"

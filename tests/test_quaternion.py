@@ -49,6 +49,12 @@ def test_coerce_and_scalar_ops():
         Quaternion.coerce([1, 2, 3])
 
 
+def test_equality_with_other_types_and_hash():
+    assert Quaternion(1).__eq__("1") is NotImplemented
+    assert (Quaternion(1) == "1") is False
+    assert len({Quaternion(1, 2), Quaternion(1.0, 2.0)}) == 1
+
+
 def test_immutable():
     q = Quaternion(1, 2, 3, 4)
     with pytest.raises(AttributeError):
