@@ -36,9 +36,10 @@ from .hua import even_multiplicity_check, hua_decompose
 from .matio import MatrixFormatError, load_matrix, quat_matrix_to_dict
 from .qmatrix import QuatMatrix, random_skew_symmetric
 from .quaternion import Quaternion, I, J
-from .skew import (SkewTriple, _search_block, basic_candidate_search, classify_3x3,
-                   inverse_skew_report, reference_4x4, sample_degenerate_triple,
-                   sample_generic_triple, trial_seed, verify_classification)
+from .skew import (SkewTriple, _search_block, _triple_matrices, basic_candidate_search,
+                   classify_3x3, inverse_skew_report, reference_4x4,
+                   sample_degenerate_triple, sample_generic_triple, trial_seed,
+                   verify_classification)
 from .spectra import gram_spectrum
 
 GENERAL_TOL = 1e-10
@@ -307,9 +308,7 @@ def _row_three_by_three():
 
 
 def _row_degenerate():
-    rng = _rng(23)
-    reports = verify_classification([sample_degenerate_triple(rng)
-                                     for _ in range(50)])
+    reports = verify_classification(sample_degenerate_triple(_rng(23), 50))
     worst = max(r.max_deviation / max(r.predicted_values) for r in reports)
     return worst <= 1e-7, "50 degenerate triples, worst relative deviation %.2e" % worst
 
@@ -366,9 +365,8 @@ def _row_inverse():
     worst2 = max(rep.skew_deviation / rep.inverse.norm() for rep in pairs)
     if worst2 > 1e-12:
         return False, "2x2 inverse skew deviation %.2e too large" % worst2
-    triples = ([sample_generic_triple(rng) for _ in range(20)]
-               + [sample_degenerate_triple(rng) for _ in range(5)])
-    reports = inverse_skew_report(QuatMatrix(np.array([t.matrix().data for t in triples])))
+    triples = np.concatenate([sample_generic_triple(rng, 20), sample_degenerate_triple(rng, 5)])
+    reports = inverse_skew_report(_triple_matrices(triples))
     floor3 = min(rep.skew_deviation / rep.inverse.norm() for rep in reports[:20])
     if floor3 < 1e-6:
         return False, "3x3 solid inverse skew deviation %.2e too small" % floor3

@@ -9,13 +9,14 @@ seeded random search for matrices whose W has fully distinct positive
 spectrum, plus the quaternion side of the even-multiplicity contrast.
 """
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .clinalg import SingularMatrixError, _require, even_clusters, unit_scaled
 from .qmatrix import QuatMatrix, random_skew_symmetric
-from .quaternion import Quaternion, _times_pow2
+from .quaternion import Quaternion, _hamilton, _sum_of_squares, _times_pow2
 from .spectra import gram_spectrum, quat_inverse
 
 
@@ -32,8 +33,18 @@ class SkewTriple:
         self.c = Quaternion.coerce(self.c)
 
     def matrix(self):
-        a, b, c = self.a, self.b, self.c
-        return QuatMatrix.from_entries([[0, a, c], [-a, 0, b], [-c, -b, 0]])
+        return QuatMatrix(_triple_matrices(
+            np.array([q.components() for q in (self.a, self.b, self.c)])))
+
+
+def _triple_matrices(entries):
+    """The matrices [[0, a, c], [-a, 0, b], [-c, -b, 0]] of a (..., 3, 4)
+    array of triples (a, b, c), as a (..., 3, 3, 4) array."""
+    z = np.zeros(entries.shape[:-2] + (3, 3, 4))
+    for k, (i, j) in enumerate(((0, 1), (1, 2), (0, 2))):
+        z[..., i, j, :] = entries[..., k, :]
+        z[..., j, i, :] = -entries[..., k, :]
+    return z
 
 
 @dataclass
@@ -108,11 +119,16 @@ def classify_3x3(triple):
     predicted spectrum (0, s, s).  The triple is classified unit_scaled, as
     (a, b, c) 2^-e over its twelve components, so that no norm under- or
     overflows; the gap and s are scaled back by 2^e and 2^2e (inf beyond
-    the float range).  Raises ValueError on the all-zero triple.
+    the float range).  Raises ValueError on a non-finite or all-zero
+    triple.  This is the scalar arithmetic for one triple; _classify_stack
+    evaluates the same rule over a stack, bitwise per triple.
     """
     if not isinstance(triple, SkewTriple):
         triple = SkewTriple(*triple)
-    unit, e = unit_scaled([q.components() for q in (triple.a, triple.b, triple.c)])
+    comps = np.array([q.components() for q in (triple.a, triple.b, triple.c)])
+    if not np.isfinite(comps).all():
+        raise ValueError("classification needs finite entries")
+    unit, e = unit_scaled(comps)
     a, b, c = (Quaternion(*q) for q in unit)
     largest = max(abs(a), abs(b), abs(c))
     if largest == 0.0:
@@ -130,6 +146,45 @@ def classify_3x3(triple):
     return SpectrumReport("degenerate", [0.0, s, s], [], 0.0, gap)
 
 
+def _abs(q):
+    """|q| for each quaternion of a (4, ...) array of components, bitwise
+    abs(Quaternion(*q)): each unit_scaled on its own, as Quaternion's
+    _unit_scaled does, then the same squares and sum."""
+    unit, e = unit_scaled(q, axis=0)
+    return np.ldexp(np.sqrt(_sum_of_squares(unit)), e)
+
+
+def _classify_stack(entries):
+    """The rule of classify_3x3 over a (B, 3, 4) array of triples, in one
+    array pass: the solid flags, the gaps and s = |a|^2 + |b|^2 + |c|^2,
+    each (B,), bitwise those of one classify_3x3 call per triple (which
+    reports s for a degenerate triple only).  Every step is the scalar
+    one in its order, on component arrays: the triple unit_scaled, |q| and
+    a^-1 from each quaternion scaled by its own power of two, and the
+    Hamilton products by quaternion._hamilton.  The first non-finite or
+    all-zero triple is named in the error."""
+    _require(np.isfinite(entries).all(axis=(1, 2)), "classification needs finite entries")
+    unit, e = unit_scaled(entries, axis=(1, 2))
+    mag = _abs(np.moveaxis(unit, -1, 0))  # (B, 3): |a|, |b|, |c|
+    largest = mag.max(axis=1)
+    _require(largest > 0.0, "classification needs a nonzero triple")
+    gap = np.zeros(len(unit))
+    solid = np.zeros(len(unit), dtype=bool)
+    sel = np.flatnonzero(mag[:, 0] > 1e-10 * largest)
+    a, b, c = unit[sel].transpose(1, 2, 0)  # each (4, len(sel))
+    ainv, ea = unit_scaled(a, axis=0)
+    ainv = np.ldexp(ainv / _sum_of_squares(ainv), -ea)
+    ainv[1:] = -ainv[1:]
+    cab = _hamilton(_hamilton(c, ainv, operator.mul), b, operator.mul)
+    bac = _hamilton(_hamilton(b, ainv, operator.mul), c, operator.mul)
+    gap[sel] = _abs(np.subtract(cab, bac))
+    solid[sel] = gap[sel] > 1e-10 * _abs(ainv) * mag[sel, 1] * mag[sel, 2]
+    norm_sq = _sum_of_squares(np.moveaxis(unit, -1, 0))
+    with np.errstate(over="ignore"):
+        return (solid, np.ldexp(gap, e),
+                np.ldexp(norm_sq[:, 0] + norm_sq[:, 1] + norm_sq[:, 2], 2 * e))
+
+
 def _is_one_triple(value):
     """Whether value is one triple rather than a sequence of them: a
     SkewTriple, or three entries none of which is itself a triple (an
@@ -144,24 +199,38 @@ def verify_classification(triples):
     eigensolver gives for its matrix.
 
     triples is one triple (a SkewTriple or its entries a, b, c), giving one
-    SpectrumReport, or a sequence of them, giving a list.  The matrices
-    are laid out as one (B, 3, 3, 4) stack that goes once through
+    SpectrumReport, or a sequence of them or a (B, 3, 4) array of their
+    entries, giving a list.  One triple is classified by classify_3x3, two
+    or more in one _classify_stack pass, and their max_deviation comes
+    from one sort, subtraction and max over the stack.  The matrices are
+    laid out as one (B, 3, 3, 4) stack that goes once through
     gram_spectrum, bitwise per slice, so each report is that of its own
     call; the computed values are scaled back by 4^e.
     """
     one = _is_one_triple(triples)
-    triples = [t if isinstance(t, SkewTriple) else SkewTriple(*t)
-               for t in ([triples] if one else triples)]
-    entries = np.array([[t.a.components(), t.b.components(), t.c.components()]
-                        for t in triples]).reshape(-1, 3, 4)
-    z = np.zeros((len(triples), 3, 3, 4))
-    for k, (i, j) in enumerate(((0, 1), (1, 2), (0, 2))):
-        z[:, i, j] = entries[:, k]
-        z[:, j, i] = -entries[:, k]
+    if isinstance(triples, np.ndarray):
+        entries = np.asarray(triples, dtype=float).reshape(-1, 3, 4)
+    else:
+        entries = np.array([[Quaternion.coerce(q).components() for q in
+                             ((t.a, t.b, t.c) if isinstance(t, SkewTriple) else t)]
+                            for t in ([triples] if one else triples)]).reshape(-1, 3, 4)
+    stack = len(entries) != 1
+    classes = _classify_stack(entries) if stack else classify_3x3(entries[0])
+    z = _triple_matrices(entries)
     _, spectrum, e = gram_spectrum(QuatMatrix(z[0] if one else z))
     values = np.ldexp(spectrum.values.reshape(-1, 3), 2 * np.reshape(e, (-1, 1)))
-    reports = [classify_3x3(t).compare(v) for t, v in zip(triples, values)]
-    return reports[0] if one else reports
+    if not stack:
+        report = classes.compare(values[0])
+        return report if one else [report]
+    solid, gap, s = classes
+    deviation = np.zeros(len(entries))
+    predicted = np.zeros((np.count_nonzero(~solid), 3))
+    predicted[:, 1:] = s[~solid, None]
+    deviation[~solid] = np.abs(predicted - np.sort(values[~solid])).max(axis=1)
+    return [SpectrumReport("solid", [], v, 0.0, g) if ok else
+            SpectrumReport("degenerate", [0.0, p, p], v, d, g)
+            for ok, g, p, v, d in zip(solid.tolist(), gap.tolist(), s.tolist(),
+                                      values.tolist(), deviation.tolist())]
 
 
 def _unit_gram_spectrum(z):
@@ -324,34 +393,52 @@ def reference_4x4_variant():
     return QuatMatrix.from_parts(z1, z2, z3, z3)
 
 
-def sample_degenerate_triple(rng):
+def sample_degenerate_triple(rng, count=None):
     """Random triple that the classification provably marks degenerate.
 
     Either a = 0 with b, c arbitrary, or a real and nonzero with b and c
     drawn from one common plane spanned by 1 and a shared unit imaginary
-    direction (so b and c commute).
+    direction (so b and c commute).  With count, the entries of count
+    successive draws as a (count, 3, 4) array.
     """
+    if count is None:
+        return SkewTriple(*_degenerate_entries(rng))
+    return np.array([_degenerate_entries(rng) for _ in range(count)]).reshape(-1, 3, 4)
+
+
+def _degenerate_entries(rng):
+    """One sample_degenerate_triple draw as a (3, 4) array of entries."""
+    t = np.zeros((3, 4))
     if rng.uniform() < 0.5:
-        b = Quaternion(*rng.uniform(-1, 1, 4))
-        c = Quaternion(*rng.uniform(-1, 1, 4))
-        return SkewTriple(Quaternion(), b, c)
-    a = Quaternion(_nonzero_uniform(rng))
+        t[1:] = rng.uniform(-1, 1, (2, 4))
+        return t
+    t[0, 0] = _nonzero_uniform(rng)
     mu = rng.normal(size=3)
     mu /= np.sqrt((mu ** 2).sum())
     al, be, ga, de = rng.uniform(-1, 1, 4)
-    b = Quaternion(al, *(be * mu))
-    c = Quaternion(ga, *(de * mu))
-    return SkewTriple(a, b, c)
+    t[1:, 0] = al, ga
+    t[1, 1:], t[2, 1:] = be * mu, de * mu
+    return t
 
 
-def sample_generic_triple(rng):
-    """Random triple resampled until the solidity condition holds."""
-    while True:
-        t = SkewTriple(Quaternion(*rng.uniform(-1, 1, 4)),
-                       Quaternion(*rng.uniform(-1, 1, 4)),
-                       Quaternion(*rng.uniform(-1, 1, 4)))
-        if classify_3x3(t).case_label == "solid":
-            return t
+def sample_generic_triple(rng, count=None):
+    """Random triple resampled until the solidity condition holds; with
+    count, the entries of count such triples as a (count, 3, 4) array.
+
+    The tries still needed are drawn as one rng.uniform(-1, 1, (k, 3, 4))
+    block, the stream of k successive tries, and classified as one
+    _classify_stack pass; only as many tries as were rejected are drawn
+    again.  So the triples, and the generator's state afterwards, are
+    those of count successive single calls.
+    """
+    found = [np.empty((0, 3, 4))]
+    need = 1 if count is None else count
+    while need:
+        tries = rng.uniform(-1, 1, (need, 3, 4))
+        found.append(tries[_classify_stack(tries)[0]])
+        need -= len(found[-1])
+    found = np.concatenate(found)
+    return SkewTriple(*found[0]) if count is None else found
 
 
 def _nonzero_uniform(rng):

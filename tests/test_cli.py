@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 import qskew.cli
 import qskew.clinalg
 import qskew.hua
+import qskew.quaternion
+import qskew.skew
 import qskew.spectra
 from qskew import (BasicCandidate, DualQuatMatrix, QuatMatrix, SkewTriple, I, J,
                    basic_candidate_search, dq_hermitian_direct, dq_hermitian_split,
@@ -528,6 +530,32 @@ def test_verify_paper_solves_rows_in_stacks(monkeypatch, capsys):
     assert len(stacks["dq_hermitian_direct"]) <= 4
     assert stacks["dq_hermitian_split"] == stacks["dq_hermitian_direct"]
     assert sum(shape[0] for shape in stacks["dq_hermitian_direct"]) == 100
+
+
+def test_verify_paper_classifies_each_triple_row_in_one_pass(monkeypatch):
+    # the degenerate and inverse rows: one _classify_stack pass each, no
+    # scalar classify_3x3 call, and no Quaternion, SkewTriple or 3x3
+    # QuatMatrix built per triple; the only 3x3 matrices built are the
+    # twenty solid triples' inverses that inverse_skew_report returns
+    passes, scalar, built = [], [], []
+    stack_pass, classify = qskew.skew._classify_stack, qskew.skew.classify_3x3
+    monkeypatch.setattr(qskew.skew, "_classify_stack",
+                        lambda e: passes.append(len(e)) or stack_pass(e))
+    monkeypatch.setattr(qskew.skew, "classify_3x3",
+                        lambda t: scalar.append(t) or classify(t))
+    init = QuatMatrix.__init__
+    monkeypatch.setattr(QuatMatrix, "__init__",
+                        lambda self, data: built.append(np.shape(data)) or init(self, data))
+    monkeypatch.setattr(qskew.quaternion.Quaternion, "__init__",
+                        lambda *args: pytest.fail("a Quaternion was built"))
+    monkeypatch.setattr(SkewTriple, "__post_init__",
+                        lambda self: pytest.fail("a SkewTriple was built"))
+    for row, sizes, inverses in ((qskew.cli._row_degenerate, [50], 0),
+                                 (qskew.cli._row_inverse, [20], 20)):
+        del passes[:], built[:]
+        assert row()[0]
+        assert passes == sizes and not scalar
+        assert built.count((3, 3, 4)) == inverses
 
 
 def test_verify_paper_stacked_rows_match_single_calls(capsys):

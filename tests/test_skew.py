@@ -107,6 +107,99 @@ def test_classify_overflowing_s_is_inf_quietly():
     assert report.condition_lhs_rhs_gap == 0.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_classification_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="classification needs finite entries$"):
+        classify_3x3((bad, 1, 1))
+    with pytest.raises(ValueError, match="classification needs finite entries$"):
+        classify_3x3((1, I, Quaternion(0, 1, bad)))
+    # the stack pass names the triple, before any eigensolver call
+    solid = (1, I + J, I + 2 * J)
+    with pytest.raises(ValueError, match=r"classification needs finite entries \(slice 1\)$"):
+        verify_classification([solid, (1, I, Quaternion(0, 1, bad)), solid])
+
+
+def test_stacked_classification_names_the_zero_triple():
+    solid = (1, I + J, I + 2 * J)
+    with pytest.raises(ValueError, match=r"nonzero triple \(slice 0\)$"):
+        verify_classification([(0, 0, 0), solid])
+    with pytest.raises(ValueError, match=r"nonzero triple \(slice 2\)$"):
+        verify_classification([solid, solid, (0, 0, 0)])
+    with pytest.raises(ValueError, match="nonzero triple$"):
+        verify_classification((0, 0, 0))
+
+
+def _stack_reports(entries):
+    """The reports that verify_classification builds from one
+    _classify_stack pass, before it adds the computed spectra."""
+    solid, gap, s = qskew.skew._classify_stack(entries)
+    return [qskew.skew.SpectrumReport("solid", [], [], 0.0, g) if ok else
+            qskew.skew.SpectrumReport("degenerate", [0.0, v, v], [], 0.0, g)
+            for ok, g, v in zip(solid.tolist(), gap.tolist(), s.tolist())]
+
+
+def _triple_of_kind(kind, seed, delta):
+    """Entries (3, 4) of a generic triple, one whose components are each
+    scaled by their own 2^-j (j up to 1100, so that squares and products
+    underflow, but up to 30 for a's first), one with a = 0, one with real
+    a and commuting b and c, or (1, i, i + delta j)."""
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(-1, 1, (3, 4))
+    if kind == "spread":
+        j = rng.integers(0, 1100, (3, 4))
+        j[0, 0] %= 31
+        t = np.ldexp(t, -j)
+    elif kind == "a = 0":
+        t[0] = 0.0
+    elif kind == "commuting":
+        mu = rng.normal(size=3)
+        t[0, 1:] = 0.0
+        t[1:, 1:] = np.outer(t[1:, 1], mu)
+    elif kind == "delta":
+        t = np.array([[1.0, 0, 0, 0], [0, 1, 0, 0], [0, 1, delta, 0]])
+    return t
+
+
+@given(st.lists(st.tuples(st.sampled_from(["generic", "spread", "a = 0", "commuting",
+                                           "delta"]),
+                          st.integers(0, 2 ** 32 - 1), st.floats(-12, -2),
+                          st.integers(-900, 900)), min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_stack_pass_is_bitwise_classify_3x3(spec):
+    # every SpectrumReport field of the array pass is that of one scalar
+    # call per triple, on every kind of triple, across the 1e-10 boundary
+    # of the delta family and at 2^k scalings whose s may overflow
+    entries = np.array([np.ldexp(_triple_of_kind(kind, seed, 10.0 ** d), k)
+                        for kind, seed, d, k in spec])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = _stack_reports(entries)
+        singles = [classify_3x3(t) for t in entries]
+    assert [repr(dataclasses.astuple(r)) for r in stacked] == \
+        [repr(dataclasses.astuple(r)) for r in singles]
+
+
+def test_stack_pass_overflowing_s_is_inf_quietly():
+    # s = 1e401 for the degenerate triple; the solid one's gap is about
+    # |a|^-1 |b| |c| = 2^1053
+    entries = np.array([[[0.0, 0, 0, 0], [1e200, 1, 0, 0], [3e200, 0, 0, 0]],
+                        np.ldexp([[2.0 ** -30, 0, 0, 0], [0, 1, 1, 0], [0, 1, 2, 0]], 1022)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        degenerate, solid = _stack_reports(entries)
+        assert (degenerate, solid) == tuple(classify_3x3(t) for t in entries)
+    assert degenerate.predicted_values == [0.0, math.inf, math.inf]
+    assert solid.case_label == "solid" and math.isinf(solid.condition_lhs_rhs_gap)
+
+
+def test_delta_family_crosses_the_gap_threshold_in_both_evaluations():
+    deltas = 10.0 ** np.arange(-12.0, -1.0)
+    entries = np.array([_triple_of_kind("delta", 0, d) for d in deltas])
+    labels = [r.case_label for r in _stack_reports(entries)]
+    assert labels == [classify_3x3(t).case_label for t in entries]
+    assert labels[0] == "degenerate" and labels[-1] == "solid"
+
+
 def test_is_solid():
     assert is_solid(SkewTriple(1, I + J, I + 2 * J).matrix())
     assert not is_solid(SkewTriple(0, I, I).matrix())
@@ -218,6 +311,72 @@ def test_sample_generic_triple():
     for _ in range(50):
         t = sample_generic_triple(rng)
         assert classify_3x3(t).case_label == "solid"
+
+
+class _RejectingTries:
+    """A generator that draws from default_rng(seed), except that the
+    tries (twelve components each) numbered in rejected have a = 0, which
+    the classification rejects."""
+
+    def __init__(self, seed, rejected):
+        self.rng, self.rejected, self.quats = np.random.default_rng(seed), rejected, 0
+
+    def uniform(self, low, high, size):
+        x = self.rng.uniform(low, high, size)
+        for i, q in enumerate(x.reshape(-1, 4), start=self.quats):
+            if i % 3 == 0 and i // 3 in self.rejected:
+                q[:] = 0.0
+        self.quats += x.size // 4
+        return x
+
+
+def _generic_one_try_at_a_time(rng, count):
+    """count generic triples as single calls drew them, three quaternions
+    of four components per try, each try classified by classify_3x3."""
+    found = []
+    while len(found) < count:
+        t = [rng.uniform(-1, 1, 4) for _ in range(3)]
+        if classify_3x3(t).case_label == "solid":
+            found.append(t)
+    return np.array(found).reshape(-1, 3, 4)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 25),
+       st.sets(st.integers(0, 30), max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_block_sampler_draws_the_triples_of_successive_calls(seed, count, rejected):
+    one, block = _RejectingTries(seed, rejected), _RejectingTries(seed, rejected)
+    expected = _generic_one_try_at_a_time(one, count)
+    got = sample_generic_triple(block, count)
+    assert got.shape == (count, 3, 4) and np.array_equal(got, expected)
+    assert block.rng.bit_generator.state == one.rng.bit_generator.state
+    # the single call is the block of one
+    one, single = _RejectingTries(seed, rejected), _RejectingTries(seed, rejected)
+    t = sample_generic_triple(single)
+    assert isinstance(t, SkewTriple)
+    assert np.array_equal([t.a.components(), t.b.components(), t.c.components()],
+                          _generic_one_try_at_a_time(one, 1)[0])
+    assert single.rng.bit_generator.state == one.rng.bit_generator.state
+    # degenerate draws: count single calls against one call with count
+    one, block = np.random.default_rng(seed), np.random.default_rng(seed)
+    singles = [sample_degenerate_triple(one) for _ in range(count)]
+    got = sample_degenerate_triple(block, count)
+    assert got.shape == (count, 3, 4)
+    assert np.array_equal(got, np.reshape([[q.components() for q in (t.a, t.b, t.c)]
+                                           for t in singles], (-1, 3, 4)))
+    assert block.bit_generator.state == one.bit_generator.state
+
+
+def test_block_sampler_redraws_only_the_rejected_tries():
+    stub = _RejectingTries(7, {0, 3})
+    calls = []
+    draw = stub.uniform
+    stub.uniform = lambda *args: calls.append(args[2]) or draw(*args)
+    got = sample_generic_triple(stub, 4)
+    # tries 0 and 3 of the first block are rejected; the second block
+    # draws two tries, both kept
+    assert calls == [(4, 3, 4), (2, 3, 4)]
+    assert np.array_equal(got, _generic_one_try_at_a_time(_RejectingTries(7, {0, 3}), 4))
 
 
 def test_search_determinism_and_workers():

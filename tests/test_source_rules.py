@@ -66,6 +66,9 @@ LIBRARY_ONLY = {
     "ONE": "unit quaternion exported for callers",
     "ZERO": "zero quaternion exported for callers",
     "real": "real part of a scalar quaternion, for callers",
+    "from_entries": "a matrix from nested Quaternion, scalar or 4-component entries, "
+                    "for callers",
+    "matrix": "Z of a SkewTriple or of a search hit as a QuatMatrix, for callers",
     "gram": "Z Z* without the skew check of gram_product",
     "left_mul": "shows that left and right scalar products differ",
     "right_mul": "shows that left and right scalar products differ",
