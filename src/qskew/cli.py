@@ -30,15 +30,15 @@ import sys
 
 import numpy as np
 
-from .clinalg import ConvergenceError, SingularMatrixError
+from .clinalg import ConvergenceError, SingularMatrixError, frobenius_norm
 from .dual import DualQuatMatrix, dq_hermitian_direct, dq_hermitian_split
 from .hua import even_multiplicity_check, hua_decompose
 from .matio import MatrixFormatError, load_matrix, quat_matrix_to_dict
 from .qmatrix import QuatMatrix, random_skew_symmetric
 from .quaternion import Quaternion, I, J
-from .skew import (SkewTriple, _search_block, _triple_matrices, basic_candidate_search,
-                   classify_3x3, inverse_skew_report, reference_4x4,
-                   sample_degenerate_triple, sample_generic_triple, trial_seed,
+from .skew import (SkewTriple, _search_block, _trial_keys, _triple_matrices,
+                   basic_candidate_search, classify_3x3, inverse_skew_report,
+                   reference_4x4, sample_degenerate_triple, sample_generic_triple,
                    verify_classification)
 from .spectra import gram_spectrum
 
@@ -287,7 +287,7 @@ def _hit_lines(chunk):
 
 
 def _row_two_by_two():
-    z = random_skew_symmetric(2, [trial_seed(11, t) for t in range(25)])
+    z = random_skew_symmetric(2, _trial_keys(11, 0, 25))
     _, spec, e = gram_spectrum(z)
     expect = np.ldexp([Quaternion(*a).norm_sq() for a in z.data[:, 0, 1]], -2 * e)
     worst = float((np.abs(spec.values - expect[:, None]).max(axis=1) / expect).max())
@@ -360,20 +360,25 @@ def _row_hua():
 
 def _row_inverse():
     rng = _rng(41)
-    pairs = inverse_skew_report(random_skew_symmetric(2, [trial_seed(43, t)
-                                                          for t in range(20)]))
-    worst2 = max(rep.skew_deviation / rep.inverse.norm() for rep in pairs)
+    pairs = inverse_skew_report(random_skew_symmetric(2, _trial_keys(43, 0, 20)))
+    worst2 = _relative_deviations(pairs).max()
     if worst2 > 1e-12:
         return False, "2x2 inverse skew deviation %.2e too large" % worst2
     triples = np.concatenate([sample_generic_triple(rng, 20), sample_degenerate_triple(rng, 5)])
     reports = inverse_skew_report(_triple_matrices(triples))
-    floor3 = min(rep.skew_deviation / rep.inverse.norm() for rep in reports[:20])
+    floor3 = _relative_deviations(reports[:20]).min()
     if floor3 < 1e-6:
         return False, "3x3 solid inverse skew deviation %.2e too small" % floor3
     if any(rep.invertible for rep in reports[20:]):
         return False, "degenerate 3x3 came back invertible"
     return True, ("2x2 worst relative deviation %.2e; 3x3 solid floor %.2e; "
                   "degenerate all singular" % (worst2, floor3))
+
+
+def _relative_deviations(reports):
+    """skew_deviation / ||Z^-1||_F of each report, the norms in one pass."""
+    norms = frobenius_norm(np.stack([r.inverse.data for r in reports]), axis=(1, 2, 3))
+    return np.array([r.skew_deviation for r in reports]) / norms
 
 
 def _row_dual():

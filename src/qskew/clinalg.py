@@ -37,6 +37,8 @@ Every routine that takes a stack solves each slice as a single call would,
 so a slice gives bitwise the result of its own call.
 """
 
+import math
+
 import numpy as np
 
 
@@ -103,39 +105,54 @@ def frobenius_norm(a, axis=None):
     return float(norm) if axis is None else norm
 
 
-def herm_eig(h):
+def herm_eig(h, tol=1e-10):
     """Eigenvalues, ascending, of a Hermitian matrix, (m,), or of each slice
-    of a (B, ...) stack, (B, m): complex H (m, m), or quaternion
-    A = A_c + A_d j as [A_c | A_d] (m, 2m), the first m rows of chi(A), each
-    right eigenvalue once (H is the quaternion H + 0 j).
+    of a stack with any leading axes, (..., m): complex H (m, m), or
+    quaternion A = A_c + A_d j as [A_c | A_d] (m, 2m), the first m rows of
+    chi(A), each right eigenvalue once (H is the quaternion H + 0 j).
 
     ValueError when the input is neither (m, m) nor (m, 2m) or not finite,
-    or names the first slice whose largest |A - A^*| entry exceeds 1e-10
-    times its largest entry.  Each slice is solved unit_scaled, on its own,
-    so a slice of a stack gives bitwise the result of a single call:
-    Householder reflections reduce it to a real tridiagonal T of size m
-    (_tridiagonal), whose eigenvalues _tridiagonal_eig cuts out.
+    or names the first slice not Hermitian within tol (_is_hermitian).
+    Each slice is solved unit_scaled, on its own, so a slice of a stack
+    gives bitwise the result of a single call: Householder reflections
+    reduce it to a real tridiagonal T of size m (_tridiagonal), whose
+    eigenvalues _tridiagonal_eig cuts out.
     """
     h = np.asarray(h, dtype=complex)
-    single = h.ndim == 2
-    if single:
-        h = h[None]
-    if h.ndim != 3 or h.shape[2] not in (h.shape[1], 2 * h.shape[1]):
+    if h.ndim < 2 or h.shape[-1] not in (h.shape[-2], 2 * h.shape[-2]):
         raise ValueError("herm_eig needs (m, m) or (m, 2m) matrices")
     if not np.isfinite(h).all():
         raise ValueError("herm_eig needs finite entries")
-    m = h.shape[1]
-    # A^* = A: A_c Hermitian and A_d antisymmetric
-    parts = [(h[:, :, :m], h[:, :, :m].conj().swapaxes(1, 2))]
-    parts += [(h[:, :, m:], -h[:, :, m:].swapaxes(1, 2))] * (h.shape[2] > m)
-    off = np.max([np.abs(x - xh).max(axis=(1, 2), initial=0.0) for x, xh in parts], 0)
-    ok = off <= 1e-10 * np.abs(h).max(axis=(1, 2), initial=0.0)
-    _require(ok[0] if single else ok, "matrix is not Hermitian")
-    # a quaternion slice is interleaved as columns (c_0, d_0, c_1, d_1, ...)
-    a = np.stack([x + xh for x, xh in parts], axis=3).reshape(h.shape) * 0.5
+    stack, m = h.shape[:-2], h.shape[-2]
+    h = h.reshape((math.prod(stack),) + h.shape[-2:])
+    c = h[:, :, :m]
+    d = [h[:, :, m:]] if h.shape[2] > m else []  # A_d of a quaternion [A_c | A_d]
+    parts = [p for x in [c] + d for p in (x.real, x.imag)]
+    _require(_is_hermitian(parts, tol).reshape(stack), "matrix is not Hermitian")
+    # A^* = A: A_c Hermitian and A_d antisymmetric, averaged in; a quaternion
+    # slice is interleaved as columns (c_0, d_0, c_1, d_1, ...)
+    halves = [c + c.conj().swapaxes(1, 2)] + [x - x.swapaxes(1, 2) for x in d]
+    a = np.stack(halves, axis=3).reshape(h.shape) * 0.5
     a, e = unit_scaled(a, axis=(1, 2))
     w = np.ldexp(_tridiagonal_eig(*_tridiagonal(a)), e[:, None])
-    return w[0] if single else w
+    return w.reshape(stack + (m,))
+
+
+def _max_abs(parts):
+    """The one entry measure, the largest |a_ij| of each matrix by hypot (no
+    overflow), from its components (w, x) or (w, x, y, z), each (..., m, n)."""
+    mag = np.hypot(parts[0], parts[1])
+    if len(parts) > 2:
+        mag = np.hypot(mag, np.hypot(parts[2], parts[3]))
+    return mag.max(axis=(-2, -1), initial=0.0)
+
+
+def _is_hermitian(parts, tol):
+    """The one Hermitian rule, per matrix given as _max_abs takes it: the
+    largest |a_ij - conj(a_ji)| within tol times the largest |a_ij|."""
+    off = [parts[0] - parts[0].swapaxes(-2, -1)]
+    off += [p + p.swapaxes(-2, -1) for p in parts[1:]]
+    return _max_abs(off) <= tol * _max_abs(parts)
 
 
 def _tridiagonal_eig(d, e2, vectors=False, first=0):

@@ -24,7 +24,7 @@ slice (an array), and a Python float or bool for a single matrix.
 
 import numpy as np
 
-from .clinalg import _require, frobenius_norm
+from .clinalg import _is_hermitian, _max_abs, _require, frobenius_norm
 from .quaternion import Quaternion, _hamilton
 
 # component signs of the quaternion conjugate w - x i - y j - z k
@@ -169,7 +169,7 @@ class QuatMatrix:
 
     def conj_transpose(self):
         """The * operation: conjugate transpose.  (AB)* = B* A* always holds."""
-        return QuatMatrix(_conj_transpose(self.data))
+        return QuatMatrix(self.data.swapaxes(-3, -2) * _CONJ_SIGNS)
 
     # -- products --------------------------------------------------------------------
 
@@ -226,19 +226,18 @@ class QuatMatrix:
 
     def max_abs(self):
         """Largest entry magnitude |a_ij|, by hypot, so it does not overflow."""
-        return _per_slice(_max_abs(self.data))
+        return _per_slice(_max_abs(np.rollaxis(self.data, -1)))
 
     def is_hermitian(self, tol=1e-10):
-        """A* = A within tol * max|a_ij|; the zero matrix passes."""
+        """A* = A within tol * max|a_ij|, herm_eig's rule; zero passes."""
         self._require_square("is_hermitian")
-        d = self.data
-        return _per_slice(_max_abs(d - _conj_transpose(d)) <= tol * _max_abs(d))
+        return _per_slice(_is_hermitian(np.rollaxis(self.data, -1), tol))
 
     def is_skew_symmetric(self, tol=1e-10):
         """Z^T = -Z under the plain transpose, within tol * max|z_ij|."""
         self._require_square("is_skew_symmetric")
-        d = self.data
-        return _per_slice(_max_abs(d.swapaxes(-3, -2) + d) <= tol * _max_abs(d))
+        p = np.rollaxis(self.data, -1)  # the four component matrices
+        return _per_slice(_max_abs(p.swapaxes(-2, -1) + p) <= tol * _max_abs(p))
 
     def _require_square(self, who):
         if self.nrows != self.ncols:
@@ -248,8 +247,8 @@ class QuatMatrix:
     def allclose(self, other, tol=1e-12):
         """max|a_ij - b_ij| within tol times the larger of the two max_abs."""
         other = _coerce_matrix(other, self.shape)
-        scale = np.maximum(_max_abs(self.data), _max_abs(other.data))
-        return _per_slice(_max_abs(self.data - other.data) <= tol * scale)
+        a, b = np.rollaxis(self.data, -1), np.rollaxis(other.data, -1)
+        return _per_slice(_max_abs(a - b) <= tol * np.maximum(_max_abs(a), _max_abs(b)))
 
 
 def random_skew_symmetric(n, seed, scale=1.0):
@@ -309,18 +308,6 @@ def _per_slice(x):
     """A per-slice result as given for a stack, as a Python scalar for a
     single matrix."""
     return x if x.ndim else x.item()
-
-
-def _max_abs(d):
-    """Largest entry magnitude of each matrix of a (..., m, n, 4) array,
-    by hypot."""
-    return np.hypot(np.hypot(d[..., 0], d[..., 1]),
-                    np.hypot(d[..., 2], d[..., 3])).max(axis=(-2, -1), initial=0.0)
-
-
-def _conj_transpose(d):
-    """A* of each matrix of a (..., m, n, 4) array."""
-    return d.swapaxes(-3, -2) * _CONJ_SIGNS
 
 
 def _scalar_matrix(q, n):

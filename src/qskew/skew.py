@@ -280,29 +280,20 @@ def quaternion_even_multiplicity_check(z):
 
 
 def trial_seed(seed, trial):
-    """Per-trial 64-bit stream key: splitmix64 step applied to the base seed.
-
-    mask = 2^64 - 1; z starts at (seed + (trial+1) * 0x9E3779B97F4A7C15),
-    then z ^= z >> 30; z *= 0xBF58476D1CE4E5B9; z ^= z >> 27;
-    z *= 0x94D049BB133111EB; z ^= z >> 31, all modulo 2^64.
-    """
-    mask = (1 << 64) - 1
-    z = (int(seed) + (trial + 1) * 0x9E3779B97F4A7C15) & mask
-    z ^= z >> 30
-    z = (z * 0xBF58476D1CE4E5B9) & mask
-    z ^= z >> 27
-    z = (z * 0x94D049BB133111EB) & mask
-    z ^= z >> 31
-    return z
+    """Per-trial 64-bit stream key, a Python int: the splitmix64 step that
+    _trial_keys(seed, trial, trial + 1) applies to the base seed."""
+    return int(_trial_keys(seed, trial, trial + 1)[0])
 
 
 def _trial_keys(seed, first, stop):
-    """trial_seed(seed, t) for t in range(first, stop), as one uint64 array.
-    Array arithmetic wraps modulo 2^64 without the overflow warning that
-    numpy scalars give, so the same splitmix64 step runs on the whole range."""
-    z = np.arange(first + 1, stop + 1, dtype=np.uint64)
+    """trial_seed(seed, t) for t in range(first, stop), as one uint64 array:
+    one splitmix64 step of seed + (t + 1) * 0x9E3779B97F4A7C15, for any int
+    seed and t.  Array arithmetic wraps modulo 2^64 without the overflow
+    warning that numpy scalars give."""
+    z = np.arange(stop - first, dtype=np.uint64)
+    z += np.uint64((first + 1) % 2 ** 64)
     z *= np.uint64(0x9E3779B97F4A7C15)
-    z += np.uint64(int(seed) & ((1 << 64) - 1))
+    z += np.uint64(int(seed) % 2 ** 64)
     z ^= z >> np.uint64(30)
     z *= np.uint64(0xBF58476D1CE4E5B9)
     z ^= z >> np.uint64(27)

@@ -45,14 +45,13 @@ def right_eigenvalues_hermitian(a, tol=1e-10):
     Returns a RightSpectrum for one matrix or a QuatMatrix stack, whose
     slices all go to one herm_eig call as [A_c | A_d]: the n ascending
     right eigenvalues and their trace residual.  Raises ValueError on
-    input not Hermitian within tol or a trace residual above
-    1e-9 * sqrt(n) * ||A||_F; tol * ||A||_F is the definiteness floor.
+    input not Hermitian within tol (herm_eig's check) or a trace residual
+    above 1e-9 * sqrt(n) * ||A||_F; tol * ||A||_F is the definiteness floor.
     """
     a = QuatMatrix.coerce(a)
-    _require(a.is_hermitian(tol), "right spectrum needs a Hermitian matrix")
+    a._require_square("right_eigenvalues_hermitian")
     n = a.nrows
-    c = a.chi()[..., :n, :]  # [A_c | A_d]; herm_eig takes at most one stack axis
-    mu = herm_eig(c.reshape((-1,) + c.shape[-2:]) if c.ndim > 3 else c).reshape(c.shape[:-1])
+    mu = herm_eig(a.chi()[..., :n, :], tol)  # [A_c | A_d]
     residual = np.abs(mu.sum(axis=-1) - np.trace(a.data[..., 0], axis1=-2, axis2=-1))
     norm = a.norm()
     bound = 1e-9 * np.sqrt(n) * norm

@@ -440,10 +440,10 @@ def spy_on_herm_eig(monkeypatch, calls):
     """Record, for every herm_eig call from spectra and hua, the function
     that made it and the shape of its input as a stack."""
     for module in (qskew.spectra, qskew.hua):
-        def spy(h, solve=module.herm_eig):
+        def spy(h, *tol, solve=module.herm_eig):
             calls.append((sys._getframe(1).f_code.co_name,
                           (1,) * (3 - np.ndim(h)) + np.shape(h)))
-            return solve(h)
+            return solve(h, *tol)
         monkeypatch.setattr(module, "herm_eig", spy)
 
 
@@ -556,6 +556,27 @@ def test_verify_paper_classifies_each_triple_row_in_one_pass(monkeypatch):
         assert row()[0]
         assert passes == sizes and not scalar
         assert built.count((3, 3, 4)) == inverses
+
+
+def test_inverse_row_takes_its_norms_in_one_pass_per_stack(monkeypatch):
+    # bitwise each report's own skew_deviation / inverse.norm(), at any
+    # scale; the only norms the row takes are inverse_skew_report's, one
+    # per stack
+    for n in (2, 3):
+        z = random_skew_symmetric(n, list(range(6)))
+        z = QuatMatrix(np.ldexp(z.data, np.array([0, -600, 500, 3, -40, 0])[:, None, None, None]))
+        reports = inverse_skew_report(z)
+        assert qskew.cli._relative_deviations(reports).tolist() == [
+            r.skew_deviation / r.inverse.norm() for r in reports]
+    norms = []
+    norm = QuatMatrix.norm
+
+    def spy(self):
+        norms.append(self.data.shape)
+        return norm(self)
+    monkeypatch.setattr(QuatMatrix, "norm", spy)
+    assert qskew.cli._row_inverse()[0]
+    assert norms == [(20, 2, 2, 4), (25, 3, 3, 4)]
 
 
 def test_verify_paper_stacked_rows_match_single_calls(capsys):

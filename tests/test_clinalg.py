@@ -4,6 +4,8 @@ numpy.linalg is used here only as an independent reference; the library
 code itself never calls it.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -171,7 +173,11 @@ def test_herm_eig_stack_rejects_any_bad_slice():
     with pytest.raises(ValueError):
         herm_eig(np.zeros((2, 3, 4), dtype=complex))
     with pytest.raises(ValueError):
-        herm_eig(np.zeros((1, 2, 2, 2), dtype=complex))
+        herm_eig(np.zeros((1, 2, 2, 3), dtype=complex))
+    with pytest.raises(ValueError):
+        herm_eig(np.zeros(2, dtype=complex))
+    # any leading axes make a stack
+    assert herm_eig(np.zeros((1, 2, 2, 2), dtype=complex)).shape == (1, 2, 2)
 
 
 def test_herm_eig_inverse_iteration_limit(monkeypatch):
@@ -633,6 +639,39 @@ def test_herm_eig_quaternion_matches_the_doubled_adjoint(n, count, seed):
         h = chi[b, :n, :n]
         np.testing.assert_allclose(herm_eig(h), np.linalg.eigvalsh(h), rtol=0,
                                    atol=1e-12 * frobenius_norm(h))
+
+
+@given(st.sampled_from([(), (3,), (2, 3)]), st.integers(min_value=1, max_value=6),
+       st.floats(min_value=-14, max_value=-4), st.integers(min_value=-900, max_value=900),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_herm_eig_refuses_what_is_hermitian_refuses(stack, n, log_tol, k, seed):
+    # one Hermitian rule: herm_eig of [A_c | A_d], and of a complex H,
+    # refuses at tol exactly the slices that QuatMatrix.is_hermitian
+    # refuses, at any scale, and names the first of them; each slice gets
+    # one bump of about tol times its largest entry, so both verdicts occur
+    rng = np.random.default_rng(seed)
+    tol = 10.0 ** log_tol
+    a = QuatMatrix(rng.uniform(-1, 1, stack + (n, n, 4)))
+    data = (a + a.conj_transpose()).data.copy()
+    for b in np.ndindex(stack):
+        size = QuatMatrix(data[b]).max_abs() * tol * 2.0 ** rng.uniform(-3, 3)
+        data[b + (rng.integers(n), rng.integers(n), rng.integers(4))] += size
+    q = QuatMatrix(np.ldexp(data, k))
+    c = q.chi()[..., :n, :]
+    h = c[..., :n]
+    for x, ok in ((c, q.is_hermitian(tol)),
+                  (h, QuatMatrix.from_parts(h.real, h.imag).is_hermitian(tol))):
+        ok = np.asarray(ok)
+        if ok.all():
+            assert herm_eig(x, tol).shape == stack + (n,)
+            continue
+        name = ""
+        if stack:
+            first = np.unravel_index(np.flatnonzero(~ok)[0], stack)
+            name = " (slice %s)" % ", ".join(map(str, first))
+        with pytest.raises(ValueError, match="^matrix is not Hermitian%s$" % re.escape(name)):
+            herm_eig(x, tol)
 
 
 def test_herm_eig_checks_the_quaternion_half():

@@ -438,9 +438,9 @@ def test_search_solves_a_block_per_eigensolver_call(monkeypatch):
     calls = []
     solve = qskew.spectra.herm_eig
 
-    def counting(h):
+    def counting(h, *tol):
         calls.append(len(h))
-        return solve(h)
+        return solve(h, *tol)
 
     monkeypatch.setattr(qskew.spectra, "herm_eig", counting)
     block = qskew.skew._search_block(4)
@@ -479,12 +479,25 @@ def test_search_builds_few_matrices_per_trial(monkeypatch):
     assert len(calls) == 1 and z.data.tobytes() == hits[0].data.tobytes()
 
 
+def splitmix64(seed, trial):
+    """The per-trial key in Python integers, the reference for trial_seed."""
+    mask = (1 << 64) - 1
+    z = (int(seed) + (trial + 1) * 0x9E3779B97F4A7C15) & mask
+    z ^= z >> 30
+    z = (z * 0xBF58476D1CE4E5B9) & mask
+    z ^= z >> 27
+    z = (z * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
 @pytest.mark.parametrize("seed", [0, 5, -1, -(2**64) - 3, 2**63, 2**64 - 1, 2**64 + 3, 3 * 2**70 + 11])
 def test_trial_keys_are_trial_seed(seed):
-    for first, stop in ((0, 0), (0, 1), (0, 100), (1023, 1025), (2**40, 2**40 + 5)):
+    for first, stop in ((0, 0), (0, 1), (0, 100), (1023, 1025), (2**40, 2**40 + 5),
+                        (-3, 2), (2**64 - 2, 2**64 + 1), (-(2**70), -(2**70) + 2)):
         keys = qskew.skew._trial_keys(seed, first, stop)
         assert keys.dtype == np.uint64
-        assert keys.tolist() == [trial_seed(seed, t) for t in range(first, stop)]
+        expect = [splitmix64(seed, t) for t in range(first, stop)]
+        assert keys.tolist() == [trial_seed(seed, t) for t in range(first, stop)] == expect
 
 
 def test_search_hits_copy_only_their_slices(monkeypatch):
@@ -575,7 +588,7 @@ def test_right_spectra_of_a_list_match_one_by_one():
         np.testing.assert_array_equal(residual, alone.trace_residual)
     # the trace and Hermitian checks still apply to each slice
     bad = np.stack([w.data for w in ws[:2]] + [random_skew_symmetric(4, 1).data])
-    with pytest.raises(ValueError, match=r"Hermitian matrix \(slice 2\)$"):
+    with pytest.raises(ValueError, match=r"not Hermitian \(slice 2\)$"):
         right_eigenvalues_hermitian(bad)
 
 

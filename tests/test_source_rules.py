@@ -13,7 +13,8 @@ turns one into an absolute bound.  Inputs are scaled to unit size by one
 rule, clinalg.unit_scaled (Quaternion._unit_scaled for a scalar), so no
 other function takes a binary exponent, and the scalar form serves only the
 scalar's own abs and inverse.  Z goes to W = Z Z* and its spectrum by one
-route, spectra.gram_spectrum.  The per-step loops of the Householder
+route, spectra.gram_spectrum.  "Hermitian" has one rule, judged once per
+solve, by the one entry magnitude.  The per-step loops of the Householder
 reductions neither stack, concatenate nor tile arrays and look up no float
 limits.
 """
@@ -52,6 +53,15 @@ SCALAR_SCALING_ALLOWED = {("quaternion.py", "_unit_scaled"), ("quaternion.py", "
 ROUTE_BANNED = {"cli.py": ("unit_scaled",),
                 "skew.py": ("right_eigenvalues_hermitian", "gram_product")}
 
+# "Hermitian" has one rule, clinalg._is_hermitian, which QuatMatrix.is_hermitian
+# and herm_eig apply; a right spectrum leaves it to herm_eig, so spectra does
+# not name is_hermitian and no W is checked twice.  Entry magnitudes come from
+# hypot in clinalg alone: _max_abs, the measure of every Hermitian, skew and
+# closeness check, and the head of a Householder column in _reflector
+HERMITIAN_RULE_ALLOWED = {("clinalg.py", "_is_hermitian"), ("clinalg.py", "herm_eig"),
+                          ("qmatrix.py", None), ("qmatrix.py", "is_hermitian")}
+HYPOT_ALLOWED = {("clinalg.py", "_max_abs"), ("clinalg.py", "_reflector")}
+
 # calls that build a temporary array, or look up float limits, through
 # Python-level numpy code: no per-step loop of a Householder reduction makes
 # them, directly or through a package function it calls, because such a loop
@@ -82,6 +92,8 @@ LIBRARY_ONLY = {
     "quaternion_even_multiplicity_check": "the quaternion side of the even multiplicity contrast",
     "reference_4x4_variant": "the second reading of the published 4x4 example",
     "save_matrix": "writes the JSON schema that load_matrix reads",
+    "trial_seed": "one trial's stream key, for callers; the package draws its keys "
+                  "a range at a time with _trial_keys",
 }
 
 
@@ -207,6 +219,16 @@ def test_one_route_from_z_to_the_spectrum_of_w():
     stray = [use for module, names in ROUTE_BANNED.items() for name in names
              for use in _uses_outside(name, set()) if use.startswith(module + ":")]
     assert not stray, stray
+
+
+def test_one_hermitian_rule_and_one_entry_measure():
+    stray = _uses_outside("_is_hermitian", HERMITIAN_RULE_ALLOWED)
+    stray += [use for use in _uses_outside("is_hermitian", set())
+              if use.startswith("spectra.py:")]
+    stray += _uses_outside("hypot", HYPOT_ALLOWED)
+    defined = [path.name for path in sorted(SRC.glob("*.py"))
+               for name, _ in _functions(ast.parse(path.read_text())) if name == "_max_abs"]
+    assert not stray and defined == ["clinalg.py"], (stray, defined)
 
 
 def test_householder_steps_build_no_temporaries():

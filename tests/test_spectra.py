@@ -215,7 +215,7 @@ def test_stack_errors_name_the_failing_slice():
         gram_product(mixed, tol)
     w = gram_product(z).data.copy()
     w[3, 0, 1, 1] += 1.0
-    with pytest.raises(ValueError, match=r"Hermitian matrix \(slice 3\)$"):
+    with pytest.raises(ValueError, match=r"not Hermitian \(slice 3\)$"):
         right_eigenvalues_hermitian(w)
 
 
@@ -245,3 +245,41 @@ def test_gram_spectrum_scales_each_slice_up_and_never_down():
     np.testing.assert_array_equal(w.data[:2], base_w.data[:2])
     with pytest.raises(ValueError, match="not representable"):
         gram_spectrum(z.scale(1e160))
+
+
+def test_right_spectrum_judges_hermitian_at_the_callers_tol():
+    # one Hermitian rule, at the caller's tol: W with one component moved
+    # by 1e-8 of its largest entry is Hermitian within tol = 1e-6, so its
+    # spectrum is that of the nearby Hermitian matrix; 1e-5 off is refused
+    w = gram_product(random_skew_symmetric(4, 3))
+    step = 1e-8 * w.max_abs()
+    near = w.data.copy()
+    near[0, 2, 1] += step
+    assert QuatMatrix(near).is_hermitian(1e-6)
+    spec = right_eigenvalues_hermitian(near, tol=1e-6)
+    np.testing.assert_allclose(spec.values, right_eigenvalues_hermitian(w).values,
+                               rtol=0, atol=10 * step)
+    far = w.data.copy()
+    far[1, 3, 3] += 1e3 * step
+    assert not QuatMatrix(far).is_hermitian(1e-6)
+    with pytest.raises(ValueError, match=r"^matrix is not Hermitian$"):
+        right_eigenvalues_hermitian(far, tol=1e-6)
+    with pytest.raises(ValueError, match=r"^matrix is not Hermitian \(slice 2\)$"):
+        right_eigenvalues_hermitian(np.stack([w.data, near, far]), tol=1e-6)
+
+
+def test_right_spectrum_checks_w_once(monkeypatch):
+    # herm_eig judges Hermitian symmetry; no caller on the way checks W again
+    checks = []
+    check = QuatMatrix.is_hermitian
+
+    def spy(self, *args):
+        checks.append(self.data.shape)
+        return check(self, *args)
+    monkeypatch.setattr(QuatMatrix, "is_hermitian", spy)
+    z = random_skew_symmetric(4, [1, 2, 3])
+    w = gram_product(z)
+    assert right_eigenvalues_hermitian(w).values.shape == (3, 4)
+    right_eigenvalues_hermitian(QuatMatrix(w.data[0]))
+    gram_spectrum(z)
+    assert checks == []
