@@ -33,7 +33,7 @@ import numpy as np
 from .clinalg import ConvergenceError, SingularMatrixError, frobenius_norm
 from .dual import DualQuatMatrix, dq_hermitian_direct, dq_hermitian_split
 from .hua import even_multiplicity_check, hua_decompose
-from .matio import MatrixFormatError, load_matrix, quat_matrix_to_dict
+from .matio import MatrixFormatError, _hermitian_json, load_matrix
 from .qmatrix import QuatMatrix, random_skew_symmetric
 from .quaternion import Quaternion, I, J
 from .skew import (SkewTriple, _search_block, _trial_keys, _triple_matrices,
@@ -114,7 +114,6 @@ def cmd_spectrum(args):
 
     if args.json:
         out = {"skew_symmetric": True,
-               "gram": quat_matrix_to_dict(w),
                "spectrum": spec.to_dict(),
                "solid": solid}
         if classification:
@@ -122,7 +121,14 @@ def cmd_spectrum(args):
             out["classification_agrees"] = classification[1]
         elif mat.nrows == 3:
             out["classification"] = None
-        print(json.dumps(out, sort_keys=True))
+        # json.dumps of out with W's dict as "gram": the text around its
+        # null, and in its place W's text a row at a time
+        out["gram"] = None
+        head, _, tail = json.dumps(out, sort_keys=True).partition('"gram": null')
+        gram = _hermitian_json(w)  # checks W before anything is written
+        sys.stdout.write(head + '"gram": ')
+        sys.stdout.writelines(gram)
+        sys.stdout.write(tail + "\n")
         return 0
 
     print("skew-symmetric: yes")

@@ -147,12 +147,25 @@ def _max_abs(parts):
     return mag.max(axis=(-2, -1), initial=0.0)
 
 
+def _within(off, tol, scale):
+    """The one structure rule, per matrix: the largest |off_ij| of the
+    residual off, an array of component matrices as _max_abs takes them,
+    within tol times scale(), the largest entry measured.  A residual
+    exactly zero in every matrix holds at any 0 <= tol < inf without
+    measuring anything, as 0 <= tol * scale() would; a negative or NaN tol,
+    or one nonzero residual, is measured."""
+    if 0 <= tol < math.inf and not off.any():
+        return np.ones(off.shape[1:-2], dtype=bool)
+    return _max_abs(off) <= tol * scale()
+
+
 def _is_hermitian(parts, tol):
     """The one Hermitian rule, per matrix given as _max_abs takes it: the
     largest |a_ij - conj(a_ji)| within tol times the largest |a_ij|."""
-    off = [parts[0] - parts[0].swapaxes(-2, -1)]
-    off += [p + p.swapaxes(-2, -1) for p in parts[1:]]
-    return _max_abs(off) <= tol * _max_abs(parts)
+    parts = np.asarray(parts)  # herm_eig passes a list of views
+    off = parts + parts.swapaxes(-2, -1)
+    off[0] = parts[0] - parts[0].swapaxes(-2, -1)
+    return _within(off, tol, lambda: _max_abs(parts))
 
 
 def _tridiagonal_eig(d, e2, vectors=False, first=0):

@@ -6,7 +6,8 @@ Two schemas share one loader:
 * complex:    {"rows": m, "cols": n, "entries_c": [[re,im], ...]}
 
 Entries are row-major.  All parse problems raise MatrixFormatError with
-the offending entry index in the message.
+the offending entry index in the message.  A bitwise Hermitian W is
+written from its upper triangle (_hermitian_json), as json.dumps would.
 """
 
 import json
@@ -15,7 +16,10 @@ import sys
 
 import numpy as np
 
-from .qmatrix import QuatMatrix
+from .qmatrix import QuatMatrix, _strict_lower
+
+# the sign bits that conjugate a quaternion (w, x, y, z) seen as int64
+_CONJ_BITS = np.array([0, -2 ** 63, -2 ** 63, -2 ** 63], dtype=np.int64)
 
 
 class MatrixFormatError(ValueError):
@@ -87,6 +91,37 @@ def matrix_from_dict(data):
 def quat_matrix_to_dict(a):
     m, n = a.shape
     return {"rows": m, "cols": n, "entries": a.data.reshape(m * n, 4).tolist()}
+
+
+def _hermitian_json(w):
+    """The text of json.dumps(quat_matrix_to_dict(w), sort_keys=True) for a
+    bitwise Hermitian W (gram_product's), byte for byte, as an iterator of
+    pieces, one per row.  Each float of the upper triangle, diagonal
+    included, is formatted once, in its own row; a lower entry
+    (w0, -w1, -w2, -w3) takes the text of its mirror's w0 and of the other
+    three with the leading "-" flipped, as cli._hit_lines does for a skew Z.
+    Raises ValueError, before any piece, unless every lower entry is
+    bitwise the conjugate of its mirror."""
+    n = w.nrows
+    lower, upper = _strict_lower(n)
+    bits = w.data.view(np.int64)
+    if not np.array_equal(bits[lower, upper], bits[upper, lower] ^ _CONJ_BITS):
+        raise ValueError("W is not a bitwise Hermitian matrix")
+    row_template = ", ".join(["[{}, {}, {}, {}]"] * n)
+
+    def pieces():
+        yield '{"cols": %d, "entries": [' % n
+        rows = []  # the texts of the upper part of each row so far
+        for i in range(n):
+            # entries (j, i), j < i, above the diagonal: row j's entry i - j
+            mirror = [t for j, texts in enumerate(rows)
+                      for t in texts[4 * (i - j):4 * (i - j + 1)]]
+            left = [t[1:] if t[0] == "-" else "-" + t for t in mirror]
+            left[0::4] = mirror[0::4]
+            rows.append(list(map(float.__repr__, w.data[i, i:].ravel().tolist())))
+            yield (", " if i else "") + row_template.format(*left, *rows[i])
+        yield '], "rows": %d}' % n
+    return pieces()
 
 
 def complex_matrix_to_dict(z):

@@ -22,9 +22,11 @@ bitwise the per-slice results: metrics and predicates return one value per
 slice (an array), and a Python float or bool for a single matrix.
 """
 
+import functools
+
 import numpy as np
 
-from .clinalg import _is_hermitian, _max_abs, _require, frobenius_norm
+from .clinalg import _is_hermitian, _max_abs, _require, _within, frobenius_norm
 from .quaternion import Quaternion, _hamilton
 
 # component signs of the quaternion conjugate w - x i - y j - z k
@@ -183,8 +185,20 @@ class QuatMatrix:
         return QuatMatrix(np.stack(product, axis=-1))
 
     def gram(self):
-        """Z Z*, Hermitian and positive semidefinite for any Z."""
-        return self @ self.conj_transpose()
+        """Z Z*, Hermitian and positive semidefinite for any Z, and bitwise
+        Hermitian: the Hamilton product's upper triangle, its conjugate
+        mirrored below the diagonal, and the diagonal's imaginary parts
+        +0.0.  The raw product is Hermitian only to rounding (from n = 65 on
+        BLAS sums the two triangles in different orders).  Each slice of a
+        stack is bitwise its own call, and 2^k Z gives exactly 4^k W while
+        nothing leaves the normal range."""
+        w = np.stack(_hamilton(self.parts(), self.conj_transpose().parts(), np.matmul),
+                     axis=-1)
+        lower, upper = _strict_lower(self.nrows)
+        w[..., lower, upper, :] = w[..., upper, lower, :] * _CONJ_SIGNS
+        diagonal = np.arange(self.nrows)
+        w[..., diagonal, diagonal, 1:] = 0.0
+        return QuatMatrix(w)
 
     # -- adjoint ----------------------------------------------------------------------
 
@@ -234,10 +248,11 @@ class QuatMatrix:
         return _per_slice(_is_hermitian(np.rollaxis(self.data, -1), tol))
 
     def is_skew_symmetric(self, tol=1e-10):
-        """Z^T = -Z under the plain transpose, within tol * max|z_ij|."""
+        """Z^T = -Z under the plain transpose: the residual Z^T + Z within
+        tol * max|z_ij| (_within, so an exactly skew Z is not measured)."""
         self._require_square("is_skew_symmetric")
         p = np.rollaxis(self.data, -1)  # the four component matrices
-        return _per_slice(_max_abs(p.swapaxes(-2, -1) + p) <= tol * _max_abs(p))
+        return _per_slice(_within(p.swapaxes(-2, -1) + p, tol, lambda: _max_abs(p)))
 
     def _require_square(self, who):
         if self.nrows != self.ncols:
@@ -245,10 +260,11 @@ class QuatMatrix:
                              % ((who,) + self.shape))
 
     def allclose(self, other, tol=1e-12):
-        """max|a_ij - b_ij| within tol times the larger of the two max_abs."""
+        """max|a_ij - b_ij| within tol times the larger of the two max_abs
+        (_within, so equal matrices are not measured)."""
         other = _coerce_matrix(other, self.shape)
         a, b = np.rollaxis(self.data, -1), np.rollaxis(other.data, -1)
-        return _per_slice(_max_abs(a - b) <= tol * np.maximum(_max_abs(a), _max_abs(b)))
+        return _per_slice(_within(a - b, tol, lambda: np.maximum(_max_abs(a), _max_abs(b))))
 
 
 def random_skew_symmetric(n, seed, scale=1.0):
@@ -302,6 +318,17 @@ def _coerce_matrix(value, shape):
     if shape is not None and value.shape != shape:
         raise ValueError("shape mismatch: %r vs %r" % (value.shape, shape))
     return value
+
+
+@functools.cache
+def _strict_lower(n):
+    """(rows, cols) of the strict lower triangle of an n x n matrix,
+    row-major and read-only, built once per n: np.tril_indices takes longer
+    than mirroring a 3x3 W."""
+    rows, cols = np.tril_indices(n, -1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
 
 
 def _per_slice(x):

@@ -3,6 +3,9 @@
 A Hermitian quaternion A = A_c + A_d j goes to the eigensolver as
 [A_c | A_d], the first n rows of chi(A), which solves at size n and gives
 each right eigenvalue once; their sum is checked against the trace of A.
+W = Z Z* of a skew Z comes from gram_product bitwise Hermitian (one
+product, its upper triangle mirrored), so the eigensolver's Hermitian check
+and the skew check of a bitwise skew Z see exactly zero and measure nothing.
 
 Every routine takes a QuatMatrix stack (..., n, n, 4) as well as one
 matrix, quat_inverse a (B, n, n, 4) stack, with bitwise the per-slice
@@ -62,15 +65,17 @@ def right_eigenvalues_hermitian(a, tol=1e-10):
 
 def gram_product(z, tol=1e-10):
     """W = Z Z* for a skew-symmetric quaternion Z, or for each slice of a
-    QuatMatrix stack.
+    QuatMatrix stack, by Z.gram(): bitwise Hermitian, positive semidefinite.
 
-    Also forms -Z conj(Z) independently and insists the two agree
-    entrywise; for a skew-symmetric Z they are the same matrix.  The
-    result is Hermitian positive semidefinite.  Raises ValueError, before
-    any product, when a row norm of Z reaches 2^511: the diagonal of W
-    holds the squared row norms, and by Cauchy-Schwarz no partial sum of
-    an entry of either product exceeds the largest of them, so below that
-    nothing overflows.
+    For a skew Z, W is also -Z conj(Z).  The two products differ by exactly
+    Z conj(S), where S = Z^T + Z is the residual of the skew check, so they
+    agree when S is zero; otherwise W must agree entrywise with
+    W - Z conj(S), the second route, within tol (QuatMatrix.allclose), or
+    ValueError names the first slice where they disagree.  Raises
+    ValueError, before any product, when a row norm of Z reaches 2^511: the
+    diagonal of W holds the squared row norms, and by Cauchy-Schwarz no
+    partial sum of an entry of W exceeds the largest of them, so below that
+    W does not overflow.
     """
     z = QuatMatrix.coerce(z)
     _require(z.is_skew_symmetric(tol),
@@ -79,10 +84,11 @@ def gram_product(z, tol=1e-10):
     _require(rows < 2.0 ** 511, "W = Z Z* is not representable: Z has a row "
              "of norm %.3e, and W holds its square (row norms must stay below "
              "2^511 = 6.7e153)", rows)
-    w = z @ z.conj_transpose()
-    w_alt = -(z @ z.conj())
-    _require(w.allclose(w_alt, tol), "Z Z* and -Z conj(Z) disagree beyond "
-             "tolerance; input is too far from skew-symmetric")
+    w = z.gram()
+    s = z.data.swapaxes(-3, -2) + z.data  # S = Z^T + Z, as the skew check forms it
+    if s.any():
+        _require(w.allclose(w - z @ QuatMatrix(s).conj(), tol), "Z Z* and -Z conj(Z) "
+                 "disagree beyond tolerance; input is too far from skew-symmetric")
     return w
 
 

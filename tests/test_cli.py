@@ -16,12 +16,13 @@ import qskew.skew
 import qskew.spectra
 from qskew import (BasicCandidate, DualQuatMatrix, QuatMatrix, SkewTriple, I, J,
                    basic_candidate_search, dq_hermitian_direct, dq_hermitian_split,
-                   even_multiplicity_check, gram_product, hua_decompose,
+                   even_multiplicity_check, gram_product, gram_spectrum, hua_decompose,
                    inverse_skew_report, is_solid, random_skew_symmetric,
                    right_eigenvalues_hermitian, sample_degenerate_triple,
                    sample_generic_triple, save_matrix, trial_seed,
                    verify_classification)
 from qskew.cli import build_parser, main
+from qskew.matio import _hermitian_json, quat_matrix_to_dict
 
 
 def write_ref3(tmp_path):
@@ -61,6 +62,63 @@ def test_spectrum_json(tmp_path, capsys):
     assert data["classification"]["case_label"] == "solid"
     assert data["classification"]["computed_values"] == data["spectrum"]["values"]
     assert data["classification_agrees"] is True
+
+
+def spectrum_cases():
+    """(name, Z) of every size the W writer must get right: random skew Z of
+    n = 2-9, 16 and 64, the 1x1 zero, Z 2^-900 (whose printed W, 4^-900 of
+    the one solved, underflows to signed zeros), and 3x3 files with a
+    classification (solid and degenerate) and without one (the zero
+    triple)."""
+    cases = [("n1", QuatMatrix.zeros(1))]
+    cases += [("n%d" % n, random_skew_symmetric(n, n)) for n in (2, 3, 4, 5, 6, 7, 8, 9, 16, 64)]
+    cases += [("tiny", QuatMatrix(np.ldexp(random_skew_symmetric(5, 1).data, -900))),
+              ("solid", SkewTriple(1, I + J, I + 2 * J).matrix()),
+              ("degenerate", SkewTriple(0, I + J, 2 * J).matrix()),
+              ("zero3", QuatMatrix.zeros(3))]
+    return cases
+
+
+@pytest.mark.parametrize("name, z", spectrum_cases(), ids=[c[0] for c in spectrum_cases()])
+def test_spectrum_json_writes_w_as_json_dumps_would(tmp_path, capsys, name, z):
+    path = tmp_path / (name + ".json")
+    save_matrix(path, z)
+    assert main(["spectrum", "--json", str(path)]) == 0
+    out = capsys.readouterr().out
+    data = json.loads(out)
+    assert out == json.dumps(data, sort_keys=True) + "\n"
+    w, _, e = gram_spectrum(z)
+    entries = np.array(data["gram"]["entries"])
+    assert entries.tobytes() == np.ldexp(w.data, 2 * e).reshape(-1, 4).tobytes()
+    assert (data["gram"]["rows"], data["gram"]["cols"]) == w.shape
+    assert ("classification_agrees" in data) == (name in ("n3", "solid", "degenerate"))
+    if name in ("solid", "degenerate"):
+        assert data["classification"]["case_label"] == name
+
+
+def hermitian_from_upper(w):
+    """w with its lower triangle the conjugate mirror of its upper one and
+    a real diagonal, as QuatMatrix.gram builds it."""
+    w = w.copy()
+    lower, upper = np.tril_indices(w.shape[0], -1)
+    w[lower, upper] = w[upper, lower] * [1, -1, -1, -1]
+    w[np.arange(len(w)), np.arange(len(w)), 1:] = 0.0
+    return w
+
+
+def test_hermitian_json_is_json_dumps_for_signed_zeros_and_extreme_scales():
+    w = random_skew_symmetric(6, 8).gram().data.copy()
+    w[0, 1, 1:] = -0.0  # signed zeros above the diagonal, so +0.0 below
+    w[2, 4, 2] = 0.0
+    w[1, 5, 0] = -0.0
+    w = hermitian_from_upper(w)
+    for k in (0, 900, -900, -1070):
+        m = QuatMatrix(np.ldexp(w, k))
+        assert "".join(_hermitian_json(m)) == json.dumps(quat_matrix_to_dict(m), sort_keys=True), k
+    skewed = w.copy()
+    skewed[3, 0, 2] = -skewed[3, 0, 2]
+    with pytest.raises(ValueError, match="bitwise Hermitian"):
+        _hermitian_json(QuatMatrix(skewed))
 
 
 def test_spectrum_skips_the_classification_of_a_zero_3x3(tmp_path, capsys):

@@ -1,11 +1,15 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qskew import (I, J, K, ONE, Quaternion, QuatMatrix, gram_product,
-                   random_skew_symmetric)
+import qskew.clinalg
+import qskew.qmatrix
+from qskew import (I, J, K, ONE, Quaternion, QuatMatrix, basic_candidate_search,
+                   gram_product, random_skew_symmetric)
+from qskew.clinalg import _max_abs
 
 
 def rand_qm(rng, m, n):
@@ -408,3 +412,110 @@ def test_sampler_scale_stops_at_half_the_largest_float():
 
 def test_repr_names_the_stack_shape():
     assert repr(QuatMatrix(np.zeros((2, 3, 3, 4)))) == "QuatMatrix(shape=2x3x3)"
+
+
+SIGN_BIT = np.int64(-2 ** 63)
+
+
+@given(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 65, 66]),
+       st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=2**32 - 1),
+       st.integers(min_value=-250, max_value=250))
+@settings(max_examples=40, deadline=None)
+def test_gram_is_bitwise_hermitian(n, count, seed, k):
+    # any Z, skew or not; from n = 65 on BLAS sums the two triangles of the
+    # raw product in different orders, so only the mirror makes W Hermitian
+    z = QuatMatrix(np.random.default_rng(seed).uniform(-1, 1, size=(count, n, n, 4)))
+    w = z.gram().data
+    raw = (z @ z.conj_transpose()).data
+    bits = w.view(np.int64)
+    iu, ju = np.triu_indices(n, 1)
+    d = np.arange(n)
+    assert w[:, iu, ju].tobytes() == raw[:, iu, ju].tobytes()
+    assert w[:, d, d, 0].tobytes() == raw[:, d, d, 0].tobytes()
+    assert not bits[:, d, d, 1:].any()  # +0.0, not -0.0
+    assert np.array_equal(bits[:, ju, iu, 0], bits[:, iu, ju, 0])
+    assert np.array_equal(bits[:, ju, iu, 1:], bits[:, iu, ju, 1:] ^ SIGN_BIT)
+    for b in range(count):
+        assert w[b].tobytes() == QuatMatrix(z.data[b]).gram().data.tobytes()
+    # 2^k Z: every product and sum scales exactly, so W by exactly 4^k
+    scaled = QuatMatrix(np.ldexp(z.data, k)).gram().data
+    assert scaled.tobytes() == np.ldexp(w, 2 * k).tobytes()
+
+
+def measured_rules(p, other, tol):
+    """The structure rules of a (count, n, n, 4) stack p as measured by
+    _max_abs alone, for comparison with the rules that skip an exact zero."""
+    parts = np.rollaxis(p, -1)
+    flip = parts.swapaxes(-2, -1)
+    herm = _max_abs([parts[0] - flip[0], *(parts[1:] + flip[1:])]) <= tol * _max_abs(parts)
+    skew = _max_abs(flip + parts) <= tol * _max_abs(parts)
+    q = np.rollaxis(other, -1)
+    close = _max_abs(parts - q) <= tol * np.maximum(_max_abs(parts), _max_abs(q))
+    return herm, skew, close
+
+
+@given(st.integers(min_value=1, max_value=6),
+       st.lists(st.sampled_from(["exact", "near", "far"]), min_size=1, max_size=5),
+       st.sampled_from([0.0, 1e-12, 1e-3]), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_structure_rules_skip_only_an_exact_zero(n, kinds, tol, seed):
+    # exactly Hermitian, skew and equal slices beside perturbed ones, each
+    # judged by the rule that skips an exact zero, must get the measured
+    # verdict slice by slice
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1, 1, size=(len(kinds), n, n, 4))
+    size = {"exact": 0.0, "near": 1e-13, "far": 1e-2}
+    bump = np.array([size[kind] for kind in kinds])[:, None, None, None]
+    noise = bump * rng.uniform(-1, 1, size=a.shape)
+    flip = a.swapaxes(1, 2)
+    for base, kind in ((a + flip * CONJ_SIGNS, 0), (a - flip, 1), (a, 2)):
+        p = base + noise if kind < 2 else base
+        other = base + noise if kind == 2 else base
+        expect = measured_rules(p, other, tol)[kind]
+        m = QuatMatrix(p)
+        got = (m.is_hermitian(tol), m.is_skew_symmetric(tol), m.allclose(other, tol))[kind]
+        assert got.tolist() == expect.tolist()
+        for b in range(len(kinds)):
+            alone = QuatMatrix(p[b])
+            assert (alone.is_hermitian(tol), alone.is_skew_symmetric(tol),
+                    alone.allclose(other[b], tol))[kind] == expect[b]
+
+
+@pytest.fixture
+def max_abs_calls(monkeypatch):
+    """Counts the calls of the one entry measure, under both names it has."""
+    calls = []
+
+    def spy(parts):
+        calls.append(len(parts))
+        return _max_abs(parts)
+
+    monkeypatch.setattr(qskew.clinalg, "_max_abs", spy)
+    monkeypatch.setattr(qskew.qmatrix, "_max_abs", spy)
+    return calls
+
+
+def test_a_search_block_measures_nothing(max_abs_calls):
+    # the sampler's Z is bitwise skew and gram_product's W bitwise
+    # Hermitian, so the skew check, the agreement check and herm_eig's
+    # Hermitian check all see an exactly zero residual
+    hits = basic_candidate_search(4, 200, 3)
+    assert hits and max_abs_calls == []
+    z = random_skew_symmetric(4, 3).data.copy()
+    z[0, 1, 0] += 1e-13  # one bit off skew: measured
+    gram_product(z)
+    assert max_abs_calls
+
+
+def test_negative_or_nan_tol_is_measured(max_abs_calls):
+    z = random_skew_symmetric(3, 1)
+    w = z.gram()
+    for tol in (-1.0, math.nan):
+        for rule in (lambda: z.is_skew_symmetric(tol), lambda: w.is_hermitian(tol),
+                     lambda: w.allclose(w, tol)):
+            max_abs_calls.clear()
+            assert rule() is False and max_abs_calls
+    # as measured, the zero matrix is skew at a negative tol (0 <= -0.0)
+    # but not at NaN
+    zero = QuatMatrix.zeros(2)
+    assert zero.is_skew_symmetric(-1.0) and not zero.is_skew_symmetric(math.nan)

@@ -79,7 +79,6 @@ LIBRARY_ONLY = {
     "from_entries": "a matrix from nested Quaternion, scalar or 4-component entries, "
                     "for callers",
     "matrix": "Z of a SkewTriple or of a search hit as a QuatMatrix, for callers",
-    "gram": "Z Z* without the skew check of gram_product",
     "left_mul": "shows that left and right scalar products differ",
     "right_mul": "shows that left and right scalar products differ",
     "is_dq_hermitian": "the two dual Hermitian routes cross-checked (paper row 8)",

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qskew.qmatrix
 from qskew import (
     I,
     J,
@@ -57,7 +60,7 @@ def test_rejects_non_hermitian():
 def test_gram_product_routes_agree():
     z = random_skew_symmetric(5, seed=5)
     w = gram_product(z)
-    assert w.allclose(z.gram(), tol=0.0)
+    assert w.data.tobytes() == z.gram().data.tobytes()
     direct = z @ z.conj_transpose()
     assert w.allclose(direct, tol=1e-12)
     minus = (z @ z.conj()).scale(-1.0)
@@ -230,7 +233,7 @@ def test_gram_product_rejects_unrepresentable_w():
         gram_product(QuatMatrix(np.stack([z.data, big.data])))
     for c in (1.0, 1e-300, 2.0 ** 511 / np.sqrt(7) / 2):
         zc = z.scale(c)
-        assert gram_product(zc).data.tobytes() == (zc @ zc.conj_transpose()).data.tobytes()
+        assert gram_product(zc).data.tobytes() == zc.gram().data.tobytes()
 
 
 def test_gram_spectrum_scales_each_slice_up_and_never_down():
@@ -283,3 +286,52 @@ def test_right_spectrum_checks_w_once(monkeypatch):
     right_eigenvalues_hermitian(QuatMatrix(w.data[0]))
     gram_spectrum(z)
     assert checks == []
+
+
+@given(st.integers(min_value=2, max_value=9), st.floats(min_value=-12, max_value=12),
+       st.floats(min_value=-15, max_value=-3), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_agreement_residual_is_the_difference_of_the_two_products(n, log_c, log_eps, seed):
+    # W - (-Z conj(Z)) = Z conj(S) with S = Z^T + Z: on a near-skew c Z the
+    # one product matches the difference of the two rounded ones to rounding
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1, 1, size=(n, n, 4))
+    z = QuatMatrix((a - a.swapaxes(0, 1) + 10.0 ** log_eps * rng.uniform(-1, 1, size=a.shape))
+                   * 10.0 ** log_c)
+    direct, minus = z @ z.conj_transpose(), -(z @ z.conj())
+    residual = z @ (z.transpose() + z).conj()
+    gap = abs(residual.max_abs() - (direct - minus).max_abs())
+    assert gap <= n * np.finfo(float).eps * direct.max_abs()
+
+
+def test_exactly_skew_z_makes_one_product(monkeypatch):
+    products = []
+
+    def spy(p, q, mul):
+        products.append(mul)
+        return hamilton(p, q, mul)
+
+    hamilton = qskew.qmatrix._hamilton
+    monkeypatch.setattr(qskew.qmatrix, "_hamilton", spy)
+    z = random_skew_symmetric(5, [1, 2, 3])
+    w = gram_product(z)
+    assert len(products) == 1
+    near = z.data.copy()
+    near[1, 0, 2, 3] += 1e-14
+    assert gram_product(near).data[[0, 2]].tobytes() == w.data[[0, 2]].tobytes()
+    assert len(products) == 3  # the near-skew stack checks the second route
+
+
+def test_near_skew_z_at_the_edge_of_the_range_makes_no_warning():
+    # row norms just below 2^511: W, Z conj(S) and W - Z conj(S) all stay in
+    # range, and so does every hypot of the agreement check's measure
+    rng = np.random.default_rng(4)
+    a = rng.uniform(-1, 1, size=(6, 6, 4))
+    z = a - a.swapaxes(0, 1)
+    z[2, 4, 1] += 1e-9
+    rows = np.sqrt((z ** 2).sum(axis=(1, 2)))
+    z = QuatMatrix(z * (2.0 ** 511 * (1 - 1e-12) / rows.max()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = gram_product(z, tol=1e-6)
+    assert np.isfinite(w.data).all() and w.max_abs() < 2.0 ** 1023
