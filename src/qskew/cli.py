@@ -22,7 +22,6 @@ usage errors afresh.
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import os
@@ -33,7 +32,7 @@ import numpy as np
 from .clinalg import ConvergenceError, SingularMatrixError, frobenius_norm
 from .dual import DualQuatMatrix, dq_hermitian_direct, dq_hermitian_split
 from .hua import even_multiplicity_check, hua_decompose
-from .matio import MatrixFormatError, _hermitian_json, load_matrix
+from .matio import SKEW, MatrixFormatError, _hermitian_json, _mirror_json, load_matrix
 from .qmatrix import QuatMatrix, random_skew_symmetric
 from .quaternion import Quaternion, I, J
 from .skew import (SkewTriple, _search_block, _trial_keys, _triple_matrices,
@@ -122,13 +121,13 @@ def cmd_spectrum(args):
         elif mat.nrows == 3:
             out["classification"] = None
         # json.dumps of out with W's dict as "gram": the text around its
-        # null, and in its place W's text a row at a time
+        # null, and in its place W's text, whose entries are written alone
         out["gram"] = None
         head, _, tail = json.dumps(out, sort_keys=True).partition('"gram": null')
-        gram = _hermitian_json(w)  # checks W before anything is written
-        sys.stdout.write(head + '"gram": ')
-        sys.stdout.writelines(gram)
-        sys.stdout.write(tail + "\n")
+        before, entries, after = _hermitian_json(w)  # checks W before anything is written
+        sys.stdout.write(head + '"gram": ' + before)
+        sys.stdout.write(entries)
+        sys.stdout.write(after + tail + "\n")
         return 0
 
     print("skew-symmetric: yes")
@@ -234,62 +233,21 @@ def cmd_search_basic(args):
     return 0
 
 
-@functools.cache
-def _hit_template(n):
-    """The str.format template of an n x n search hit's JSON line, keys in
-    sort_keys order.  Its fields are numbered as _hit_lines passes them:
-    the n eigenvalues, the four components of each of the k = n (n - 1) / 2
-    entries of Z's strict upper triangle (row-major), the same for their
-    negations, then min_relative_gap and trial.  The diagonal is literal."""
-    k = n * (n - 1) // 2
-    first = {}
-    for p, (i, j) in enumerate(itertools.combinations(range(n), 2)):
-        first[i, j], first[j, i] = n + 4 * p, n + 4 * (k + p)
-
-    def entry(i, j):
-        if i == j:
-            return "[0.0, 0.0, 0.0, 0.0]"
-        return "[%s]" % ", ".join("{%d}" % (first[i, j] + c) for c in range(4))
-
-    rows = ", ".join("[%s]" % ", ".join(entry(i, j) for j in range(n)) for i in range(n))
-    return ('{{"eigenvalues": [%s], "matrix": [%s], "min_relative_gap": {%d}, "trial": {%d}}}'
-            % (", ".join("{%d}" % i for i in range(n)), rows, n + 8 * k, n + 8 * k + 1))
-
-
 def _hit_lines(chunk):
     """The JSON lines of a list of search hits, each byte for byte
-    json.dumps(hit.to_dict(), sort_keys=True).  Each float of Z's upper
-    triangle is formatted once; its lower mirror takes the text with the
-    leading "-" flipped, as repr(-x) == "-" + repr(x) for every finite x
-    (0.0 and -0.0 included).  Raises ValueError, returning no line, unless
-    every Z is bitwise skew (each lower component the upper one with its
-    sign bit flipped, the diagonal +0.0) and every float is finite, which
+    json.dumps(hit.to_dict(), sort_keys=True), with Z's text from
+    matio._mirror_json.  Raises ValueError, returning no line, unless every
+    Z is finite and bitwise skew and every eigenvalue and gap finite, which
     json.dumps would write as Infinity or NaN."""
     if not chunk:
         return []
-    data = np.stack([c.data for c in chunk])
     values = np.stack([c.eigenvalues for c in chunk])
-    gaps = [c.min_relative_gap for c in chunk]
-    n = data.shape[1]
-    iu, ju = np.triu_indices(n, 1)
-    bits = data.view(np.int64)
-    upper = bits[:, iu, ju]
-    skew = np.zeros_like(bits)
-    skew[:, iu, ju] = upper
-    skew[:, ju, iu] = upper ^ np.int64(-2 ** 63)  # the sign bit
-    upper = upper.view(np.float64)
-    if not (np.array_equal(bits, skew) and np.isfinite(upper).all()
-            and np.isfinite(values).all() and np.isfinite(gaps).all()):
-        raise ValueError("a search hit is not a finite, bitwise skew-symmetric matrix "
-                         "with finite eigenvalues and gap")
-    fmt = _hit_template(n).format
-    lines = []
-    for c, row, lam in zip(chunk, upper.reshape(len(chunk), -1), values):
-        up = list(map(float.__repr__, row.tolist()))
-        lines.append(fmt(*map(float.__repr__, lam.tolist()), *up,
-                         *[t[1:] if t[0] == "-" else "-" + t for t in up],
-                         float.__repr__(c.min_relative_gap), int.__repr__(c.trial)))
-    return lines
+    if not (np.isfinite(values).all() and np.isfinite([c.min_relative_gap for c in chunk]).all()):
+        raise ValueError("a search hit has a non-finite eigenvalue or gap")
+    matrices = _mirror_json(np.stack([c.data for c in chunk]), SKEW, True)
+    return ['{"eigenvalues": [%s], "matrix": %s, "min_relative_gap": %s, "trial": %d}' % (
+        ", ".join(map(float.__repr__, lam)), text, float.__repr__(c.min_relative_gap), c.trial)
+        for c, lam, text in zip(chunk, values.tolist(), matrices)]
 
 
 def _row_two_by_two():

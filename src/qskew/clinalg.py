@@ -151,12 +151,13 @@ def _within(off, tol, scale):
     """The one structure rule, per matrix: the largest |off_ij| of the
     residual off, an array of component matrices as _max_abs takes them,
     within tol times scale(), the largest entry measured.  A residual
-    exactly zero in every matrix holds at any 0 <= tol < inf without
-    measuring anything, as 0 <= tol * scale() would; a negative or NaN tol,
-    or one nonzero residual, is measured."""
-    if 0 <= tol < math.inf and not off.any():
+    exactly zero holds at any tol >= 0, inf included, and when every
+    matrix's is, nothing is measured; a negative or NaN tol is measured.  A
+    nonzero residual has a nonzero scale, so tol = inf never meets 0."""
+    if tol >= 0 and not off.any():
         return np.ones(off.shape[1:-2], dtype=bool)
-    return _max_abs(off) <= tol * scale()
+    zero = ~off.any(axis=(0, -2, -1)) & (tol >= 0)
+    return zero | (_max_abs(off) <= tol * np.where(zero, 1.0, scale()))
 
 
 def _is_hermitian(parts, tol):

@@ -6,20 +6,18 @@ Two schemas share one loader:
 * complex:    {"rows": m, "cols": n, "entries_c": [[re,im], ...]}
 
 Entries are row-major.  All parse problems raise MatrixFormatError with
-the offending entry index in the message.  A bitwise Hermitian W is
-written from its upper triangle (_hermitian_json), as json.dumps would.
+the offending entry index in the message.  A bitwise skew Z or Hermitian
+W is written from its upper triangle (_mirror_json), as json.dumps would.
 """
 
+import functools
 import json
 import numbers
 import sys
 
 import numpy as np
 
-from .qmatrix import QuatMatrix, _strict_lower
-
-# the sign bits that conjugate a quaternion (w, x, y, z) seen as int64
-_CONJ_BITS = np.array([0, -2 ** 63, -2 ** 63, -2 ** 63], dtype=np.int64)
+from .qmatrix import QuatMatrix
 
 
 class MatrixFormatError(ValueError):
@@ -93,35 +91,76 @@ def quat_matrix_to_dict(a):
     return {"rows": m, "cols": n, "entries": a.data.reshape(m * n, 4).tolist()}
 
 
+# the components whose sign a mirrored entry flips: all four in a skew Z
+# (Z^T = -Z), the imaginary three in a Hermitian W (W* = W)
+SKEW, HERMITIAN = (0, 1, 2, 3), (1, 2, 3)
+
+
+@functools.cache
+def _mirror_layout(n, flips, nested):
+    """The pieces of an n x n text (the separators before a float, unsigned
+    then ending in "-", the closing brackets and the diagonal's flipped
+    "0.0"), and two read-only index arrays over a flat (n, n, 4) slice: the
+    floats formatted (the upper triangle's and the diagonal's unflipped
+    components), and the text as indices into the pool [*pieces, texts of
+    the formatted floats' magnitudes], each float's separator unsigned."""
+    depth = 2 + nested  # the brackets that open and close the text
+    pieces = (", ", "], [", "]], [[", "[" * depth)  # 0-3, before a float
+    pieces += tuple(p + "-" for p in pieces)  # 4-7, before a negative one
+    pieces += ("]" * depth, "0.0")  # 8 and 9
+    index = np.int16 if 4 * n * n + len(pieces) < 2 ** 15 else np.int32
+    i, j, c = np.indices((n, n, 4), dtype=index).reshape(3, -1)
+    zero = (i == j) & np.isin(c, flips)
+    formatted = (i <= j) & ~zero
+    at = np.cumsum(formatted, dtype=index) + (len(pieces) - 1)  # index in the pool
+    order = np.full(8 * n * n + 1, 8, dtype=index)  # the closing piece last
+    order[1::2] = np.where(zero, 9, np.where(i > j, at[(j * n + i) * 4 + c], at))
+    # the piece before each float: ", " in an entry, else "]], [[" before a
+    # nested row and "], [" before an entry; the opening one first
+    order[0:-1:2] = np.where(c > 0, 0, np.where(nested & (j == 0), 2, 1))
+    order[0] = 3
+    take = np.flatnonzero(formatted).astype(index)
+    take.setflags(write=False)
+    order.setflags(write=False)
+    return pieces, take, order
+
+
+def _mirror_json(data, flips, nested):
+    """The texts of a (B, n, n, 4) stack, json.dumps of each slice's
+    tolist(), nested, or of its list of entries, byte for byte.  Raises
+    ValueError, with no text, unless every lower entry is bitwise its mirror
+    with the signs of the components in flips toggled, the diagonal's are
+    +0.0 and every float is finite.  The magnitude of each upper float is
+    formatted once, and every float, upper or lower, takes that text after
+    a separator that ends in "-" where its own sign bit is set, as
+    repr(x) == "-" + repr(-x) for every finite x with that bit (-0.0
+    included)."""
+    b, n = data.shape[:2]
+    pieces, take, order = _mirror_layout(n, flips, nested)
+    # each component's bits xor its mirror's: the sign bit where flipped,
+    # else 0; on the diagonal, flipped components are +0.0, all bits clear
+    sign = np.array([-2 ** 63 if c in flips else 0 for c in range(4)], dtype=np.int64)
+    bits = data.view(np.int64)
+    mirrored = ((bits ^ bits.swapaxes(1, 2)) == sign).reshape(b, n * n, 4)
+    mirrored[:, ::n + 1] = (bits.reshape(b, n * n, 4)[:, ::n + 1] & (sign >> 63)) == 0
+    if not (mirrored.all() and np.isfinite(data).all()):
+        raise ValueError("a matrix to write is not finite and bitwise %s"
+                         % ("skew-symmetric" if flips == SKEW else "Hermitian"))
+    at = np.tile(order, (b, 1))
+    at[:, :-1:2] += (bits.reshape(b, -1) < 0) * 4  # a negative float's separator
+    # a slice at a time, so that only one slice's texts are held at once
+    texts = (np.array([*pieces, *map(float.__repr__, m.tolist())], dtype=object)[a]
+             for m, a in zip(np.abs(data.reshape(b, -1)[:, take]), at))
+    return ["".join(t.tolist()) for t in texts]
+
+
 def _hermitian_json(w):
     """The text of json.dumps(quat_matrix_to_dict(w), sort_keys=True) for a
-    bitwise Hermitian W (gram_product's), byte for byte, as an iterator of
-    pieces, one per row.  Each float of the upper triangle, diagonal
-    included, is formatted once, in its own row; a lower entry
-    (w0, -w1, -w2, -w3) takes the text of its mirror's w0 and of the other
-    three with the leading "-" flipped, as cli._hit_lines does for a skew Z.
-    Raises ValueError, before any piece, unless every lower entry is
-    bitwise the conjugate of its mirror."""
+    bitwise Hermitian W (gram_product's), as three pieces: the text before
+    "entries"' value, that value by _mirror_json, and the text after it."""
     n = w.nrows
-    lower, upper = _strict_lower(n)
-    bits = w.data.view(np.int64)
-    if not np.array_equal(bits[lower, upper], bits[upper, lower] ^ _CONJ_BITS):
-        raise ValueError("W is not a bitwise Hermitian matrix")
-    row_template = ", ".join(["[{}, {}, {}, {}]"] * n)
-
-    def pieces():
-        yield '{"cols": %d, "entries": [' % n
-        rows = []  # the texts of the upper part of each row so far
-        for i in range(n):
-            # entries (j, i), j < i, above the diagonal: row j's entry i - j
-            mirror = [t for j, texts in enumerate(rows)
-                      for t in texts[4 * (i - j):4 * (i - j + 1)]]
-            left = [t[1:] if t[0] == "-" else "-" + t for t in mirror]
-            left[0::4] = mirror[0::4]
-            rows.append(list(map(float.__repr__, w.data[i, i:].ravel().tolist())))
-            yield (", " if i else "") + row_template.format(*left, *rows[i])
-        yield '], "rows": %d}' % n
-    return pieces()
+    [entries] = _mirror_json(w.data[None], HERMITIAN, False)
+    return '{"cols": %d, "entries": ' % n, entries, ', "rows": %d}' % n
 
 
 def complex_matrix_to_dict(z):

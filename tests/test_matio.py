@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qskew import (
+    BasicCandidate,
     MatrixFormatError,
     QuatMatrix,
     complex_matrix_to_dict,
@@ -13,6 +15,8 @@ from qskew import (
     random_skew_symmetric,
     save_matrix,
 )
+from qskew.cli import _hit_lines
+from qskew.matio import HERMITIAN, SKEW, _hermitian_json, _mirror_json
 
 
 def test_quaternion_round_trip(tmp_path):
@@ -132,3 +136,68 @@ def test_dict_that_is_not_a_matrix_object():
         matrix_from_dict([[0, 0, 0, 0]])
     with pytest.raises(MatrixFormatError, match='"rows" and "cols" must be integers'):
         matrix_from_dict({"rows": "x", "cols": 1, "entries": [[0, 0, 0, 0]]})
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022, -1e-310, 1.0, -3.5]
+
+
+def mirrored_stack(rng, count, n, flips, k):
+    """count n x n matrices, 2^k times uniform draws in [-1, 1] with edge
+    floats sprinkled in, whose lower triangle is the upper one's mirror with
+    the components in flips negated, and whose diagonal's flipped
+    components are +0.0."""
+    a = rng.uniform(-1, 1, size=(count, n, n, 4))
+    edge = rng.random(a.shape) < 0.2
+    a[edge] = rng.choice(EDGE_FLOATS, size=edge.sum())
+    a = np.ldexp(a, k)  # rounds a value and its negation alike
+    lower, upper = np.tril_indices(n, -1)
+    sign = np.where(np.isin(np.arange(4), flips), -1.0, 1.0)
+    a[:, lower, upper] = a[:, upper, lower] * sign
+    d = np.arange(n)[:, None]
+    a[:, d, d, list(flips)] = 0.0
+    return a
+
+
+@given(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 64]),
+       st.sampled_from([0, 900, -900, -1070]), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_mirror_json_is_json_dumps_of_each_slice(n, k, count, seed):
+    # both symmetries in both shapes; W's wrapper against quat_matrix_to_dict
+    # and the search hit line against BasicCandidate.to_dict
+    rng = np.random.default_rng(seed)
+    for flips in (SKEW, HERMITIAN):
+        data = mirrored_stack(rng, count, n, flips, k)
+        for nested in (True, False):
+            texts = _mirror_json(data, flips, nested)
+            assert len(texts) == count
+            for b, text in enumerate(texts):
+                plain = data[b] if nested else data[b].reshape(-1, 4)
+                assert text == json.dumps(plain.tolist())
+                assert _mirror_json(data[b:b + 1], flips, nested) == [text]
+    w = QuatMatrix(mirrored_stack(rng, 1, n, HERMITIAN, k)[0])
+    assert "".join(_hermitian_json(w)) == json.dumps(quat_matrix_to_dict(w), sort_keys=True)
+    if n >= 4:
+        z = mirrored_stack(rng, count, n, SKEW, k)
+        hits = [BasicCandidate(int(t), z[t], np.sort(rng.uniform(0, 2, n)), float(rng.random()))
+                for t in range(count)]
+        assert _hit_lines(hits) == [json.dumps(c.to_dict(), sort_keys=True) for c in hits]
+
+
+@pytest.mark.parametrize("flips", [SKEW, HERMITIAN])
+def test_mirror_json_refuses_a_stack_with_one_slice_not_mirrored(flips):
+    good = mirrored_stack(np.random.default_rng(5), 3, 5, flips, 0)
+    off = good.copy()
+    off[1, 3, 1, 2] = np.nextafter(off[1, 3, 1, 2], np.inf)  # one ulp off its mirror
+    signed = good.copy()
+    signed[1, 2, 2, flips[0]] = -0.0  # a flipped diagonal component
+    tiny = good.copy()
+    tiny[1, 4, 4, flips[-1]] = 5e-324  # likewise, the smallest subnormal
+    infinite = good.copy()
+    infinite[1, 0, 4, 1] = np.inf  # bitwise mirrored, not finite
+    infinite[1, 4, 0, 1] = -np.inf if 1 in flips else np.inf
+    for bad in (off, signed, tiny, infinite):
+        for nested in (True, False):
+            with pytest.raises(ValueError, match="bitwise"):
+                _mirror_json(bad, flips, nested)
+            assert len(_mirror_json(np.delete(bad, 1, axis=0), flips, nested)) == 2

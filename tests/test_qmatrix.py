@@ -519,3 +519,22 @@ def test_negative_or_nan_tol_is_measured(max_abs_calls):
     # but not at NaN
     zero = QuatMatrix.zeros(2)
     assert zero.is_skew_symmetric(-1.0) and not zero.is_skew_symmetric(math.nan)
+
+
+def test_an_exact_zero_holds_at_infinite_tol():
+    # measured, a zero matrix at tol = inf would compare 0 with inf * 0 =
+    # NaN and warn; an exact zero holds there as at every tol >= 0, beside
+    # a slice that is measured (its nonzero residual has a nonzero scale)
+    zeros = np.zeros((2, 2, 4))
+    neither = np.arange(16.0).reshape(2, 2, 4)  # neither skew nor Hermitian
+    stack = QuatMatrix(np.stack([zeros, neither]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m, other, expect in ((QuatMatrix(zeros), zeros, True),
+                                 (stack, np.stack([zeros, zeros]), [True, True])):
+            for got in (m.is_hermitian(math.inf), m.is_skew_symmetric(math.inf),
+                        m.allclose(other, math.inf)):
+                assert np.asarray(got).tolist() == expect
+        for got in (stack.is_hermitian(0.5), stack.is_skew_symmetric(0.5),
+                    stack.allclose(np.stack([zeros, zeros]), 0.5)):
+            assert got.tolist() == [True, False]

@@ -14,7 +14,8 @@ rule, clinalg.unit_scaled (Quaternion._unit_scaled for a scalar), so no
 other function takes a binary exponent, and the scalar form serves only the
 scalar's own abs and inverse.  Z goes to W = Z Z* and its spectrum by one
 route, spectra.gram_spectrum.  "Hermitian" has one rule, judged once per
-solve, by the one entry magnitude.  The per-step loops of the Householder
+solve, by the one entry magnitude.  Only the writer of mirrored matrices
+reads a float's bits.  The per-step loops of the Householder
 reductions neither stack, concatenate nor tile arrays and look up no float
 limits.
 """
@@ -61,6 +62,11 @@ ROUTE_BANNED = {"cli.py": ("unit_scaled",),
 HERMITIAN_RULE_ALLOWED = {("clinalg.py", "_is_hermitian"), ("clinalg.py", "herm_eig"),
                           ("qmatrix.py", None), ("qmatrix.py", "is_hermitian")}
 HYPOT_ALLOWED = {("clinalg.py", "_max_abs"), ("clinalg.py", "_reflector")}
+
+# a matrix's bits (its int64 view and the sign bit 2^63) are read by one
+# writer, matio._mirror_json, which checks that a skew Z or a Hermitian W is
+# bitwise mirrored before it writes the upper triangle's text for both
+BITS_ALLOWED = {("matio.py", "_mirror_json")}
 
 # calls that build a temporary array, or look up float limits, through
 # Python-level numpy code: no per-step loop of a Householder reduction makes
@@ -186,10 +192,9 @@ def test_no_absolute_tolerance_floors():
     assert not floors, floors
 
 
-def _uses_outside(name, allowed):
-    """The "file: function" of each node that names name (a read, an
-    attribute, a definition or an import) outside the (file, function)
-    pairs allowed."""
+def _found_outside(match, allowed):
+    """The "file: function" of each node for which match(node) holds,
+    outside the (file, function) pairs allowed."""
     stray = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -198,10 +203,28 @@ def _uses_outside(name, allowed):
             owner.update((id(node), fname) for node in ast.walk(fn))
         stray += ["%s: %s" % (path.name, owner.get(id(node), "<module>"))
                   for node in ast.walk(tree)
-                  if name in (getattr(node, "id", None), getattr(node, "attr", None),
-                              getattr(node, "name", None), getattr(node, "asname", None))
-                  and (path.name, owner.get(id(node))) not in allowed]
+                  if match(node) and (path.name, owner.get(id(node))) not in allowed]
     return stray
+
+
+def _uses_outside(name, allowed):
+    """The "file: function" of each node that names name (a read, an
+    attribute, a definition or an import) outside the (file, function)
+    pairs allowed."""
+    return _found_outside(
+        lambda node: name in (getattr(node, "id", None), getattr(node, "attr", None),
+                              getattr(node, "name", None), getattr(node, "asname", None)),
+        allowed)
+
+
+def _is_sign_bit(node):
+    """2^63, the sign bit of a float seen as int64, as a power, a shift or
+    a literal."""
+    if isinstance(node, ast.Constant):
+        return node.value == 2 ** 63
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Pow, ast.LShift))
+            and [getattr(x, "value", None) for x in (node.left, node.right)]
+            == ([2, 63] if isinstance(node.op, ast.Pow) else [1, 63]))
 
 
 def test_one_scaling_rule():
@@ -228,6 +251,11 @@ def test_one_hermitian_rule_and_one_entry_measure():
     defined = [path.name for path in sorted(SRC.glob("*.py"))
                for name, _ in _functions(ast.parse(path.read_text())) if name == "_max_abs"]
     assert not stray and defined == ["clinalg.py"], (stray, defined)
+
+
+def test_only_the_mirror_writer_reads_bits():
+    stray = _uses_outside("int64", BITS_ALLOWED) + _found_outside(_is_sign_bit, BITS_ALLOWED)
+    assert not stray, stray
 
 
 def test_householder_steps_build_no_temporaries():
