@@ -16,10 +16,11 @@ Provided:
   Every step works on all slices at once, and every slice is checked and
   converges on its own
 * _tridiagonal_eig: that tridiagonal solve, from a first index up, with
-  eigenvectors by inverse iteration when asked for; hua_decompose solves
-  with it, once per stack, the +sigma half of the tridiagonals that
-  _skew_tridiagonal, a skew Householder congruence run on a stack of Z at
-  once, makes of them
+  eigenvectors when asked for: by one twisted factorisation for each
+  isolated eigenvalue, by inverse iteration for the clusters;
+  hua_decompose solves with it, once per stack, the +sigma half of the
+  tridiagonals that _skew_tridiagonal, a skew Householder congruence run
+  on a stack of Z at once, makes of them
 * unit_scaled: the one scaling rule; every entry point that squares or
   inverts its input works on it scaled to unit size by a power of two,
   exactly
@@ -28,7 +29,8 @@ Provided:
 * lu_inverse: the inverse by one LU factorization with partial pivoting,
   of one matrix or of each slice of a stack, each unit_scaled, with an
   invertible flag each
-* mgs_orthonormalize: Gram-Schmidt, run twice, up to a full basis
+* mgs_orthonormalize: Gram-Schmidt, run twice, up to a full basis, of a
+  list of vectors or of every slice of a stack in one pass
 * positive_clusters: a spectrum's positive clusters; even_clusters: are all
   even, decided for every row at once by the same cluster rule
 * _require: the check that names the first slice of a stack that fails it
@@ -179,11 +181,16 @@ def _tridiagonal_eig(d, e2, vectors=False, first=0):
     A slice with no nonzero off-diagonal entry takes its sorted diagonal as
     eigenvalues and unit vectors as eigenvectors, so the zero matrix gives
     w = 0 and y = I exactly.  The others bisect their eigenvalues on Sturm
-    counts (_bisect) and, with vectors, run inverse iteration
-    (_inverse_iteration), which raises ConvergenceError at its iteration
-    limit.  Each value is bitwise that of a full solve (first = 0), with or
-    without vectors, and so are a slice's vectors when first starts one of
-    its clusters, which keeps every vector's cluster predecessors.
+    counts (_bisect).  With vectors, each eigenvalue that no neighbour
+    solved in its slice lies within CLUSTER_GAP t_b of (t_b the power of
+    two above the slice's Gershgorin bound) gets its eigenvector from one
+    twisted factorisation (_twisted), and the clusters go to inverse
+    iteration (_inverse_iteration), which raises ConvergenceError at its
+    iteration limit.  Each value is bitwise that of a full solve
+    (first = 0), with or without vectors; so is the vector of an
+    eigenvalue alone in the full spectrum, and so are a slice's vectors
+    when first starts one of its clusters, which keeps every vector's
+    cluster predecessors.
     """
     m = d.shape[1]
     order = np.argsort(d, axis=1, kind="stable")
@@ -203,7 +210,23 @@ def _tridiagonal_eig(d, e2, vectors=False, first=0):
         part = _bisect(d, e2, top, first)
         w[rows, first:] = part
         if vectors:
-            y[rows, :, first:] = _inverse_iteration(d, off, part, top)
+            # column b per + j is eigenvalue first + j of slice b; it is
+            # alone when it starts a cluster and the next column does too
+            per = m - first
+            new = np.ones((rows.size, per + 1), dtype=bool)
+            new[:, 1:-1] = np.diff(part, axis=1) > CLUSTER_GAP * top[:, None]
+            start = new[:, :-1].ravel()
+            alone = start & new[:, 1:].ravel()
+            b, j = np.divmod(np.arange(alone.size), per)
+            vec = np.empty((alone.size, m))
+            i = np.flatnonzero(alone)
+            if i.size:
+                vec[i] = _twisted(d[b[i]], e2[b[i]], part.ravel()[i], top[b[i]])
+            i = np.flatnonzero(~alone)
+            if i.size:
+                vec[i] = _inverse_iteration(d[b[i]], e2[b[i]], part.ravel()[i], top[b[i]],
+                                            j[i] + first, start[i])
+            y[rows, :, first:] = vec.reshape(rows.size, per, m).transpose(0, 2, 1)
     return (w[:, first:], y[:, :, first:]) if vectors else w[:, first:]
 
 
@@ -479,43 +502,85 @@ def _newton_cells(diag, e2s, index, lo, span, level):
     return np.flatnonzero(rest)
 
 
-def _inverse_iteration(d, e, w, top):
-    """Eigenvectors (B, m, k) of symmetric tridiagonals with diagonal d
-    (B, m), off-diagonal e > 0 and ascending eigenvalues w (B, k), the top
-    k of each, by inverse iteration on every (slice, eigenvalue) column at
-    once.  Column j of each slice starts from column m - k + j of one fixed
-    random (m, m) draw, so when w[:, 0] starts a cluster, each vector is
-    bitwise that of the full solve.
+def _twisted(diag, e2s, w, top):
+    """Eigenvectors (k, m), one per row, of symmetric tridiagonals with
+    diagonals diag (k, m) and squared off-diagonals e2s (k, m - 1) > 0, at
+    eigenvalues w (k,) that no other eigenvalue lies within CLUSTER_GAP
+    t_b of (t_b = top), from one twisted factorisation of T - w I each
+    (Fernando, SIAM J. Matrix Anal. Appl. 18, 1997; Parlett & Dhillon,
+    Linear Algebra Appl. 267, 1997).
 
-    Eigenvalues with neighbour gaps of at most CLUSTER_GAP t_b (t_b =
-    top[b]) form a cluster.  Column j factors T - s_j I once by
-    elimination with partial pivoting (LAPACK dlagtf), where s_j is w_j
-    moved up to 10 eps t_b above s_{j-1} when closer to it inside a
-    cluster, and a pivot below eps t_b counts as eps t_b.  The first pass
-    solves U x = b for a fixed b, later passes the whole system, and after
-    each pass the columns are normalised and orthogonalised against the
-    earlier members of their cluster by classical Gram-Schmidt, twice
-    (LAPACK zstein; Dhillon, BIT 38, 1998).  From the second pass on, a
-    column stops once ||T y - w_j y|| is at most 4 m^1.5 eps t_b, about
-    what zstein accepts, and the earlier members of its cluster have
-    stopped.  Raises ConvergenceError if a column still moves after
-    MAX_PASSES.
+    The pivots D+ of T - w I = L D+ L^T from the top, which are the Sturm
+    pivots, and D- of U D- U^T from the bottom run side by side, a pivot
+    below eps t_b counting as eps t_b.  The twist r is where
+    gamma_r = D+_r + D-_r - (d_r - w) is least in magnitude, and z with
+    z_r = 1 solves the twisted system: z_i = -(e_i / D+_i) z_{i+1} above r
+    and z_i = -(e_{i-1} / D-_i) z_{i-1} below it, as products that start
+    at r.  Its residual is |gamma_r| / ||z||, at most about m times the
+    distance of w to the eigenvalue.  Every step works on all columns at
+    once, and each column on its own entries, so a vector is bitwise the
+    same whatever else is solved with it.
     """
-    count, m = d.shape
-    per = w.shape[1]
-    n = count * per
-    # the rank of column b per + j in its cluster, and for each rank its
+    m = diag.shape[1]
+    shift = (diag - w[:, None]).T
+    # the recurrence from the top in the first k columns, from the bottom
+    # in the last k
+    pivot = np.concatenate([shift, shift[::-1]], axis=1)
+    e2 = np.concatenate([e2s.T, e2s.T[::-1]], axis=1)
+    tiny = np.tile(EPS * top, 2)
+    for i in range(m):
+        row = pivot[i]
+        if i:
+            row -= e2[i - 1] / pivot[i - 1]
+        np.copysign(np.maximum(np.abs(row), tiny), row, out=row)
+    k = w.size
+    down, up = pivot[:, :k], pivot[::-1, k:]
+    r = np.abs(down + up - shift).argmin(axis=0)
+    off = -np.sqrt(e2s.T)
+    at = np.arange(m)[:, None]
+    z = np.ones((m, k))
+    z[:-1] = np.cumprod(np.where(at[:-1] < r, off / down[:-1], 1.0)[::-1], axis=0)[::-1]
+    z[1:] *= np.cumprod(np.where(at[1:] > r, off / up[1:], 1.0), axis=0)
+    # one vector per row, so the sum runs along a contiguous row
+    y = np.ascontiguousarray(z.T)
+    return y / np.sqrt((y ** 2).sum(axis=1))[:, None]
+
+
+def _inverse_iteration(diag, e2s, w, top, index, start):
+    """Eigenvectors (k, m), one per row, of symmetric tridiagonals with
+    diagonals diag (k, m) and squared off-diagonals e2s (k, m - 1) > 0 at
+    their eigenvalues w (k,), eigenvalue number index (k,) of their own
+    slice, by inverse iteration on every column at once.  start (k,) marks
+    the columns that start a cluster; each is followed by the rest of its
+    cluster in ascending order.  _tridiagonal_eig decides the clusters by
+    its CLUSTER_GAP rule and hands over only them, as an eigenvalue alone
+    takes _twisted.  Column j starts from column index_j of one fixed
+    random (m, m) draw, so a vector is bitwise that of the full solve when
+    its cluster is solved whole.
+
+    Column j factors T - s_j I once by elimination with partial pivoting
+    (LAPACK dlagtf), where s_j is w_j moved up to 10 eps t_b (t_b = top_j)
+    above s_{j-1} when closer to it inside a cluster, and a pivot below
+    eps t_b counts as eps t_b.  The first pass solves U x = b for a fixed
+    b, later passes the whole system, and after each pass the columns are
+    normalised and orthogonalised against the earlier members of their
+    cluster by classical Gram-Schmidt, twice (LAPACK zstein; Dhillon,
+    BIT 38, 1998).  From the second pass on, a column stops once
+    ||T y - w_j y|| is at most 4 m^1.5 eps t_b, about what zstein accepts,
+    and the earlier members of its cluster have stopped.  Raises
+    ConvergenceError if a column still moves after MAX_PASSES.
+    """
+    n, m = diag.shape
+    # the rank of each column in its cluster, and for each rank its
     # columns with those of their earlier members
-    new = np.ones((count, per), dtype=bool)
-    new[:, 1:] = np.diff(w, axis=1) > CLUSTER_GAP * top[:, None]
-    rank = np.arange(n) - np.maximum.accumulate(np.where(new.ravel(), np.arange(n), 0))
+    rank = np.arange(n) - np.maximum.accumulate(np.where(start, np.arange(n), 0))
     groups = [(cols, cols[:, None] - np.arange(r, 0, -1))
               for r in range(1, rank.max() + 1) for cols in [np.flatnonzero(rank == r)]]
-    tiny = np.repeat(EPS * top, per)
-    s = w.ravel().copy()
+    tiny = EPS * top
+    s = w.copy()
     for cols, _ in groups:
         s[cols] = np.maximum(s[cols], s[cols - 1] + 10.0 * tiny[cols])
-    diag, off = d.repeat(per, axis=0), np.repeat(e, per, axis=0).T
+    off = np.sqrt(e2s).T
     shift = (diag - s[:, None]).T
     # row k of what is left to eliminate is (head, over, 0) in columns k,
     # k + 1, k + 2; the factors are lists of rows
@@ -535,8 +600,7 @@ def _inverse_iteration(d, e, w, top):
 
     bound = 4 * m * np.sqrt(m) * tiny
     done, y = np.zeros(n, dtype=bool), np.zeros((n, m))
-    start = np.random.default_rng(0).uniform(-1.0, 1.0, (m, m))[:, m - per:]
-    rows = list(np.tile(start, count))
+    rows = list(np.random.default_rng(0).uniform(-1.0, 1.0, (m, m))[:, index])
     for sweep in range(MAX_PASSES):
         for k in range(m - 1 if sweep else 0):
             top_row = np.where(swap[k], rows[k + 1], rows[k])
@@ -564,7 +628,7 @@ def _inverse_iteration(d, e, w, top):
             for cols, _ in groups:
                 done[cols] &= done[cols - 1]
             if done.all():
-                return y.reshape(count, per, m).transpose(0, 2, 1)
+                return y
         rows = list(y.T)
     raise ConvergenceError("inverse iteration limit %d reached" % MAX_PASSES)
 
@@ -647,7 +711,8 @@ def lu_inverse(a, tol=1e-10):
 
 
 def mgs_orthonormalize(vectors, tol=1e-10):
-    """Orthonormalize a list of complex vectors in order by Gram-Schmidt.
+    """Orthonormalize a list of complex vectors in order by Gram-Schmidt,
+    or each slice of a (B, k, n) stack of k vectors at once.
 
     Each vector is projected against all the vectors kept so far in one
     product, and a second such pass cleans up the rounding left by the
@@ -656,25 +721,50 @@ def mgs_orthonormalize(vectors, tol=1e-10):
     can be shorter than the input.  Once the kept vectors are a full basis,
     as many as each vector is long, the rest are skipped.  Raises
     ValueError when the vectors have mixed lengths.
+
+    A stack gives an array (B, min(k, n), n) whose slice b holds the
+    vectors of slice b's own list call, bitwise, followed by zero rows; a
+    list is a stack of one.  Runs of neighbouring slices that have kept
+    the same number of vectors are projected together, one product per run
+    and pass, and a run splits where one of its slices drops a vector.
     """
-    vectors = [np.array(v, dtype=complex).ravel() for v in vectors]
-    if len({v.size for v in vectors}) > 1:
-        raise ValueError("vectors have mixed lengths")
-    size = vectors[0].size if vectors else 0
-    kept = np.zeros((min(len(vectors), size), size), dtype=complex)
+    stacked = isinstance(vectors, np.ndarray) and vectors.ndim == 3
+    if stacked:
+        batch = vectors.astype(complex, copy=False)
+    else:
+        vectors = [np.asarray(v, dtype=complex).ravel() for v in vectors]
+        if len({v.size for v in vectors}) > 1:
+            raise ValueError("vectors have mixed lengths")
+        size = vectors[0].size if vectors else 0
+        batch = np.array(vectors, dtype=complex).reshape(1, len(vectors), size)
+    count, k, size = batch.shape
+    kept = np.zeros((count, min(k, size), size), dtype=complex)
     kept_conj = np.zeros_like(kept)
-    count = 0
-    for v in vectors:
-        if count == size:
+    # (lo, hi, c): slices lo to hi - 1, which have kept c vectors each, are
+    # projected together; a run splits where its slices part ways
+    runs = [(0, count, 0)] if count and size else []
+    for j in range(k):
+        later = []
+        for lo, hi, c in runs:
+            v = batch[lo:hi, j, :, None]
+            basis, conj = kept[lo:hi, :c].swapaxes(1, 2), kept_conj[lo:hi, :c]
+            for _ in range(2 if c else 0):
+                v = v - basis @ (conj @ v)
+            nrm = np.sqrt((np.abs(v) ** 2).sum(axis=1))
+            keep = nrm > tol
+            u = np.divide(v[:, :, 0], nrm, out=kept[lo:hi, c], where=keep)
+            np.conjugate(u, out=kept_conj[lo:hi, c])
+            if np.count_nonzero(keep) == hi - lo:
+                later.append((lo, hi, c + 1))
+            else:
+                # the slices that kept the vector go on at c + 1, the others
+                # at c
+                cut = [lo, *(np.flatnonzero(np.diff(keep[:, 0])) + lo + 1).tolist(), hi]
+                later += [(a, b, c + int(keep[a - lo, 0])) for a, b in zip(cut, cut[1:])]
+        runs = [run for run in later if run[2] < size]
+        if not runs:
             break
-        for _ in range(2):
-            v -= kept[:count].T @ (kept_conj[:count] @ v)
-        nrm = float(np.sqrt((np.abs(v) ** 2).sum()))
-        if nrm > tol:
-            kept[count] = v / nrm
-            np.conjugate(kept[count], out=kept_conj[count])
-            count += 1
-    return list(kept[:count])
+    return kept if stacked else list(kept[0, :np.count_nonzero(kept[0].any(axis=1))])
 
 
 def _cluster_starts(ascending):

@@ -5,7 +5,9 @@ block diagonal: 2x2 blocks [[0, sigma], [-sigma, 0]] with sigma > 0, then
 a zero block covering the kernel (Hua).  hua_decompose works on Z itself:
 skew Householder congruence reduces it to a real skew tridiagonal matrix,
 and the eigenpairs of its Golub-Kahan form give the sigmas and the block
-pairs.  even_multiplicity_check tests the same fact independently through
+pairs: one twisted factorisation for each isolated sigma, inverse
+iteration for the clusters, and one Gram-Schmidt pass per stack.
+even_multiplicity_check tests the same fact independently through
 H = Z Z*, each of whose positive eigenvalues appears an even number of
 times.  Both take one matrix or a (B, n, n) stack, which goes through one
 reduction and one tridiagonal solve, and give each slice bitwise the
@@ -34,11 +36,7 @@ class HuaForm:
     def canonical(self):
         """The block matrix Sigma this form certifies."""
         n = 2 * len(self.sigmas) + self.zero_dim
-        s = np.zeros((n, n), dtype=complex)
-        for t, sig in enumerate(self.sigmas):
-            s[2 * t, 2 * t + 1] = sig
-            s[2 * t + 1, 2 * t] = -sig
-        return s
+        return _canonical(np.array(self.sigmas, dtype=float)[None], n)[0]
 
     def to_dict(self):
         return {"sigmas": [float(s) for s in self.sigmas],
@@ -46,6 +44,17 @@ class HuaForm:
                 "residual": float(self.residual),
                 "unitarity_residual": float(self.unitarity_residual),
                 "u": np.stack([self.u.real, self.u.imag], axis=-1).tolist()}
+
+
+def _canonical(blocks, n):
+    """Block matrices Sigma (B, n, n) from sigmas blocks (B, p), p <= n // 2:
+    each slice's sigmas in 2x2 blocks [[0, sigma], [-sigma, 0]] down the
+    diagonal, then zeros."""
+    s = np.zeros((len(blocks), n, n), dtype=complex)
+    even = np.arange(0, 2 * blocks.shape[1], 2)
+    s[:, even, even + 1] = blocks
+    s[:, even + 1, even] = -blocks
+    return s
 
 
 def even_multiplicity_check(z):
@@ -89,7 +98,9 @@ def hua_decompose(z, tol=1e-8):
     eigenvectors whose pairs go to the kernel lie in it; where they do not
     span it, as when +-sigma near 0 share a cluster, Gram-Schmidt completes
     them from the unit rows, whose parts orthogonal to the block pairs lie
-    in the kernel block too.
+    in the kernel block too.  One Gram-Schmidt call orthonormalises the
+    rows of every slice, and the canonical blocks, the kernel cut and the
+    sigmas scaled back are arrays over the stack.
     """
     z = np.asarray(z, dtype=complex)
     if z.ndim not in (2, 3):
@@ -115,20 +126,19 @@ def hua_decompose(z, tol=1e-8):
     # span C^n, so every slice keeps n rows
     phi = y[:, :, ::-1].swapaxes(1, 2) * np.array([1, -1j, -1, 1j])[np.arange(n) % 4]
     parts = np.stack([phi.imag, phi.real], axis=2).reshape(count, 2 * y.shape[2], n)
-    rows = [mgs_orthonormalize(np.concatenate([p, np.eye(n)]), tol=1e-6) for p in parts]
+    rows = np.concatenate([parts, np.broadcast_to(np.eye(n), (count, n, n))], axis=1)
+    u = mgs_orthonormalize(rows, tol=1e-6)[:, :n] @ q
 
-    u = np.array(rows).reshape(count, n, n) @ q
-    forms = [HuaForm(u[b], sigmas[b, :pairs[b]].tolist(), n - 2 * int(pairs[b]), 0.0, 0.0)
-             for b in range(count)]
-    canonical = np.array([form.canonical() for form in forms]).reshape(count, n, n)
-    residual = frobenius_norm(u @ z @ u.swapaxes(1, 2) - canonical, axis=(1, 2))
+    # the block sigmas of each slice, 0 past its pairs
+    blocks = np.where(np.arange(n // 2) < pairs[:, None], sigmas, 0.0)
+    residual = frobenius_norm(u @ z @ u.swapaxes(1, 2) - _canonical(blocks, n), axis=(1, 2))
     unitarity = frobenius_norm(u.conj().swapaxes(1, 2) @ u - np.eye(n), axis=(1, 2))
     ok = (residual <= tol * scale) & (unitarity <= tol)
     _require(ok[0] if single else ok, "canonical form residuals out of contract: "
              "reconstruction %.3e (limit %.3e), unitarity %.3e (limit %.3e)",
              np.ldexp(residual, e), np.ldexp(tol * scale, e), unitarity, tol,
              error=ConvergenceError)
-    for form, res, uni, exp in zip(forms, residual, unitarity, e):
-        form.sigmas = [float(np.ldexp(s, exp)) for s in form.sigmas]
-        form.residual, form.unitarity_residual = float(np.ldexp(res, exp)), float(uni)
+    sigmas, residual = np.ldexp(blocks, e[:, None]).tolist(), np.ldexp(residual, e).tolist()
+    forms = [HuaForm(u[b], sigmas[b][:pairs[b]], n - 2 * int(pairs[b]), residual[b],
+                     float(unitarity[b])) for b in range(count)]
     return forms[0] if single else forms

@@ -181,25 +181,41 @@ def test_herm_eig_stack_rejects_any_bad_slice():
 
 
 def test_herm_eig_inverse_iteration_limit(monkeypatch):
-    # a first pass alone never accepts an eigenvector; values and diagonal
-    # slices need no pass at all, and herm_eig asks for values only
+    # clusters take inverse iteration, where a first pass alone never
+    # accepts an eigenvector; an eigenvalue alone takes one twisted solve
+    # and no pass, and values and diagonal slices need none at all
     monkeypatch.setattr(qskew.clinalg, "MAX_PASSES", 1)
-    h = random_hermitian(np.random.default_rng(16), 8)
-    d, e2 = unit_tridiagonal(h)
+    rng = np.random.default_rng(16)
+    q = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))[0]
+    d, e2 = unit_tridiagonal(q @ np.diag([1.0, 2.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]) @ q.conj().T)
     with pytest.raises(ConvergenceError, match="inverse iteration limit 1"):
         _tridiagonal_eig(d, e2, vectors=True)
     with pytest.raises(ConvergenceError, match="inverse iteration limit 1"):
         _tridiagonal_eig(np.stack([[1.0, 2.0] * 4, d[0]]),
                          np.stack([np.zeros(7), e2[0]]), vectors=True)
+    # the two 2s are the only cluster, and from index 3 up all are alone
+    _tridiagonal_eig(d, e2, vectors=True, first=3)
     _tridiagonal_eig(d, e2)
-    herm_eig(h)
     np.testing.assert_array_equal(
         _tridiagonal_eig(np.array([[3.0, 1.0]]), np.zeros((1, 1)), vectors=True)[1],
         [[[0, 1], [1, 0]]])
-    # the canonical pair form solves its tridiagonal with vectors
-    y = np.random.default_rng(16).normal(size=(6, 6)) * (1 + 1j)
+    # the canonical pair form of a repeated sigma iterates
+    z = np.zeros((4, 4))
+    z[0, 1] = z[2, 3] = 3.0
+    q = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
     with pytest.raises(ConvergenceError, match="inverse iteration limit 1"):
-        hua_decompose(y - y.T)
+        hua_decompose(q @ (z - z.T) @ q.T)
+    # a random matrix and a random complex skew Z have no cluster, so no
+    # slice of their stacks iterates
+    calls = []
+    monkeypatch.setattr(qskew.clinalg, "_inverse_iteration", lambda *args: calls.append(args))
+    h = random_hermitian(rng, 8)
+    herm_eig(h)
+    y = rng.normal(size=(6, 6)) * (1 + 1j)
+    hua_decompose(np.stack([y - y.T, y.T - y]))
+    _tridiagonal_eig(*(np.concatenate(part) for part in zip(
+        unit_tridiagonal(h), unit_tridiagonal(random_hermitian(rng, 8)))), vectors=True)
+    assert calls == []
 
 
 def test_lu_inverse_matches_reference():
@@ -414,6 +430,33 @@ def test_mgs_stops_at_a_full_basis(dim, extra, seed):
     assert mgs_orthonormalize([np.zeros(0, dtype=complex)] * extra) == []
 
 
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=12),
+       st.integers(min_value=0, max_value=5), st.sampled_from([0.0, 1e-10, 1e-6]),
+       st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=40, deadline=None)
+def test_mgs_stack_is_each_slice_list_call(n, k, count, tol, seed):
+    # each slice of a stack bitwise its own list call, then zero rows:
+    # slices that drop zero rows and combinations of earlier rows, an
+    # all-zero slice, and random slices that reach a full basis first
+    rng = np.random.default_rng(seed)
+    stack = rng.normal(size=(count, k, n)) + 1j * rng.normal(size=(count, k, n))
+    for b in range(count):
+        kind = rng.integers(3)
+        if kind == 0:
+            stack[b] = 0.0
+        for j in range(1, k if kind == 1 else 0):
+            if rng.uniform() < 0.3:
+                stack[b, j] = 0.0
+            elif rng.uniform() < 0.5:
+                stack[b, j] = (rng.normal(size=j) + 1j * rng.normal(size=j)) @ stack[b, :j]
+    out = mgs_orthonormalize(stack, tol)
+    assert out.shape == (count, min(k, n), n)
+    for b in range(count):
+        alone = np.array(mgs_orthonormalize(list(stack[b]), tol)).reshape(-1, n)
+        assert out[b, :len(alone)].tobytes() == alone.tobytes()
+        assert not out[b, len(alone):].any()
+
+
 def test_mgs_rejects_mixed_lengths():
     with pytest.raises(ValueError):
         mgs_orthonormalize([np.zeros(2, dtype=complex), np.zeros(3, dtype=complex)])
@@ -618,6 +661,82 @@ def test_tridiagonal_eig_from_a_first_index_is_the_top_of_the_full_solve(m, coun
                 assert yk[b].tobytes() == y[b, :, k:].tobytes()
             else:
                 assert np.abs(yk[b].T @ yk[b] - np.eye(m - k)).max() <= 1e-12
+
+
+def vector_input(kind, m, rng):
+    """(d, e2), a stack of one, of a tridiagonal of size m: the Golub-Kahan
+    form of a random complex skew Z, of one of rank 2 p < m, or of one
+    whose sigmas repeat, or a random symmetric tridiagonal."""
+    if kind == "tridiagonal":
+        return rng.uniform(-1.0, 1.0, (1, m)), rng.uniform(0.0, 1.0, (1, m - 1)) ** 2
+    y = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    if kind == "rank":
+        p = int(rng.integers(m // 2))
+        y = y[:, :p] @ y[:p]
+    elif kind == "repeated":
+        sigmas = rng.choice([0.5, 1.0, 2.0], size=m // 2)
+        y = np.zeros((m, m))
+        y[np.arange(0, 2 * sigmas.size, 2), np.arange(1, 2 * sigmas.size, 2)] = sigmas
+        q = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))[0]
+        y = q @ y @ q.T
+    z = y - y.T
+    scale = 2.0 ** -np.frexp(np.abs(z).max(initial=0.0))[1]
+    return np.zeros((1, m)), _skew_tridiagonal(scale * z[None])[0]
+
+
+@given(st.lists(st.sampled_from(["random", "rank", "repeated", "tridiagonal"]), min_size=1,
+                max_size=4),
+       st.integers(min_value=2, max_value=32), st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=40, deadline=None)
+def test_tridiagonal_eig_vectors_alone_and_in_clusters(kinds, m, seed):
+    # every column within the residual inverse iteration accepts and
+    # orthonormal, against numpy's eigh; each slice bitwise its single call;
+    # and the vector of an eigenvalue alone in the full spectrum, which one
+    # twisted solve gives, bitwise the same from any first index, whichever
+    # other columns cluster
+    rng = np.random.default_rng(seed)
+    d, e2 = (np.concatenate(part) for part in zip(*(vector_input(k, m, rng) for k in kinds)))
+    top = gershgorin_top(d, np.maximum(e2, 2.0 ** -512))
+    w, y = _tridiagonal_eig(d, e2, vectors=True)
+    gap = qskew.clinalg.CLUSTER_GAP * top[:, None]
+    apart = np.ones((len(d), m + 1), dtype=bool)
+    apart[:, 1:-1] = np.diff(w, axis=1) > gap
+    alone = apart[:, :-1] & apart[:, 1:]
+    for k in sorted({0, m // 2, int(rng.integers(m))}):
+        wk, yk = _tridiagonal_eig(d, e2, vectors=True, first=k)
+        assert wk.tobytes() == w[:, k:].tobytes()
+        for b in range(len(d)):
+            off = np.sqrt(e2[b])
+            t = np.diag(d[b]) + np.diag(off, 1) + np.diag(off, -1)
+            ref, vec = np.linalg.eigh(t)
+            np.testing.assert_allclose(wk[b], ref[k:], rtol=0, atol=1e-13 * top[b])
+            res = np.sqrt(((t @ yk[b] - yk[b] * wk[b]) ** 2).sum(axis=0))
+            assert res.max() <= 4 * m ** 1.5 * qskew.clinalg.EPS * top[b]
+            assert np.abs(yk[b].T @ yk[b] - np.eye(m - k)).max() <= 1e-12
+            one = _tridiagonal_eig(d[b:b + 1], e2[b:b + 1], vectors=True, first=k)[1][0]
+            assert one.tobytes() == yk[b].tobytes()
+            cols = np.flatnonzero(alone[b, k:])
+            assert yk[b][:, cols].tobytes() == y[b][:, k + cols].tobytes()
+            np.testing.assert_allclose(np.abs((vec[:, k + cols] * yk[b][:, cols]).sum(axis=0)),
+                                       1.0, rtol=0, atol=1e-10)
+
+
+def test_tridiagonal_eig_keeps_the_clusters_of_neighbouring_slices_apart():
+    # slice 0 clusters at eigenvalues 1 and 2 and slice 1, lower, at 3 and
+    # 4, so among the clustered columns of the stack the two clusters
+    # follow each other; each slice still solves as in its own call
+    rng = np.random.default_rng(17)
+    picks = []
+    for spectrum in ([0.0, 1.0, 1.0, 2.0, 3.0], [-3.0, -2.0, -1.0, 0.5, 0.5]):
+        q = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))[0]
+        picks.append(unit_tridiagonal(q @ np.diag(spectrum) @ q.conj().T))
+    d, e2 = (np.concatenate(part) for part in zip(*picks))
+    w, y = _tridiagonal_eig(d, e2, vectors=True)
+    assert w[1, 3] < w[0, 2]
+    for b in range(2):
+        yb = _tridiagonal_eig(d[b:b + 1], e2[b:b + 1], vectors=True)[1][0]
+        assert yb.tobytes() == y[b].tobytes()
+        assert np.abs(yb.T @ yb - np.eye(5)).max() <= 1e-12
 
 
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=4),

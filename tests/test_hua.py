@@ -171,9 +171,11 @@ def test_hua_solves_only_the_positive_half_of_a_full_rank_stack(monkeypatch):
     # one tridiagonal solve per call, of the Golub-Kahan eigenvalues from
     # n // 2 up, n - n // 2 per slice that is not zero, gives the sigmas and
     # the vectors that every slice reads, whether its rank is full, lower
-    # or 0, alone or stacked with others
-    asked, solves = [], []
+    # or 0, alone or stacked with others; and one Gram-Schmidt call makes
+    # the rows of every slice
+    asked, solves, passes = [], [], []
     bisect, solve = qskew.clinalg._bisect, qskew.hua._tridiagonal_eig
+    mgs = qskew.hua.mgs_orthonormalize
 
     def spy(d, e2, top, first=0):
         asked.append((len(d), d.shape[1] - first))
@@ -182,8 +184,12 @@ def test_hua_solves_only_the_positive_half_of_a_full_rank_stack(monkeypatch):
     def spy_solve(*args, **kwargs):
         solves.append(1)
         return solve(*args, **kwargs)
+    def spy_mgs(vectors, tol):
+        passes.append(vectors.shape)
+        return mgs(vectors, tol)
     monkeypatch.setattr(qskew.clinalg, "_bisect", spy)
     monkeypatch.setattr(qskew.hua, "_tridiagonal_eig", spy_solve)
+    monkeypatch.setattr(qskew.hua, "mgs_orthonormalize", spy_mgs)
     rng = np.random.default_rng(48)
     for n in (2, 3, 4, 7, 8, 16, 33):
         full = [random_complex_skew(rng, n) for _ in range(3)]
@@ -195,9 +201,10 @@ def test_hua_solves_only_the_positive_half_of_a_full_rank_stack(monkeypatch):
             live = sum(bool(np.any(z)) for z in stack)
             assert solves == [1]
             assert asked == ([(live, n - n // 2)] if live else [])
+            assert passes == [(len(stack), 2 * (n - n // 2) + n, n)]
             for z, form in zip(stack, forms):
                 check_form(z, form)
-            del asked[:], solves[:]
+            del asked[:], solves[:], passes[:]
             if stack is full:
                 assert [f.zero_dim for f in forms] == [n % 2] * 3
 
@@ -322,6 +329,22 @@ def test_stacked_hua_matches_single_calls(kinds, n, seed):
         assert same_form(form, hua_decompose(z))
     one = hua_decompose(np.array(slices[:1]))
     assert len(one) == 1 and same_form(one[0], forms[0])
+
+
+def test_stacked_hua_keeps_the_repeated_sigmas_of_neighbouring_slices_apart():
+    # slice 0's repeated sigma takes the first two columns of its top half
+    # and slice 1's, at unit scale no higher, the last two, so among the
+    # clustered columns of the stack the two clusters follow each other;
+    # each slice is still bitwise its own call
+    rng = np.random.default_rng(44)
+    zs = np.array([skew_with_sigmas(rng, 8, [2.0, 1.5, 1.0, 1.0]),
+                   skew_with_sigmas(rng, 8, [0.5, 0.5, 0.2, 0.1])])
+    scale = 2.0 ** -np.frexp(np.abs(zs).max(axis=(1, 2)))[1]
+    assert 0.5 * scale[1] <= 1.0 * scale[0]
+    forms = hua_decompose(zs)
+    for z, form in zip(zs, forms):
+        assert same_form(form, hua_decompose(z))
+        check_form(z, form)
 
 
 def test_stacked_hua_names_a_slice_that_is_not_skew():

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from qskew import (
     BasicCandidate,
@@ -161,7 +161,10 @@ def mirrored_stack(rng, count, n, flips, k):
 @given(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 64]),
        st.sampled_from([0, 900, -900, -1070]), st.integers(min_value=1, max_value=3),
        st.integers(min_value=0, max_value=2 ** 32 - 1))
-@settings(max_examples=40, deadline=None)
+# no shrink phase: shrinking a failure through n = 64 stacks, a json.dumps
+# per slice each, takes minutes, and the first failing example is as telling
+@settings(max_examples=40, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
 def test_mirror_json_is_json_dumps_of_each_slice(n, k, count, seed):
     # both symmetries in both shapes; W's wrapper against quat_matrix_to_dict
     # and the search hit line against BasicCandidate.to_dict

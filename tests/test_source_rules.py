@@ -79,6 +79,8 @@ HOUSEHOLDER_REDUCTIONS = ("_tridiagonal", "_skew_tridiagonal")
 # each stays in the library
 LIBRARY_ONLY = {
     "K": "basis unit exported beside I and J",
+    "canonical": "the block matrix a HuaForm certifies, for callers; hua_decompose "
+                 "builds the same blocks for a whole stack with _canonical",
     "ONE": "unit quaternion exported for callers",
     "ZERO": "zero quaternion exported for callers",
     "real": "real part of a scalar quaternion, for callers",
