@@ -16,8 +16,9 @@ Provided:
   Every step works on all slices at once, and every slice is checked and
   converges on its own
 * _tridiagonal_eig: that tridiagonal solve, from a first index up, with
-  eigenvectors when asked for: by one twisted factorisation for each
-  isolated eigenvalue, by inverse iteration for the clusters;
+  eigenvectors when asked for, each from one twisted factorisation: in
+  closed form for an isolated eigenvalue, by inverse iteration through
+  those factors for a cluster;
   hua_decompose solves with it, once per stack, the +sigma half of the
   tridiagonals that _skew_tridiagonal, a skew Householder congruence run
   on a stack of Z at once, makes of them
@@ -53,9 +54,12 @@ class ConvergenceError(RuntimeError):
 
 
 # eigenvalues with neighbour gaps of at most this times the scale of T share
-# a cluster, whose eigenvectors are orthogonalised together (LAPACK zstein)
+# a cluster, whose eigenvectors iterate through their twisted factorisations
+# and are orthogonalised together (LAPACK zstein's rule); an eigenvalue
+# alone takes its twisted vector in closed form
 CLUSTER_GAP = 1e-3
-# inverse iteration gives up after this many solves per eigenvector
+# a cluster's inverse iteration gives up after this many passes, each one
+# solve through the twisted factors per eigenvector
 MAX_PASSES = 5
 # relative zero and neighbour gap of positive_clusters
 CLUSTER_TOL = 1e-8
@@ -115,8 +119,9 @@ def herm_eig(h, tol=1e-10):
 
     ValueError when the input is neither (m, m) nor (m, 2m) or not finite,
     or names the first slice not Hermitian within tol (_is_hermitian).
-    Each slice is solved unit_scaled, on its own, so a slice of a stack
-    gives bitwise the result of a single call: Householder reflections
+    Each slice is checked and solved unit_scaled, on its own, so a slice
+    of a stack gives bitwise the result of a single call, and 2^k H gives
+    bitwise 2^k times the eigenvalues of H: Householder reflections
     reduce it to a real tridiagonal T of size m (_tridiagonal), whose
     eigenvalues _tridiagonal_eig cuts out.
     """
@@ -126,7 +131,8 @@ def herm_eig(h, tol=1e-10):
     if not np.isfinite(h).all():
         raise ValueError("herm_eig needs finite entries")
     stack, m = h.shape[:-2], h.shape[-2]
-    h = h.reshape((math.prod(stack),) + h.shape[-2:])
+    # unit size first, so neither the check nor the average overflows
+    h, e = unit_scaled(h.reshape((math.prod(stack),) + h.shape[-2:]), axis=(1, 2))
     c = h[:, :, :m]
     d = [h[:, :, m:]] if h.shape[2] > m else []  # A_d of a quaternion [A_c | A_d]
     parts = [p for x in [c] + d for p in (x.real, x.imag)]
@@ -135,7 +141,6 @@ def herm_eig(h, tol=1e-10):
     # slice is interleaved as columns (c_0, d_0, c_1, d_1, ...)
     halves = [c + c.conj().swapaxes(1, 2)] + [x - x.swapaxes(1, 2) for x in d]
     a = np.stack(halves, axis=3).reshape(h.shape) * 0.5
-    a, e = unit_scaled(a, axis=(1, 2))
     w = np.ldexp(_tridiagonal_eig(*_tridiagonal(a)), e[:, None])
     return w.reshape(stack + (m,))
 
@@ -164,11 +169,16 @@ def _within(off, tol, scale):
 
 def _is_hermitian(parts, tol):
     """The one Hermitian rule, per matrix given as _max_abs takes it: the
-    largest |a_ij - conj(a_ji)| within tol times the largest |a_ij|."""
+    largest |a_ij - conj(a_ji)| within tol times the largest |a_ij|.  A
+    residual entry beyond the float range is inf, which no finite tol
+    admits."""
     parts = np.asarray(parts)  # herm_eig passes a list of views
-    off = parts + parts.swapaxes(-2, -1)
-    off[0] = parts[0] - parts[0].swapaxes(-2, -1)
-    return _within(off, tol, lambda: _max_abs(parts))
+    off = np.empty_like(parts)
+    # the real parts' differences and the imaginary parts' sums
+    with np.errstate(over="ignore"):
+        np.subtract(parts[0], parts[0].swapaxes(-2, -1), out=off[0])
+        np.add(parts[1:], parts[1:].swapaxes(-2, -1), out=off[1:])
+        return _within(off, tol, lambda: _max_abs(parts))
 
 
 def _tridiagonal_eig(d, e2, vectors=False, first=0):
@@ -181,12 +191,13 @@ def _tridiagonal_eig(d, e2, vectors=False, first=0):
     A slice with no nonzero off-diagonal entry takes its sorted diagonal as
     eigenvalues and unit vectors as eigenvectors, so the zero matrix gives
     w = 0 and y = I exactly.  The others bisect their eigenvalues on Sturm
-    counts (_bisect).  With vectors, each eigenvalue that no neighbour
-    solved in its slice lies within CLUSTER_GAP t_b of (t_b the power of
-    two above the slice's Gershgorin bound) gets its eigenvector from one
-    twisted factorisation (_twisted), and the clusters go to inverse
-    iteration (_inverse_iteration), which raises ConvergenceError at its
-    iteration limit.  Each value is bitwise that of a full solve
+    counts (_bisect).  With vectors, every eigenvector comes from one
+    twisted factorisation (_eigenvectors): in closed form for each
+    eigenvalue that no neighbour solved in its slice lies within
+    CLUSTER_GAP t_b of (t_b the power of two above the slice's Gershgorin
+    bound), and by inverse iteration through the same factors for the
+    clusters, which raises ConvergenceError at its iteration limit.  Each
+    value is bitwise that of a full solve
     (first = 0), with or without vectors; so is the vector of an
     eigenvalue alone in the full spectrum, and so are a slice's vectors
     when first starts one of its clusters, which keeps every vector's
@@ -218,14 +229,7 @@ def _tridiagonal_eig(d, e2, vectors=False, first=0):
             start = new[:, :-1].ravel()
             alone = start & new[:, 1:].ravel()
             b, j = np.divmod(np.arange(alone.size), per)
-            vec = np.empty((alone.size, m))
-            i = np.flatnonzero(alone)
-            if i.size:
-                vec[i] = _twisted(d[b[i]], e2[b[i]], part.ravel()[i], top[b[i]])
-            i = np.flatnonzero(~alone)
-            if i.size:
-                vec[i] = _inverse_iteration(d[b[i]], e2[b[i]], part.ravel()[i], top[b[i]],
-                                            j[i] + first, start[i])
+            vec = _eigenvectors(d[b], e2[b], part.ravel(), top[b], j + first, start, alone)
             y[rows, :, first:] = vec.reshape(rows.size, per, m).transpose(0, 2, 1)
     return (w[:, first:], y[:, :, first:]) if vectors else w[:, first:]
 
@@ -502,116 +506,105 @@ def _newton_cells(diag, e2s, index, lo, span, level):
     return np.flatnonzero(rest)
 
 
-def _twisted(diag, e2s, w, top):
-    """Eigenvectors (k, m), one per row, of symmetric tridiagonals with
-    diagonals diag (k, m) and squared off-diagonals e2s (k, m - 1) > 0, at
-    eigenvalues w (k,) that no other eigenvalue lies within CLUSTER_GAP
-    t_b of (t_b = top), from one twisted factorisation of T - w I each
-    (Fernando, SIAM J. Matrix Anal. Appl. 18, 1997; Parlett & Dhillon,
-    Linear Algebra Appl. 267, 1997).
-
-    The pivots D+ of T - w I = L D+ L^T from the top, which are the Sturm
-    pivots, and D- of U D- U^T from the bottom run side by side, a pivot
-    below eps t_b counting as eps t_b.  The twist r is where
-    gamma_r = D+_r + D-_r - (d_r - w) is least in magnitude, and z with
-    z_r = 1 solves the twisted system: z_i = -(e_i / D+_i) z_{i+1} above r
-    and z_i = -(e_{i-1} / D-_i) z_{i-1} below it, as products that start
-    at r.  Its residual is |gamma_r| / ||z||, at most about m times the
-    distance of w to the eigenvalue.  Every step works on all columns at
-    once, and each column on its own entries, so a vector is bitwise the
-    same whatever else is solved with it.
-    """
-    m = diag.shape[1]
-    shift = (diag - w[:, None]).T
-    # the recurrence from the top in the first k columns, from the bottom
-    # in the last k
-    pivot = np.concatenate([shift, shift[::-1]], axis=1)
-    e2 = np.concatenate([e2s.T, e2s.T[::-1]], axis=1)
-    tiny = np.tile(EPS * top, 2)
-    for i in range(m):
-        row = pivot[i]
-        if i:
-            row -= e2[i - 1] / pivot[i - 1]
-        np.copysign(np.maximum(np.abs(row), tiny), row, out=row)
-    k = w.size
-    down, up = pivot[:, :k], pivot[::-1, k:]
-    r = np.abs(down + up - shift).argmin(axis=0)
-    off = -np.sqrt(e2s.T)
-    at = np.arange(m)[:, None]
-    z = np.ones((m, k))
-    z[:-1] = np.cumprod(np.where(at[:-1] < r, off / down[:-1], 1.0)[::-1], axis=0)[::-1]
-    z[1:] *= np.cumprod(np.where(at[1:] > r, off / up[1:], 1.0), axis=0)
-    # one vector per row, so the sum runs along a contiguous row
-    y = np.ascontiguousarray(z.T)
-    return y / np.sqrt((y ** 2).sum(axis=1))[:, None]
-
-
-def _inverse_iteration(diag, e2s, w, top, index, start):
+def _eigenvectors(diag, e2s, w, top, index, start, alone):
     """Eigenvectors (k, m), one per row, of symmetric tridiagonals with
     diagonals diag (k, m) and squared off-diagonals e2s (k, m - 1) > 0 at
     their eigenvalues w (k,), eigenvalue number index (k,) of their own
-    slice, by inverse iteration on every column at once.  start (k,) marks
-    the columns that start a cluster; each is followed by the rest of its
-    cluster in ascending order.  _tridiagonal_eig decides the clusters by
-    its CLUSTER_GAP rule and hands over only them, as an eigenvalue alone
-    takes _twisted.  Column j starts from column index_j of one fixed
-    random (m, m) draw, so a vector is bitwise that of the full solve when
-    its cluster is solved whole.
+    slice, each from one twisted factorisation of T - s I (Fernando, SIAM
+    J. Matrix Anal. Appl. 18, 1997; Parlett & Dhillon, Linear Algebra
+    Appl. 267, 1997).  start (k,) marks the columns that start a cluster,
+    each followed by the rest of its cluster in ascending order, and alone
+    (k,) the columns that are a cluster of their own, as _tridiagonal_eig
+    decides them by its CLUSTER_GAP rule.
 
-    Column j factors T - s_j I once by elimination with partial pivoting
-    (LAPACK dlagtf), where s_j is w_j moved up to 10 eps t_b (t_b = top_j)
-    above s_{j-1} when closer to it inside a cluster, and a pivot below
-    eps t_b counts as eps t_b.  The first pass solves U x = b for a fixed
-    b, later passes the whole system, and after each pass the columns are
-    normalised and orthogonalised against the earlier members of their
-    cluster by classical Gram-Schmidt, twice (LAPACK zstein; Dhillon,
-    BIT 38, 1998).  From the second pass on, a column stops once
-    ||T y - w_j y|| is at most 4 m^1.5 eps t_b, about what zstein accepts,
-    and the earlier members of its cluster have stopped.  Raises
-    ConvergenceError if a column still moves after MAX_PASSES.
+    The pivots D+ of T - s I = L D+ L^T from the top, which are the Sturm
+    pivots, and D- of U D- U^T from the bottom run side by side, a pivot
+    below eps t_b (t_b = top) counting as eps t_b.  The twist r is where
+    gamma_r = D+_r + D-_r - (d_r - s) is least in magnitude, and
+    T - s I = N Delta N^T, where N has the rows of L above r and those of
+    U below it, and Delta = diag(D+ above r, gamma_r, D- below r).
+
+    A column alone has s = w and takes the z with z_r = 1 and
+    (T - s I) z = gamma_r e_r: z_i = -(e_i / D+_i) z_{i+1} above r and
+    z_i = -(e_{i-1} / D-_i) z_{i-1} below it, as products that start at r.
+    Its residual is |gamma_r| / ||z||, at most about m times the distance
+    of w to the eigenvalue.
+
+    A cluster iterates.  s_j is w_j, or s_{j-1} when w_j lies within
+    10 eps t_b of it: members that close share one factorisation, whose
+    rounding, grown by its pivots, would otherwise turn the solves of
+    each member toward a vector of its own in the cluster and leave
+    Gram-Schmidt to cancel them.  Column j starts from column index_j of
+    one fixed random (m, m) draw, so a vector is bitwise that of the full
+    solve when its cluster is solved whole.  Each pass solves
+    N Delta N^T x = b by sweeps from the top and from the bottom to r, a
+    division by Delta with gamma_r floored like the pivots, and sweeps
+    from r back out; then the columns are normalised and orthogonalised
+    against the earlier members of their cluster by classical
+    Gram-Schmidt, twice (LAPACK zstein; Dhillon, BIT 38, 1998).  From the
+    second pass on, a column stops once ||T y - w_j y|| is at most
+    4 m^1.5 eps t_b, about what zstein accepts, and the earlier members
+    of its cluster have stopped.  Raises ConvergenceError if a column
+    still moves after MAX_PASSES.
+
+    Every step works on all columns at once, and each column on its own
+    entries or its cluster's, so a vector is bitwise the same whatever
+    else is solved with it.
     """
-    n, m = diag.shape
+    k, m = diag.shape
     # the rank of each column in its cluster, and for each rank its
     # columns with those of their earlier members
-    rank = np.arange(n) - np.maximum.accumulate(np.where(start, np.arange(n), 0))
+    rank = np.arange(k) - np.maximum.accumulate(np.where(start, np.arange(k), 0))
     groups = [(cols, cols[:, None] - np.arange(r, 0, -1))
               for r in range(1, rank.max() + 1) for cols in [np.flatnonzero(rank == r)]]
     tiny = EPS * top
     s = w.copy()
     for cols, _ in groups:
-        s[cols] = np.maximum(s[cols], s[cols - 1] + 10.0 * tiny[cols])
-    off = np.sqrt(e2s).T
+        s[cols] = np.where(s[cols] > s[cols - 1] + 10.0 * tiny[cols], s[cols], s[cols - 1])
     shift = (diag - s[:, None]).T
-    # row k of what is left to eliminate is (head, over, 0) in columns k,
-    # k + 1, k + 2; the factors are lists of rows
-    head, over = shift[0], off[0]
-    piv, sup, sup2, mult, swap = [], [], [], [], []
-    for k in range(m - 1):
-        swap.append(off[k] > np.abs(head))
-        piv.append(np.where(swap[k], off[k], head))
-        mult.append(np.where(swap[k], head, off[k]) / piv[k])
-        sup.append(np.where(swap[k], shift[k + 1], over))
-        head = np.where(swap[k], over, shift[k + 1]) - mult[k] * sup[k]
-        if k < m - 2:
-            sup2.append(off[k + 1] * swap[k])
-            over = np.where(swap[k], -mult[k] * off[k + 1], off[k + 1])
-    piv = np.array(piv + [head])
-    inv = 1.0 / np.where(np.abs(piv) < tiny, np.copysign(tiny, piv), piv)
+    # the recurrence from the top in the first k columns, from the bottom
+    # in the last k
+    pivot = np.concatenate([shift, shift[::-1]], axis=1)
+    e2 = np.concatenate([e2s.T, e2s.T[::-1]], axis=1)
+    floor = np.tile(tiny, 2)
+    for i in range(m):
+        row = pivot[i]
+        if i:
+            row -= e2[i - 1] / pivot[i - 1]
+        np.copysign(np.maximum(np.abs(row), floor), row, out=row)
+    down, up = pivot[:, :k], pivot[::-1, k:]
+    gamma = down + up - shift
+    r = np.abs(gamma).argmin(axis=0)
+    off = -np.sqrt(e2s.T)
+    at = np.arange(m)[:, None]
+    # -l_i of N's rows above r and -u_i of those below it, 0 elsewhere
+    above = np.where(at[:-1] < r, off / down[:-1], 0.0)
+    below = np.where(at[1:] > r, off / up[1:], 0.0)
+    z = np.ones((m, k))
+    z[:-1] = np.cumprod(np.where(at[:-1] < r, above, 1.0)[::-1], axis=0)[::-1]
+    z[1:] *= np.cumprod(np.where(at[1:] > r, below, 1.0), axis=0)
+    # one vector per row, so every sum below runs along a contiguous row
+    y = np.ascontiguousarray(z.T)
+    y /= np.sqrt((y ** 2).sum(axis=1))[:, None]
+    if alone.all():
+        return y
 
+    twist = np.where(at < r, down, np.where(
+        at > r, up, np.copysign(np.maximum(np.abs(gamma), tiny), gamma)))
     bound = 4 * m * np.sqrt(m) * tiny
-    done, y = np.zeros(n, dtype=bool), np.zeros((n, m))
-    rows = list(np.random.default_rng(0).uniform(-1.0, 1.0, (m, m))[:, index])
+    done = alone
+    x = np.random.default_rng(0).uniform(-1.0, 1.0, (m, m))[:, index]
     for sweep in range(MAX_PASSES):
-        for k in range(m - 1 if sweep else 0):
-            top_row = np.where(swap[k], rows[k + 1], rows[k])
-            rows[k + 1] = np.where(swap[k], rows[k], rows[k + 1]) - mult[k] * top_row
-            rows[k] = top_row
-        rows[-1] = rows[-1] * inv[-1]
-        rows[-2] = (rows[-2] - sup[-1] * rows[-1]) * inv[-2]
-        for k in range(m - 3, -1, -1):
-            rows[k] = (rows[k] - sup[k] * rows[k + 1] - sup2[k] * rows[k + 2]) * inv[k]
-        # one vector per row, so every sum below runs along a contiguous row
-        x = np.stack(rows, axis=1)
+        for i in range(1, m):
+            x[i] += above[i - 1] * x[i - 1]
+        for i in range(m - 2, -1, -1):
+            x[i] += below[i] * x[i + 1]
+        x /= twist
+        for i in range(m - 2, -1, -1):
+            x[i] += above[i] * x[i + 1]
+        for i in range(1, m):
+            x[i] += below[i - 1] * x[i - 1]
+        x = np.ascontiguousarray(x.T)
         y = np.where(done[:, None], y, x / np.sqrt((x ** 2).sum(axis=1))[:, None])
         for cols, earlier in groups:
             cols, earlier = cols[~done[cols]], y[earlier[~done[cols]]]
@@ -621,15 +614,15 @@ def _inverse_iteration(diag, e2s, w, top, index, start):
                       * earlier).sum(axis=1)
             y[cols] = u / np.sqrt((u ** 2).sum(axis=1))[:, None]
         if sweep:
-            res = (diag - w.reshape(n, 1)) * y
-            res[:, 1:] += off.T * y[:, :-1]
-            res[:, :-1] += off.T * y[:, 1:]
-            done = np.sqrt((res ** 2).sum(axis=1)) <= bound
+            res = (diag - w.reshape(k, 1)) * y
+            res[:, 1:] -= off.T * y[:, :-1]
+            res[:, :-1] -= off.T * y[:, 1:]
+            done = alone | (np.sqrt((res ** 2).sum(axis=1)) <= bound)
             for cols, _ in groups:
                 done[cols] &= done[cols - 1]
             if done.all():
                 return y
-        rows = list(y.T)
+        x = y.T.copy()
     raise ConvergenceError("inverse iteration limit %d reached" % MAX_PASSES)
 
 

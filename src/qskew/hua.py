@@ -5,8 +5,9 @@ block diagonal: 2x2 blocks [[0, sigma], [-sigma, 0]] with sigma > 0, then
 a zero block covering the kernel (Hua).  hua_decompose works on Z itself:
 skew Householder congruence reduces it to a real skew tridiagonal matrix,
 and the eigenpairs of its Golub-Kahan form give the sigmas and the block
-pairs: one twisted factorisation for each isolated sigma, inverse
-iteration for the clusters, and one Gram-Schmidt pass per stack.
+pairs: one twisted factorisation per sigma, whose vector is closed form
+for an isolated sigma and iterates through the same factors in a
+cluster, and one Gram-Schmidt pass per stack.
 even_multiplicity_check tests the same fact independently through
 H = Z Z*, each of whose positive eigenvalues appears an even number of
 times.  Both take one matrix or a (B, n, n) stack, which goes through one

@@ -74,6 +74,17 @@ def test_hermitian_crafted_cases():
     assert not dq_hermitian_split(bad_inf)
 
 
+def test_overflowing_residual_is_not_hermitian():
+    # A* - A of a standard part 1e308 i is -2e308 i, beyond the float range:
+    # both routes judge it not Hermitian, slice by slice, and raise nothing
+    a = DualQuatMatrix(QuatMatrix(np.array([[1e308j]])))
+    assert not dq_hermitian_direct(a)
+    assert not is_dq_hermitian(a)
+    stack = DualQuatMatrix(np.array([[[[0.0, 1e308, 0.0, 0.0]]], [[[1e308, 0.0, 0.0, 0.0]]]]))
+    assert dq_hermitian_direct(stack).tolist() == [False, True]
+    assert is_dq_hermitian(stack).tolist() == [False, True]
+
+
 def test_hermitian_routes_agree_near_threshold():
     # perturbations straddling the tolerance must flip both routes together
     rng = np.random.default_rng(74)

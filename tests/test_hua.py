@@ -239,6 +239,22 @@ def test_hua_property(n, seed):
     check_form(z, form, tol=1e-8)
 
 
+@given(st.integers(min_value=2, max_value=32), st.floats(min_value=-16, max_value=-4),
+       st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=30, deadline=None)
+def test_hua_of_sigma_pairs_a_relative_gap_apart(n, gap, seed):
+    # sigmas in pairs s and s (1 + 10^gap), which share a cluster of the
+    # Golub-Kahan tridiagonal and iterate: the form keeps its contract, and
+    # the sigmas are those of Z
+    rng = np.random.default_rng(seed)
+    half = rng.uniform(0.5, 2.0, size=(n // 2 + 1) // 2)
+    sigmas = np.sort(np.stack([half, half * (1 + 10.0 ** gap)], axis=1).ravel()[:n // 2])
+    z = skew_with_sigmas(rng, n, sigmas[::-1])
+    form = hua_decompose(z)
+    check_form(z, form)
+    np.testing.assert_allclose(form.sigmas, sigmas[::-1], rtol=0, atol=1e-13 * sigmas.max())
+
+
 @given(st.integers(min_value=0, max_value=5), st.integers(min_value=1, max_value=8),
        st.lists(st.floats(min_value=-300, max_value=300), min_size=5, max_size=5),
        st.integers(min_value=0, max_value=10**6))

@@ -253,6 +253,11 @@ def test_predicates_of_huge_entries():
             assert not a.scale(c).is_skew_symmetric()
             assert h.scale(c).is_hermitian()
         assert a.scale(1e170).max_abs() == pytest.approx(1e170 * a.max_abs(), rel=1e-15)
+        # at 1e308 the sum a_ij + a_ji of two real parts overflows: only the
+        # measured residual is formed, and a residual beyond the float range
+        # is no Hermitian
+        assert h.scale(1e308 / h.max_abs()).is_hermitian()
+        assert not a.scale(1e308 / a.max_abs()).is_hermitian()
         assert a.scale(1e300).max_abs() < np.inf
 
 

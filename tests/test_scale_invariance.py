@@ -28,7 +28,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from qskew import (DualQuatMatrix, QuatMatrix, Quaternion, SkewTriple,
                    basic_candidate_search, classify_3x3,
                    even_multiplicity_check, gram_product, hua_decompose, I, J,
-                   is_dq_hermitian, is_solid, quaternion_even_multiplicity_check,
+                   herm_eig, is_dq_hermitian, is_solid,
+                   quaternion_even_multiplicity_check,
                    random_skew_symmetric, right_eigenvalues_hermitian,
                    sample_degenerate_triple, sample_generic_triple, save_matrix,
                    verify_classification)
@@ -45,6 +46,9 @@ LU_POWERS = st.integers(min_value=-1000, max_value=1000)
 SQUARED_POWERS = st.integers(min_value=-900, max_value=500)
 # a search draws entries up to 2^k, so W = Z Z* stays finite while k <= 250
 SEARCH_POWERS = st.integers(min_value=-900, max_value=250)
+# herm_eig scales a Hermitian H before it sums a_ij and conj(a_ji), so 2^k H
+# with eigenvalues in [1, 2) stays in range up to the largest power, 2^1023
+HERM_POWERS = st.integers(min_value=-1000, max_value=1023)
 
 
 def scaled_triple(t, c):
@@ -235,6 +239,30 @@ def test_lu_inverse_scales_exactly_by_powers_of_two(k, n, kinds, seed):
     assert got.tobytes() == expect.tobytes()
     if invertible[0]:
         assert lu_inverse(scaled[0]).tobytes() == expect[0].tobytes()
+
+
+@given(HERM_POWERS, st.integers(min_value=1, max_value=6), st.booleans(), SEEDS)
+@settings(max_examples=40, deadline=None)
+@example(k=1023, n=1, quaternion=False, seed=0)
+@example(k=1023, n=3, quaternion=True, seed=0)
+def test_herm_eig_scales_exactly_by_powers_of_two(k, n, quaternion, seed):
+    # a complex H, or a quaternion one as [A_c | A_d], with eigenvalues of
+    # magnitude up to [1, 2): 2^k H gives bitwise 2^k times its eigenvalues
+    # wherever they stay normal, up to k = 1023, where entries above half
+    # the float maximum overflow any sum of two of them
+    rng = np.random.default_rng(seed)
+    h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    h = h + h.conj().T
+    if quaternion:
+        d = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        h = np.concatenate([h, d - d.T], axis=1)
+    top = np.frexp(np.abs(herm_eig(h)).max())[1]
+    h = np.ldexp(h.view(float), 1 - top).view(complex)
+    scaled = np.ldexp(h.view(float), k).view(complex)
+    assume(normal(scaled))
+    expect = np.ldexp(herm_eig(h), k)
+    keep = np.abs(expect) >= np.finfo(float).tiny
+    assert herm_eig(scaled)[keep].tobytes() == expect[keep].tobytes()
 
 
 def test_degenerate_s_scales_exactly():

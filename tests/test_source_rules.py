@@ -301,14 +301,23 @@ def _plain_methods(trees):
             and "property" not in map(_dotted, item.decorator_list)}
 
 
-def _name_uses(node, methods):
-    """How often each name is read or taken as an attribute inside node;
-    an attribute named after one of methods counts only where it is called,
-    so numpy's .real does not count as a use of a method real()."""
+def _module_names(trees):
+    """Names of the module-level functions, classes and constants."""
+    return {name for tree in trees for name, node in _definitions(tree)
+            if any(node is top for top in tree.body)}
+
+
+def _name_uses(node, methods, names):
+    """How often each name is read or taken as an attribute inside node.  A
+    plain name counts only when it is one of names, the module-level
+    definitions, so a local variable does not count as a use of a method it
+    shares its name with; an attribute named after one of methods counts
+    only where it is called, so numpy's .real does not count as a use of a
+    method real()."""
     called = {id(n.func) for n in ast.walk(node) if isinstance(n, ast.Call)}
     return collections.Counter(
         n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id in names
         or isinstance(n, ast.Attribute) and (n.attr not in methods
                                              or id(n) in called))
 
@@ -317,14 +326,15 @@ def test_every_defined_name_is_used():
     trees = {path.name: ast.parse(path.read_text())
              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
     methods = _plain_methods(trees.values())
-    uses = sum((_name_uses(tree, methods) for tree in trees.values()),
+    names = _module_names(trees.values())
+    uses = sum((_name_uses(tree, methods, names) for tree in trees.values()),
                collections.Counter())
     # a definition's uses of its own name (recursion) do not count
     unused = ["%s: %s" % (module, name)
               for module, tree in trees.items()
               for name, node in _definitions(tree)
               if not (name.startswith("__") and name.endswith("__"))
-              and uses[name] <= _name_uses(node, methods)[name]
+              and uses[name] <= _name_uses(node, methods, names)[name]
               and name not in LIBRARY_ONLY]
     assert not unused, unused
     stale = [name for name in LIBRARY_ONLY if uses[name]]
