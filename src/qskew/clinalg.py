@@ -25,6 +25,8 @@ Provided:
 * unit_scaled: the one scaling rule; every entry point that squares or
   inverts its input works on it scaled to unit size by a power of two,
   exactly
+* _within: the one structure rule, by the one magnitude, the largest
+  |component| (_max_abs), which no check on finite input overflows
 * frobenius_norm: Frobenius norm, of an array or per slice, that does not
   underflow, and is inf only when the norm lies beyond the float range
 * lu_inverse: the inverse by one LU factorization with partial pivoting,
@@ -87,12 +89,14 @@ def _require(ok, message, *values, error=ValueError):
 
 def unit_scaled(a, axis=None):
     """(a 2^-e, e), exact short of underflow, where e is the binary
-    exponent of the largest |a_ij| over axis: one per slice, shaped as a
-    reduced over axis, and 0 for a zero slice.  The largest magnitude of
-    each slice of a 2^-e lies in [1/2, 1).  A complex array is scaled as
-    one float view of its real and imaginary parts."""
+    exponent of the largest component of a over axis, a real or an
+    imaginary part alike: one per slice, shaped as a reduced over axis, and
+    0 for a zero slice.  The largest component of each slice of a 2^-e
+    lies in [1/2, 1), so e is finite whenever a is.  A complex array is
+    scaled as one float view of its real and imaginary parts."""
     a = np.asarray(a)
-    e = np.frexp(np.abs(a).max(axis=axis, keepdims=True, initial=0.0))[1]
+    mag = np.maximum(np.abs(a.real), np.abs(a.imag)) if np.iscomplexobj(a) else np.abs(a)
+    e = np.frexp(mag.max(axis=axis, keepdims=True, initial=0.0))[1]
     if np.iscomplexobj(a):
         unit = np.ldexp(a[..., None].view(float), -e[..., None]).view(complex)[..., 0]
     else:
@@ -118,7 +122,8 @@ def herm_eig(h, tol=1e-10):
     chi(A), each right eigenvalue once (H is the quaternion H + 0 j).
 
     ValueError when the input is neither (m, m) nor (m, 2m) or not finite,
-    or names the first slice not Hermitian within tol (_is_hermitian).
+    or names the first slice not Hermitian within tol (_is_hermitian), or
+    the first whose eigenvalues do not all lie in the float range.
     Each slice is checked and solved unit_scaled, on its own, so a slice
     of a stack gives bitwise the result of a single call, and 2^k H gives
     bitwise 2^k times the eigenvalues of H: Householder reflections
@@ -141,37 +146,38 @@ def herm_eig(h, tol=1e-10):
     # slice is interleaved as columns (c_0, d_0, c_1, d_1, ...)
     halves = [c + c.conj().swapaxes(1, 2)] + [x - x.swapaxes(1, 2) for x in d]
     a = np.stack(halves, axis=3).reshape(h.shape) * 0.5
-    w = np.ldexp(_tridiagonal_eig(*_tridiagonal(a)), e[:, None])
-    return w.reshape(stack + (m,))
+    with np.errstate(over="ignore"):
+        w = np.ldexp(_tridiagonal_eig(*_tridiagonal(a)), e[:, None]).reshape(stack + (m,))
+    _require(np.isfinite(w).all(axis=-1), "herm_eig: an eigenvalue lies beyond the float range")
+    return w
 
 
 def _max_abs(parts):
-    """The one entry measure, the largest |a_ij| of each matrix by hypot (no
-    overflow), from its components (w, x) or (w, x, y, z), each (..., m, n)."""
-    mag = np.hypot(parts[0], parts[1])
-    if len(parts) > 2:
-        mag = np.hypot(mag, np.hypot(parts[2], parts[3]))
-    return mag.max(axis=(-2, -1), initial=0.0)
+    """The one magnitude, the largest |component| of each matrix, from its
+    component matrices (..., m, n) stacked on a first axis: finite whenever
+    they are, and within a factor of 2 of the largest |a_ij| (|q| <= 2 max|q_c|)."""
+    return np.abs(parts).max(axis=(0, -2, -1), initial=0.0)
 
 
 def _within(off, tol, scale):
-    """The one structure rule, per matrix: the largest |off_ij| of the
-    residual off, an array of component matrices as _max_abs takes them,
-    within tol times scale(), the largest entry measured.  A residual
-    exactly zero holds at any tol >= 0, inf included, and when every
-    matrix's is, nothing is measured; a negative or NaN tol is measured.  A
-    nonzero residual has a nonzero scale, so tol = inf never meets 0."""
+    """The one structure rule, per matrix: the residual off, formed with
+    overflow ignored as component matrices _max_abs takes, within tol times
+    scale(), the input's _max_abs.  A residual exactly zero holds at any tol
+    >= 0, inf included, and when every matrix's is, nothing is measured; a
+    negative or NaN tol is measured.  A nonzero residual has a nonzero
+    scale, so tol = inf never meets 0, and an inf one fails any finite tol."""
     if tol >= 0 and not off.any():
         return np.ones(off.shape[1:-2], dtype=bool)
-    zero = ~off.any(axis=(0, -2, -1)) & (tol >= 0)
-    return zero | (_max_abs(off) <= tol * np.where(zero, 1.0, scale()))
+    mag = _max_abs(off)
+    zero = (mag == 0) & (tol >= 0)
+    return zero | (mag <= tol * np.where(zero, 1.0, scale()))
 
 
 def _is_hermitian(parts, tol):
     """The one Hermitian rule, per matrix given as _max_abs takes it: the
-    largest |a_ij - conj(a_ji)| within tol times the largest |a_ij|.  A
-    residual entry beyond the float range is inf, which no finite tol
-    admits."""
+    largest component of A - A* within tol times the largest component of
+    A (_within).  A residual component beyond the float range is inf,
+    which no finite tol admits."""
     parts = np.asarray(parts)  # herm_eig passes a list of views
     off = np.empty_like(parts)
     # the real parts' differences and the imaginary parts' sums
@@ -250,9 +256,12 @@ def _reflector(x, norm2, v):
         v[:, 0] += np.exp(1j * np.angle(head))
     else:
         size = np.hypot.reduce(np.abs(head), axis=1)[:, None]
+        # a complex division forms 1 / size, which overflows for a
+        # subnormal size: such a head is lifted by 2^1022 first, exactly
+        lift = np.where(size < TINY, 1.0 / TINY, 1.0)
         unit = np.zeros((len(x), 2), dtype=complex)
         unit[:, 0] = 1
-        v[:, 0] += np.divide(head, size, out=unit, where=size > 0)
+        v[:, 0] += np.divide(head * lift, size * lift, out=unit, where=size > 0)
     return np.divide(2.0, (v.real ** 2 + v.imag ** 2).sum(axis=(1, 2)),
                      out=np.zeros(len(x)), where=live)
 
@@ -711,7 +720,8 @@ def mgs_orthonormalize(vectors, tol=1e-10):
     product, and a second such pass cleans up the rounding left by the
     first (classical Gram-Schmidt run twice).  Vectors whose residual after
     projection has norm at or below tol are dropped, so the returned list
-    can be shorter than the input.  Once the kept vectors are a full basis,
+    can be shorter than the input.  Each vector is projected unit_scaled,
+    and tol with it, so no norm overflows.  Once the kept vectors are a full basis,
     as many as each vector is long, the rest are skipped.  Raises
     ValueError when the vectors have mixed lengths.
 
@@ -731,6 +741,11 @@ def mgs_orthonormalize(vectors, tol=1e-10):
         size = vectors[0].size if vectors else 0
         batch = np.array(vectors, dtype=complex).reshape(1, len(vectors), size)
     count, k, size = batch.shape
+    # each vector unit_scaled, so that no square overflows, and the norm
+    # it is dropped at scaled with it
+    batch, e = unit_scaled(batch, axis=2)
+    with np.errstate(over="ignore"):
+        floor = np.ldexp(tol, -e)
     kept = np.zeros((count, min(k, size), size), dtype=complex)
     kept_conj = np.zeros_like(kept)
     # (lo, hi, c): slices lo to hi - 1, which have kept c vectors each, are
@@ -744,7 +759,7 @@ def mgs_orthonormalize(vectors, tol=1e-10):
             for _ in range(2 if c else 0):
                 v = v - basis @ (conj @ v)
             nrm = np.sqrt((np.abs(v) ** 2).sum(axis=1))
-            keep = nrm > tol
+            keep = nrm > floor[lo:hi, j, None]
             u = np.divide(v[:, :, 0], nrm, out=kept[lo:hi, c], where=keep)
             np.conjugate(u, out=kept_conj[lo:hi, c])
             if np.count_nonzero(keep) == hi - lo:
@@ -768,7 +783,8 @@ def _cluster_starts(ascending):
     cut = CLUSTER_TOL * ascending.max(axis=-1, initial=0.0)[..., None]
     positive = ascending > cut
     start = positive.copy()
-    start[..., 1:] &= ~positive[..., :-1] | (np.diff(ascending, axis=-1) > cut)
+    with np.errstate(over="ignore"):  # a gap beyond the float range is inf
+        start[..., 1:] &= ~positive[..., :-1] | (np.diff(ascending, axis=-1) > cut)
     return start
 
 

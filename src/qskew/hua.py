@@ -76,9 +76,10 @@ def hua_decompose(z, tol=1e-8):
     Returns a HuaForm, or for a stack a list of them, each bitwise that of
     its own call, with U unitary, sigmas descending and positive, and the
     kernel gathered in a trailing zero block.  Raises ValueError for
-    non-skew input, and ConvergenceError when the eigensolver reaches its
-    iteration limit or the final residuals exceed their contracts; for a
-    stack, a failed check names the first slice that fails it.  The
+    non-skew input or a sigma beyond the float range, and ConvergenceError
+    when the eigensolver reaches its iteration limit or the final residuals
+    exceed their contracts; for a stack, a failed check names the first
+    slice that fails it.  The
     residual limit is tol * ||Z||_F; the smallest pairs go to the kernel
     while sqrt(2) times the norm of their sigmas, which is what dropping
     them adds to the residual, stays within half that limit.  Each Z is
@@ -135,11 +136,17 @@ def hua_decompose(z, tol=1e-8):
     residual = frobenius_norm(u @ z @ u.swapaxes(1, 2) - _canonical(blocks, n), axis=(1, 2))
     unitarity = frobenius_norm(u.conj().swapaxes(1, 2) @ u - np.eye(n), axis=(1, 2))
     ok = (residual <= tol * scale) & (unitarity <= tol)
-    _require(ok[0] if single else ok, "canonical form residuals out of contract: "
-             "reconstruction %.3e (limit %.3e), unitarity %.3e (limit %.3e)",
-             np.ldexp(residual, e), np.ldexp(tol * scale, e), unitarity, tol,
-             error=ConvergenceError)
-    sigmas, residual = np.ldexp(blocks, e[:, None]).tolist(), np.ldexp(residual, e).tolist()
+    # scaled back, a sigma, or the limit of a large tol, may lie beyond the
+    # float range
+    with np.errstate(over="ignore"):
+        _require(ok[0] if single else ok, "canonical form residuals out of contract: "
+                 "reconstruction %.3e (limit %.3e), unitarity %.3e (limit %.3e)",
+                 np.ldexp(residual, e), np.ldexp(tol * scale, e), unitarity, tol,
+                 error=ConvergenceError)
+        sigmas = np.ldexp(blocks, e[:, None])
+    finite = np.isfinite(sigmas).all(axis=1)
+    _require(finite[0] if single else finite, "hua_decompose: a sigma lies beyond the float range")
+    sigmas, residual = sigmas.tolist(), np.ldexp(residual, e).tolist()
     forms = [HuaForm(u[b], sigmas[b][:pairs[b]], n - 2 * int(pairs[b]), residual[b],
                      float(unitarity[b])) for b in range(count)]
     return forms[0] if single else forms

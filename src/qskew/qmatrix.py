@@ -216,20 +216,20 @@ class QuatMatrix:
 
     @classmethod
     def from_chi(cls, c, tol=1e-10):
-        """Invert chi, of one matrix or of each slice of a stack
-        (..., 2m, 2n); ValueError, naming the first failing slice, when a
-        slice is off the symmetry by > tol*max|c|."""
-        c = np.asarray(c, dtype=complex)
+        """Invert chi, of one matrix or of each slice of a stack (..., 2m, 2n);
+        ValueError, naming the first failing slice, unless the top half's
+        [A_c | A_d] is within tol (_within) of the bottom half's [conj c_22 | -conj c_21]."""
+        c = np.ascontiguousarray(c, dtype=complex)
         if c.ndim < 2 or c.shape[-2] % 2 or c.shape[-1] % 2:
             raise ValueError("adjoint matrix must have even dimensions")
         m, n = c.shape[-2] // 2, c.shape[-1] // 2
-        ac, ad = c[..., :m, :n], c[..., :m, n:]
-        off = np.maximum(np.abs(c[..., m:, :n] + ad.conj()), np.abs(c[..., m:, n:] - ac.conj()))
-        # a NaN passes here, and the constructor refuses it as non-finite
-        _require(~(off.max(axis=(-2, -1), initial=0.0)
-                   > tol * np.abs(c).max(axis=(-2, -1), initial=0.0)),
-                 "matrix does not have the adjoint block symmetry")
-        return cls.from_complex_pair(ac, ad)
+        off = np.empty(c.shape[:-2] + (m, 2 * n), dtype=complex)
+        with np.errstate(over="ignore"):
+            np.subtract(c[..., :m, :n], c[..., m:, n:].conj(), out=off[..., :n])
+            np.add(c[..., :m, n:], c[..., m:, :n].conj(), out=off[..., n:])
+            ok = _within(off.view(float)[None], tol, lambda: _max_abs(c.view(float)[None]))
+        _require(ok, "matrix does not have the adjoint block symmetry")
+        return cls.from_complex_pair(c[..., :m, :n], c[..., :m, n:])
 
     # -- metrics and predicates ----------------------------------------------------------
 
@@ -239,20 +239,21 @@ class QuatMatrix:
         return _per_slice(frobenius_norm(self.data, axis=(-3, -2, -1)))
 
     def max_abs(self):
-        """Largest entry magnitude |a_ij|, by hypot, so it does not overflow."""
+        """The one magnitude, the largest |component| (_max_abs), finite."""
         return _per_slice(_max_abs(np.rollaxis(self.data, -1)))
 
     def is_hermitian(self, tol=1e-10):
-        """A* = A within tol * max|a_ij|, herm_eig's rule; zero passes."""
+        """A* = A within tol times max_abs, herm_eig's rule; zero passes."""
         self._require_square("is_hermitian")
         return _per_slice(_is_hermitian(np.rollaxis(self.data, -1), tol))
 
     def is_skew_symmetric(self, tol=1e-10):
         """Z^T = -Z under the plain transpose: the residual Z^T + Z within
-        tol * max|z_ij| (_within, so an exactly skew Z is not measured)."""
+        tol times max_abs (_within, so an exactly skew Z is not measured)."""
         self._require_square("is_skew_symmetric")
         p = np.rollaxis(self.data, -1)  # the four component matrices
-        return _per_slice(_within(p.swapaxes(-2, -1) + p, tol, lambda: _max_abs(p)))
+        with np.errstate(over="ignore"):
+            return _per_slice(_within(p.swapaxes(-2, -1) + p, tol, lambda: _max_abs(p)))
 
     def _require_square(self, who):
         if self.nrows != self.ncols:
@@ -260,11 +261,12 @@ class QuatMatrix:
                              % ((who,) + self.shape))
 
     def allclose(self, other, tol=1e-12):
-        """max|a_ij - b_ij| within tol times the larger of the two max_abs
-        (_within, so equal matrices are not measured)."""
+        """A - B within tol times the larger of the two max_abs (_within,
+        so equal matrices are not measured)."""
         other = _coerce_matrix(other, self.shape)
         a, b = np.rollaxis(self.data, -1), np.rollaxis(other.data, -1)
-        return _per_slice(_within(a - b, tol, lambda: np.maximum(_max_abs(a), _max_abs(b))))
+        with np.errstate(over="ignore"):
+            return _per_slice(_within(a - b, tol, lambda: np.maximum(_max_abs(a), _max_abs(b))))
 
 
 def random_skew_symmetric(n, seed, scale=1.0):

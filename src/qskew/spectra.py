@@ -49,18 +49,26 @@ def right_eigenvalues_hermitian(a, tol=1e-10):
     slices all go to one herm_eig call as [A_c | A_d]: the n ascending
     right eigenvalues and their trace residual.  Raises ValueError on
     input not Hermitian within tol (herm_eig's check) or a trace residual
-    above 1e-9 * sqrt(n) * ||A||_F; tol * ||A||_F is the definiteness floor.
+    above 1e-9 * sqrt(n) * ||A||_F, judged unit_scaled; tol * ||A||_F is
+    the definiteness floor (inf beyond the float range).
     """
     a = QuatMatrix.coerce(a)
     a._require_square("right_eigenvalues_hermitian")
     n = a.nrows
     mu = herm_eig(a.chi()[..., :n, :], tol)  # [A_c | A_d]
-    residual = np.abs(mu.sum(axis=-1) - np.trace(a.data[..., 0], axis1=-2, axis2=-1))
-    norm = a.norm()
+    # judged unit_scaled, so that neither the sum nor the trace overflows,
+    # and scaled back
+    unit, e = unit_scaled(a.data, axis=(-3, -2, -1))
+    residual = np.abs(np.ldexp(mu, -e[..., None]).sum(axis=-1)
+                      - np.trace(unit[..., 0], axis1=-2, axis2=-1))
+    norm = frobenius_norm(unit, axis=(-3, -2, -1))
     bound = 1e-9 * np.sqrt(n) * norm
-    _require(residual <= bound, "right eigenvalues do not sum to the trace: "
-             "residual %.3e exceeds %.3e", residual, bound)
-    return RightSpectrum(mu, residual, tol * norm)
+    with np.errstate(over="ignore"):
+        ok, residual, bound, floor = (residual <= bound, np.ldexp(residual, e),
+                                      np.ldexp(bound, e), np.ldexp(tol * norm, e))
+    _require(ok, "right eigenvalues do not sum to the trace: residual %.3e exceeds %.3e",
+             residual, bound)
+    return RightSpectrum(mu, residual, floor)
 
 
 def gram_product(z, tol=1e-10):

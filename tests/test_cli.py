@@ -49,6 +49,18 @@ def test_spectrum_human(tmp_path, capsys):
     assert "solid" in out
 
 
+def test_spectrum_of_a_z_whose_w_has_a_subnormal_householder_head(tmp_path, capsys):
+    # W = Z Z* of this Z reflects a column whose head is subnormal: the
+    # command prints the spectrum (0, 2, 2), and W, whose smallest
+    # eigenvalue (about 1e-618) rounds to 0, is not solid
+    path = tmp_path / "z.json"
+    save_matrix(path, SkewTriple(qskew.quaternion.K, 1, 1e-309 * J).matrix())
+    assert main(["spectrum", str(path), "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    np.testing.assert_allclose(data["spectrum"]["values"], [0.0, 2.0, 2.0], rtol=0, atol=1e-15)
+    assert data["solid"] is False
+
+
 def test_spectrum_json(tmp_path, capsys):
     rc = main(["spectrum", write_ref3(tmp_path), "--json"])
     assert rc == 0

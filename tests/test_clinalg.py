@@ -12,12 +12,16 @@ from hypothesis import example, given, settings, strategies as st
 
 import qskew.clinalg
 from qskew import (
+    J,
+    K,
     ConvergenceError,
     QuatMatrix,
     SingularMatrixError,
+    SkewTriple,
     gram_product,
     herm_eig,
     hua_decompose,
+    is_solid,
     lu_inverse,
     mgs_orthonormalize,
     random_skew_symmetric,
@@ -387,6 +391,55 @@ def test_lu_inverse_beyond_the_float_range_is_an_error():
         lu_inverse(tiny)
     with pytest.raises(ValueError, match=r"beyond the float range \(slice 1\)$"):
         lu_inverse(np.array([np.eye(3), tiny]))
+
+
+def test_unit_scaled_reads_the_largest_component():
+    # an entry whose modulus lies beyond the float range has a finite
+    # largest component, which gives the exponent: the unit form is exact
+    a = np.array([[1.5e308 + 1.5e308j, 1.0]])
+    unit, e = unit_scaled(a)
+    assert e == 1024 and np.ldexp(unit.view(float), e).tobytes() == a.view(float).tobytes()
+    # |0.75 + 0.75i| = 1.06, but its largest component is 0.75, exponent 0
+    assert unit_scaled(np.array([0.75 + 0.75j]))[1] == 0
+
+
+def test_lu_inverse_where_an_entry_modulus_lies_beyond_the_float_range():
+    # the first slice's exponent comes from its largest component, not from
+    # a modulus of inf, so it is scaled to unit size and factored
+    x = lu_inverse(np.diag([1.5e308 + 1.5e308j, 1e308]))
+    np.testing.assert_allclose(x, np.diag([(0.5 - 0.5j) / 1.5e308, 1e-308]), rtol=1e-13, atol=0)
+
+
+def test_herm_eig_beyond_the_float_range_is_an_error():
+    # the eigenvalues of 1.7e308 [[1, 1], [1, 1]] are 0 and 3.4e308
+    big = np.full((2, 2), 1.7e308)
+    with pytest.raises(ValueError, match=r"^herm_eig: an eigenvalue lies beyond the float range$"):
+        herm_eig(big)
+    with pytest.raises(ValueError, match=r"beyond the float range \(slice 1\)$"):
+        herm_eig(np.array([np.eye(2), big]))
+    np.testing.assert_allclose(herm_eig(big / 2), [0.0, 1.7e308], rtol=1e-15, atol=1e293)
+
+
+def test_householder_column_with_a_subnormal_head():
+    # a column of W = Z Z* below its diagonal has a subnormal head, whose
+    # phase takes a complex division: that divides by |head| as 1 / |head|,
+    # which overflows unless the head is lifted first; W's spectrum is
+    # (0, 2, 2) and Z is not solid
+    z = SkewTriple(K, 1, 1e-309 * J).matrix()
+    w = gram_product(z)
+    np.testing.assert_allclose(herm_eig(w.chi()[:3]), [0.0, 2.0, 2.0], rtol=0, atol=1e-15)
+    assert not is_solid(z)
+
+
+def test_mgs_of_vectors_whose_norm_lies_beyond_the_float_range():
+    # each vector is projected unit_scaled, and tol with it: vectors near
+    # the float maximum give bitwise what they give scaled down, and a
+    # tiny vector still falls under an absolute tol
+    vecs = [np.array([1.5e308, 1.5e308j, 0.0]), np.array([1.5e308, 0.0, 1e308])]
+    alone = np.array(mgs_orthonormalize([v * 2.0 ** -1000 for v in vecs]))
+    assert np.array(mgs_orthonormalize(vecs)).tobytes() == alone.tobytes()
+    assert mgs_orthonormalize([np.array([1e-11, 0j])]) == []
+    assert len(mgs_orthonormalize([np.array([1e-11, 0j])], tol=1e-12)) == 1
 
 
 def test_lu_pivoting_stability():

@@ -85,6 +85,20 @@ def test_overflowing_residual_is_not_hermitian():
     assert is_dq_hermitian(stack).tolist() == [False, True]
 
 
+def test_an_entry_modulus_beyond_the_float_range_is_judged_by_its_components():
+    # the entries 1.5e308 (+-1 + i) are finite, their moduli are not; the
+    # direct route judges by the largest component, as allclose does, and
+    # both routes find this standard part not Hermitian, without a warning
+    std = np.array([[[1e308, 0, 0, 0], [1.5e308, 1.5e308, 0, 0]],
+                    [[-1.5e308, 1.5e308, 0, 0], [1e308, 0, 0, 0]]])
+    a = DualQuatMatrix(std)
+    assert not dq_hermitian_direct(a)
+    assert not is_dq_hermitian(a)
+    # with the (1, 0) entry the conjugate of the (0, 1) entry, both agree on yes
+    std[1, 0] = std[0, 1] * [1, -1, -1, -1]
+    assert is_dq_hermitian(DualQuatMatrix(std))
+
+
 def test_hermitian_routes_agree_near_threshold():
     # perturbations straddling the tolerance must flip both routes together
     rng = np.random.default_rng(74)

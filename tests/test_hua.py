@@ -122,6 +122,19 @@ def test_rejects_non_skew():
         hua_decompose(np.zeros((2, 3), dtype=complex))
 
 
+def test_a_sigma_beyond_the_float_range_is_an_error():
+    # each entry is finite, but sigma = |1.5e308 (1 + i)| = 2.1e308 is not;
+    # the skew check of a Z whose residual overflows fails, without a warning
+    big = 1.5e308 + 1.5e308j
+    with pytest.raises(ValueError, match=r"^hua_decompose: a sigma lies beyond the float range$"):
+        hua_decompose(np.array([[0, big], [-big, 0]]))
+    with pytest.raises(ValueError, match=r"beyond the float range \(slice 1\)$"):
+        hua_decompose(np.array([[[0, 1], [-1, 0]], [[0, big], [-big, 0]]]))
+    assert hua_decompose(np.array([[0, big], [-big, 0]]) / 2).sigmas == [abs(big / 2)]
+    with pytest.raises(ValueError, match="not skew-symmetric"):
+        hua_decompose(np.array([[0, 1e308], [1.5e308, 0]], dtype=complex))
+
+
 def test_positive_clusters():
     vals = np.array([0.0, 1e-12, 2.0, 2.0 + 1e-12, 5.0])
     clusters = positive_clusters(vals)
@@ -136,6 +149,14 @@ def test_even_clusters():
     assert even_clusters(rows[0]) is True and even_clusters(rows[1]) is False
     assert even_clusters(rows).tolist() == [True, False, True]
     assert even_clusters(np.stack([rows, rows])).shape == (2, 3)
+
+
+def test_clusters_of_values_spanning_the_float_range():
+    # the gap from -max to max is beyond the float range: inf, which splits
+    big = np.finfo(float).max
+    assert positive_clusters([-big, big]) == [[1]]
+    assert even_clusters([-big, big]) is False
+    assert even_clusters([-big, big, big]) is True
 
 
 def clusters_by_edges(values):

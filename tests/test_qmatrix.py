@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 import qskew.clinalg
 import qskew.qmatrix
-from qskew import (I, J, K, ONE, Quaternion, QuatMatrix, basic_candidate_search,
-                   gram_product, random_skew_symmetric)
+from qskew import (I, J, K, ONE, DualQuatMatrix, Quaternion, QuatMatrix,
+                   basic_candidate_search, dq_hermitian_direct, gram_product,
+                   random_skew_symmetric)
 from qskew.clinalg import _max_abs
 
 
@@ -242,8 +243,8 @@ def test_non_finite_entries_rejected():
 
 
 def test_predicates_of_huge_entries():
-    # max_abs goes through hypot, so entries above 1e154 neither overflow
-    # it nor make the predicates accept anything
+    # max_abs is the largest component, so entries above 1e154 neither
+    # overflow it nor make the predicates accept anything
     a = QuatMatrix(np.random.default_rng(8).uniform(-1, 1, size=(3, 3, 4)))
     h = a + a.conj_transpose()
     with warnings.catch_warnings():
@@ -259,6 +260,107 @@ def test_predicates_of_huge_entries():
         assert h.scale(1e308 / h.max_abs()).is_hermitian()
         assert not a.scale(1e308 / a.max_abs()).is_hermitian()
         assert a.scale(1e300).max_abs() < np.inf
+
+
+def test_verdicts_where_an_entry_modulus_lies_beyond_the_float_range():
+    # |q| of the entry 1e308 + 1.5e308 i is beyond the float range, but its
+    # components are not: max_abs stays finite, so no verdict compares inf
+    # with tol * inf, and a residual beyond the range fails
+    d = np.zeros((2, 2, 4))
+    d[0, 0] = [1e308, 1.5e308, 0, 0]
+    d[0, 1, 0], d[1, 0, 0] = 1.0, 5.0
+    one, two = QuatMatrix(d[:1, :1]), QuatMatrix(d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert one.max_abs() == two.max_abs() == 1.5e308
+        assert not one.is_hermitian()
+        assert not two.is_hermitian() and not two.is_skew_symmetric()
+        assert not two.allclose(QuatMatrix.zeros(2)) and two.allclose(two)
+        # d - (-d) overflows in the 1.5e308 component: an inf residual fails
+        assert QuatMatrix(np.stack([d, -d])).allclose(np.stack([-d, -d])).tolist() == [False, True]
+        # the adjoint of such a matrix round-trips; off its symmetry, it fails
+        c = two.chi()
+        assert QuatMatrix.from_chi(c).allclose(two, tol=0.0)
+        c[2, 2] = 0.0  # conj(a_00) in the lower half
+        with pytest.raises(ValueError, match="adjoint block symmetry"):
+            QuatMatrix.from_chi(c)
+
+
+def _modulus(parts):
+    """The largest entry modulus |a_ij| of each matrix, by hypot, from its
+    component matrices: the measure the structure rules used before the
+    largest component, kept here as the oracle."""
+    mag = np.hypot(parts[0], parts[1])
+    if len(parts) > 2:
+        mag = np.hypot(mag, np.hypot(parts[2], parts[3]))
+    return mag.max(axis=(-2, -1), initial=0.0)
+
+
+def _oracle(residual, scale, tol):
+    """The modulus rule's verdict per matrix, True or False, or None where
+    the residual lies within a factor of 2 of tol * scale, where the
+    component rule may decide either way (|q| <= 2 max|q_c|)."""
+    ratio = np.divide(residual, tol * scale, out=np.zeros_like(residual),
+                      where=residual > 0)
+    return np.where(ratio <= 0.5, True, np.where(ratio > 2.0, False, None))
+
+
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4),
+       st.sampled_from([1e-12, 1e-8, 1e-3]), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_component_rule_agrees_with_the_modulus_rule(count, n, tol, seed):
+    # every verdict by the largest component matches the verdict of the
+    # modulus rule except within a factor of 2 of its threshold; each slice
+    # gets one bump of tol times its size times 2^u, u in [-4, 4]
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1, 1, (count, n, n, 4)) * 2.0 ** rng.integers(-8, 8, (count, 1, 1, 1))
+    bump = np.zeros_like(a)
+    for b in range(count):
+        size = np.abs(a[b]).max() * tol * 2.0 ** rng.uniform(-4, 4)
+        bump[b, rng.integers(n), rng.integers(n), rng.integers(4)] = size
+    flip = a.swapaxes(1, 2) * CONJ_SIGNS
+    cases = {"is_hermitian": (a + flip + bump, lambda m: m.is_hermitian(tol)),
+             "is_skew_symmetric": (a - a.swapaxes(1, 2) + bump,
+                                   lambda m: m.is_skew_symmetric(tol)),
+             "allclose": (a + bump, lambda m: m.allclose(a, tol))}
+    for name, (p, rule) in cases.items():
+        parts, swapped = np.rollaxis(p, -1), np.rollaxis(p, -1).swapaxes(-2, -1)
+        residual = {"is_hermitian": [parts[0] - swapped[0], *(parts[1:] + swapped[1:])],
+                    "is_skew_symmetric": parts + swapped,
+                    "allclose": parts - np.rollaxis(a, -1)}[name]
+        scale = _modulus(parts) if name != "allclose" else np.maximum(
+            _modulus(parts), _modulus(np.rollaxis(a, -1)))
+        expect = _oracle(_modulus(residual), scale, tol)
+        got = rule(QuatMatrix(p))
+        for b in range(count):
+            assert expect[b] in (None, got[b]), (name, b)
+    # from_chi, one matrix at a time, with the bump on the adjoint's lower half
+    for b in range(count):
+        c = QuatMatrix(a[b]).chi()
+        c[n + rng.integers(n), rng.integers(2 * n)] += bump[b].sum() * (1 + 1j)
+        off = [c[n:, n:].conj() - c[:n, :n], c[n:, :n].conj() + c[:n, n:]]
+        expect = _oracle(max(_modulus([x.real, x.imag]) for x in off),
+                         _modulus([c.real, c.imag]), tol)
+        try:
+            QuatMatrix.from_chi(c, tol)
+            got = True
+        except ValueError:
+            got = False
+        assert expect in (None, got)
+    # dq_hermitian_direct, its two parts judged as allclose judges them, at
+    # its fixed 1e-10, so the bumps are moved to that threshold
+    bump *= 1e-10 / tol
+    dual = DualQuatMatrix(a + flip + bump, a - a.swapaxes(1, 2) + bump[::-1])
+    star = dual.conj_transpose()
+    verdicts = [_oracle(_modulus(np.rollaxis(got.data - part.data, -1)),
+                        _modulus(np.rollaxis(part.data, -1)), 1e-10)
+                for got, part in ((star.std, dual.std), (star.inf, dual.inf))]
+    got = dq_hermitian_direct(dual)
+    for b, pair in enumerate(zip(*verdicts)):
+        if False in pair:
+            assert not got[b]
+        elif None not in pair:
+            assert got[b]
 
 
 def test_eye_and_zeros():

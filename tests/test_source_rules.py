@@ -14,7 +14,8 @@ rule, clinalg.unit_scaled (Quaternion._unit_scaled for a scalar), so no
 other function takes a binary exponent, and the scalar form serves only the
 scalar's own abs and inverse.  Z goes to W = Z Z* and its spectrum by one
 route, spectra.gram_spectrum.  "Hermitian" has one rule, judged once per
-solve, by the one entry magnitude.  Only the writer of mirrored matrices
+solve, and every structure verdict goes through one rule, clinalg._within,
+by the one magnitude, the largest |component|.  Only the writer of mirrored matrices
 reads a float's bits.  The per-step loops of the Householder
 reductions neither stack, concatenate nor tile arrays and look up no float
 limits.
@@ -56,12 +57,21 @@ ROUTE_BANNED = {"cli.py": ("unit_scaled",),
 
 # "Hermitian" has one rule, clinalg._is_hermitian, which QuatMatrix.is_hermitian
 # and herm_eig apply; a right spectrum leaves it to herm_eig, so spectra does
-# not name is_hermitian and no W is checked twice.  Entry magnitudes come from
-# hypot in clinalg alone: _max_abs, the measure of every Hermitian, skew and
-# closeness check, and the head of a Householder column in _reflector
+# not name is_hermitian and no W is checked twice.  The one magnitude,
+# _max_abs, is the largest |component|, which cannot overflow; hypot serves
+# only the head of a Householder column in _reflector
 HERMITIAN_RULE_ALLOWED = {("clinalg.py", "_is_hermitian"), ("clinalg.py", "herm_eig"),
                           ("qmatrix.py", None), ("qmatrix.py", "is_hermitian")}
-HYPOT_ALLOWED = {("clinalg.py", "_max_abs"), ("clinalg.py", "_reflector")}
+HYPOT_ALLOWED = {("clinalg.py", "_reflector")}
+
+# the one structure rule, clinalg._within, and its callers: the Hermitian
+# rule and the skew, closeness and adjoint symmetry checks of QuatMatrix;
+# every other verdict on structure (the dual Hermitian test, the agreement
+# check of gram_product) calls one of them, so none judges by a rule of
+# its own, and the one magnitude is read in clinalg and qmatrix alone
+WITHIN_ALLOWED = {("clinalg.py", "_within"), ("clinalg.py", "_is_hermitian"),
+                  ("qmatrix.py", None), ("qmatrix.py", "is_skew_symmetric"),
+                  ("qmatrix.py", "allclose"), ("qmatrix.py", "from_chi")}
 
 # a matrix's bits (its int64 view and the sign bit 2^63) are read by one
 # writer, matio._mirror_json, which checks that a skew Z or a Hermitian W is
@@ -87,6 +97,8 @@ LIBRARY_ONLY = {
     "from_entries": "a matrix from nested Quaternion, scalar or 4-component entries, "
                     "for callers",
     "matrix": "Z of a SkewTriple or of a search hit as a QuatMatrix, for callers",
+    "max_abs": "the one magnitude of a matrix, its largest |component|, for callers; "
+               "the package's checks read it through _within",
     "left_mul": "shows that left and right scalar products differ",
     "right_mul": "shows that left and right scalar products differ",
     "is_dq_hermitian": "the two dual Hermitian routes cross-checked (paper row 8)",
@@ -253,6 +265,13 @@ def test_one_hermitian_rule_and_one_entry_measure():
     defined = [path.name for path in sorted(SRC.glob("*.py"))
                for name, _ in _functions(ast.parse(path.read_text())) if name == "_max_abs"]
     assert not stray and defined == ["clinalg.py"], (stray, defined)
+
+
+def test_one_structure_rule():
+    stray = _uses_outside("_within", WITHIN_ALLOWED)
+    stray += [use for use in _uses_outside("_max_abs", set())
+              if not use.startswith(("clinalg.py:", "qmatrix.py:"))]
+    assert not stray, stray
 
 
 def test_only_the_mirror_writer_reads_bits():

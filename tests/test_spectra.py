@@ -324,7 +324,7 @@ def test_exactly_skew_z_makes_one_product(monkeypatch):
 
 def test_near_skew_z_at_the_edge_of_the_range_makes_no_warning():
     # row norms just below 2^511: W, Z conj(S) and W - Z conj(S) all stay in
-    # range, and so does every hypot of the agreement check's measure
+    # range, and so does the agreement check's residual
     rng = np.random.default_rng(4)
     a = rng.uniform(-1, 1, size=(6, 6, 4))
     z = a - a.swapaxes(0, 1)
